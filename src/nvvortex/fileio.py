@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import struct
 import tempfile
 from pathlib import Path
 
@@ -159,7 +158,7 @@ def write_pgm(image: ScanImage, path, bits: int = 16) -> None:
     if bits == 8:
         payload = scaled.astype(np.uint8).tobytes()
     else:
-        payload = struct.pack(f">{scaled.size}H", *scaled.ravel().tolist())
+        payload = scaled.astype(">u2").tobytes()
     atomic_write_bytes(path, header + payload)
     write_json(
         {

@@ -214,11 +214,6 @@ def fit_orientation(
     )
 
 
-def _axis_vec(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
 def nearest_tetrahedral_axis(
     theta: float, phi: float, azimuth_offset: float = 0.0
 ) -> tuple[int, float, tuple[float, float]]:
@@ -238,9 +233,9 @@ def nearest_tetrahedral_axis(
     reps = [(theta, phi), (theta, phi + math.pi)]
     best: tuple[float, int, tuple[float, float]] | None = None
     for rt, rp in reps:
-        v = _axis_vec(rt, rp)
+        v = NVOrientation(rt, rp).unit_axis
         for i, (tt, tp) in enumerate(tet):
-            a = _axis_vec(tt, tp)
+            a = NVOrientation(tt, tp).unit_axis
             d = float(np.clip(v @ a, -1.0, 1.0))
             mismatch = math.acos(abs(d))
             if best is None or mismatch < best[0]:

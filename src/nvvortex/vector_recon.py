@@ -8,12 +8,15 @@ alpha from pi - alpha, all sign assignments of the cosines are
 searched; and because ODMR cannot distinguish B from -B, every solution
 is reported together with its antipode.
 
-For each branch combination the direction is seeded by the linear solve
-of n_i . b = cos(alpha_i) and refined on the unit sphere by Nelder-Mead
-over (theta, phi) minimizing sum (n_i . b_hat - cos alpha_i)^2. Only
-combinations keeping the first constraint unflipped are refined; the
-complementary half are their exact antipodes by construction, which
-keeps the antipodal bookkeeping consistent to the bit.
+For each branch combination the direction is the exact global
+minimiser of sum (n_i . b_hat - cos alpha_i)^2 over unit vectors b_hat:
+a least-squares problem with a quadratic constraint, solved through its
+secular equation for the Lagrange multiplier (Gander 1981, "Least
+squares with a quadratic constraint", Numer. Math. 36), with no
+iteration budget or tolerance to tune. Only combinations keeping the
+first constraint unflipped are solved; the complementary half are their
+exact antipodes by construction, which keeps the antipodal bookkeeping
+consistent to the bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 
 from .errors import DegenerateAxes, NoIntersection, NoSolution
 from .pattern import NVOrientation
-from .simplex import SimplexSettings, nelder_mead
 
 __all__ = [
     "ConeConstraint",
@@ -89,36 +91,44 @@ class TriangleDiagnostic:
     errors: list[str]
 
 
-def _angles_of(v: np.ndarray) -> tuple[float, float]:
-    theta = math.acos(min(1.0, max(-1.0, float(v[2]))))
-    phi = math.atan2(float(v[1]), float(v[0])) % (2.0 * math.pi)
-    return theta, phi
-
-
-def _unit_from_angles(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def _refine_on_sphere(
-    axes: np.ndarray, cosines: np.ndarray, seed_vec: np.ndarray
+def _unit_sphere_lstsq(
+    axes: np.ndarray, cosines: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    def objective(p: np.ndarray) -> float:
-        misfit = axes @ _unit_from_angles(p[0], p[1]) - cosines
-        return float(misfit @ misfit)
+    """Global minimiser of |axes @ b - cosines|^2 over unit vectors b,
+    and its residual (Gander 1981).
 
-    t0, f0 = _angles_of(seed_vec)
-    result = nelder_mead(
-        objective,
-        np.array([t0, f0]),
-        SimplexSettings(max_iterations=800, x_tolerance=1e-12, f_tolerance=1e-24),
-        initial_step=[0.05, 0.05],
-    )
-    best = _unit_from_angles(result.x[0], result.x[1])
-    seed_res = float((axes @ seed_vec - cosines) @ (axes @ seed_vec - cosines))
-    if seed_res < result.fun:  # never leave the seed for something worse
-        return seed_vec, seed_res
-    return best, result.fun
+    With axes^T axes = V diag(e) V^T, e ascending, and g = V^T axes^T
+    cosines, the minimiser is b = V y with y_i = g_i / (e_i - lam), where
+    lam <= e_0 is the root of sum y_i^2 = 1. The root is bisected in the
+    shift u = e_0 - lam over [0, |g|] until the bracket collapses; in u,
+    y_0 = g_0 / u stays exact to rounding even when the root lies
+    within rounding of e_0. A bracket collapsed onto u = 0 is the hard
+    case (g_0 = 0): the e_0 component is then whatever the unit norm
+    leaves of the others.
+    """
+    gram, rhs = axes.T @ axes, axes.T @ cosines
+    e, vecs = np.linalg.eigh(gram)
+    g = vecs.T @ rhs
+    gap = e - e[0]
+    lo, hi = 0.0, float(np.linalg.norm(g)) or 1.0  # any u > 0 brackets g = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.sum(np.square(g / (gap + mid))) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    if lo > 0.0 and hi > gap[-1]:
+        # the shifted Gram matrix is conditioned better than 2 here, and
+        # solving in the original basis reproduces exactly consistent
+        # cosines to the bit, so branches that fit equally well tie exactly
+        b = np.linalg.solve(gram - (e[0] - hi) * np.eye(3), rhs)
+    else:
+        y = g / (gap + hi)
+        if lo == 0.0:  # hard case: the root is e_0 itself
+            y[0] = math.copysign(math.sqrt(max(0.0, 1.0 - y[1:] @ y[1:])), g[0])
+        b = vecs @ y
+    b /= np.linalg.norm(b)
+    misfit = axes @ b - cosines
+    return b, float(misfit @ misfit)
 
 
 def solve_direction(
@@ -155,13 +165,7 @@ def solve_direction(
             + [False] * (n - n_search)
         )
         cosines = np.where(flips, -base_cos, base_cos)
-        if n == 3:
-            b = np.linalg.solve(axes, cosines)
-        else:
-            b, *_ = np.linalg.lstsq(axes, cosines, rcond=None)
-        norm = np.linalg.norm(b)
-        seed_vec = b / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-        direction, residual = _refine_on_sphere(axes, cosines, seed_vec)
+        direction, residual = _unit_sphere_lstsq(axes, cosines)
         candidates.append((tuple(bool(x) for x in flips), direction, residual))
         # the complementary assignment is exactly the antipode
         candidates.append((tuple(not bool(x) for x in flips), -direction, residual))
@@ -173,7 +177,8 @@ def solve_direction(
             f"best branch residual {residual:.3g} exceeds gate {residual_gate:.3g}"
         )
 
-    theta_b, phi_b = _angles_of(direction)
+    orientation = NVOrientation.from_vector(direction)
+    theta_b, phi_b = orientation.theta, orientation.phi
     b_mean, b_std = aggregate_magnitude(constraints)
     result = VectorFieldResult(
         theta_b=theta_b,
@@ -214,17 +219,8 @@ def _bootstrap_direction_sigma(
             [rng.normal(a, s) if s > 0.0 else a for a, s in zip(alphas, sigmas)]
         )
         cosines = np.where(flips_arr, -np.cos(drawn), np.cos(drawn))
-        if axes.shape[0] == 3:
-            b = np.linalg.solve(axes, cosines)
-        else:
-            b, *_ = np.linalg.lstsq(axes, cosines, rcond=None)
-        norm = np.linalg.norm(b)
-        if norm <= 1e-12:
-            continue
-        v, _ = _refine_on_sphere(axes, cosines, b / norm)
+        v, _ = _unit_sphere_lstsq(axes, cosines)
         devs.append(math.acos(min(1.0, max(-1.0, float(v @ direction)))))
-    if not devs:
-        return 0.0
     return float(np.sqrt(np.mean(np.square(devs))))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import axis_angle_deg
+import nvvortex
 from nvvortex.cli import main
 from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
@@ -268,9 +270,13 @@ class TestPipeline:
 
 
 def test_console_entry_point_runs():
+    # the child process imports the same package as this test run, installed
+    # or not
+    source_root = os.path.dirname(os.path.dirname(nvvortex.__file__))
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nvvortex.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -75,6 +75,11 @@ class TestPGM:
         assert data.startswith(b"P5\n9 7\n65535\n")
         body = data.split(b"65535\n", 1)[1]
         assert len(body) == 9 * 7 * 2
+        values = sample_image.values
+        expected = np.round(
+            (values - values.min()) / (values.max() - values.min()) * 65535
+        )
+        assert np.array_equal(np.frombuffer(body, ">u2").reshape(7, 9), expected)
         sidecar = json.loads((tmp_path / "img.pgm.scale.json").read_text())
         assert sidecar["min_intensity"] == pytest.approx(sample_image.values.min())
         assert sidecar["max_intensity"] == pytest.approx(sample_image.values.max())

@@ -16,6 +16,7 @@ from nvvortex.errors import DegenerateAxes, NoSolution
 from nvvortex.pattern import NVOrientation
 from nvvortex.vector_recon import (
     ConeConstraint,
+    _unit_sphere_lstsq,
     aggregate_magnitude,
     solve_direction,
     triangle_diagnostic,
@@ -66,6 +67,24 @@ def reference_constraints(with_sigmas=False):
             )
         )
     return out
+
+
+def random_unit_axes(rng, n):
+    while True:
+        axes = rng.normal(size=(n, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        if np.linalg.cond(axes) < 1e3:
+            return axes
+
+
+@pytest.fixture(scope="module")
+def sphere_sample():
+    """200,000 near-uniform unit vectors (Fibonacci lattice)."""
+    k = np.arange(200_000) + 0.5
+    z = 1.0 - 2.0 * k / k.size
+    azimuth = math.pi * (1.0 + math.sqrt(5.0)) * k
+    rho = np.sqrt(1.0 - z * z)
+    return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
 
 
 def direction_error_deg(result, b_hat):
@@ -245,6 +264,69 @@ class TestSolveDirection:
                 errs.append(direction_error_deg(solve_direction(cons), b_hat))
             mean_errors.append(np.mean(errs))
         assert mean_errors[0] <= mean_errors[1] <= mean_errors[2]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", ["consistent", "noisy", "inconsistent"])
+    def test_branch_optimum_is_exact(self, n, kind, sphere_sample):
+        # KKT certificate of the constrained least-squares optimum, and a
+        # dense sphere sample over every branch assignment as an oracle
+        rng = np.random.default_rng([n, len(kind)])
+        for _ in range(4):
+            axes = random_unit_axes(rng, n)
+            b_hat = rng.normal(size=3)
+            b_hat /= np.linalg.norm(b_hat)
+            alphas = np.arccos(np.clip(axes @ b_hat, -1.0, 1.0))
+            if kind == "noisy":
+                alphas = np.clip(alphas + rng.normal(0.0, 0.05, n), 0.0, math.pi)
+            elif kind == "inconsistent":
+                alphas = rng.uniform(0.0, math.pi, n)
+            cons = [
+                ConeConstraint(axis=NVOrientation.from_vector(a), alpha=al, b=1.0)
+                for a, al in zip(axes, alphas)
+            ]
+            result = solve_direction(
+                cons, residual_gate=math.inf, bootstrap_samples=0
+            )
+            used = np.stack([c.axis.unit_axis for c in cons])
+            base_cos = np.cos(alphas)
+            cosines = np.where(result.branch_flipped, -base_cos, base_cos)
+            gram, rhs, b = used.T @ used, used.T @ cosines, result.direction
+            lam = b @ gram @ b - b @ rhs
+            assert np.linalg.norm(gram @ b - lam * b - rhs) <= 1e-11
+            assert lam <= np.linalg.eigvalsh(gram)[0] + 1e-9
+            oracle = np.square(
+                np.abs(sphere_sample @ used.T) - np.abs(base_cos)
+            ).sum(axis=1)
+            assert result.residual <= oracle.min()
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
+    def test_hard_case(self, seed):
+        # cosines whose normal-equation right side has no component along
+        # the smallest eigenvector v0 put the multiplier at e0 itself:
+        # the minimiser is w + t v0 with |w| < 1 fixed by the other
+        # components and t filling the unit norm
+        if seed is None:  # exact zeros: the bisection collapses onto e0
+            axes = np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, 0],
+                             [0, 0, 1], [0, 0, 1], [0, 0, 1]])
+            w = np.array([0.0, 0.5, 0.5])
+        else:
+            rng = np.random.default_rng(seed)
+            axes = random_unit_axes(rng, 3 + seed % 3)
+            w = rng.normal(size=3)
+            w *= rng.uniform(0.05, 0.95) / np.linalg.norm(w)
+        gram = axes.T @ axes
+        e, vecs = np.linalg.eigh(gram)
+        v0 = vecs[:, 0]
+        w -= (w @ v0) * v0
+        # normal equations gram b = (gram - e0) w, whose right side is
+        # orthogonal to v0
+        h_inv_w = np.linalg.solve(gram, w)
+        b, residual = _unit_sphere_lstsq(axes, axes @ (w - e[0] * h_inv_w))
+        assert residual == pytest.approx(
+            (1.0 - w @ w) * e[0] + e[0] ** 2 * (w @ h_inv_w), abs=1e-12
+        )
+        assert abs(np.linalg.norm(b) - 1.0) < 1e-15
+        assert np.allclose(b - (b @ v0) * v0, w, atol=1e-9)
 
     def test_bootstrap_sigma_deterministic(self):
         a = solve_direction(reference_constraints(with_sigmas=True), seed=5)
