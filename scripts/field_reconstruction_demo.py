@@ -59,7 +59,7 @@ def main():
             )
         else:
             image = simulate_pattern(true_orientation, grid, optics)
-        fit = fit_orientation(image, optics, n_starts=12, seed=args.seed + i)
+        fit = fit_orientation(image, optics)
 
         spectrum = simulate_odmr_spectrum(
             b_vec, true_orientation, spin, linewidth_mhz=0.8, contrast_depth=0.03

@@ -3,7 +3,7 @@
 Submodules:
     focal_field  - focused field of the azimuthal (doughnut) beam
     pattern      - orientation-dependent confocal scan synthesis
-    orient_fit   - multi-start simplex orientation fitting
+    orient_fit   - orientation fitting: linear solve per centre, 2-D centre search
     spin         - ground-state Hamiltonians, ODMR spectra, inversion
     vector_recon - field vector from cone constraints
     cli          - command-line front end (``nvvortex`` entry point)

@@ -129,14 +129,7 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
 
 def cmd_fit_orientation(args, config: RunConfig) -> int:
     image = read_scan_image_csv(args.image)
-    n_starts = args.n_starts if args.n_starts is not None else config.fit.n_starts
-    fit = fit_orientation(
-        image,
-        config.optics,
-        n_starts=n_starts,
-        seed=args.seed,
-        settings=config.fit.simplex,
-    )
+    fit = fit_orientation(image, config.optics, settings=config.fit.simplex)
     report = _base_report(config, args.seed)
     report.update(
         {
@@ -148,7 +141,7 @@ def cmd_fit_orientation(args, config: RunConfig) -> int:
             "background": fit.background,
             "residual": fit.residual,
             "converged": fit.converged,
-            "n_starts_used": fit.n_starts_used,
+            "center_iterations": fit.center_iterations,
             "phi_identifiable": fit.phi_identifiable,
         }
     )
@@ -304,13 +297,7 @@ def cmd_pipeline(args, config: RunConfig) -> int:
         entry: dict = {}
         try:
             image = read_scan_image_csv(scans[stem])
-            fit = fit_orientation(
-                image,
-                config.optics,
-                n_starts=config.fit.n_starts,
-                seed=args.seed,
-                settings=config.fit.simplex,
-            )
+            fit = fit_orientation(image, config.optics, settings=config.fit.simplex)
             model = fit_odmr_model(read_spectrum_csv(spectra[stem]))
             estimate = field_estimate(model.pair, config.spin)
         except (NVVortexError, OSError) as exc:
@@ -409,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-orientation", help="fit NV orientation from a scan CSV")
     common(p)
     p.add_argument("--image", required=True, help="scan image CSV")
-    p.add_argument("--n-starts", type=int, default=None)
     p.add_argument("--crystal", choices=["111"], default=None,
                    help="label the fit with the nearest tetrahedral axis")
     p.add_argument("--crystal-azimuth-deg", type=float, default=0.0)

@@ -18,13 +18,14 @@ __all__ = ["FitConfig", "PatternConfig", "RunConfig", "load_config", "config_has
 
 @dataclass(frozen=True)
 class FitConfig:
-    n_starts: int = 12
     seed: int = 0
     simplex: SimplexSettings = field(default_factory=SimplexSettings)
 
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+
+#: keys that older configs may still carry, with the reason they went
+_REMOVED_KEYS = {
+    "fit.n_starts": "the orientation fit is one centre search with no random starts",
+}
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,11 @@ def _build_section(cls, data: dict, where: str):
     for key, value in data.items():
         if key.startswith("_"):
             continue
+        if f"{where}.{key}" in _REMOVED_KEYS:
+            raise ConfigError(
+                f"config key '{where}.{key}' was removed: "
+                f"{_REMOVED_KEYS[f'{where}.{key}']}"
+            )
         if key not in known:
             raise ConfigError(f"unknown config key '{where}.{key}'")
         if key == "simplex":

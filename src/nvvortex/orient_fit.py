@@ -1,11 +1,14 @@
 """NV orientation estimation from a scan pattern.
 
-Multi-start Nelder-Mead over (theta, phi, center_x, center_y); the two
-linear parameters (amplitude, background) are solved in closed form at
-every objective evaluation. A pattern determines the axis only up to
-the axis/antiaxis equivalence and a 180-degree azimuth rotation, so
-results are canonicalized to theta in [0, pi/2], phi in [0, pi), with
-``mirror_phi`` carrying the other member of the ambiguity pair.
+At a fixed centre the pattern is linear in three basis images plus the
+background, so the axis angles, amplitude and background come from one
+linear least-squares solve and a 2x2 eigenproblem; a single 2-D
+Nelder-Mead search over the centre minimizes what that solve leaves
+(variable projection, Golub & Pereyra 1973). A pattern determines the
+axis only up to the axis/antiaxis equivalence and a 180-degree azimuth
+rotation, so results are canonicalized to theta in [0, pi/2], phi in
+[0, pi), with ``mirror_phi`` carrying the other member of the ambiguity
+pair.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .pattern import (
     radial_profile_for_grid,
     template_map,
 )
-from .simplex import NelderMeadResult, SimplexSettings, nelder_mead
+from .simplex import SimplexSettings, nelder_mead
 
 __all__ = [
     "OrientationFit",
@@ -33,7 +36,6 @@ __all__ = [
     "canonical_angles",
     "pattern_residual",
     "fit_orientation",
-    "starting_points",
     "nearest_tetrahedral_axis",
     "TETRAHEDRAL_POLAR",
 ]
@@ -42,8 +44,6 @@ __all__ = [
 TETRAHEDRAL_POLAR = math.acos(-1.0 / 3.0)
 
 PHI_IDENTIFIABLE_MIN_THETA = math.radians(5.0)
-
-_PENALTY = 1e6
 
 
 @dataclass
@@ -55,7 +55,7 @@ class OrientationFit:
     amplitude: float
     background: float
     residual: float  # normalized SSE, dimensionless
-    n_starts_used: int
+    center_iterations: int  # simplex iterations of the centre search
     converged: bool
     phi_identifiable: bool  # False near theta = 0 (azimuth degenerate)
 
@@ -125,81 +125,104 @@ def _fold_theta(theta: float) -> float:
     return 2.0 * math.pi - t if t > math.pi else t
 
 
-def starting_points(
-    image: ScanImage, n_starts: int, seed: int
-) -> list[tuple[float, float, float, float]]:
-    """Deterministic multi-start seeds: theta uniform in [0, pi/2], phi
-    uniform in [0, pi), center within +/- 2 px of the intensity
-    centroid. Center entries are in pixel coordinates."""
-    rng = np.random.default_rng(seed)
+def _intensity_centroid(image: ScanImage) -> tuple[float, float]:
+    """Centroid of (values - min) in pixel coordinates; the grid centre
+    when the image is constant."""
     d = image.values - image.values.min()
     total = d.sum()
-    if total > 0.0:
-        ys, xs = np.mgrid[0 : image.grid.height_px, 0 : image.grid.width_px]
-        cx0 = float((xs * d).sum() / total)
-        cy0 = float((ys * d).sum() / total)
-    else:
-        cx0 = 0.5 * (image.grid.width_px - 1)
-        cy0 = 0.5 * (image.grid.height_px - 1)
-    starts = []
-    for _ in range(n_starts):
-        starts.append(
-            (
-                rng.uniform(0.0, 0.5 * math.pi),
-                rng.uniform(0.0, math.pi),
-                cx0 + rng.uniform(-2.0, 2.0),
-                cy0 + rng.uniform(-2.0, 2.0),
-            )
+    if total == 0.0:
+        return 0.5 * (image.grid.width_px - 1), 0.5 * (image.grid.height_px - 1)
+    ys, xs = np.mgrid[0 : image.grid.height_px, 0 : image.grid.width_px]
+    return float((xs * d).sum() / total), float((ys * d).sum() / total)
+
+
+def _linear_fit(
+    center_nm: tuple[float, float],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    d: np.ndarray,
+    profile: RadialIntensityProfile,
+) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients (p, q, s, bg) of the basis images
+    R dx^2/rho^2, R dy^2/rho^2, R dx dy/rho^2 and 1 at a fixed centre,
+    and the sum of squared residuals. At rho = 0 the first three are 0
+    (R has an exact null on the axis)."""
+    dx = xs - center_nm[0]
+    dy = ys - center_nm[1]
+    rho2 = dx * dx + dy * dy
+    w = np.divide(
+        profile(np.sqrt(rho2)), rho2, out=np.zeros_like(rho2), where=rho2 > 0.0
+    )
+    basis = np.column_stack((w * dx * dx, w * dy * dy, w * dx * dy, np.ones_like(w)))
+    coef = np.linalg.lstsq(basis, d, rcond=None)[0]
+    r = d - basis @ coef
+    return coef, float(r @ r)
+
+
+def _angles_from_coefficients(p: float, q: float, s: float) -> tuple[float, float]:
+    """(theta, phi) from M = [[p, s/2], [s/2, q]] = a (I - sin^2(theta) m m^T)
+    with m = (sin phi, -cos phi): a is the larger eigenvalue, sin^2(theta)
+    = 1 - lambda_min / lambda_max clamped to [0, 1], and m the eigenvector
+    of the smaller one. Raises DegenerateTemplate when lambda_max <= 0,
+    which no positive-amplitude pattern produces."""
+    evals, evecs = np.linalg.eigh(np.array([[p, 0.5 * s], [0.5 * s, q]]))
+    if not evals[1] > 0.0:
+        raise DegenerateTemplate(
+            "best linear fit has no positive amplitude (inverted contrast?)"
         )
-    return starts
+    sin2 = min(1.0, max(0.0, 1.0 - evals[0] / evals[1]))
+    mx, my = evecs[:, 0]
+    return math.asin(math.sqrt(sin2)), math.atan2(mx, -my) % math.pi
 
 
 def fit_orientation(
     image: ScanImage,
     optics: OpticalConfig,
-    n_starts: int = 12,
-    seed: int = 0,
     settings: SimplexSettings | None = None,
 ) -> OrientationFit:
-    """Fit (theta, phi, center) to a scan image by multi-start simplex.
+    """Fit (theta, phi, center) to a scan image by variable projection.
 
-    Deterministic for fixed (image, n_starts, seed, settings); the best
-    start wins, ties broken by start index. Raises NoConvergence when
-    every start exhausts its iteration budget.
+    At a fixed centre the pattern is linear in three basis images plus
+    the background, so (theta, phi, amplitude, background) follow from a
+    linear least-squares solve (``_linear_fit``) and a 2x2 eigenproblem.
+    One simplex search over the centre, in pixels from the intensity
+    centroid, minimizes the residual of that solve. Amplitude,
+    background and residual are reported by ``pattern_residual`` at the
+    returned angles and centre. Deterministic for fixed (image,
+    settings). Raises NoConvergence when the centre search exhausts its
+    iteration budget and DegenerateTemplate when the image is constant
+    or its best fit has no positive amplitude.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
     grid = image.grid
     profile = radial_profile_for_grid(grid, optics)
+    xs, ys = (a.ravel() for a in grid.pixel_positions())
+    d = image.values.ravel()
+    dvar = float(((d - d.mean()) ** 2).sum())
+    if dvar == 0.0:
+        raise DegenerateTemplate("image is constant; misfit is undefined")
     pitch = grid.pitch_nm
     ox, oy = grid.origin_nm
 
+    def to_nm(p) -> tuple[float, float]:
+        return (ox + p[0] * pitch, oy + p[1] * pitch)
+
     def objective(p: np.ndarray) -> float:
-        center = (ox + p[2] * pitch, oy + p[3] * pitch)
-        try:
-            res, _, _ = pattern_residual(p[0], p[1], center, image, optics, profile)
-        except DegenerateTemplate:
-            return _PENALTY
-        return res
+        return _linear_fit(to_nm(p), xs, ys, d, profile)[1] / dvar
 
-    best: tuple[float, int, NelderMeadResult] | None = None
-    any_converged = False
-    for idx, start in enumerate(starting_points(image, n_starts, seed)):
-        result = nelder_mead(
-            objective, np.array(start), settings, initial_step=[0.2, 0.4, 0.5, 0.5]
-        )
-        any_converged = any_converged or result.converged
-        if best is None or result.fun < best[0]:
-            best = (result.fun, idx, result)
-    if not any_converged:
-        raise NoConvergence(f"no start converged within budget ({n_starts} starts)")
-
-    x = best[2].x
-    center = (ox + x[2] * pitch, oy + x[3] * pitch)
-    residual, amplitude, background = pattern_residual(
-        x[0], x[1], center, image, optics, profile
+    result = nelder_mead(
+        objective, np.array(_intensity_centroid(image)), settings, initial_step=0.5
     )
-    theta_c, phi_c, mirror = canonical_angles(_fold_theta(x[0]), x[1])
+    if not result.converged:
+        raise NoConvergence(
+            f"centre search did not converge in {result.iterations} iterations"
+        )
+    center = to_nm(result.x)
+    coef, _ = _linear_fit(center, xs, ys, d, profile)
+    theta, phi = _angles_from_coefficients(*coef[:3])
+    residual, amplitude, background = pattern_residual(
+        theta, phi, center, image, optics, profile
+    )
+    theta_c, phi_c, mirror = canonical_angles(theta, phi)
     return OrientationFit(
         theta=theta_c,
         phi=phi_c,
@@ -208,8 +231,8 @@ def fit_orientation(
         amplitude=amplitude,
         background=background,
         residual=residual,
-        n_starts_used=n_starts,
-        converged=any_converged,
+        center_iterations=result.iterations,
+        converged=result.converged,
         phi_identifiable=theta_c >= PHI_IDENTIFIABLE_MIN_THETA,
     )
 

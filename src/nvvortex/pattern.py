@@ -239,29 +239,56 @@ def simulate_pattern(
     return ScanImage(grid=grid, values=noisy.reshape(mean.shape))
 
 
+#: profile samples per lateral length 1 / (k sin alpha) = lambda / (2 pi NA),
+#: about 1.5 nm at 532 nm and NA 1.4
+_SAMPLES_PER_SCALE = 40
+
+
 @dataclass
 class RadialIntensityProfile:
-    """|E_phi(rho, 0)|^2 sampled densely in rho for fast lookup.
+    """|E_phi(rho, 0)|^2 on a uniform grid in rho, read back by the
+    4-point cubic (Lagrange) rule.
 
-    Linear interpolation on the default sampling reproduces the exact
-    quadrature to a few parts in 1e8 of the peak, cheap enough to call
-    inside a fit loop. Lookups beyond r_max clamp to the last sample.
+    The spacing follows the optics: 1/40 of the lateral length
+    lambda / (2 pi NA) on which the field varies, about 1.5 nm for the
+    default objective, so a 31x31 scan needs about 1,000 samples. The
+    rule reproduces the exact quadrature to about 1.6e-8 of the peak and
+    is exact at the samples, so the on-axis null profile(0) is exactly
+    0. The first interval uses the ghost sample |E(-h)|^2 = |E(h)|^2 of
+    the even extension. Lookups beyond r_max_nm clamp to the value at
+    r_max_nm.
     """
 
-    r_nm: np.ndarray
+    r_nm: np.ndarray  # 0, h, 2h, ..., at least one step past r_max_nm
     intensity: np.ndarray
+    r_max_nm: float
     optics: OpticalConfig | None = field(repr=False, default=None)
 
     @classmethod
-    def build(
-        cls, optics: OpticalConfig, r_max_nm: float, n_samples: int = 65536
-    ) -> "RadialIntensityProfile":
-        r = np.linspace(0.0, r_max_nm, n_samples)
+    def build(cls, optics: OpticalConfig, r_max_nm: float) -> "RadialIntensityProfile":
+        scale = optics.wavelength_nm / (TWO_PI * optics.numerical_aperture)
+        step = scale / _SAMPLES_PER_SCALE
+        r = step * np.arange(math.ceil(r_max_nm / step) + 2)
         e = azimuthal_field_profile(r, 0.0, optics)
-        return cls(r_nm=r, intensity=e.real**2 + e.imag**2, optics=optics)
+        return cls(
+            r_nm=r, intensity=e.real**2 + e.imag**2, r_max_nm=r_max_nm, optics=optics
+        )
 
     def __call__(self, rho) -> np.ndarray:
-        return np.interp(rho, self.r_nm, self.intensity)
+        step = self.r_nm[1]
+        t = np.minimum(np.abs(np.asarray(rho, dtype=float)), self.r_max_nm) / step
+        i = np.minimum(t.astype(np.intp), self.r_nm.size - 3)
+        u = t - i
+        # samples at nodes i-1 .. i+2; node -1 is the even-extension ghost
+        f = self.intensity
+        fm = f[np.abs(i - 1)]
+        um, u1, u2 = u - 1.0, u + 1.0, u - 2.0
+        return (
+            (u * um * u2) * (fm * (-1.0 / 6.0))
+            + (u1 * um * u2) * (f[i] * 0.5)
+            + (u1 * u * u2) * (f[i + 1] * -0.5)
+            + (u1 * u * um) * (f[i + 2] * (1.0 / 6.0))
+        )
 
 
 _PROFILE_CACHE: dict = {}

@@ -217,7 +217,7 @@ def test_criterion_6_orientation_fit_round_trips(optics):
     for theta_deg, phi_deg in REFERENCE_ORIENTATIONS_DEG:
         o = NVOrientation.from_degrees(theta_deg, phi_deg)
         img = simulate_pattern(o, grid, optics)
-        fit = fit_orientation(img, optics, n_starts=12, seed=42)
+        fit = fit_orientation(img, optics)
         err = axis_angle_deg(fit.theta, fit.phi, o.theta, o.phi)
         worst_clean = max(worst_clean, err)
         assert err < 0.5
@@ -230,7 +230,7 @@ def test_criterion_6_orientation_fit_round_trips(optics):
         img = simulate_pattern(
             o, grid, optics, amplitude=scale, background=50.0, noise_seed=seed
         )
-        fit = fit_orientation(img, optics, n_starts=12, seed=seed)
+        fit = fit_orientation(img, optics)
         err = axis_angle_deg(fit.theta, fit.phi, o.theta, o.phi)
         worst_noisy = max(worst_noisy, err)
         assert err < 2.0

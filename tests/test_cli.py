@@ -10,6 +10,7 @@ import pytest
 from conftest import axis_angle_deg
 import nvvortex
 from nvvortex.cli import main
+from nvvortex.config import load_config
 from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
 from nvvortex.focal_field import OpticalConfig
@@ -107,6 +108,21 @@ class TestSimulateAndFit:
         )
         assert code == 2
         assert "wavelenght_nm" in payload["message"]
+
+    def test_removed_config_key_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"n_starts": 12}}))
+        code, payload = run_cli(
+            capsys, "fit-orientation", "--image", "x.csv", "--config", str(cfg),
+        )
+        assert code == 2
+        assert payload["error"] == "ConfigError"
+        assert "'fit.n_starts' was removed" in payload["message"]
+
+    def test_bundled_example_config_loads(self):
+        path = os.path.join(os.path.dirname(nvvortex.__file__), "fixtures",
+                            "example_config.json")
+        assert load_config(path) == load_config(None)
 
 
 class TestOdmr:
@@ -280,3 +296,23 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("field_reconstruction_demo.py",
+         ["--poisson-peak", "0", "--contrast-noise", "0"]),
+        ("synthesize_reference_patterns.py", ["--out", "patterns"]),
+    ],
+)
+def test_script_runs(tmp_path, script, args):
+    scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
+    source_root = os.path.dirname(os.path.dirname(nvvortex.__file__))
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(scripts, script), *args],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvvortex.errors import NonUnitVector
-from nvvortex.focal_field import azimuthal_field, field_vector_at
+from nvvortex.focal_field import (
+    azimuthal_field,
+    azimuthal_field_profile,
+    field_vector_at,
+)
 from nvvortex.pattern import (
     MAX_PIXELS,
     NVOrientation,
@@ -238,6 +242,26 @@ class TestRadialProfile:
         exact = np.array([abs(azimuthal_field(float(r), 0.0, optics)) ** 2 for r in rs])
         peak = profile.intensity.max()
         assert np.abs(profile(rs) - exact).max() / peak < 1e-6
+
+    def test_interpolation_no_worse_than_dense_linear_table(self, optics):
+        # the 65,536-sample linear table this replaced was within 1.6e-8
+        profile = RadialIntensityProfile.build(optics, 1500.0)
+        rs = np.linspace(0.0, 1500.0, 20001)
+        e = azimuthal_field_profile(rs, 0.0, optics)
+        exact = e.real**2 + e.imag**2
+        peak = profile.intensity.max()
+        assert np.abs(profile(rs) - exact).max() / peak < 3e-8
+
+    def test_on_axis_null_is_exact(self, optics):
+        profile = RadialIntensityProfile.build(optics, 1500.0)
+        assert profile(0.0) == 0.0
+        assert profile(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_lookup_beyond_r_max_clamps(self, optics):
+        profile = RadialIntensityProfile.build(optics, 1500.0)
+        at_edge = profile(1500.0)
+        assert at_edge > 0.0
+        assert np.array_equal(profile([1500.5, 2000.0, 1e6]), np.full(3, at_edge))
 
     def test_cache_returns_same_object(self, grid31, optics):
         assert radial_profile_for_grid(grid31, optics) is radial_profile_for_grid(
