@@ -1,12 +1,13 @@
 """NV-center vector magnetometry with azimuthally polarized excitation.
 
 Submodules:
-    focal_field  - focused field of the azimuthal (doughnut) beam
-    pattern      - orientation-dependent confocal scan synthesis
-    orient_fit   - orientation fitting: linear solve per centre, 2-D centre search
-    spin         - ground-state Hamiltonians, ODMR spectra, inversion
-    vector_recon - field vector from cone constraints
-    cli          - command-line front end (``nvvortex`` entry point)
+    focal_field   - focused field of the azimuthal (doughnut) beam
+    pattern       - orientation-dependent confocal scan synthesis
+    orient_fit    - orientation fitting: linear solve per centre, 2-D centre search
+    spin          - ground-state Hamiltonians, ODMR spectra and their fit, inversion
+    least_squares - Levenberg-Marquardt solver shared by both fits
+    vector_recon  - field vector from cone constraints
+    cli           - command-line front end (``nvvortex`` entry point)
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ __version__ = "0.1.0"
 from .focal_field import OpticalConfig, azimuthal_field, field_vector_at
 from .pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from .orient_fit import OrientationFit, fit_orientation
-from .simplex import SimplexSettings, nelder_mead
 from .spin import (
     FieldEstimate,
     SpinParams,
@@ -45,8 +45,6 @@ __all__ = [
     "simulate_pattern",
     "OrientationFit",
     "fit_orientation",
-    "SimplexSettings",
-    "nelder_mead",
     "SpinParams",
     "TransitionPair",
     "FieldEstimate",

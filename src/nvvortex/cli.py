@@ -129,7 +129,7 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
 
 def cmd_fit_orientation(args, config: RunConfig) -> int:
     image = read_scan_image_csv(args.image)
-    fit = fit_orientation(image, config.optics, settings=config.fit.simplex)
+    fit = fit_orientation(image, config.optics)
     report = _base_report(config, args.seed)
     report.update(
         {
@@ -297,7 +297,7 @@ def cmd_pipeline(args, config: RunConfig) -> int:
         entry: dict = {}
         try:
             image = read_scan_image_csv(scans[stem])
-            fit = fit_orientation(image, config.optics, settings=config.fit.simplex)
+            fit = fit_orientation(image, config.optics)
             model = fit_odmr_model(read_spectrum_csv(spectra[stem]))
             estimate = field_estimate(model.pair, config.spin)
         except (NVVortexError, OSError) as exc:

@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, NVVortexError
 from .focal_field import OpticalConfig
-from .simplex import SimplexSettings
 from .spin import SpinParams
 
 __all__ = ["FitConfig", "PatternConfig", "RunConfig", "load_config", "config_hash"]
@@ -19,12 +18,12 @@ __all__ = ["FitConfig", "PatternConfig", "RunConfig", "load_config", "config_has
 @dataclass(frozen=True)
 class FitConfig:
     seed: int = 0
-    simplex: SimplexSettings = field(default_factory=SimplexSettings)
 
 
 #: keys that older configs may still carry, with the reason they went
 _REMOVED_KEYS = {
     "fit.n_starts": "the orientation fit is one centre search with no random starts",
+    "fit.simplex": "both fits use a Levenberg-Marquardt solver with fixed tolerances",
 }
 
 
@@ -68,8 +67,6 @@ def _build_section(cls, data: dict, where: str):
             )
         if key not in known:
             raise ConfigError(f"unknown config key '{where}.{key}'")
-        if key == "simplex":
-            value = _build_section(SimplexSettings, value, f"{where}.simplex")
         kwargs[key] = value
     try:
         return cls(**kwargs)

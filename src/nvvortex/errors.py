@@ -37,11 +37,11 @@ class DegenerateTemplate(NVVortexError):
 
 
 class ObjectiveNotFinite(NVVortexError):
-    """The simplex optimizer encountered NaN or infinity."""
+    """The least-squares solver met a NaN or infinite residual or Jacobian."""
 
 
 class NoConvergence(NVVortexError):
-    """No optimizer start satisfied the convergence criteria."""
+    """The orientation fit's centre search exhausted its iteration budget."""
 
 
 class InconsistentFrequencies(NVVortexError):

@@ -3,12 +3,12 @@
 At a fixed centre the pattern is linear in three basis images plus the
 background, so the axis angles, amplitude and background come from one
 linear least-squares solve and a 2x2 eigenproblem; a single 2-D
-Nelder-Mead search over the centre minimizes what that solve leaves
-(variable projection, Golub & Pereyra 1973). A pattern determines the
-axis only up to the axis/antiaxis equivalence and a 180-degree azimuth
-rotation, so results are canonicalized to theta in [0, pi/2], phi in
-[0, pi), with ``mirror_phi`` carrying the other member of the ambiguity
-pair.
+Levenberg-Marquardt search over the centre minimizes what that solve
+leaves (variable projection, Golub & Pereyra 1973). A pattern determines
+the axis only up to the axis/antiaxis equivalence and a 180-degree
+azimuth rotation, so results are canonicalized to theta in [0, pi/2],
+phi in [0, pi), with ``mirror_phi`` carrying the other member of the
+ambiguity pair.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .pattern import (
     radial_profile_for_grid,
     template_map,
 )
-from .simplex import SimplexSettings, nelder_mead
+from .least_squares import levenberg_marquardt
 
 __all__ = [
     "OrientationFit",
-    "SimplexSettings",
-    "nelder_mead",
     "canonical_angles",
     "pattern_residual",
     "fit_orientation",
@@ -45,6 +43,9 @@ TETRAHEDRAL_POLAR = math.acos(-1.0 / 3.0)
 
 PHI_IDENTIFIABLE_MIN_THETA = math.radians(5.0)
 
+#: central-difference step (pixels) of the centre search's Jacobian
+CENTER_STEP_PX = 1e-3
+
 
 @dataclass
 class OrientationFit:
@@ -55,7 +56,7 @@ class OrientationFit:
     amplitude: float
     background: float
     residual: float  # normalized SSE, dimensionless
-    center_iterations: int  # simplex iterations of the centre search
+    center_iterations: int  # Levenberg-Marquardt steps of the centre search
     converged: bool
     phi_identifiable: bool  # False near theta = 0 (azimuth degenerate)
 
@@ -142,11 +143,11 @@ def _linear_fit(
     ys: np.ndarray,
     d: np.ndarray,
     profile: RadialIntensityProfile,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares coefficients (p, q, s, bg) of the basis images
     R dx^2/rho^2, R dy^2/rho^2, R dx dy/rho^2 and 1 at a fixed centre,
-    and the sum of squared residuals. At rho = 0 the first three are 0
-    (R has an exact null on the axis)."""
+    and the residual they leave. At rho = 0 the first three are 0 (R has
+    an exact null on the axis)."""
     dx = xs - center_nm[0]
     dy = ys - center_nm[1]
     rho2 = dx * dx + dy * dy
@@ -155,8 +156,7 @@ def _linear_fit(
     )
     basis = np.column_stack((w * dx * dx, w * dy * dy, w * dx * dy, np.ones_like(w)))
     coef = np.linalg.lstsq(basis, d, rcond=None)[0]
-    r = d - basis @ coef
-    return coef, float(r @ r)
+    return coef, d - basis @ coef
 
 
 def _angles_from_coefficients(p: float, q: float, s: float) -> tuple[float, float]:
@@ -175,30 +175,26 @@ def _angles_from_coefficients(p: float, q: float, s: float) -> tuple[float, floa
     return math.asin(math.sqrt(sin2)), math.atan2(mx, -my) % math.pi
 
 
-def fit_orientation(
-    image: ScanImage,
-    optics: OpticalConfig,
-    settings: SimplexSettings | None = None,
-) -> OrientationFit:
+def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     """Fit (theta, phi, center) to a scan image by variable projection.
 
     At a fixed centre the pattern is linear in three basis images plus
     the background, so (theta, phi, amplitude, background) follow from a
     linear least-squares solve (``_linear_fit``) and a 2x2 eigenproblem.
-    One simplex search over the centre, in pixels from the intensity
-    centroid, minimizes the residual of that solve. Amplitude,
+    One Levenberg-Marquardt search over the centre, in pixels from the
+    intensity centroid, minimizes the residual of that solve, with the
+    Jacobian from central differences of step CENTER_STEP_PX. Amplitude,
     background and residual are reported by ``pattern_residual`` at the
-    returned angles and centre. Deterministic for fixed (image,
-    settings). Raises NoConvergence when the centre search exhausts its
-    iteration budget and DegenerateTemplate when the image is constant
-    or its best fit has no positive amplitude.
+    returned angles and centre. Deterministic for a fixed image. Raises
+    NoConvergence when the centre search exhausts its iteration budget
+    and DegenerateTemplate when the image is constant or its best fit
+    has no positive amplitude.
     """
     grid = image.grid
     profile = radial_profile_for_grid(grid, optics)
     xs, ys = (a.ravel() for a in grid.pixel_positions())
     d = image.values.ravel()
-    dvar = float(((d - d.mean()) ** 2).sum())
-    if dvar == 0.0:
+    if np.all(d == d[0]):
         raise DegenerateTemplate("image is constant; misfit is undefined")
     pitch = grid.pitch_nm
     ox, oy = grid.origin_nm
@@ -206,12 +202,19 @@ def fit_orientation(
     def to_nm(p) -> tuple[float, float]:
         return (ox + p[0] * pitch, oy + p[1] * pitch)
 
-    def objective(p: np.ndarray) -> float:
-        return _linear_fit(to_nm(p), xs, ys, d, profile)[1] / dvar
+    def leftover(p: np.ndarray) -> np.ndarray:
+        return _linear_fit(to_nm(p), xs, ys, d, profile)[1]
 
-    result = nelder_mead(
-        objective, np.array(_intensity_centroid(image)), settings, initial_step=0.5
-    )
+    def leftover_and_jacobian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        jac = np.column_stack(
+            [
+                (leftover(p + e) - leftover(p - e)) / (2.0 * CENTER_STEP_PX)
+                for e in CENTER_STEP_PX * np.eye(2)
+            ]
+        )
+        return leftover(p), jac
+
+    result = levenberg_marquardt(leftover_and_jacobian, _intensity_centroid(image))
     if not result.converged:
         raise NoConvergence(
             f"centre search did not converge in {result.iterations} iterations"

@@ -35,8 +35,8 @@ from .errors import (
     InconsistentFrequencies,
     TripletsOverlap,
 )
+from .least_squares import levenberg_marquardt
 from .pattern import NVOrientation
-from .simplex import SimplexSettings, nelder_mead
 
 __all__ = [
     "SpinParams",
@@ -439,27 +439,37 @@ def _split_groups(cands: list[float]) -> tuple[list[float], list[float]]:
     return list(cands[: k + 1]), list(cands[k + 1 :])
 
 
-def _profiled_depth_sse(
-    f: np.ndarray, y: np.ndarray, q: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Model 1 - L @ depths with the six depths solved by least squares
-    for the nonlinear parameters q = (c1, c2, s1, s2, fwhm)."""
-    c1, c2, s1, s2, w = q
-    w = abs(w)
-    if w < 1e-6:
-        return math.inf, np.zeros(6), np.zeros((f.size, 6))
+def _triplet_model(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-triplet contrast model 1 - sum_k depth_k L(f; center_k, fwhm)
+    and its Jacobian for p = (c1, c2, s1, s2, fwhm, depth_1..6), with the
+    centers (c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2).
+
+    With u = f - center and h = fwhm / 2, the Lorentzian derivatives are
+    dL/dcenter = 2 u L^2 / h^2 and dL/dfwhm = L (1 - L) / h."""
+    c1, c2, s1, s2, w = p[:5]
+    depths = p[5:]
     centers = np.array([c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2])
-    design = np.stack([_lorentz(f, c, w) for c in centers], axis=1)
-    target = 1.0 - y
-    depths, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ depths
-    return float(resid @ resid), depths, design
+    h = 0.5 * w
+    u = f[:, None] - centers
+    lor = _lorentz(f[:, None], centers, w)
+    d_center = -depths * (2.0 * u * lor * lor / (h * h))  # d model / d center_k
+    jac = np.empty((f.size, 11))
+    jac[:, 0] = d_center[:, :3].sum(axis=1)
+    jac[:, 1] = d_center[:, 3:].sum(axis=1)
+    jac[:, 2] = d_center[:, 2] - d_center[:, 0]
+    jac[:, 3] = d_center[:, 5] - d_center[:, 3]
+    jac[:, 4] = -(lor * (1.0 - lor) / h) @ depths
+    jac[:, 5:] = -lor
+    return 1.0 - lor @ depths, jac
 
 
-def fit_odmr_model(
-    spectrum: Spectrum, settings: SimplexSettings | None = None
-) -> OdmrModelFit:
+def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
     """Fit the two-triplet model and return the full parameter set.
+
+    Levenberg-Marquardt runs over all eleven parameters of
+    ``_triplet_model`` from the intensity centroid of each dip group,
+    with the depths started from one linear solve. The center sigmas
+    come from the covariance s^2 (J^T J)^-1 at the solution.
 
     Raises FitFailed when no dips are found or the optimizer exhausts
     its budget, TripletsOverlap when the groups cannot be separated
@@ -484,83 +494,58 @@ def fit_odmr_model(
         return 2.0
 
     df = float(f[1] - f[0])
-    w0 = max(4.0 * df, 0.5)
-    s1, s2 = spacing_init(lo_group), spacing_init(hi_group)
-    inits = [
-        np.array([centroid(lo_group), centroid(hi_group), s1, s2, w0]),
-        np.array([float(np.median(lo_group)), float(np.median(hi_group)), s1, s2, w0]),
-    ]
+    start = np.zeros(11)
+    start[:5] = (centroid(lo_group), centroid(hi_group),
+                 spacing_init(lo_group), spacing_init(hi_group), max(4.0 * df, 0.5))
+    _, jac = _triplet_model(f, start)  # at zero depths the last six columns are -L
+    start[5:] = np.linalg.lstsq(-jac[:, 5:], 1.0 - y, rcond=None)[0]
 
-    if settings is None:
-        settings = SimplexSettings(
-            max_iterations=6000, x_tolerance=1e-7, f_tolerance=1e-16
-        )
+    def residual(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        model, jac = _triplet_model(f, p)
+        return model - y, jac
 
-    def objective(q: np.ndarray) -> float:
-        return _profiled_depth_sse(f, y, q)[0]
-
-    result = None
-    for init in inits:
-        run = nelder_mead(
-            objective, init, settings, initial_step=[0.5, 0.5, 0.2, 0.2, 0.2]
-        )
-        if result is None or run.fun < result.fun:
-            result = run
+    result = levenberg_marquardt(residual, start)
     if not result.converged:
         raise FitFailed(
-            f"triplet fit did not converge within {settings.max_iterations} iterations"
+            f"triplet fit did not converge within {result.iterations} iterations"
         )
-    q = result.x
-    if q[0] > q[1]:  # keep group 1 the lower-frequency triplet
-        q = np.array([q[1], q[0], q[3], q[2], q[4]])
-    q[2], q[3], q[4] = abs(q[2]), abs(q[3]), abs(q[4])
-    sse, depths, design = _profiled_depth_sse(f, y, q)
-    if q[1] - q[0] < 3.0 * q[4]:
+    p = result.x
+    for k in (0, 1):  # a negative spacing lists the group's outer dips reversed
+        if p[2 + k] < 0.0:
+            p[2 + k] = -p[2 + k]
+            p[5 + 3 * k : 8 + 3 * k] = p[7 + 3 * k : 4 + 3 * k : -1].copy()
+    p[4] = abs(p[4])
+    if p[0] > p[1]:  # keep group 1 the lower-frequency triplet
+        p = p[[1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7]]
+    if p[1] - p[0] < 3.0 * p[4]:
         raise TripletsOverlap(
-            f"group centers {q[0]:.2f} and {q[1]:.2f} MHz are closer than "
-            f"three linewidths ({3 * q[4]:.2f} MHz)"
+            f"group centers {p[0]:.2f} and {p[1]:.2f} MHz are closer than "
+            f"three linewidths ({3 * p[4]:.2f} MHz)"
         )
-    sig1, sig2 = _center_uncertainties(f, y, q, depths, sse)
-    centers = (q[0] - q[2], q[0], q[0] + q[2], q[1] - q[3], q[1], q[1] + q[3])
+    model, jac = _triplet_model(f, p)
+    sse = float((model - y) @ (model - y))
+    sig1, sig2 = _center_uncertainties(jac, sse)
+    centers = (p[0] - p[2], p[0], p[0] + p[2], p[1] - p[3], p[1], p[1] + p[3])
     return OdmrModelFit(
         pair=TransitionPair(
-            omega1=float(q[0]), omega2=float(q[1]), sigma1=sig1, sigma2=sig2
+            omega1=float(p[0]), omega2=float(p[1]), sigma1=sig1, sigma2=sig2
         ),
-        group_centers_mhz=(float(q[0]), float(q[1])),
-        group_spacings_mhz=(float(q[2]), float(q[3])),
-        linewidth_mhz=float(q[4]),
+        group_centers_mhz=(float(p[0]), float(p[1])),
+        group_spacings_mhz=(float(p[2]), float(p[3])),
+        linewidth_mhz=float(p[4]),
         dip_centers_mhz=tuple(float(c) for c in centers),
-        depths=tuple(float(d) for d in depths),
+        depths=tuple(float(d) for d in p[5:]),
         sse=sse,
         iterations=result.iterations,
     )
 
 
-def _center_uncertainties(f, y, q, depths, sse) -> tuple[float, float]:
-    """Covariance-derived 1-sigma for the group centers: numerical
-    Jacobian of the full (5 nonlinear + 6 depth) parameter vector."""
-    p = np.concatenate([q, depths])
-
-    def model(pv: np.ndarray) -> np.ndarray:
-        c1, c2, s1, s2, w = pv[:5]
-        d = pv[5:]
-        centers = np.array([c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2])
-        out = np.zeros_like(f)
-        for c, dep in zip(centers, d):
-            out += dep * _lorentz(f, c, abs(w))
-        return 1.0 - out
-
-    jac = np.empty((f.size, p.size))
-    for i in range(p.size):
-        h = max(1e-6, 1e-6 * abs(p[i]))
-        up, dn = p.copy(), p.copy()
-        up[i] += h
-        dn[i] -= h
-        jac[:, i] = (model(up) - model(dn)) / (2.0 * h)
-    dof = max(f.size - p.size, 1)
-    s2 = sse / dof
+def _center_uncertainties(jac: np.ndarray, sse: float) -> tuple[float, float]:
+    """1-sigma of the two group centers from the covariance s^2 (J^T J)^-1
+    of all eleven parameters, s^2 = SSE / (n - 11)."""
+    dof = max(jac.shape[0] - jac.shape[1], 1)
     try:
-        cov = s2 * np.linalg.inv(jac.T @ jac)
+        cov = (sse / dof) * np.linalg.inv(jac.T @ jac)
         return (
             float(math.sqrt(max(cov[0, 0], 0.0))),
             float(math.sqrt(max(cov[1, 1], 0.0))),
@@ -569,9 +554,7 @@ def _center_uncertainties(f, y, q, depths, sse) -> tuple[float, float]:
         return (float("nan"), float("nan"))
 
 
-def fit_odmr_spectrum(
-    spectrum: Spectrum, settings: SimplexSettings | None = None
-) -> TransitionPair:
+def fit_odmr_spectrum(spectrum: Spectrum) -> TransitionPair:
     """Middle-dip centers of the two hyperfine triplets, with
     covariance-derived uncertainties."""
-    return fit_odmr_model(spectrum, settings).pair
+    return fit_odmr_model(spectrum).pair

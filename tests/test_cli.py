@@ -111,13 +111,14 @@ class TestSimulateAndFit:
 
     def test_removed_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fit": {"n_starts": 12}}))
-        code, payload = run_cli(
-            capsys, "fit-orientation", "--image", "x.csv", "--config", str(cfg),
-        )
-        assert code == 2
-        assert payload["error"] == "ConfigError"
-        assert "'fit.n_starts' was removed" in payload["message"]
+        for key, value in (("n_starts", 12), ("simplex", {"max_iterations": 2000})):
+            cfg.write_text(json.dumps({"fit": {key: value}}))
+            code, payload = run_cli(
+                capsys, "fit-orientation", "--image", "x.csv", "--config", str(cfg),
+            )
+            assert code == 2
+            assert payload["error"] == "ConfigError"
+            assert f"'fit.{key}' was removed" in payload["message"]
 
     def test_bundled_example_config_loads(self):
         path = os.path.join(os.path.dirname(nvvortex.__file__), "fixtures",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import axis_angle_deg
-from nvvortex.errors import DegenerateTemplate
+from nvvortex import least_squares
+from nvvortex.errors import DegenerateTemplate, NoConvergence
 from nvvortex.orient_fit import (
     canonical_angles,
     fit_orientation,
@@ -72,6 +73,8 @@ class TestPatternResidual:
         img = ScanImage(grid=grid31, values=np.full((31, 31), 5.0))
         with pytest.raises(DegenerateTemplate):
             pattern_residual(0.7, 0.3, grid31.center_nm, img, optics)
+        with pytest.raises(DegenerateTemplate, match="image is constant"):
+            fit_orientation(img, optics)
 
     def test_azimuth_ambiguity_gives_identical_residual(self, grid31, optics):
         img = make_image(70.16, 20.60, grid31, optics)
@@ -198,6 +201,17 @@ class TestFitOrientation:
         fit = fit_orientation(img, optics)
         assert fit.center_nm[0] == pytest.approx(cx + 70.0, abs=2.0)
         assert fit.center_nm[1] == pytest.approx(cy - 45.0, abs=2.0)
+
+    def test_exhausted_budget_raises(self, optics, monkeypatch):
+        grid = ScanGrid(31, 31, 50.0)
+        cx, cy = grid.center_nm
+        img = simulate_pattern(
+            NVOrientation.from_degrees(70.0, 60.0), grid, optics,
+            center_nm=(cx + 70.0, cy - 45.0),
+        )
+        monkeypatch.setattr(least_squares, "MAX_ITERATIONS", 1)
+        with pytest.raises(NoConvergence):
+            fit_orientation(img, optics)
 
 
 class TestCrystalLabeling:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvvortex import least_squares
 from nvvortex.errors import (
     DegenerateField,
     FitFailed,
@@ -19,6 +20,7 @@ from nvvortex.spin import (
     SweepSettings,
     TransitionPair,
     _lorentz,
+    _triplet_model,
     add_contrast_noise,
     electron_hamiltonian,
     field_estimate,
@@ -308,6 +310,17 @@ class TestSimulateSpectrum:
             Spectrum(frequencies=np.array([1.0, 2.0]), contrast=np.ones(3))
 
 
+def criterion7_spectrum(spin_params):
+    """Noiseless spectrum of the acceptance suite's criterion 7: 59.5 G
+    at a generic tilt to the NV axis."""
+    nv = NVOrientation.from_degrees(109.84, 20.60)
+    bdir = NVOrientation.from_degrees(8.59, 182.56)
+    return simulate_odmr_spectrum(
+        59.5 * bdir.unit_axis, nv, spin_params, linewidth_mhz=0.8,
+        contrast_depth=0.03,
+    )
+
+
 class TestFitSpectrum:
     def test_recovers_model_class_centers_exactly(self):
         f = np.linspace(2780.0, 2980.0, 2001)
@@ -320,12 +333,7 @@ class TestFitSpectrum:
         assert pair.omega2 == pytest.approx(c2, abs=1e-3)
 
     def test_full_physics_round_trip_noiseless(self, spin_params):
-        nv = NVOrientation.from_degrees(109.84, 20.60)
-        bdir = NVOrientation.from_degrees(8.59, 182.56)
-        spec = simulate_odmr_spectrum(
-            59.5 * bdir.unit_axis, nv, spin_params, linewidth_mhz=0.8,
-            contrast_depth=0.03,
-        )
+        spec = criterion7_spectrum(spin_params)
         model = fit_odmr_model(spec)
         lines = sorted(spec.metadata["lines_mhz"])
         true_mid = (lines[1], lines[4])
@@ -336,18 +344,46 @@ class TestFitSpectrum:
         assert model.linewidth_mhz == pytest.approx(0.8, abs=0.02)
 
     def test_noisy_centers_within_tolerance_over_20_seeds(self, spin_params):
-        nv = NVOrientation.from_degrees(109.84, 20.60)
-        bdir = NVOrientation.from_degrees(8.59, 182.56)
-        spec = simulate_odmr_spectrum(
-            59.5 * bdir.unit_axis, nv, spin_params, linewidth_mhz=0.8,
-            contrast_depth=0.03,
-        )
+        spec = criterion7_spectrum(spin_params)
         ref = fit_odmr_model(spec).pair
         for seed in range(20):
             pair = fit_odmr_spectrum(add_contrast_noise(spec, 0.002, seed))
             assert abs(pair.omega1 - ref.omega1) < 0.05
             assert abs(pair.omega2 - ref.omega2) < 0.05
             assert pair.sigma1 is not None and pair.sigma1 > 0.0
+
+    def test_sigma_matches_scatter_over_40_seeds(self, spin_params):
+        # criterion 7 bounds each error by 3 sigma, which an inflated
+        # sigma passes; the scatter of the centres must match sigma itself
+        spec = criterion7_spectrum(spin_params)
+        pairs = [fit_odmr_spectrum(add_contrast_noise(spec, 0.002, seed))
+                 for seed in range(40)]
+        for omega, sigma in (("omega1", "sigma1"), ("omega2", "sigma2")):
+            scatter = np.std([getattr(p, omega) for p in pairs], ddof=1)
+            ratio = scatter / np.mean([getattr(p, sigma) for p in pairs])
+            assert 0.7 <= ratio <= 1.4, (omega, ratio)
+
+    @pytest.mark.parametrize("point", [
+        (2804.06, 2958.73, 2.14, 2.14, 0.8, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),
+        (2850.3, 2890.1, 1.7, 2.6, 1.3, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06),
+        (2805.0, 2950.0, -2.2, 2.0, -0.6, 0.03, -0.01, 0.02, 0.03, 0.0, 0.025),
+    ])
+    def test_triplet_jacobian_matches_central_differences(self, point):
+        f = np.linspace(2780.0, 2980.0, 2001)
+        p = np.array(point)
+        _, jac = _triplet_model(f, p)
+        h = 1e-5
+        for i in range(p.size):
+            e = np.zeros_like(p)
+            e[i] = h
+            fd = (_triplet_model(f, p + e)[0] - _triplet_model(f, p - e)[0]) / (2 * h)
+            assert np.linalg.norm(jac[:, i] - fd) <= 1e-6 * np.linalg.norm(jac[:, i])
+
+    def test_exhausted_budget_raises(self, spin_params, monkeypatch):
+        spec = criterion7_spectrum(spin_params)
+        monkeypatch.setattr(least_squares, "MAX_ITERATIONS", 1)
+        with pytest.raises(FitFailed, match="did not converge"):
+            fit_odmr_model(spec)
 
     def test_flat_spectrum_fails(self):
         f = np.linspace(2780.0, 2980.0, 500)
