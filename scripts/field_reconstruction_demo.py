@@ -2,9 +2,10 @@
 """End-to-end synthetic demonstration of the vector magnetometer.
 
 Picks a ground-truth field, synthesizes scan patterns and ODMR spectra
-for three differently oriented NV centers, runs the full chain
-(orientation fit -> spectrum fit -> inversion -> cone reconstruction),
-and compares the recovered field against the truth.
+for three differently oriented NV centers, runs each through the same
+measurement chain as ``nvvortex pipeline`` (``cli.measure_nv``: orientation
+fit -> spectrum fit -> inversion), intersects the cones, and compares the
+recovered field against the truth.
 """
 
 import argparse
@@ -12,17 +13,11 @@ import math
 
 import numpy as np
 
-from nvvortex.focal_field import OpticalConfig
-from nvvortex.orient_fit import fit_orientation
+from nvvortex.cli import measure_nv
+from nvvortex.config import RunConfig
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
-from nvvortex.spin import (
-    SpinParams,
-    add_contrast_noise,
-    field_estimate,
-    fit_odmr_model,
-    simulate_odmr_spectrum,
-)
-from nvvortex.vector_recon import ConeConstraint, solve_direction
+from nvvortex.spin import add_contrast_noise, simulate_odmr_spectrum
+from nvvortex.vector_recon import solve_direction
 
 NV_ANGLES_DEG = [(70.16, 20.60), (70.75, 80.51), (70.69, 140.74)]
 
@@ -38,8 +33,8 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    optics = OpticalConfig()
-    spin = SpinParams()
+    config = RunConfig()
+    optics, spin = config.optics, config.spin
     grid = ScanGrid(31, 31, 50.0)
     b_dir = NVOrientation.from_degrees(args.b_theta_deg, args.b_phi_deg)
     b_vec = args.b_gauss * b_dir.unit_axis
@@ -59,16 +54,13 @@ def main():
             )
         else:
             image = simulate_pattern(true_orientation, grid, optics)
-        fit = fit_orientation(image, optics)
-
         spectrum = simulate_odmr_spectrum(
             b_vec, true_orientation, spin, linewidth_mhz=0.8, contrast_depth=0.03
         )
         if args.contrast_noise > 0:
             spectrum = add_contrast_noise(spectrum, args.contrast_noise,
                                           args.seed + 100 + i)
-        model = fit_odmr_model(spectrum)
-        estimate = field_estimate(model.pair, spin)
+        fit, _, estimate, constraint = measure_nv(image, spectrum, config, f"NV{i}")
 
         alpha_true = math.degrees(
             math.acos(float(np.clip(b_dir.unit_axis @ true_orientation.unit_axis,
@@ -85,16 +77,7 @@ def main():
             f"alpha = {math.degrees(alpha_fit):8.3f} deg "
             f"(true {alpha_true:8.3f})"
         )
-        constraints.append(
-            ConeConstraint(
-                axis=NVOrientation(fit.theta, fit.phi),
-                alpha=estimate.alpha_candidates[0],
-                b=estimate.b,
-                alpha_sigma=estimate.alpha_sigma or 0.0,
-                b_sigma=estimate.b_sigma or 0.0,
-                label=f"NV{i}",
-            )
-        )
+        constraints.append(constraint)
 
     result = solve_direction(constraints, seed=args.seed)
     got = result.direction

@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
 """Generate the four reference-orientation scan patterns as CSV + PGM.
 
-The orientations come from the bundled fixture; images land in
---out (default ./reference_patterns). Useful as fitting test data and
-as a quick visual check that differently oriented NV centers produce
-visibly different patterns under azimuthal excitation.
+The orientations come from the bundled fixture; each pattern is one
+``nvvortex simulate-pattern`` run, so the files (and the JSON report
+printed per pattern) match what the CLI writes. Images land in --out
+(default ./reference_patterns). Useful as fitting test data and as a
+quick visual check that differently oriented NV centers produce visibly
+different patterns under azimuthal excitation.
 """
 
 import argparse
 import json
-from pathlib import Path
+import sys
 
-from nvvortex.cli import bundled_fixture_path
-from nvvortex.fileio import write_pgm, write_scan_image_csv
-from nvvortex.focal_field import OpticalConfig
-from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
+from nvvortex import cli
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="reference_patterns")
     parser.add_argument("--pitch-nm", type=float, default=50.0)
@@ -27,34 +26,28 @@ def main():
     parser.add_argument("--noise-seed", type=int, default=None)
     args = parser.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    optics = OpticalConfig()
-    grid = ScanGrid(args.size_px, args.size_px, args.pitch_nm)
-
-    with open(bundled_fixture_path("paper_fig2_orientations")) as handle:
+    with open(cli.bundled_fixture_path("paper_fig2_orientations")) as handle:
         entries = json.load(handle)
 
+    noise = [] if args.noise_seed is None else ["--noise-seed", str(args.noise_seed)]
     for entry in entries:
-        orientation = NVOrientation.from_degrees(
-            entry["theta_deg"], entry["phi_deg"]
-        )
-        image = simulate_pattern(
-            orientation,
-            grid,
-            optics,
-            amplitude=args.amplitude,
-            background=args.background,
-            noise_seed=args.noise_seed,
-        )
-        stem = entry["label"].lower()
-        write_scan_image_csv(image, out / f"{stem}.csv")
-        write_pgm(image, out / f"{stem}.pgm")
-        print(
-            f"{entry['label']}: theta={entry['theta_deg']:.2f} deg "
-            f"phi={entry['phi_deg']:.2f} deg -> {out / (stem + '.csv')}"
-        )
+        status = cli.main([
+            "simulate-pattern",
+            "--theta-deg", str(entry["theta_deg"]),
+            "--phi-deg", str(entry["phi_deg"]),
+            "--width", str(args.size_px),
+            "--height", str(args.size_px),
+            "--pitch-nm", str(args.pitch_nm),
+            "--amplitude", str(args.amplitude),
+            "--background", str(args.background),
+            "--out", args.out,
+            "--prefix", entry["label"].lower(),
+            *noise,
+        ])
+        if status != cli.EXIT_OK:
+            return status
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,7 +20,7 @@ from .spin import (
     SpinParams,
     Spectrum,
     TransitionPair,
-    fit_odmr_spectrum,
+    fit_odmr_model,
     invert_magnitude,
     invert_polar_angle,
     simulate_odmr_spectrum,
@@ -31,7 +31,6 @@ from .vector_recon import (
     VectorFieldResult,
     aggregate_magnitude,
     solve_direction,
-    triangle_diagnostic,
 )
 
 __all__ = [
@@ -53,10 +52,9 @@ __all__ = [
     "invert_magnitude",
     "invert_polar_angle",
     "simulate_odmr_spectrum",
-    "fit_odmr_spectrum",
+    "fit_odmr_model",
     "ConeConstraint",
     "VectorFieldResult",
     "solve_direction",
     "aggregate_magnitude",
-    "triangle_diagnostic",
 ]

@@ -17,8 +17,7 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import __version__
 from .config import RunConfig, config_hash, load_config
@@ -33,9 +32,12 @@ from .fileio import (
     write_scan_image_csv,
     write_spectrum_csv,
 )
-from .orient_fit import fit_orientation, nearest_tetrahedral_axis
-from .pattern import NVOrientation, ScanGrid, simulate_pattern
+from .orient_fit import OrientationFit, fit_orientation, nearest_tetrahedral_axis
+from .pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from .spin import (
+    FieldEstimate,
+    OdmrModelFit,
+    Spectrum,
     add_contrast_noise,
     field_estimate,
     fit_odmr_model,
@@ -73,6 +75,54 @@ def _emit(report: dict, out_dir: str | None, filename: str) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / filename)
+
+
+class NVMeasurement(NamedTuple):
+    fit: OrientationFit
+    model: OdmrModelFit
+    estimate: FieldEstimate
+    constraint: ConeConstraint
+
+
+def measure_nv(
+    image: ScanImage, spectrum: Spectrum, config: RunConfig, label: str
+) -> NVMeasurement:
+    """One NV through the measurement chain: the scan gives the axis,
+    the ODMR fit gives |B| and the cone angle, and together they make
+    the cone constraint that ``solve_direction`` intersects. The axis is
+    the canonical representative and the cone angle the first candidate;
+    their ambiguities are left to the reconstruction."""
+    fit = fit_orientation(image, config.optics)
+    model = fit_odmr_model(spectrum)
+    estimate = field_estimate(model.pair, config.spin)
+    constraint = ConeConstraint(
+        axis=NVOrientation(fit.theta, fit.phi),
+        alpha=estimate.alpha_candidates[0],
+        b=estimate.b,
+        alpha_sigma=estimate.alpha_sigma or 0.0,
+        b_sigma=estimate.b_sigma or 0.0,
+        label=label,
+    )
+    return NVMeasurement(fit, model, estimate, constraint)
+
+
+def _axis_fields(fit: OrientationFit) -> dict:
+    return {
+        "theta_deg": round(math.degrees(fit.theta), 4),
+        "phi_deg": round(math.degrees(fit.phi), 4),
+        "mirror_phi_deg": round(math.degrees(fit.mirror_phi), 4),
+    }
+
+
+def _odmr_fields(model: OdmrModelFit, estimate: FieldEstimate) -> dict:
+    return {
+        "omega1_mhz": model.pair.omega1,
+        "omega2_mhz": model.pair.omega2,
+        "b_gauss": estimate.b,
+        "alpha_candidates_deg": [
+            round(math.degrees(a), 4) for a in estimate.alpha_candidates
+        ],
+    }
 
 
 # ------------------------------------------------------------------ commands
@@ -131,11 +181,9 @@ def cmd_fit_orientation(args, config: RunConfig) -> int:
     image = read_scan_image_csv(args.image)
     fit = fit_orientation(image, config.optics)
     report = _base_report(config, args.seed)
+    report.update(_axis_fields(fit))
     report.update(
         {
-            "theta_deg": round(math.degrees(fit.theta), 4),
-            "phi_deg": round(math.degrees(fit.phi), 4),
-            "mirror_phi_deg": round(math.degrees(fit.mirror_phi), 4),
             "center_nm": [round(c, 2) for c in fit.center_nm],
             "amplitude": fit.amplitude,
             "background": fit.background,
@@ -208,20 +256,15 @@ def cmd_odmr(args, config: RunConfig) -> int:
     model = fit_odmr_model(spectrum)
     estimate = field_estimate(model.pair, config.spin)
     report = _base_report(config, args.seed)
+    report.update(_odmr_fields(model, estimate))
     report.update(
         {
             "source": source,
-            "omega1_mhz": model.pair.omega1,
-            "omega2_mhz": model.pair.omega2,
             "omega1_sigma_mhz": model.pair.sigma1,
             "omega2_sigma_mhz": model.pair.sigma2,
             "linewidth_mhz": model.linewidth_mhz,
             "dip_centers_mhz": list(model.dip_centers_mhz),
-            "b_gauss": estimate.b,
             "b_sigma_gauss": estimate.b_sigma,
-            "alpha_candidates_deg": [
-                round(math.degrees(a), 4) for a in estimate.alpha_candidates
-            ],
             "alpha_sigma_deg": (
                 round(math.degrees(estimate.alpha_sigma), 4)
                 if estimate.alpha_sigma is not None
@@ -294,40 +337,22 @@ def cmd_pipeline(args, config: RunConfig) -> int:
     per_nv: dict[str, dict] = {}
     constraints: list[ConeConstraint] = []
     for stem in sorted(set(scans) & set(spectra)):
-        entry: dict = {}
         try:
-            image = read_scan_image_csv(scans[stem])
-            fit = fit_orientation(image, config.optics)
-            model = fit_odmr_model(read_spectrum_csv(spectra[stem]))
-            estimate = field_estimate(model.pair, config.spin)
+            nv = measure_nv(
+                read_scan_image_csv(scans[stem]),
+                read_spectrum_csv(spectra[stem]),
+                config,
+                stem,
+            )
         except (NVVortexError, OSError) as exc:
             errors.append({"nv": stem, "error": type(exc).__name__, "message": str(exc)})
             continue
-        entry.update(
-            {
-                "theta_deg": round(math.degrees(fit.theta), 4),
-                "phi_deg": round(math.degrees(fit.phi), 4),
-                "mirror_phi_deg": round(math.degrees(fit.mirror_phi), 4),
-                "pattern_residual": fit.residual,
-                "omega1_mhz": model.pair.omega1,
-                "omega2_mhz": model.pair.omega2,
-                "b_gauss": estimate.b,
-                "alpha_candidates_deg": [
-                    round(math.degrees(a), 4) for a in estimate.alpha_candidates
-                ],
-            }
-        )
-        per_nv[stem] = entry
-        constraints.append(
-            ConeConstraint(
-                axis=NVOrientation(fit.theta, fit.phi),
-                alpha=estimate.alpha_candidates[0],
-                b=estimate.b,
-                alpha_sigma=estimate.alpha_sigma or 0.0,
-                b_sigma=estimate.b_sigma or 0.0,
-                label=stem,
-            )
-        )
+        per_nv[stem] = {
+            **_axis_fields(nv.fit),
+            "pattern_residual": nv.fit.residual,
+            **_odmr_fields(nv.model, nv.estimate),
+        }
+        constraints.append(nv.constraint)
     missing = sorted(set(scans) ^ set(spectra))
     for stem in missing:
         errors.append(

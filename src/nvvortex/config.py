@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, NVVortexError
@@ -18,6 +19,10 @@ __all__ = ["FitConfig", "PatternConfig", "RunConfig", "load_config", "config_has
 @dataclass(frozen=True)
 class FitConfig:
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 #: keys that older configs may still carry, with the reason they went
@@ -52,6 +57,11 @@ class RunConfig:
     pattern: PatternConfig = field(default_factory=PatternConfig)
 
 
+#: the JSON values a field of each declared type accepts (never a bool,
+#: NaN or an infinity)
+_ACCEPTED = {"int": (int, "an integer"), "float": ((int, float), "a finite number")}
+
+
 def _build_section(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{where}' must be an object")
@@ -67,6 +77,15 @@ def _build_section(cls, data: dict, where: str):
             )
         if key not in known:
             raise ConfigError(f"unknown config key '{where}.{key}'")
+        types, kind = _ACCEPTED[known[key]]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, types)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
+            raise ConfigError(
+                f"config key '{where}.{key}' must be {kind}, got {value!r}"
+            )
         kwargs[key] = value
     try:
         return cls(**kwargs)

@@ -62,14 +62,14 @@ class OrientationFit:
 
 
 def canonical_angles(theta: float, phi: float) -> tuple[float, float, float]:
-    """Fold arbitrary angles onto the canonical patch.
+    """Fold an axis (theta in [0, pi], any finite phi) onto the
+    canonical patch.
 
     Patterns are invariant under axis negation and under phi -> phi +
     pi, so every orientation has an equivalent with theta in [0, pi/2]
     and phi in [0, pi). Returns (theta, phi, mirror_phi).
     """
-    st = math.sin(theta)
-    nx, ny, nz = st * math.cos(phi), st * math.sin(phi), math.cos(theta)
+    nx, ny, nz = NVOrientation(theta, phi).unit_axis
     if nz < 0.0:
         nx, ny, nz = -nx, -ny, -nz
     theta_c = math.acos(min(1.0, max(0.0, nz)))

@@ -20,7 +20,7 @@ optional noise model is per-pixel Poisson with deterministic seeding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -262,7 +262,6 @@ class RadialIntensityProfile:
     r_nm: np.ndarray  # 0, h, 2h, ..., at least one step past r_max_nm
     intensity: np.ndarray
     r_max_nm: float
-    optics: OpticalConfig | None = field(repr=False, default=None)
 
     @classmethod
     def build(cls, optics: OpticalConfig, r_max_nm: float) -> "RadialIntensityProfile":
@@ -270,9 +269,7 @@ class RadialIntensityProfile:
         step = scale / _SAMPLES_PER_SCALE
         r = step * np.arange(math.ceil(r_max_nm / step) + 2)
         e = azimuthal_field_profile(r, 0.0, optics)
-        return cls(
-            r_nm=r, intensity=e.real**2 + e.imag**2, r_max_nm=r_max_nm, optics=optics
-        )
+        return cls(r_nm=r, intensity=e.real**2 + e.imag**2, r_max_nm=r_max_nm)
 
     def __call__(self, rho) -> np.ndarray:
         step = self.r_nm[1]
@@ -293,18 +290,22 @@ class RadialIntensityProfile:
 
 _PROFILE_CACHE: dict = {}
 
+#: how far (pixels) the NV may sit from the grid centre with every pixel
+#: still inside the profile
+PROFILE_MARGIN_PX = 8.0
+
 
 def radial_profile_for_grid(
-    grid: ScanGrid, optics: OpticalConfig, margin_px: float = 8.0
+    grid: ScanGrid, optics: OpticalConfig
 ) -> RadialIntensityProfile:
     """Profile covering every pixel of ``grid`` from any NV position
-    within ``margin_px`` of the grid center; cached per (grid, optics)."""
-    key = (grid, optics, margin_px)
+    within PROFILE_MARGIN_PX of the grid center; cached per (grid, optics)."""
+    key = (grid, optics)
     prof = _PROFILE_CACHE.get(key)
     if prof is None:
         half_w = 0.5 * (grid.width_px - 1)
         half_h = 0.5 * (grid.height_px - 1)
-        r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + margin_px)
+        r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + PROFILE_MARGIN_PX)
         prof = RadialIntensityProfile.build(optics, r_max)
         if len(_PROFILE_CACHE) > 16:
             _PROFILE_CACHE.clear()

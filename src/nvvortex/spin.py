@@ -59,7 +59,6 @@ __all__ = [
     "add_contrast_noise",
     "OdmrModelFit",
     "fit_odmr_model",
-    "fit_odmr_spectrum",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -553,8 +552,3 @@ def _center_uncertainties(jac: np.ndarray, sse: float) -> tuple[float, float]:
     except np.linalg.LinAlgError:
         return (float("nan"), float("nan"))
 
-
-def fit_odmr_spectrum(spectrum: Spectrum) -> TransitionPair:
-    """Middle-dip centers of the two hyperfine triplets, with
-    covariance-derived uncertainties."""
-    return fit_odmr_model(spectrum).pair

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -32,10 +33,8 @@ from .pattern import NVOrientation
 __all__ = [
     "ConeConstraint",
     "VectorFieldResult",
-    "TriangleDiagnostic",
     "solve_direction",
     "aggregate_magnitude",
-    "triangle_diagnostic",
 ]
 
 #: branch search is capped at 2^6 combinations; extra constraints keep
@@ -60,6 +59,11 @@ class ConeConstraint:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= math.pi):
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
+        if not all(map(math.isfinite, (self.b, self.alpha_sigma, self.b_sigma))):
+            raise ValueError(
+                f"b, alpha_sigma and b_sigma must be finite, got {self.b}, "
+                f"{self.alpha_sigma}, {self.b_sigma}"
+            )
         if self.b < 0.0:
             raise ValueError(f"field magnitude must be >= 0, got {self.b}")
         if self.alpha_sigma < 0.0 or self.b_sigma < 0.0:
@@ -79,16 +83,6 @@ class VectorFieldResult:
     triangle_vertices: list[np.ndarray] | None = None
     triangle_spread: float | None = None  # rad, max pairwise vertex distance
     direction_sigma: float | None = None  # rad, bootstrap angular scatter
-
-
-@dataclass
-class TriangleDiagnostic:
-    """Pairwise cone-intersection vertices for exactly three cones."""
-
-    vertices: list[np.ndarray | None]
-    pairs: list[tuple[int, int]]
-    spread: float | None  # rad; None when fewer than 2 vertices exist
-    errors: list[str]
 
 
 def _unit_sphere_lstsq(
@@ -133,7 +127,6 @@ def _unit_sphere_lstsq(
 
 def solve_direction(
     constraints: list[ConeConstraint],
-    condition_bound: float = DEFAULT_CONDITION_BOUND,
     residual_gate: float = DEFAULT_RESIDUAL_GATE,
     bootstrap_samples: int = 200,
     seed: int = 0,
@@ -142,18 +135,22 @@ def solve_direction(
 
     Returns the minimal-residual assignment (ties broken toward the
     lexicographically first branch tuple) together with its antipodal
-    mirror. Raises DegenerateAxes when the axis matrix is conditioned
-    worse than ``condition_bound`` and NoSolution when even the best
-    branch leaves a residual above ``residual_gate``.
+    mirror. For exactly three cones the result also carries the
+    pairwise cone intersections on the chosen branches, each the point
+    nearer the solution, and their spread: a consistency metric, since
+    exact constraints collapse the triangle to a point. Raises
+    DegenerateAxes when the axis matrix is conditioned worse than
+    DEFAULT_CONDITION_BOUND and NoSolution when even the best branch
+    leaves a residual above ``residual_gate``.
     """
     n = len(constraints)
     if n < 3:
         raise ValueError(f"need at least 3 cone constraints, got {n}")
     axes = np.stack([c.axis.unit_axis for c in constraints])
-    if np.linalg.cond(axes) > condition_bound:
+    if np.linalg.cond(axes) > DEFAULT_CONDITION_BOUND:
         raise DegenerateAxes(
             f"axis matrix condition number {np.linalg.cond(axes):.3g} exceeds "
-            f"{condition_bound:.3g}; axes are too close to degenerate"
+            f"{DEFAULT_CONDITION_BOUND:.3g}; axes are too close to degenerate"
         )
     base_cos = np.cos([c.alpha for c in constraints])
 
@@ -193,9 +190,9 @@ def solve_direction(
 
     if n == 3:
         cosines = np.where(np.array(flips), -base_cos, base_cos)
-        verts, _, spread, _ = _triangle_vertices(axes, cosines, direction)
-        result.triangle_vertices = [v for v in verts if v is not None]
-        result.triangle_spread = spread
+        result.triangle_vertices, result.triangle_spread = _triangle_vertices(
+            axes, cosines, direction
+        )
 
     if bootstrap_samples > 0 and any(c.alpha_sigma > 0.0 for c in constraints):
         result.direction_sigma = _bootstrap_direction_sigma(
@@ -268,47 +265,25 @@ def _two_cone_points(
     return base + t * w, base - t * w
 
 
-def _triangle_vertices(axes: np.ndarray, cosines: np.ndarray, reference: np.ndarray):
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    verts: list[np.ndarray | None] = []
-    errors: list[str] = []
-    for i, j in pairs:
+def _triangle_vertices(
+    axes: np.ndarray, cosines: np.ndarray, reference: np.ndarray
+) -> tuple[list[np.ndarray], float | None]:
+    """Intersections of the three cone pairs that meet, each the point
+    nearer ``reference``, and their largest pairwise great-circle
+    distance (None with fewer than two)."""
+    verts = []
+    for i, j in combinations(range(3), 2):
         try:
             p, q = _two_cone_points(axes[i], cosines[i], axes[j], cosines[j])
-        except NoIntersection as exc:
-            verts.append(None)
-            errors.append(f"pair ({i}, {j}): {exc}")
+        except NoIntersection:
             continue
         verts.append(p if p @ reference >= q @ reference else q)
-    good = [v for v in verts if v is not None]
-    spread = None
-    if len(good) >= 2:
-        spread = 0.0
-        for a in range(len(good)):
-            for b in range(a + 1, len(good)):
-                # chord-based great-circle distance stays exact for
-                # nearly coincident vertices where acos saturates
-                half_chord = 0.5 * float(np.linalg.norm(good[a] - good[b]))
-                spread = max(spread, 2.0 * math.asin(min(1.0, half_chord)))
-    return verts, pairs, spread, errors
-
-
-def triangle_diagnostic(constraints: list[ConeConstraint]) -> TriangleDiagnostic:
-    """Pairwise cone intersections for exactly three constraints, using
-    the branch assignment and reference direction of the least-squares
-    solution. The maximum pairwise great-circle distance between
-    vertices is a consistency metric: exact constraints collapse the
-    triangle to a point."""
-    if len(constraints) != 3:
-        raise ValueError("triangle diagnostic requires exactly 3 constraints")
-    solution = solve_direction(constraints, bootstrap_samples=0)
-    axes = np.stack([c.axis.unit_axis for c in constraints])
-    cosines = np.where(
-        np.array(solution.branch_flipped),
-        -np.cos([c.alpha for c in constraints]),
-        np.cos([c.alpha for c in constraints]),
+    if len(verts) < 2:
+        return verts, None
+    # chord-based great-circle distance stays exact for nearly
+    # coincident vertices where acos saturates
+    spread = max(
+        2.0 * math.asin(min(1.0, 0.5 * float(np.linalg.norm(a - b))))
+        for a, b in combinations(verts, 2)
     )
-    verts, pairs, spread, errors = _triangle_vertices(
-        axes, cosines, solution.direction
-    )
-    return TriangleDiagnostic(vertices=verts, pairs=pairs, spread=spread, errors=errors)
+    return verts, spread

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import axis_angle_deg
 import nvvortex
-from nvvortex.cli import main
+from nvvortex.cli import bundled_fixture_path, main
 from nvvortex.config import load_config
 from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
@@ -108,6 +108,29 @@ class TestSimulateAndFit:
         )
         assert code == 2
         assert "wavelenght_nm" in payload["message"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("fit", "seed", 1.5),
+        ("fit", "seed", "7"),
+        ("fit", "seed", True),
+        ("fit", "seed", -1),
+        ("pattern", "width_px", 2.5),
+        ("pattern", "pitch_nm", "50"),
+        ("optics", "wavelength_nm", float("inf")),
+        ("pattern", "pitch_nm", float("nan")),
+        ("optics", "quadrature_nodes", 64.0),
+        ("spin", "d", False),
+    ])
+    def test_bad_config_value_names_the_key(self, tmp_path, capsys, section, key,
+                                            value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code, payload = run_cli(
+            capsys, "fit-orientation", "--image", "x.csv", "--config", str(cfg),
+        )
+        assert code == 2
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"]
 
     def test_removed_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -209,6 +232,17 @@ class TestReconstruct:
         assert code == 3
         assert payload["error"] == "DegenerateAxes"
 
+    def test_non_finite_constraint_is_parse_error(self, tmp_path, capsys):
+        with open(bundled_fixture_path("paper_fig4")) as handle:
+            entries = json.load(handle)
+        entries[0]["b_gauss"] = float("nan")
+        entries[1]["alpha_sigma_deg"] = float("inf")
+        path = tmp_path / "cones.json"
+        path.write_text(json.dumps(entries))  # written as NaN and Infinity
+        code, payload = run_cli(capsys, "reconstruct", "--constraints", str(path))
+        assert code == 4
+        assert payload["error"] == "FileFormatError"
+
     def test_unknown_fixture_is_usage_error(self, capsys):
         code, payload = run_cli(capsys, "reconstruct", "--fixture", "nonexistent")
         assert code == 2
@@ -259,6 +293,32 @@ class TestPipeline:
         assert abs(recon["b_mean_gauss"] - 59.5) < 0.1
         assert (tmp_path / "out" / "pipeline.json").exists()
 
+    def test_per_nv_fields_match_single_nv_commands(self, tmp_path, capsys):
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        _, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        for label, _ in labels:
+            _, fit = run_cli(
+                capsys, "fit-orientation", "--image", str(scans / f"{label}.csv"),
+            )
+            _, odmr = run_cli(
+                capsys, "odmr", "--spectrum", str(spectra / f"{label}.csv"),
+            )
+            entry = report["per_nv"][label]
+            assert entry["pattern_residual"] == fit["residual"]
+            for key in ("theta_deg", "phi_deg", "mirror_phi_deg"):
+                assert entry[key] == fit[key], key
+            for key in ("omega1_mhz", "omega2_mhz", "b_gauss",
+                        "alpha_candidates_deg"):
+                assert entry[key] == odmr[key], key
+
     def test_empty_dirs_usage_error(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -286,15 +346,22 @@ class TestPipeline:
         assert report["reconstruction"] is not None
 
 
-def test_console_entry_point_runs():
+def _run_python(*argv, cwd=None):
+    """Run a child interpreter on this checkout with every warning an
+    error, as the suite itself runs."""
     # the child process imports the same package as this test run, installed
     # or not
     source_root = os.path.dirname(os.path.dirname(nvvortex.__file__))
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nvvortex.cli", "--version"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, "-W", "error", *argv],
+        capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point_runs():
+    proc = _run_python("-m", "nvvortex.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -309,11 +376,16 @@ def test_console_entry_point_runs():
 )
 def test_script_runs(tmp_path, script, args):
     scripts = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts")
-    source_root = os.path.dirname(os.path.dirname(nvvortex.__file__))
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(scripts, script), *args],
-        capture_output=True, text=True, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_python(os.path.join(scripts, script), *args, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    if script == "field_reconstruction_demo.py":
+        # noiseless inputs: only the fits' own error is left
+        line = proc.stdout.strip().splitlines()[-1]
+        assert line.startswith("direction error vs truth"), line
+        assert float(line.split("=")[1].split()[0]) < 0.05
+    else:
+        written = sorted(p.name for p in (tmp_path / "patterns").iterdir()
+                         if p.suffix in (".csv", ".pgm"))
+        stems = ["nv0", "nv1", "nv2", "nv3"]
+        assert written == sorted([f"{s}.csv" for s in stems]
+                                 + [f"{s}.pgm" for s in stems])

@@ -166,6 +166,16 @@ class TestConstraints:
         with pytest.raises(FileFormatError):
             load_constraints_json(path)
 
+    @pytest.mark.parametrize("key", ["b_gauss", "alpha_sigma_deg", "b_sigma_gauss"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "cones.json"
+        entry = {"axis_theta_deg": 1.0, "axis_phi_deg": 2.0, "alpha_deg": 3.0,
+                 "b_gauss": 4.0}
+        path.write_text(json.dumps([{**entry, key: value}]))
+        with pytest.raises(FileFormatError, match="finite"):
+            load_constraints_json(path)
+
     def test_non_list_rejected(self, tmp_path):
         path = tmp_path / "cones.json"
         write_json({"constraints": []}, path)

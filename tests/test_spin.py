@@ -25,7 +25,6 @@ from nvvortex.spin import (
     electron_hamiltonian,
     field_estimate,
     fit_odmr_model,
-    fit_odmr_spectrum,
     full_hamiltonian,
     invert_magnitude,
     invert_polar_angle,
@@ -328,7 +327,7 @@ class TestFitSpectrum:
         y = np.ones_like(f)
         for c in (c1 - s, c1, c1 + s, c2 - s, c2, c2 + s):
             y -= 0.03 * _lorentz(f, c, w)
-        pair = fit_odmr_spectrum(Spectrum(f, y))
+        pair = fit_odmr_model(Spectrum(f, y)).pair
         assert pair.omega1 == pytest.approx(c1, abs=1e-3)
         assert pair.omega2 == pytest.approx(c2, abs=1e-3)
 
@@ -347,7 +346,7 @@ class TestFitSpectrum:
         spec = criterion7_spectrum(spin_params)
         ref = fit_odmr_model(spec).pair
         for seed in range(20):
-            pair = fit_odmr_spectrum(add_contrast_noise(spec, 0.002, seed))
+            pair = fit_odmr_model(add_contrast_noise(spec, 0.002, seed)).pair
             assert abs(pair.omega1 - ref.omega1) < 0.05
             assert abs(pair.omega2 - ref.omega2) < 0.05
             assert pair.sigma1 is not None and pair.sigma1 > 0.0
@@ -356,7 +355,7 @@ class TestFitSpectrum:
         # criterion 7 bounds each error by 3 sigma, which an inflated
         # sigma passes; the scatter of the centres must match sigma itself
         spec = criterion7_spectrum(spin_params)
-        pairs = [fit_odmr_spectrum(add_contrast_noise(spec, 0.002, seed))
+        pairs = [fit_odmr_model(add_contrast_noise(spec, 0.002, seed)).pair
                  for seed in range(40)]
         for omega, sigma in (("omega1", "sigma1"), ("omega2", "sigma2")):
             scatter = np.std([getattr(p, omega) for p in pairs], ddof=1)
@@ -388,7 +387,7 @@ class TestFitSpectrum:
     def test_flat_spectrum_fails(self):
         f = np.linspace(2780.0, 2980.0, 500)
         with pytest.raises(FitFailed):
-            fit_odmr_spectrum(Spectrum(f, np.ones_like(f)))
+            fit_odmr_model(Spectrum(f, np.ones_like(f)))
 
     def test_zero_field_triplet_overlap(self, spin_params):
         spec = simulate_odmr_spectrum(
@@ -396,7 +395,7 @@ class TestFitSpectrum:
             sweep=SweepSettings(2850.0, 2890.0, 2001),
         )
         with pytest.raises(TripletsOverlap):
-            fit_odmr_spectrum(spec)
+            fit_odmr_model(spec)
 
     def test_small_field_triplets_not_separable(self, spin_params):
         o = NVOrientation(0.3, 0.2)
@@ -405,7 +404,7 @@ class TestFitSpectrum:
             contrast_depth=0.05, sweep=SweepSettings(2850.0, 2890.0, 2001),
         )
         with pytest.raises((TripletsOverlap, FitFailed)):
-            fit_odmr_spectrum(spec)
+            fit_odmr_model(spec)
 
     def test_noise_helper_is_deterministic(self, spin_params):
         spec = simulate_odmr_spectrum(

@@ -19,7 +19,6 @@ from nvvortex.vector_recon import (
     _unit_sphere_lstsq,
     aggregate_magnitude,
     solve_direction,
-    triangle_diagnostic,
 )
 
 TETRAHEDRAL_AXES = [
@@ -370,16 +369,17 @@ class TestTriangleDiagnostic:
     def test_exact_constraints_collapse_to_point(self):
         b_hat = np.array([0.1, 0.2, 0.97])
         b_hat /= np.linalg.norm(b_hat)
-        diag = triangle_diagnostic(cones_for_field(b_hat, TETRAHEDRAL_AXES[:3]))
-        assert diag.spread < 1e-8
-        assert not diag.errors
+        result = solve_direction(cones_for_field(b_hat, TETRAHEDRAL_AXES[:3]))
+        assert result.triangle_spread < 1e-8
+        assert len(result.triangle_vertices) == 3
 
     def test_reference_spread_within_bound(self):
-        diag = triangle_diagnostic(reference_constraints())
-        assert math.degrees(diag.spread) < 1.3
-        assert math.degrees(diag.spread) > 0.5  # real data: a genuine triangle
+        spread = solve_direction(reference_constraints()).triangle_spread
+        assert math.degrees(spread) < 1.3
+        assert math.degrees(spread) > 0.5  # real data: a genuine triangle
 
     def test_requires_exactly_three(self):
-        with pytest.raises(ValueError):
-            triangle_diagnostic(cones_for_field(np.array([0, 0, 1.0]),
-                                                TETRAHEDRAL_AXES))
+        result = solve_direction(cones_for_field(np.array([0, 0, 1.0]),
+                                                 TETRAHEDRAL_AXES))
+        assert result.triangle_spread is None
+        assert result.triangle_vertices is None
