@@ -69,6 +69,11 @@ def _base_report(config: RunConfig, seed: int) -> dict:
     }
 
 
+def _check_seed(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value}")
+
+
 def _emit(report: dict, out_dir: str | None, filename: str) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
     if out_dir is not None:
@@ -128,6 +133,7 @@ def _odmr_fields(model: OdmrModelFit, estimate: FieldEstimate) -> dict:
 # ------------------------------------------------------------------ commands
 
 def cmd_simulate_pattern(args, config: RunConfig) -> int:
+    _check_seed("--noise-seed", args.noise_seed)
     pat = config.pattern
     grid = ScanGrid(
         width_px=args.width if args.width is not None else pat.width_px,
@@ -462,6 +468,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        _check_seed("--seed", args.seed)
         if args.seed is None:
             args.seed = config.fit.seed
         return args.func(args, config)

@@ -28,8 +28,9 @@ def test_matches_frozen_mpmath_values(x, expected):
 
 
 def test_dense_grid_against_mpmath_within_1e12():
+    # a 256x256 scan at 50 nm pitch needs arguments up to about 149
     mpmath = pytest.importorskip("mpmath")
-    xs = np.linspace(0.0, 50.0, 1001)
+    xs = np.linspace(0.0, 160.0, 3201)
     ref = np.array([float(mpmath.besselj(1, mpmath.mpf(float(x)))) for x in xs])
     assert np.abs(j1(xs) - ref).max() < 1e-12
 
@@ -39,7 +40,7 @@ def test_zero_is_exact():
 
 
 def test_odd_symmetry_is_bitwise():
-    xs = np.linspace(0.01, 60.0, 500)
+    xs = np.linspace(0.01, 160.0, 1600)
     assert np.array_equal(j1(-xs), -j1(xs))
 
 
@@ -50,10 +51,20 @@ def test_array_shape_and_scalar_type():
 
 
 def test_continuity_across_series_cutoff():
-    # the series/trapezoid switch at |x| = 5 must be seamless
+    # the series/Chebyshev switch at |x| = 5 must be seamless
     xs = np.linspace(4.999, 5.001, 101)
     vals = j1(xs)
     assert np.abs(np.diff(vals)).max() < 1e-5
+
+
+def test_continuity_across_hankel_cutoff():
+    # the Chebyshev/Hankel switch at |x| = 25: steps of 2e-5 move J1 by
+    # at most |J1'| * 2e-5 < 4e-6
+    xs = np.linspace(24.999, 25.001, 101)
+    vals = j1(xs)
+    assert np.abs(np.diff(vals)).max() < 1e-5
+    below, above = j1(np.nextafter(25.0, 0.0)), j1(25.0)
+    assert abs(above - below) < 1e-14
 
 
 @given(st.floats(min_value=0.0, max_value=80.0))

@@ -56,6 +56,16 @@ class TestSimulateAndFit:
         # 4-decimal reporting contract at the CLI boundary
         assert fit["theta_deg"] == round(fit["theta_deg"], 4)
 
+    def test_negative_noise_seed_names_the_flag(self, tmp_path, capsys):
+        code, payload = run_cli(
+            capsys, "simulate-pattern", "--theta-deg", "90", "--phi-deg", "0",
+            "--noise-seed", "-1", "--out", str(tmp_path / "sim"),
+        )
+        assert code == 2
+        assert payload["error"] == "ConfigError"
+        assert "--noise-seed" in payload["message"]
+        assert not (tmp_path / "sim").exists()
+
     def test_fit_report_is_deterministic(self, tmp_path, capsys):
         out = tmp_path / "sim"
         run_cli(
@@ -242,6 +252,14 @@ class TestReconstruct:
         code, payload = run_cli(capsys, "reconstruct", "--constraints", str(path))
         assert code == 4
         assert payload["error"] == "FileFormatError"
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        code, payload = run_cli(
+            capsys, "reconstruct", "--fixture", "paper_fig4", "--seed", "-1"
+        )
+        assert code == 2
+        assert payload["error"] == "ConfigError"
+        assert "--seed" in payload["message"]
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         code, payload = run_cli(capsys, "reconstruct", "--fixture", "nonexistent")

@@ -107,6 +107,22 @@ class TestAzimuthalField:
                 peak = max(peak, abs(ref))
         assert worst / peak < 1e-9
 
+    def test_same_rule_on_scipy_j1_out_to_9000_nm(self, optics):
+        # a 256x256 scan at 50 nm pitch reaches rho ~ 9,050 nm and J1
+        # arguments ~ 149; the same Gauss-Legendre sum built on scipy's J1
+        # leaves only the error of the package's J1
+        from scipy.special import j1 as scipy_j1
+
+        alpha = max_aperture_angle(optics)
+        x, w = np.polynomial.legendre.leggauss(optics.quadrature_nodes)
+        theta, weights = 0.5 * alpha * (x + 1.0), 0.5 * alpha * w
+        st_ = np.sin(theta)
+        base = 2.0 * optics.pupil_amplitude * np.sqrt(np.cos(theta)) * st_ * weights
+        rs = np.linspace(0.0, 9000.0, 3001)
+        ref = scipy_j1(wavenumber(optics) * rs[:, None] * st_) @ base
+        val = azimuthal_field_profile(rs, 0.0, optics)
+        assert np.abs(val - ref).max() / np.abs(ref).max() < 1e-12
+
     def test_mirror_symmetry_in_defocus(self, optics):
         # integrand phase reverses under z -> -z, so E(r,-z) = conj(E(r,z));
         # the separated cos/sin accumulation makes this exact

@@ -7,13 +7,20 @@ from conftest import axis_angle_deg
 from nvvortex import least_squares
 from nvvortex.errors import DegenerateTemplate, NoConvergence
 from nvvortex.orient_fit import (
+    _linear_fit,
     canonical_angles,
     fit_orientation,
     nearest_tetrahedral_axis,
     pattern_residual,
     TETRAHEDRAL_POLAR,
 )
-from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
+from nvvortex.pattern import (
+    NVOrientation,
+    ScanGrid,
+    ScanImage,
+    radial_profile_for_grid,
+    simulate_pattern,
+)
 
 
 def make_image(theta_deg, phi_deg, grid, optics, amplitude=1.0, background=0.0,
@@ -162,6 +169,14 @@ class TestFitOrientation:
             background=50.0, noise_seed=0,
         )
         fit = fit_orientation(img, optics)
+        xs, ys = (a.ravel() for a in grid31.pixel_positions())
+        coef, _ = _linear_fit(
+            fit.center_nm, xs, ys, img.values.ravel(),
+            radial_profile_for_grid(grid31, optics),
+        )
+        p, q, s = coef[:3]
+        evals = np.linalg.eigvalsh([[p, 0.5 * s], [0.5 * s, q]])
+        assert 1.0 - evals[0] / evals[1] > 1.0  # the unclamped sin^2(theta)
         assert math.isfinite(fit.theta)
         assert axis_angle_deg(fit.theta, fit.phi, math.pi / 2, math.radians(30.0)) < 2.0
 

@@ -13,6 +13,7 @@ from nvvortex.focal_field import (
 )
 from nvvortex.pattern import (
     MAX_PIXELS,
+    NOISE_TILE_PX,
     NVOrientation,
     RadialIntensityProfile,
     ScanGrid,
@@ -228,10 +229,55 @@ class TestSimulatePattern:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    def test_poisson_tiles_are_independent_draws(self, optics):
+        # constant mean over 2.5 tiles: every tile has its own generator
+        grid = ScanGrid(64, 160, 50.0)
+        assert grid.width_px * grid.height_px > 2 * NOISE_TILE_PX
+        img = simulate_pattern(
+            NVOrientation(1.0, 0.5), grid, optics, amplitude=0.0, background=50.0,
+            noise_seed=3,
+        )
+        flat = img.values.ravel()
+        tile0, tile1 = flat[:NOISE_TILE_PX], flat[NOISE_TILE_PX:2 * NOISE_TILE_PX]
+        assert not np.array_equal(tile0, tile1)
+
+    def test_poisson_chi2_per_pixel_is_plausible(self, optics):
+        # the same 8-standard-error bound as the benchmark's check
+        grid = ScanGrid(128, 96, 50.0)
+        kw = dict(amplitude=1e4, background=100.0)
+        mean = intensity_map(NVOrientation(1.2, 0.4), grid, optics, **kw)
+        noisy = simulate_pattern(
+            NVOrientation(1.2, 0.4), grid, optics, noise_seed=11, **kw
+        ).values
+        assert np.array_equal(noisy, np.round(noisy))
+        chi2 = float(np.mean((noisy - mean) ** 2 / mean))
+        assert abs(chi2 - 1.0) < 8.0 * math.sqrt(2.0 / noisy.size)
+
     def test_noiseless_is_deterministic(self, grid31, optics):
         a = simulate_pattern(NVOrientation(0.9, 0.4), grid31, optics)
         b = simulate_pattern(NVOrientation(0.9, 0.4), grid31, optics)
         assert np.array_equal(a.values, b.values)
+
+
+class TestIntensityMap:
+    @pytest.mark.parametrize("offset_px", [(0.0, 0.0), (0.31, -0.27)])
+    def test_matches_per_pixel_quadrature(self, optics, offset_px):
+        # the map evaluates each distinct radius once; every pixel must
+        # match the quadrature at its own radius
+        grid = ScanGrid(64, 64, 50.0)
+        cx, cy = grid.center_nm
+        center = (cx + 50.0 * offset_px[0], cy + 50.0 * offset_px[1])
+        orientation = NVOrientation(1.1, 0.7)
+        vals = intensity_map(orientation, grid, optics, center_nm=center)
+        xs, ys = grid.pixel_positions()
+        dx, dy = xs - center[0], ys - center[1]
+        rho = np.hypot(dx, dy)
+        e = azimuthal_field_profile(rho.ravel(), 0.0, optics).reshape(rho.shape)
+        n = orientation.unit_axis
+        safe = np.where(rho > 0.0, rho, 1.0)
+        proj = np.where(rho > 0.0, 1.0 - ((n[1] * dx - n[0] * dy) / safe) ** 2, 1.0)
+        ref = np.abs(e) ** 2 * proj
+        assert np.abs(vals - ref).max() / ref.max() < 1e-14
 
 
 class TestRadialProfile:
