@@ -69,9 +69,9 @@ def _base_report(config: RunConfig, seed: int) -> dict:
     }
 
 
-def _check_seed(flag: str, value: int | None) -> None:
-    if value is not None and value < 0:
-        raise ConfigError(f"{flag} must be >= 0, got {value}")
+def _check_non_negative(flag: str, value: float | None) -> None:
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
 
 
 def _emit(report: dict, out_dir: str | None, filename: str) -> None:
@@ -133,7 +133,7 @@ def _odmr_fields(model: OdmrModelFit, estimate: FieldEstimate) -> dict:
 # ------------------------------------------------------------------ commands
 
 def cmd_simulate_pattern(args, config: RunConfig) -> int:
-    _check_seed("--noise-seed", args.noise_seed)
+    _check_non_negative("--noise-seed", args.noise_seed)
     pat = config.pattern
     grid = ScanGrid(
         width_px=args.width if args.width is not None else pat.width_px,
@@ -245,6 +245,8 @@ def cmd_odmr(args, config: RunConfig) -> int:
         for name in ("b_gauss", "b_theta_deg", "b_phi_deg", "nv_theta_deg", "nv_phi_deg"):
             if getattr(args, name) is None:
                 raise ConfigError(f"--simulate requires --{name.replace('_', '-')}")
+        _check_non_negative("--b-gauss", args.b_gauss)
+        _check_non_negative("--noise-sigma", args.noise_sigma)
         spectrum = _odmr_spectrum_from_args(args, config)
         source = {
             "simulated": True,
@@ -468,7 +470,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        _check_seed("--seed", args.seed)
+        _check_non_negative("--seed", args.seed)
         if args.seed is None:
             args.seed = config.fit.seed
         return args.func(args, config)

@@ -13,7 +13,14 @@ from .errors import ConfigError, NVVortexError
 from .focal_field import OpticalConfig
 from .spin import SpinParams
 
-__all__ = ["FitConfig", "PatternConfig", "RunConfig", "load_config", "config_hash"]
+__all__ = [
+    "FitConfig",
+    "PatternConfig",
+    "RunConfig",
+    "load_config",
+    "config_hash",
+    "is_json_number",
+]
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,18 @@ class RunConfig:
     pattern: PatternConfig = field(default_factory=PatternConfig)
 
 
-#: the JSON values a field of each declared type accepts (never a bool,
-#: NaN or an infinity)
+#: the JSON values a field of each declared type accepts
 _ACCEPTED = {"int": (int, "an integer"), "float": ((int, float), "a finite number")}
+
+
+def is_json_number(value, types=(int, float)) -> bool:
+    """True for a parsed JSON value of ``types`` that is not a bool, NaN
+    or an infinity."""
+    return (
+        isinstance(value, types)
+        and not isinstance(value, bool)
+        and not (isinstance(value, float) and not math.isfinite(value))
+    )
 
 
 def _build_section(cls, data: dict, where: str):
@@ -78,11 +94,7 @@ def _build_section(cls, data: dict, where: str):
         if key not in known:
             raise ConfigError(f"unknown config key '{where}.{key}'")
         types, kind = _ACCEPTED[known[key]]
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, types)
-            or (isinstance(value, float) and not math.isfinite(value))
-        ):
+        if not is_json_number(value, types):
             raise ConfigError(
                 f"config key '{where}.{key}' must be {kind}, got {value!r}"
             )

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import is_json_number
 from .errors import FileFormatError
 from .pattern import NVOrientation, ScanGrid, ScanImage
 from .spin import Spectrum
@@ -43,15 +44,15 @@ __all__ = [
 _IMAGE_HEADER = ["width", "height", "pitch_nm", "origin_x_nm", "origin_y_nm"]
 _SPECTRUM_HEADER = ["frequency_mhz", "contrast"]
 
-_CONSTRAINT_KEYS = {
+_CONSTRAINT_NUMBERS = (
     "axis_theta_deg",
     "axis_phi_deg",
     "alpha_deg",
     "b_gauss",
     "alpha_sigma_deg",
     "b_sigma_gauss",
-    "label",
-}
+)
+_CONSTRAINT_KEYS = {*_CONSTRAINT_NUMBERS, "label"}
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -231,6 +232,12 @@ def load_constraints_json(path) -> list[ConeConstraint]:
             raise FileFormatError(
                 f"{path}: entry {i} is missing keys: {sorted(missing)}"
             )
+        for key in _CONSTRAINT_NUMBERS:
+            if key in entry and not is_json_number(entry[key]):
+                raise FileFormatError(
+                    f"{path}: entry {i}: '{key}' must be a finite number, "
+                    f"got {entry[key]!r}"
+                )
         try:
             out.append(
                 ConeConstraint(
@@ -244,7 +251,7 @@ def load_constraints_json(path) -> list[ConeConstraint]:
                     label=str(entry.get("label", "")),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"{path}: entry {i}: {exc}") from exc
     return out
 

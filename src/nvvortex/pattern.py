@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -297,29 +298,21 @@ class RadialIntensityProfile:
         )
 
 
-_PROFILE_CACHE: dict = {}
-
 #: how far (pixels) the NV may sit from the grid centre with every pixel
 #: still inside the profile
 PROFILE_MARGIN_PX = 8.0
 
 
+@lru_cache(maxsize=16)
 def radial_profile_for_grid(
     grid: ScanGrid, optics: OpticalConfig
 ) -> RadialIntensityProfile:
     """Profile covering every pixel of ``grid`` from any NV position
     within PROFILE_MARGIN_PX of the grid center; cached per (grid, optics)."""
-    key = (grid, optics)
-    prof = _PROFILE_CACHE.get(key)
-    if prof is None:
-        half_w = 0.5 * (grid.width_px - 1)
-        half_h = 0.5 * (grid.height_px - 1)
-        r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + PROFILE_MARGIN_PX)
-        prof = RadialIntensityProfile.build(optics, r_max)
-        if len(_PROFILE_CACHE) > 16:
-            _PROFILE_CACHE.clear()
-        _PROFILE_CACHE[key] = prof
-    return prof
+    half_w = 0.5 * (grid.width_px - 1)
+    half_h = 0.5 * (grid.height_px - 1)
+    r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + PROFILE_MARGIN_PX)
+    return RadialIntensityProfile.build(optics, r_max)
 
 
 def template_map(

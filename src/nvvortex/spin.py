@@ -295,31 +295,31 @@ def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, 
 
 
 def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
-    """Magnitude and cone-angle candidates with propagated 1-sigma
-    uncertainties (analytic for B, central differences for alpha)."""
+    """Magnitude and cone-angle candidates with 1-sigma uncertainties
+    propagated to first order from the line sigmas, both analytic.
+    alpha_sigma is None where the cone angle is 0 or 90 deg, at which
+    its gradient is unbounded."""
     b = invert_magnitude(pair, params.d, params.gamma_e)
     alphas = invert_polar_angle(pair, params.d)
     b_sigma = alpha_sigma = None
     if pair.sigma1 is not None and pair.sigma2 is not None:
-        w1, w2 = pair.omega1, pair.omega2
+        w1, w2, d = pair.omega1, pair.omega2, params.d
         g2b = 3.0 * params.gamma_e**2 * b
         if g2b > 0.0:
             db1 = (2.0 * w1 - w2) / (2.0 * g2b)
             db2 = (2.0 * w2 - w1) / (2.0 * g2b)
             b_sigma = math.hypot(db1 * pair.sigma1, db2 * pair.sigma2)
-        try:
-            h = min(1e-4, 0.25 * (w2 - w1)) or 1e-9
-            da1 = (
-                invert_polar_angle(TransitionPair(w1 + h, w2), params.d)[0]
-                - invert_polar_angle(TransitionPair(w1 - h, w2), params.d)[0]
-            ) / (2.0 * h)
-            da2 = (
-                invert_polar_angle(TransitionPair(w1, w2 + h), params.d)[0]
-                - invert_polar_angle(TransitionPair(w1, w2 - h), params.d)[0]
-            ) / (2.0 * h)
+        # alpha = acos(sqrt(R)) with R = p q s / (9 d r), the factors of
+        # invert_polar_angle; dR/dw = (dN/dw - 9 d R dr/dw) / (9 d r)
+        p, q, s = 2.0 * w1 - w2 - d, w1 - 2.0 * w2 + d, w1 + w2 + d
+        r = w1 * w1 + w2 * w2 - w1 * w2 - d * d
+        ratio = min(max(p * q * s / (9.0 * d * r), 0.0), 1.0)
+        if ratio * (1.0 - ratio) > 0.0:
+            scale = -1.0 / (18.0 * d * r * math.sqrt(ratio * (1.0 - ratio)))
+            k = 9.0 * d * ratio
+            da1 = scale * (2.0 * q * s + p * s + p * q - k * (2.0 * w1 - w2))
+            da2 = scale * (p * q - q * s - 2.0 * p * s - k * (2.0 * w2 - w1))
             alpha_sigma = math.hypot(da1 * pair.sigma1, da2 * pair.sigma2)
-        except (ValueError, DegenerateField, InconsistentFrequencies):
-            alpha_sigma = None  # too close to degenerate for a stable stencil
     return FieldEstimate(
         b=b, alpha_candidates=alphas, b_sigma=b_sigma, alpha_sigma=alpha_sigma
     )

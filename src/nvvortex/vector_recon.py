@@ -13,10 +13,11 @@ minimiser of sum (n_i . b_hat - cos alpha_i)^2 over unit vectors b_hat:
 a least-squares problem with a quadratic constraint, solved through its
 secular equation for the Lagrange multiplier (Gander 1981, "Least
 squares with a quadratic constraint", Numer. Math. 36), with no
-iteration budget or tolerance to tune. Only combinations keeping the
-first constraint unflipped are solved; the complementary half are their
-exact antipodes by construction, which keeps the antipodal bookkeeping
-consistent to the bit.
+iteration budget or tolerance to tune. Flipping every cone gives the
+antipode at the same residual, so only assignments that keep the first
+cone as given are searched. Every assignment, and every sample of the
+cone-angle bootstrap, is one row of a single batched solve that shares
+one eigendecomposition of the axes' Gram matrix.
 """
 
 from __future__ import annotations
@@ -85,44 +86,57 @@ class VectorFieldResult:
     direction_sigma: float | None = None  # rad, bootstrap angular scatter
 
 
+def _rows(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for every row v of ``vectors``: a stacked matmul
+    makes the BLAS call of a single product per row, so a batched solve
+    agrees with one-row solves to the bit."""
+    return np.matmul(matrix, vectors[..., None])[..., 0]
+
+
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    return _rows(vectors[:, None], vectors)[:, 0]
+
+
 def _unit_sphere_lstsq(
     axes: np.ndarray, cosines: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Global minimiser of |axes @ b - cosines|^2 over unit vectors b,
-    and its residual (Gander 1981).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global minimisers of |axes @ b - c|^2 over unit vectors b, one per
+    row c of the (K, n) block ``cosines``, as (K, 3) directions and (K,)
+    residuals (Gander 1981).
 
-    With axes^T axes = V diag(e) V^T, e ascending, and g = V^T axes^T
-    cosines, the minimiser is b = V y with y_i = g_i / (e_i - lam), where
-    lam <= e_0 is the root of sum y_i^2 = 1. The root is bisected in the
-    shift u = e_0 - lam over [0, |g|] until the bracket collapses; in u,
-    y_0 = g_0 / u stays exact to rounding even when the root lies
-    within rounding of e_0. A bracket collapsed onto u = 0 is the hard
-    case (g_0 = 0): the e_0 component is then whatever the unit norm
-    leaves of the others.
+    With axes^T axes = V diag(e) V^T, e ascending, and g = V^T axes^T c,
+    the minimiser is b = V y with y_i = g_i / (e_i - lam), where
+    lam <= e_0 is the root of sum y_i^2 = 1. One eigendecomposition
+    serves every row; the root is bisected in the shift u = e_0 - lam
+    over [0, |g|] on all rows at once, each row stopping when its
+    bracket collapses. In u, y_0 = g_0 / u stays exact to rounding even
+    when the root lies within rounding of e_0. A bracket collapsed onto
+    u = 0 is the hard case (g_0 = 0): the e_0 component is then whatever
+    the unit norm leaves of the others.
     """
-    gram, rhs = axes.T @ axes, axes.T @ cosines
+    gram, rhs = axes.T @ axes, _rows(axes.T, cosines)
     e, vecs = np.linalg.eigh(gram)
-    g = vecs.T @ rhs
+    g = _rows(vecs.T, rhs)
     gap = e - e[0]
-    lo, hi = 0.0, float(np.linalg.norm(g)) or 1.0  # any u > 0 brackets g = 0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.sum(np.square(g / (gap + mid))) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    if lo > 0.0 and hi > gap[-1]:
-        # the shifted Gram matrix is conditioned better than 2 here, and
-        # solving in the original basis reproduces exactly consistent
-        # cosines to the bit, so branches that fit equally well tie exactly
-        b = np.linalg.solve(gram - (e[0] - hi) * np.eye(3), rhs)
-    else:
-        y = g / (gap + hi)
-        if lo == 0.0:  # hard case: the root is e_0 itself
-            y[0] = math.copysign(math.sqrt(max(0.0, 1.0 - y[1:] @ y[1:])), g[0])
-        b = vecs @ y
-    b /= np.linalg.norm(b)
-    misfit = axes @ b - cosines
-    return b, float(misfit @ misfit)
+    lo, hi = np.zeros(len(g)), np.sqrt(_squared_norms(g))
+    hi[hi == 0.0] = 1.0  # any u > 0 brackets g = 0
+    while (live := np.flatnonzero((lo < (mid := 0.5 * (lo + hi))) & (mid < hi))).size:
+        u = mid[live]
+        above = np.sum(np.square(g[live] / (gap + u[:, None])), axis=1) > 1.0
+        lo[live[above]], hi[live[~above]] = u[above], u[~above]
+    y = g / (gap + hi[:, None])
+    hard = lo == 0.0  # the root is e_0 itself
+    rest = 1.0 - _squared_norms(y[hard, 1:])
+    y[hard, 0] = np.copysign(np.sqrt(np.maximum(0.0, rest)), g[hard, 0])
+    b = _rows(vecs, y)
+    # where the shifted Gram matrix is conditioned better than 2, solving
+    # in the original basis reproduces exactly consistent cosines to the
+    # bit, so branches that fit equally well tie exactly
+    plain = (lo > 0.0) & (hi > gap[-1])
+    shifted = gram - (e[0] - hi[plain])[:, None, None] * np.eye(3)
+    b[plain] = np.linalg.solve(shifted, rhs[plain, :, None])[..., 0]
+    b /= np.sqrt(_squared_norms(b))[:, None]
+    return b, _squared_norms(_rows(axes, b) - cosines)
 
 
 def solve_direction(
@@ -152,23 +166,20 @@ def solve_direction(
             f"axis matrix condition number {np.linalg.cond(axes):.3g} exceeds "
             f"{DEFAULT_CONDITION_BOUND:.3g}; axes are too close to degenerate"
         )
-    base_cos = np.cos([c.alpha for c in constraints])
+    alphas = np.array([c.alpha for c in constraints])
+    base_cos = np.cos(alphas)
 
+    # row r flips cone i (1 <= i < n_search) where bit n_search - 1 - i
+    # of r is set: the rows run in lexicographic order of their flip
+    # tuples, so argmin breaks ties toward the first tuple
     n_search = min(n, BRANCH_SEARCH_CAP)
-    candidates: list[tuple[tuple[bool, ...], np.ndarray, float]] = []
-    for bits in range(0, 1 << n_search, 2):  # bit 0 fixed: first cone as given
-        flips = np.array(
-            [bool((bits >> i) & 1) for i in range(n_search)]
-            + [False] * (n - n_search)
-        )
-        cosines = np.where(flips, -base_cos, base_cos)
-        direction, residual = _unit_sphere_lstsq(axes, cosines)
-        candidates.append((tuple(bool(x) for x in flips), direction, residual))
-        # the complementary assignment is exactly the antipode
-        candidates.append((tuple(not bool(x) for x in flips), -direction, residual))
-
-    candidates.sort(key=lambda c: (c[2], c[0]))
-    flips, direction, residual = candidates[0]
+    codes = np.arange(1 << (n_search - 1))[:, None]
+    flip_rows = np.zeros((len(codes), n), dtype=bool)
+    flip_rows[:, 1:n_search] = (codes >> np.arange(n_search - 2, -1, -1)) & 1
+    signs = np.where(flip_rows, -1.0, 1.0)
+    directions, residuals = _unit_sphere_lstsq(axes, signs * base_cos)
+    best = int(np.argmin(residuals))
+    direction, residual = directions[best], float(residuals[best])
     if residual > residual_gate:
         raise NoSolution(
             f"best branch residual {residual:.3g} exceeds gate {residual_gate:.3g}"
@@ -184,41 +195,30 @@ def solve_direction(
         b_mean=b_mean,
         b_std=b_std,
         residual=residual,
-        branch_flipped=flips,
+        branch_flipped=tuple(bool(x) for x in flip_rows[best]),
         direction=direction,
     )
 
     if n == 3:
-        cosines = np.where(np.array(flips), -base_cos, base_cos)
         result.triangle_vertices, result.triangle_spread = _triangle_vertices(
-            axes, cosines, direction
+            axes, signs[best] * base_cos, direction
         )
 
-    if bootstrap_samples > 0 and any(c.alpha_sigma > 0.0 for c in constraints):
-        result.direction_sigma = _bootstrap_direction_sigma(
-            axes, base_cos, [c.alpha for c in constraints],
-            [c.alpha_sigma for c in constraints], flips, direction,
-            bootstrap_samples, seed,
+    sigmas = np.array([c.alpha_sigma for c in constraints])
+    noisy = sigmas > 0.0
+    if bootstrap_samples > 0 and noisy.any():
+        # parametric bootstrap over the cone angles, branch held fixed:
+        # the RMS great-circle deviation from the point solution
+        draws = np.random.default_rng(seed).standard_normal(
+            (bootstrap_samples, int(noisy.sum()))
         )
+        drawn = np.tile(alphas, (bootstrap_samples, 1))
+        drawn[:, noisy] += sigmas[noisy] * draws
+        samples, _ = _unit_sphere_lstsq(axes, signs[best] * np.cos(drawn))
+        cos_dev = _rows(samples[:, None], direction)[:, 0]
+        devs = np.arccos(np.clip(cos_dev, -1.0, 1.0))
+        result.direction_sigma = float(np.sqrt(np.mean(np.square(devs))))
     return result
-
-
-def _bootstrap_direction_sigma(
-    axes, base_cos, alphas, sigmas, flips, direction, samples: int, seed: int
-) -> float:
-    """Parametric bootstrap over the cone angles, branch held fixed;
-    returns the RMS great-circle deviation from the point solution."""
-    rng = np.random.default_rng(seed)
-    flips_arr = np.array(flips)
-    devs = []
-    for _ in range(samples):
-        drawn = np.array(
-            [rng.normal(a, s) if s > 0.0 else a for a, s in zip(alphas, sigmas)]
-        )
-        cosines = np.where(flips_arr, -np.cos(drawn), np.cos(drawn))
-        v, _ = _unit_sphere_lstsq(axes, cosines)
-        devs.append(math.acos(min(1.0, max(-1.0, float(v @ direction)))))
-    return float(np.sqrt(np.mean(np.square(devs))))
 
 
 def aggregate_magnitude(constraints: list[ConeConstraint]) -> tuple[float, float]:

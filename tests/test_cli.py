@@ -201,6 +201,23 @@ class TestOdmr:
         code, payload = run_cli(capsys, "odmr")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--b-gauss", "-50"), ("--b-gauss", "nan"), ("--noise-sigma", "-1"),
+         ("--noise-sigma", "nan")],
+    )
+    def test_bad_simulation_value_names_the_flag(self, tmp_path, capsys, flag, value):
+        args = {"--b-gauss": "59.5", "--b-theta-deg": "8.59", "--b-phi-deg": "182.56",
+                "--nv-theta-deg": "109.84", "--nv-phi-deg": "20.60", flag: value}
+        code, payload = run_cli(
+            capsys, "odmr", "--simulate", *(x for kv in args.items() for x in kv),
+            "--out", str(tmp_path / "odmr"),
+        )
+        assert code == 2
+        assert payload["error"] == "ConfigError"
+        assert flag in payload["message"]
+        assert not (tmp_path / "odmr").exists()
+
 
 class TestReconstruct:
     def test_bundled_fixture_reproduces_reference_direction(self, capsys):
@@ -252,6 +269,22 @@ class TestReconstruct:
         code, payload = run_cli(capsys, "reconstruct", "--constraints", str(path))
         assert code == 4
         assert payload["error"] == "FileFormatError"
+
+    @pytest.mark.parametrize(
+        "key, value", [("axis_theta_deg", True), ("axis_phi_deg", "20.6")]
+    )
+    def test_non_number_constraint_is_parse_error(
+        self, tmp_path, capsys, key, value
+    ):
+        with open(bundled_fixture_path("paper_fig4")) as handle:
+            entries = json.load(handle)
+        entries[2][key] = value
+        path = tmp_path / "cones.json"
+        path.write_text(json.dumps(entries))
+        code, payload = run_cli(capsys, "reconstruct", "--constraints", str(path))
+        assert code == 4
+        assert payload["error"] == "FileFormatError"
+        assert f"entry 2: '{key}'" in payload["message"]
 
     def test_negative_seed_names_the_flag(self, capsys):
         code, payload = run_cli(

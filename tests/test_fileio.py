@@ -176,6 +176,28 @@ class TestConstraints:
         with pytest.raises(FileFormatError, match="finite"):
             load_constraints_json(path)
 
+    @pytest.mark.parametrize(
+        "key",
+        ["axis_theta_deg", "axis_phi_deg", "alpha_deg", "b_gauss",
+         "alpha_sigma_deg", "b_sigma_gauss"],
+    )
+    @pytest.mark.parametrize("value", [True, False, "20.6", None, [1.0]])
+    def test_non_number_rejected_by_name(self, tmp_path, key, value):
+        # the config loader's rule: an int or a finite float, never a bool
+        path = tmp_path / "cones.json"
+        entry = {"axis_theta_deg": 1.0, "axis_phi_deg": 2.0, "alpha_deg": 3.0,
+                 "b_gauss": 4.0}
+        path.write_text(json.dumps([entry, {**entry, key: value}]))
+        with pytest.raises(FileFormatError, match=f"entry 1: '{key}' must be"):
+            load_constraints_json(path)
+
+    def test_int_beyond_float_range_rejected(self, tmp_path):
+        path = tmp_path / "cones.json"
+        path.write_text(json.dumps([{"axis_theta_deg": 1, "axis_phi_deg": 2,
+                                     "alpha_deg": 3, "b_gauss": 10**400}]))
+        with pytest.raises(FileFormatError, match="entry 0"):
+            load_constraints_json(path)
+
     def test_non_list_rejected(self, tmp_path):
         path = tmp_path / "cones.json"
         write_json({"constraints": []}, path)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -190,6 +191,33 @@ class TestFieldEstimate:
         assert est.alpha_candidates[0] + est.alpha_candidates[1] == pytest.approx(
             math.pi, abs=1e-12
         )
+
+    @pytest.mark.parametrize("b", [5.0, 20.0, 59.5, 150.0])
+    @pytest.mark.parametrize("alpha_deg", [1, 5, 30, 60, 85, 89, 95, 150])
+    def test_alpha_sigma_matches_complex_step(self, spin_params, b, alpha_deg):
+        # complex-step derivatives of acos(sqrt(R)) carry no cancellation
+        # error; the central-difference stencil this closed form replaced
+        # returned None at (5 G, 1 deg)
+        base = transition_frequencies(b, math.radians(alpha_deg), spin_params)
+        w1, w2, d, h = base.omega1, base.omega2, spin_params.d, 1e-30
+
+        def alpha(x1, x2):
+            r = x1 * x1 + x2 * x2 - x1 * x2 - d * d
+            num = (2 * x1 - x2 - d) * (x1 - 2 * x2 + d) * (x1 + x2 + d)
+            return cmath.acos(cmath.sqrt(num / (9 * d * r)))
+
+        da1 = alpha(w1 + 1j * h, w2).imag / h
+        da2 = alpha(w1, w2 + 1j * h).imag / h
+        pair = TransitionPair(w1, w2, sigma1=0.03, sigma2=0.05)
+        est = field_estimate(pair, spin_params)
+        assert est.alpha_sigma == pytest.approx(math.hypot(0.03 * da1, 0.05 * da2),
+                                                rel=1e-9)
+
+    def test_alpha_sigma_none_where_gradient_is_unbounded(self, spin_params):
+        base = transition_frequencies(59.5, 0.0, spin_params)
+        pair = TransitionPair(base.omega1, base.omega2, sigma1=0.03, sigma2=0.03)
+        est = field_estimate(pair, spin_params)
+        assert est.b_sigma is not None and est.alpha_sigma is None
 
     def test_no_sigma_in_gives_none_out(self, spin_params):
         pair = transition_frequencies(40.0, 0.7, spin_params)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +14,12 @@ from conftest import (
     REFERENCE_ORIENTATIONS_DEG,
     axis_from_degrees,
 )
+from nvvortex.cli import bundled_fixture_path
 from nvvortex.errors import DegenerateAxes, NoSolution
+from nvvortex.fileio import load_constraints_json
 from nvvortex.pattern import NVOrientation
 from nvvortex.vector_recon import (
+    BRANCH_SEARCH_CAP,
     ConeConstraint,
     _unit_sphere_lstsq,
     aggregate_magnitude,
@@ -320,12 +325,110 @@ class TestSolveDirection:
         # normal equations gram b = (gram - e0) w, whose right side is
         # orthogonal to v0
         h_inv_w = np.linalg.solve(gram, w)
-        b, residual = _unit_sphere_lstsq(axes, axes @ (w - e[0] * h_inv_w))
+        b, residual = _unit_sphere_lstsq(axes, (axes @ (w - e[0] * h_inv_w))[None])
+        b, residual = b[0], residual[0]
         assert residual == pytest.approx(
             (1.0 - w @ w) * e[0] + e[0] ** 2 * (w @ h_inv_w), abs=1e-12
         )
         assert abs(np.linalg.norm(b) - 1.0) < 1e-15
         assert np.allclose(b - (b @ v0) * v0, w, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_batched_rows_match_one_row_solves(self, n):
+        # one batch mixing consistent, noisy, inconsistent and hard-case
+        # rows, so every row-wise branch of the solver runs beside others
+        rng = np.random.default_rng(n)
+        axes = random_unit_axes(rng, n)
+        b_hat = rng.normal(size=3)
+        b_hat /= np.linalg.norm(b_hat)
+        exact = axes @ b_hat
+        e, vecs = np.linalg.eigh(axes.T @ axes)
+        w = 0.5 * vecs[:, 1]  # normal-equation right side orthogonal to v0
+        hard = axes @ (w - e[0] * np.linalg.solve(axes.T @ axes, w))
+        rows = np.vstack([
+            exact,
+            -exact,
+            exact + rng.normal(0.0, 0.05, (12, n)),
+            rng.uniform(-1.0, 1.0, (12, n)),
+            hard,
+            np.zeros(n),
+        ])
+        directions, residuals = _unit_sphere_lstsq(axes, rows)
+        assert directions.shape == (len(rows), 3) and residuals.shape == (len(rows),)
+        # each row makes the same floating-point operations as alone, so
+        # the batch reproduces one-row solves to the bit
+        for row, direction, residual in zip(rows, directions, residuals):
+            one_b, one_r = _unit_sphere_lstsq(axes, row[None])
+            assert np.array_equal(direction, one_b[0])
+            assert residual == one_r[0]
+
+    def test_hard_case_rows_beside_rows_still_bisecting(self):
+        # exact hard-case rows (g_0 = 0) whose brackets collapse onto
+        # u = 0 at different steps: a collapsed row is never evaluated
+        # again, so no 0/0 arises while the others go on
+        axes = np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, 0],
+                         [0, 0, 1], [0, 0, 1], [0, 0, 1]])
+        gram = axes.T @ axes
+        rows = np.array(
+            [axes @ (w - np.linalg.solve(gram, w)) for w in
+             (np.array([0.0, 0.1, 0.1]), np.array([0.0, 0.5, 0.5]))]
+            + [np.zeros(6)]
+        )
+        directions, residuals = _unit_sphere_lstsq(axes, rows)
+        for row, direction, residual in zip(rows, directions, residuals):
+            one_b, one_r = _unit_sphere_lstsq(axes, row[None])
+            assert np.array_equal(direction, one_b[0])
+            assert residual == one_r[0]
+        np.testing.assert_allclose(directions[0], [math.sqrt(0.98), 0.1, 0.1])
+
+    @pytest.mark.parametrize("kind", ["fig2", "tie"])
+    def test_eight_cones_match_brute_force_search(self, kind):
+        # past BRANCH_SEARCH_CAP the last two cones keep their branch; the
+        # winner is the least residual over every assignment of the first
+        # six, ties going to the lexicographically first flip tuple
+        if kind == "fig2":  # the fig-2 axes twice, noisy cone angles
+            rng = np.random.default_rng(8)
+            b_hat = axis_from_degrees(*REFERENCE_FIELD_DIRECTION_DEG)
+            axes = [axis_from_degrees(*o) for o in REFERENCE_ORIENTATIONS_DEG] * 2
+            alphas = [math.acos(a @ b_hat) + rng.normal(0.0, 0.01) for a in axes]
+        else:  # the field is normal to cone 1's axis: its flip ties exactly
+            b_hat = np.array([0.0, 0.6, 0.8])
+            axes = [
+                np.array(v, dtype=float) / np.linalg.norm(v)
+                for v in ([0, 0, 1], [1, 0, 0], [0, 1, 1], [0, 1, -1],
+                          [0, -1, 1], [0, 0, 1], [0, 2, 1], [0, 1, 3])
+            ]
+            alphas = [math.acos(a @ b_hat) for a in axes]
+        cons = [
+            ConeConstraint(axis=NVOrientation.from_vector(a), alpha=al, b=59.5)
+            for a, al in zip(axes, alphas)
+        ]
+        used = np.stack([c.axis.unit_axis for c in cons])
+        base_cos = np.cos([c.alpha for c in cons])
+        candidates = []
+        for head in itertools.product((False, True), repeat=BRANCH_SEARCH_CAP):
+            flips = head + (False,) * (len(cons) - BRANCH_SEARCH_CAP)
+            b, r = _unit_sphere_lstsq(used, np.where(flips, -base_cos, base_cos)[None])
+            candidates.append((float(r[0]), flips, b[0]))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        residual, flips, direction = candidates[0]
+        if kind == "tie":
+            assert candidates[1][0] == residual
+            assert flips[1] is False and candidates[1][1][1] is True
+        result = solve_direction(cons, bootstrap_samples=0)
+        assert result.branch_flipped == flips
+        assert result.residual == residual
+        assert np.array_equal(result.direction, direction)
+
+    def test_bootstrap_stream_is_pinned(self):
+        # one draw matrix over the constraints with sigma > 0, in row-major
+        # order, is the stream of one rng.normal(alpha, sigma) per draw
+        cons = load_constraints_json(bundled_fixture_path("paper_fig4"))
+        sigma = solve_direction(cons, seed=0).direction_sigma
+        assert sigma == pytest.approx(0.00034936027078288315, rel=1e-9)
+        cons[1] = dataclasses.replace(cons[1], alpha_sigma=0.0)
+        sigma = solve_direction(cons, seed=0).direction_sigma
+        assert sigma == pytest.approx(0.00023906392100604218, rel=1e-9)
 
     def test_bootstrap_sigma_deterministic(self):
         a = solve_direction(reference_constraints(with_sigmas=True), seed=5)
