@@ -12,7 +12,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .focal_field import OpticalConfig, azimuthal_field, field_vector_at
+from .focal_field import OpticalConfig, azimuthal_field
 from .pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from .orient_fit import OrientationFit, fit_orientation
 from .spin import (
@@ -37,7 +37,6 @@ __all__ = [
     "__version__",
     "OpticalConfig",
     "azimuthal_field",
-    "field_vector_at",
     "NVOrientation",
     "ScanGrid",
     "ScanImage",

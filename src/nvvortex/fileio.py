@@ -238,6 +238,10 @@ def load_constraints_json(path) -> list[ConeConstraint]:
                     f"{path}: entry {i}: '{key}' must be a finite number, "
                     f"got {entry[key]!r}"
                 )
+        if "label" in entry and not isinstance(entry["label"], str):
+            raise FileFormatError(
+                f"{path}: entry {i}: 'label' must be a string, got {entry['label']!r}"
+            )
         try:
             out.append(
                 ConeConstraint(
@@ -248,7 +252,7 @@ def load_constraints_json(path) -> list[ConeConstraint]:
                     b=float(entry["b_gauss"]),
                     alpha_sigma=math.radians(float(entry.get("alpha_sigma_deg", 0.0))),
                     b_sigma=float(entry.get("b_sigma_gauss", 0.0)),
-                    label=str(entry.get("label", "")),
+                    label=entry.get("label", ""),
                 )
             )
         except (ValueError, OverflowError) as exc:

@@ -28,7 +28,6 @@ __all__ = [
     "wavenumber",
     "azimuthal_field",
     "azimuthal_field_profile",
-    "field_vector_at",
     "node_doubling_error",
 ]
 
@@ -161,25 +160,3 @@ def node_doubling_error(config: OpticalConfig, rs, zs) -> float:
         return 0.0
     return worst / peak
 
-
-def field_vector_at(
-    point, beam_center, z: float, config: OpticalConfig
-) -> np.ndarray:
-    """Complex 3-vector E at a 3D ``point`` for a beam focused at
-    (beam_center_x, beam_center_y, z).
-
-    The field is purely azimuthal about the beam axis:
-    E = E_phi(rho, point_z - z) * phi_hat with rho the transverse
-    distance from the axis. On the axis (rho = 0) the zero vector is
-    returned; phi_hat is undefined there but the amplitude vanishes.
-    """
-    p = np.asarray(point, dtype=float)
-    c = np.asarray(beam_center, dtype=float)
-    dx = p[0] - c[0]
-    dy = p[1] - c[1]
-    rho = math.hypot(dx, dy)
-    if rho == 0.0:
-        return np.zeros(3, dtype=complex)
-    amp = azimuthal_field(rho, p[2] - z, config)
-    phi_hat = np.array([-dy / rho, dx / rho, 0.0])
-    return amp * phi_hat

@@ -298,7 +298,16 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     """Magnitude and cone-angle candidates with 1-sigma uncertainties
     propagated to first order from the line sigmas, both analytic.
     alpha_sigma is None where the cone angle is 0 or 90 deg, at which
-    its gradient is unbounded."""
+    its gradient is unbounded.
+
+    Near 90 deg, where |dalpha/dR| grows like 1 / sqrt(R), the
+    first-order sigma_R = 2 sqrt(R (1 - R)) alpha_sigma of
+    R = cos^2(alpha) can reach past R = 0. alpha_sigma is then capped at
+    the half-width of acos(sqrt(R')) over R' in [0, R + sigma_R], at
+    most pi/4. An interval that stays above 0 needs no cap: its
+    half-width is sigma_R times the mean of the convex |dalpha/dR| over
+    it, never below the first-order value. Near 0 deg the first-order
+    value is kept."""
     b = invert_magnitude(pair, params.d, params.gamma_e)
     alphas = invert_polar_angle(pair, params.d)
     b_sigma = alpha_sigma = None
@@ -320,6 +329,11 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
             da1 = scale * (2.0 * q * s + p * s + p * q - k * (2.0 * w1 - w2))
             da2 = scale * (p * q - q * s - 2.0 * p * s - k * (2.0 * w2 - w1))
             alpha_sigma = math.hypot(da1 * pair.sigma1, da2 * pair.sigma2)
+            sigma_r = 2.0 * math.sqrt(ratio * (1.0 - ratio)) * alpha_sigma
+            if sigma_r > ratio:
+                # acos(0) - acos(sqrt(R')) = asin(sqrt(R'))
+                cap = 0.5 * math.asin(math.sqrt(min(ratio + sigma_r, 1.0)))
+                alpha_sigma = min(alpha_sigma, cap)
     return FieldEstimate(
         b=b, alpha_candidates=alphas, b_sigma=b_sigma, alpha_sigma=alpha_sigma
     )

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nvvortex.focal_field import OpticalConfig
+from nvvortex.focal_field import OpticalConfig, azimuthal_field
 from nvvortex.pattern import ScanGrid
 from nvvortex.spin import SpinParams
 
@@ -60,3 +62,24 @@ def axis_angle_deg(t1, p1, t2, p2) -> float:
         a = axis_from_degrees(np.degrees(t1), np.degrees(p1_rep))
         best = max(best, abs(float(a @ b)))
     return float(np.degrees(np.arccos(min(1.0, best))))
+
+
+def field_vector_at(point, beam_center, z: float, config: OpticalConfig) -> np.ndarray:
+    """Complex 3-vector E at a 3D ``point`` for a beam focused at
+    (beam_center_x, beam_center_y, z).
+
+    The field is purely azimuthal about the beam axis:
+    E = E_phi(rho, point_z - z) * phi_hat with rho the transverse
+    distance from the axis. On the axis (rho = 0) the zero vector is
+    returned; phi_hat is undefined there but the amplitude vanishes.
+    """
+    p = np.asarray(point, dtype=float)
+    c = np.asarray(beam_center, dtype=float)
+    dx = p[0] - c[0]
+    dy = p[1] - c[1]
+    rho = math.hypot(dx, dy)
+    if rho == 0.0:
+        return np.zeros(3, dtype=complex)
+    amp = azimuthal_field(rho, p[2] - z, config)
+    phi_hat = np.array([-dy / rho, dx / rho, 0.0])
+    return amp * phi_hat

@@ -286,6 +286,18 @@ class TestReconstruct:
         assert payload["error"] == "FileFormatError"
         assert f"entry 2: '{key}'" in payload["message"]
 
+    @pytest.mark.parametrize("label", [None, 5, True, ["NV1"]])
+    def test_non_string_label_is_parse_error(self, tmp_path, capsys, label):
+        with open(bundled_fixture_path("paper_fig4")) as handle:
+            entries = json.load(handle)
+        entries[1]["label"] = label
+        path = tmp_path / "cones.json"
+        path.write_text(json.dumps(entries))
+        code, payload = run_cli(capsys, "reconstruct", "--constraints", str(path))
+        assert code == 4
+        assert payload["error"] == "FileFormatError"
+        assert "entry 1: 'label'" in payload["message"]
+
     def test_negative_seed_names_the_flag(self, capsys):
         code, payload = run_cli(
             capsys, "reconstruct", "--fixture", "paper_fig4", "--seed", "-1"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import field_vector_at
 from nvvortex.errors import InvalidOptics, QuadratureNotConverged
 from nvvortex.focal_field import (
     OpticalConfig,
     azimuthal_field,
     azimuthal_field_profile,
-    field_vector_at,
     max_aperture_angle,
     node_doubling_error,
     wavenumber,

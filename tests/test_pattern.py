@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import field_vector_at
 from nvvortex.errors import NonUnitVector
 from nvvortex.focal_field import (
+    OpticalConfig,
     azimuthal_field,
     azimuthal_field_profile,
-    field_vector_at,
 )
 from nvvortex.pattern import (
     MAX_PIXELS,
@@ -259,25 +260,94 @@ class TestSimulatePattern:
         assert np.array_equal(a.values, b.values)
 
 
+def quadrature_map(orientation, grid, optics, center, z_nm=0.0, pixels=None):
+    """Unit-amplitude pattern, flattened, with the quadrature run at each
+    pixel's own radius; only at the flat indices ``pixels`` if given."""
+    xs, ys = grid.pixel_positions()
+    dx, dy = (xs - center[0]).ravel(), (ys - center[1]).ravel()
+    if pixels is not None:
+        dx, dy = dx[pixels], dy[pixels]
+    rho = np.hypot(dx, dy)
+    e = azimuthal_field_profile(rho, z_nm, optics)
+    n = orientation.unit_axis
+    safe = np.where(rho > 0.0, rho, 1.0)
+    proj = np.where(rho > 0.0, 1.0 - ((n[1] * dx - n[0] * dy) / safe) ** 2, 1.0)
+    return np.abs(e) ** 2 * proj
+
+
 class TestIntensityMap:
     @pytest.mark.parametrize("offset_px", [(0.0, 0.0), (0.31, -0.27)])
     def test_matches_per_pixel_quadrature(self, optics, offset_px):
-        # the map evaluates each distinct radius once; every pixel must
-        # match the quadrature at its own radius
+        # the map reads every pixel from a Chebyshev expansion of the
+        # quadrature; every pixel must match the quadrature at its own
+        # radius
         grid = ScanGrid(64, 64, 50.0)
         cx, cy = grid.center_nm
         center = (cx + 50.0 * offset_px[0], cy + 50.0 * offset_px[1])
         orientation = NVOrientation(1.1, 0.7)
-        vals = intensity_map(orientation, grid, optics, center_nm=center)
-        xs, ys = grid.pixel_positions()
-        dx, dy = xs - center[0], ys - center[1]
-        rho = np.hypot(dx, dy)
-        e = azimuthal_field_profile(rho.ravel(), 0.0, optics).reshape(rho.shape)
-        n = orientation.unit_axis
-        safe = np.where(rho > 0.0, rho, 1.0)
-        proj = np.where(rho > 0.0, 1.0 - ((n[1] * dx - n[0] * dy) / safe) ** 2, 1.0)
-        ref = np.abs(e) ** 2 * proj
+        vals = intensity_map(orientation, grid, optics, center_nm=center).ravel()
+        ref = quadrature_map(orientation, grid, optics, center)
         assert np.abs(vals - ref).max() / ref.max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "width, offset_px, z_nm, nodes, subset",
+        [
+            (256, (0.31, -0.27), 0.0, 64, 2048),
+            (64, (0.31, -0.27), 300.0, 64, None),
+            (64, (0.31, -0.27), 0.0, 8, None),
+            (1, (0.0, 0.0), 0.0, 64, None),
+            (16, (-30.0, 12.5), 0.0, 64, None),
+        ],
+        ids=["256-off-centre", "defocus-300nm", "8-nodes", "1x1-on-axis", "nv-outside"],
+    )
+    def test_matches_configured_quadrature(self, width, offset_px, z_nm, nodes, subset):
+        optics = OpticalConfig(quadrature_nodes=nodes)
+        grid = ScanGrid(width, width, 50.0)
+        cx, cy = grid.center_nm
+        center = (cx + 50.0 * offset_px[0], cy + 50.0 * offset_px[1])
+        orientation = NVOrientation(1.1, 0.7)
+        pixels = None
+        if subset is not None:
+            pixels = np.random.default_rng(20240917).choice(
+                width * width, subset, replace=False
+            )
+        vals = intensity_map(orientation, grid, optics, center_nm=center, z_nm=z_nm)
+        vals = vals.ravel() if pixels is None else vals.ravel()[pixels]
+        ref = quadrature_map(orientation, grid, optics, center, z_nm, pixels)
+        # on axis the field and the reference vanish, and so must the map
+        assert np.abs(vals - ref).max() <= 1e-13 * ref.max()
+
+    def test_map_uses_the_configured_rule(self):
+        # 8 nodes are far from converged at these radii: the map must
+        # follow them rather than a rule of its own
+        grid = ScanGrid(64, 64, 50.0)
+        cx, cy = grid.center_nm
+        center = (cx + 50.0 * 0.31, cy - 50.0 * 0.27)
+        orientation = NVOrientation(1.1, 0.7)
+        vals = intensity_map(
+            orientation, grid, OpticalConfig(quadrature_nodes=8), center_nm=center
+        ).ravel()
+        ref64 = quadrature_map(orientation, grid, OpticalConfig(), center)
+        assert np.abs(vals - ref64).max() / ref64.max() > 1e-3
+
+    def test_quadrature_runs_at_the_panel_points_only(self, optics, monkeypatch):
+        # off centre every one of the 65,536 pixels has its own radius;
+        # the expansion needs 25 points on each of 13 panels
+        import nvvortex.pattern as pattern_module
+
+        requested = []
+
+        def counting(r, *args, **kwargs):
+            requested.append(np.size(r))
+            return azimuthal_field_profile(r, *args, **kwargs)
+
+        monkeypatch.setattr(pattern_module, "azimuthal_field_profile", counting)
+        grid = ScanGrid(256, 256, 50.0)
+        cx, cy = grid.center_nm
+        center = (cx + 50.0 * 0.31, cy - 50.0 * 0.27)
+        intensity_map(NVOrientation(1.1, 0.7), grid, optics, center_nm=center)
+        assert len(requested) == 1
+        assert requested[0] <= 25 * 13
 
 
 class TestRadialProfile:

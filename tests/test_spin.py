@@ -213,6 +213,33 @@ class TestFieldEstimate:
         assert est.alpha_sigma == pytest.approx(math.hypot(0.03 * da1, 0.05 * da2),
                                                 rel=1e-9)
 
+    @pytest.mark.parametrize("alpha_deg", [90.0, 89.99])
+    def test_alpha_sigma_capped_near_90_deg(self, spin_params, alpha_deg):
+        # at exactly 90 deg R rounds to about 1e-16 and the first-order
+        # sigma was 379 rad; the cap keeps it within a quarter turn
+        base = transition_frequencies(59.5, math.radians(alpha_deg), spin_params)
+        pair = TransitionPair(base.omega1, base.omega2, sigma1=0.03, sigma2=0.03)
+        est = field_estimate(pair, spin_params)
+        assert est.alpha_sigma is not None
+        assert 0.0 < est.alpha_sigma <= math.pi / 4
+
+    @pytest.mark.parametrize("alpha_deg", [30, 45, 60])
+    def test_alpha_sigma_unchanged_away_from_90_deg(self, spin_params, alpha_deg):
+        # the first-order interval of R = cos^2(alpha) stays inside
+        # [0, 1], so the first-order value is returned as it is
+        base = transition_frequencies(59.5, math.radians(alpha_deg), spin_params)
+        pair = TransitionPair(base.omega1, base.omega2, sigma1=0.03, sigma2=0.03)
+        est = field_estimate(pair, spin_params)
+        ratio = math.cos(est.alpha_candidates[0]) ** 2
+        sigma_r = 2.0 * math.sqrt(ratio * (1.0 - ratio)) * est.alpha_sigma
+        assert 0.0 < sigma_r < min(ratio, 1.0 - ratio)
+        uncapped = field_estimate(
+            TransitionPair(base.omega1, base.omega2, sigma1=0.003, sigma2=0.003),
+            spin_params,
+        )
+        # first order is linear in the line sigmas
+        assert est.alpha_sigma == pytest.approx(10.0 * uncapped.alpha_sigma, rel=1e-12)
+
     def test_alpha_sigma_none_where_gradient_is_unbounded(self, spin_params):
         base = transition_frequencies(59.5, 0.0, spin_params)
         pair = TransitionPair(base.omega1, base.omega2, sigma1=0.03, sigma2=0.03)
