@@ -94,7 +94,7 @@ def write_scan_image_csv(image: ScanImage, path) -> None:
         f"{float(g.origin_nm[0])!r},{float(g.origin_nm[1])!r}",
     ]
     for row in image.values:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row.tolist())))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -271,71 +271,111 @@ def invert_magnitude(pair: TransitionPair, d: float = 2870.0,
     return math.sqrt(max(r, 0.0) / 3.0) / gamma_e
 
 
-def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, float]:
-    """Cone-angle candidates {alpha, pi - alpha} (rad) from the mI = 0
-    pair. Raises DegenerateField at zero field (the formula's
-    denominator vanishes) and InconsistentFrequencies if the arccos
-    argument falls outside [0, 1] beyond tolerance."""
+def _ratio_slopes(
+    w1: float, w2: float, d: float, ratio: float
+) -> tuple[float, float, float]:
+    """(n1, n2, m) with dR/dw_i = n_i / m at R = ratio, for
+    R = cos^2(alpha) = p q s / (9 d r) with the factors of
+    invert_polar_angle: dR/dw = (dN/dw - 9 d R dr/dw) / (9 d r)."""
+    p, q, s = 2.0 * w1 - w2 - d, w1 - 2.0 * w2 + d, w1 + w2 + d
+    r = w1 * w1 + w2 * w2 - w1 * w2 - d * d
+    k = 9.0 * d * ratio
+    return (
+        2.0 * q * s + p * s + p * q - k * (2.0 * w1 - w2),
+        p * q - q * s - 2.0 * p * s - k * (2.0 * w2 - w1),
+        9.0 * d * r,
+    )
+
+
+def _ratio_sigma(pair: TransitionPair, d: float, ratio: float) -> float | None:
+    """First-order 1-sigma of R = cos^2(alpha) at R = ratio from the
+    line sigmas; None when the pair carries no sigmas. Finite wherever
+    the field is not degenerate, R = 0 and R = 1 included."""
+    if pair.sigma1 is None or pair.sigma2 is None:
+        return None
+    n1, n2, m = _ratio_slopes(pair.omega1, pair.omega2, d, ratio)
+    return math.hypot(n1 * pair.sigma1, n2 * pair.sigma2) / m
+
+
+def _cone_ratio(pair: TransitionPair, d: float) -> float:
+    """R = cos^2(alpha) of the pair, clamped to [0, 1]; see
+    invert_polar_angle for the tolerance and the errors."""
     w1, w2 = pair.omega1, pair.omega2
     r = w1 * w1 + w2 * w2 - w1 * w2 - d * d  # equals 3 (gamma_e B)^2
-    tol = RADICAND_RTOL * d * d
-    if r <= tol:
+    if r <= RADICAND_RTOL * d * d:
         raise DegenerateField(
             "transition pair implies B ~ 0; the cone angle is undefined"
         )
     num = (2.0 * w1 - w2 - d) * (w1 - 2.0 * w2 + d) * (w1 + w2 + d)
     ratio = num / (9.0 * d * r)
-    if ratio < -RADICAND_RTOL or ratio > 1.0 + RADICAND_RTOL:
+    tol = RADICAND_RTOL
+    if not 0.0 <= ratio <= 1.0:
+        sigma_r = _ratio_sigma(pair, d, ratio)
+        if sigma_r is not None:
+            tol = max(tol, 5.0 * sigma_r)
+    if ratio < -tol or ratio > 1.0 + tol:
         raise InconsistentFrequencies(
-            f"arccos argument {ratio:.6g} outside [0, 1] beyond tolerance"
+            f"arccos argument {ratio:.6g} outside [0, 1] beyond tolerance {tol:.3g}"
         )
-    c = math.sqrt(min(max(ratio, 0.0), 1.0))
-    a = math.acos(c)
+    return min(max(ratio, 0.0), 1.0)
+
+
+def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, float]:
+    """Cone-angle candidates {alpha, pi - alpha} (rad) from the mI = 0
+    pair. Raises DegenerateField at zero field (the formula's
+    denominator vanishes) and InconsistentFrequencies if the arccos
+    argument R = cos^2(alpha) falls outside [0, 1] beyond tolerance.
+
+    The tolerance is RADICAND_RTOL, widened to 5 sigma_R when the pair
+    carries both line sigmas: line noise moves R past the end of its
+    range on about half the pairs of a cone at 0 or 90 deg, and such a
+    pair is clamped rather than rejected."""
+    a = math.acos(math.sqrt(_cone_ratio(pair, d)))
     return (a, math.pi - a)
 
 
 def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     """Magnitude and cone-angle candidates with 1-sigma uncertainties
     propagated to first order from the line sigmas, both analytic.
-    alpha_sigma is None where the cone angle is 0 or 90 deg, at which
-    its gradient is unbounded.
+    alpha_sigma is None where the cone angle is 0 deg, at which its
+    gradient is unbounded.
 
     Near 90 deg, where |dalpha/dR| grows like 1 / sqrt(R), the
-    first-order sigma_R = 2 sqrt(R (1 - R)) alpha_sigma of
-    R = cos^2(alpha) can reach past R = 0. alpha_sigma is then capped at
-    the half-width of acos(sqrt(R')) over R' in [0, R + sigma_R], at
-    most pi/4. An interval that stays above 0 needs no cap: its
+    first-order sigma_R of R = cos^2(alpha) can reach past R = 0.
+    alpha_sigma is then capped at the half-width of acos(sqrt(R')) over
+    R' in [0, R + sigma_R], at most pi/4; a pair clamped to R = 0 gets
+    the cap alone. An interval that stays above 0 needs no cap: its
     half-width is sigma_R times the mean of the convex |dalpha/dR| over
     it, never below the first-order value. Near 0 deg the first-order
     value is kept."""
     b = invert_magnitude(pair, params.d, params.gamma_e)
-    alphas = invert_polar_angle(pair, params.d)
+    ratio = _cone_ratio(pair, params.d)
+    a = math.acos(math.sqrt(ratio))
     b_sigma = alpha_sigma = None
-    if pair.sigma1 is not None and pair.sigma2 is not None:
-        w1, w2, d = pair.omega1, pair.omega2, params.d
+    sigma_r = _ratio_sigma(pair, params.d, ratio)
+    if sigma_r is not None:
+        w1, w2 = pair.omega1, pair.omega2
         g2b = 3.0 * params.gamma_e**2 * b
         if g2b > 0.0:
             db1 = (2.0 * w1 - w2) / (2.0 * g2b)
             db2 = (2.0 * w2 - w1) / (2.0 * g2b)
             b_sigma = math.hypot(db1 * pair.sigma1, db2 * pair.sigma2)
-        # alpha = acos(sqrt(R)) with R = p q s / (9 d r), the factors of
-        # invert_polar_angle; dR/dw = (dN/dw - 9 d R dr/dw) / (9 d r)
-        p, q, s = 2.0 * w1 - w2 - d, w1 - 2.0 * w2 + d, w1 + w2 + d
-        r = w1 * w1 + w2 * w2 - w1 * w2 - d * d
-        ratio = min(max(p * q * s / (9.0 * d * r), 0.0), 1.0)
-        if ratio * (1.0 - ratio) > 0.0:
-            scale = -1.0 / (18.0 * d * r * math.sqrt(ratio * (1.0 - ratio)))
-            k = 9.0 * d * ratio
-            da1 = scale * (2.0 * q * s + p * s + p * q - k * (2.0 * w1 - w2))
-            da2 = scale * (p * q - q * s - 2.0 * p * s - k * (2.0 * w2 - w1))
-            alpha_sigma = math.hypot(da1 * pair.sigma1, da2 * pair.sigma2)
-            sigma_r = 2.0 * math.sqrt(ratio * (1.0 - ratio)) * alpha_sigma
-            if sigma_r > ratio:
-                # acos(0) - acos(sqrt(R')) = asin(sqrt(R'))
-                cap = 0.5 * math.asin(math.sqrt(min(ratio + sigma_r, 1.0)))
-                alpha_sigma = min(alpha_sigma, cap)
+        if 0.0 < ratio < 1.0:
+            # alpha = acos(sqrt(R)): dalpha/dR = -1 / (2 sqrt(R (1 - R)))
+            n1, n2, m = _ratio_slopes(w1, w2, params.d, ratio)
+            scale = -1.0 / (2.0 * m * math.sqrt(ratio * (1.0 - ratio)))
+            alpha_sigma = math.hypot(
+                scale * n1 * pair.sigma1, scale * n2 * pair.sigma2
+            )
+        if ratio < 1.0 and sigma_r >= ratio:
+            # acos(0) - acos(sqrt(R')) = asin(sqrt(R'))
+            cap = 0.5 * math.asin(math.sqrt(min(ratio + sigma_r, 1.0)))
+            alpha_sigma = cap if alpha_sigma is None else min(alpha_sigma, cap)
     return FieldEstimate(
-        b=b, alpha_candidates=alphas, b_sigma=b_sigma, alpha_sigma=alpha_sigma
+        b=b,
+        alpha_candidates=(a, math.pi - a),
+        b_sigma=b_sigma,
+        alpha_sigma=alpha_sigma,
     )
 
 
@@ -416,11 +456,8 @@ def _dip_candidates(f: np.ndarray, y: np.ndarray) -> list[float]:
     if depth <= max(1e-12, 5.0 * noise):
         raise FitFailed("no significant dips found in the spectrum")
     cut = baseline - 0.4 * depth
-    idx = [
-        i
-        for i in range(1, y.size - 1)
-        if y[i] < cut and y[i] <= y[i - 1] and y[i] <= y[i + 1]
-    ]
+    mid = y[1:-1]
+    idx = (np.flatnonzero((mid < cut) & (mid <= y[:-2]) & (mid <= y[2:])) + 1).tolist()
     if not idx:
         raise FitFailed("no local minima below the detection threshold")
     # noise can split one dip into several shallow minima; cluster
@@ -457,23 +494,39 @@ def _triplet_model(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and its Jacobian for p = (c1, c2, s1, s2, fwhm, depth_1..6), with the
     centers (c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2).
 
-    With u = f - center and h = fwhm / 2, the Lorentzian derivatives are
-    dL/dcenter = 2 u L^2 / h^2 and dL/dfwhm = L (1 - L) / h."""
+    With u = f - center and h = fwhm / 2, the Lorentzians are
+    L = h^2 / (u^2 + h^2) and their derivatives are
+    dL/dcenter = 2 u L^2 / h^2 and dL/dfwhm = L (1 - L) / h.
+
+    The work arrays are laid out sweep-major, (6, n) with one row per
+    center, so every ufunc runs along the sweep. The Jacobian is built
+    as an (11, n) array and returned as its transposed (n, 11) view,
+    without a copy."""
     c1, c2, s1, s2, w = p[:5]
     depths = p[5:]
     centers = np.array([c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2])
     h = 0.5 * w
-    u = f[:, None] - centers
-    lor = _lorentz(f[:, None], centers, w)
-    d_center = -depths * (2.0 * u * lor * lor / (h * h))  # d model / d center_k
-    jac = np.empty((f.size, 11))
-    jac[:, 0] = d_center[:, :3].sum(axis=1)
-    jac[:, 1] = d_center[:, 3:].sum(axis=1)
-    jac[:, 2] = d_center[:, 2] - d_center[:, 0]
-    jac[:, 3] = d_center[:, 5] - d_center[:, 3]
-    jac[:, 4] = -(lor * (1.0 - lor) / h) @ depths
-    jac[:, 5:] = -lor
-    return 1.0 - lor @ depths, jac
+    hh = h * h
+    jac = np.empty((11, f.size))
+    lor = jac[5:]  # L in the depth rows, negated once it is no longer needed
+    u = f - centers[:, None]
+    np.multiply(u, u, out=lor)
+    lor += hh
+    np.divide(hh, lor, out=lor)
+    model = 1.0 - depths @ lor
+    d_center = u  # d model / d center_k, built in place of u
+    d_center *= lor
+    d_center *= lor
+    d_center *= (-2.0 / hh) * depths[:, None]
+    d_center[:3].sum(axis=0, out=jac[0])
+    d_center[3:].sum(axis=0, out=jac[1])
+    np.subtract(d_center[2], d_center[0], out=jac[2])
+    np.subtract(d_center[5], d_center[3], out=jac[3])
+    d_width = np.subtract(1.0, lor, out=d_center)  # reuses the (6, n) work array
+    d_width *= lor
+    np.dot(depths / -h, d_width, out=jac[4])
+    np.negative(lor, out=lor)
+    return model, jac.T
 
 
 def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from nvvortex.errors import FitFailed
 from nvvortex.focal_field import OpticalConfig, azimuthal_field
 from nvvortex.pattern import ScanGrid
-from nvvortex.spin import SpinParams
+from nvvortex.spin import SpinParams, _lorentz
 
 settings.register_profile(
     "suite",
@@ -83,3 +84,53 @@ def field_vector_at(point, beam_center, z: float, config: OpticalConfig) -> np.n
     amp = azimuthal_field(rho, p[2] - z, config)
     phi_hat = np.array([-dy / rho, dx / rho, 0.0])
     return amp * phi_hat
+
+
+def triplet_model_reference(
+    f: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-triplet model and (n, 11) Jacobian in the sample-major (n, 6)
+    layout, one column per center: the reference for the sweep-major
+    ``spin._triplet_model``."""
+    c1, c2, s1, s2, w = p[:5]
+    depths = p[5:]
+    centers = np.array([c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2])
+    h = 0.5 * w
+    u = f[:, None] - centers
+    lor = _lorentz(f[:, None], centers, w)
+    d_center = -depths * (2.0 * u * lor * lor / (h * h))
+    jac = np.empty((f.size, 11))
+    jac[:, 0] = d_center[:, :3].sum(axis=1)
+    jac[:, 1] = d_center[:, 3:].sum(axis=1)
+    jac[:, 2] = d_center[:, 2] - d_center[:, 0]
+    jac[:, 3] = d_center[:, 5] - d_center[:, 3]
+    jac[:, 4] = -(lor * (1.0 - lor) / h) @ depths
+    jac[:, 5:] = -lor
+    return 1.0 - lor @ depths, jac
+
+
+def dip_candidates_reference(f: np.ndarray, y: np.ndarray) -> list[float]:
+    """``spin._dip_candidates`` with the local minima found by a loop
+    over every sweep point: the reference for its single mask."""
+    baseline = float(np.median(y))
+    depth = baseline - float(y.min())
+    noise = 1.4826 * float(np.median(np.abs(y - baseline)))
+    if depth <= max(1e-12, 5.0 * noise):
+        raise FitFailed("no significant dips found in the spectrum")
+    cut = baseline - 0.4 * depth
+    idx = [
+        i
+        for i in range(1, y.size - 1)
+        if y[i] < cut and y[i] <= y[i - 1] and y[i] <= y[i + 1]
+    ]
+    if not idx:
+        raise FitFailed("no local minima below the detection threshold")
+    radius = max(4.0 * float(f[1] - f[0]), 1.0)
+    merged: list[int] = []
+    for i in idx:
+        if merged and f[i] - f[merged[-1]] < radius:
+            if y[i] < y[merged[-1]]:
+                merged[-1] = i
+            continue
+        merged.append(i)
+    return [float(f[i]) for i in merged]

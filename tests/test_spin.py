@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvvortex import least_squares
+from conftest import dip_candidates_reference, triplet_model_reference
+from nvvortex import least_squares, spin
 from nvvortex.errors import (
     DegenerateField,
     FitFailed,
@@ -20,6 +21,7 @@ from nvvortex.spin import (
     Spectrum,
     SweepSettings,
     TransitionPair,
+    _dip_candidates,
     _lorentz,
     _triplet_model,
     add_contrast_noise,
@@ -158,6 +160,27 @@ class TestInversion:
         # both transitions far above D cannot come from a real tilt
         with pytest.raises(InconsistentFrequencies):
             invert_polar_angle(TransitionPair(3100.0, 3105.0))
+        # R = -0.0137 lies far beyond 5 sigma_R = 6.4e-6 of these sigmas
+        with pytest.raises(InconsistentFrequencies):
+            invert_polar_angle(TransitionPair(3100.0, 3105.0, 0.03, 0.03))
+
+    @pytest.mark.parametrize("alpha_deg", [90.0, 0.0, 0.5])
+    def test_noisy_pairs_at_range_ends_accepted(self, spin_params, alpha_deg):
+        # line noise moves R = cos^2(alpha) past 0 or 1 on about half of
+        # these pairs, by a few sigma_R, far beyond RADICAND_RTOL
+        base = transition_frequencies(59.5, math.radians(alpha_deg), spin_params)
+        noise = np.random.default_rng(0).normal(0.0, 0.03, (2000, 2))
+        outside = 0
+        for n1, n2 in noise:
+            w1, w2 = sorted((base.omega1 + n1, base.omega2 + n2))
+            lo, hi = invert_polar_angle(TransitionPair(w1, w2, 0.03, 0.03))
+            assert 0.0 <= lo <= math.pi / 2 and hi == math.pi - lo
+            try:
+                invert_polar_angle(TransitionPair(w1, w2))
+            except InconsistentFrequencies:
+                outside += 1
+        # without sigmas the tolerance stays RADICAND_RTOL
+        assert outside > 800
 
     @given(st.floats(1.0, 100.0), st.floats(0.01, math.pi - 0.01))
     @settings(max_examples=100)
@@ -239,6 +262,17 @@ class TestFieldEstimate:
         )
         # first order is linear in the line sigmas
         assert est.alpha_sigma == pytest.approx(10.0 * uncapped.alpha_sigma, rel=1e-12)
+
+    def test_alpha_sigma_capped_on_noisy_pairs_at_90_deg(self, spin_params):
+        # about half of these pairs are clamped to R = 0, where the
+        # first-order sigma is unbounded; they get the cap alone
+        base = transition_frequencies(59.5, math.pi / 2, spin_params)
+        noise = np.random.default_rng(0).normal(0.0, 0.03, (2000, 2))
+        for n1, n2 in noise:
+            w1, w2 = sorted((base.omega1 + n1, base.omega2 + n2))
+            est = field_estimate(TransitionPair(w1, w2, 0.03, 0.03), spin_params)
+            assert est.alpha_sigma is not None
+            assert 0.0 < est.alpha_sigma <= math.pi / 4
 
     def test_alpha_sigma_none_where_gradient_is_unbounded(self, spin_params):
         base = transition_frequencies(59.5, 0.0, spin_params)
@@ -375,6 +409,30 @@ def criterion7_spectrum(spin_params):
     )
 
 
+#: the benchmark's wide sweep: the default 0.1 MHz step over 2680-3060 MHz
+WIDE_SWEEP = SweepSettings(2680.0, 3060.0, 3801)
+
+
+def wide_spectrum(spin_params, theta_deg=109.84, phi_deg=20.60):
+    """Noiseless criterion-7 field over the wide sweep, any NV axis."""
+    bdir = NVOrientation.from_degrees(8.59, 182.56)
+    return simulate_odmr_spectrum(
+        59.5 * bdir.unit_axis, NVOrientation.from_degrees(theta_deg, phi_deg),
+        spin_params, sweep=WIDE_SWEEP,
+    )
+
+
+def assert_matches_reference(f, p):
+    """Sweep-major model against the (n, 6) reference: the model within
+    1e-15 of its peak, each Jacobian column within 1e-13 of its own."""
+    model, jac = _triplet_model(f, p)
+    ref_model, ref_jac = triplet_model_reference(f, p)
+    assert jac.shape == (f.size, 11) and jac.T.flags.c_contiguous
+    assert np.max(np.abs(model - ref_model)) <= 1e-15 * np.max(np.abs(ref_model))
+    err = np.max(np.abs(jac - ref_jac), axis=0)
+    assert np.all(err <= 1e-13 * np.max(np.abs(ref_jac), axis=0)), err
+
+
 class TestFitSpectrum:
     def test_recovers_model_class_centers_exactly(self):
         f = np.linspace(2780.0, 2980.0, 2001)
@@ -421,10 +479,14 @@ class TestFitSpectrum:
         (2804.06, 2958.73, 2.14, 2.14, 0.8, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),
         (2850.3, 2890.1, 1.7, 2.6, 1.3, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06),
         (2805.0, 2950.0, -2.2, 2.0, -0.6, 0.03, -0.01, 0.02, 0.03, 0.0, 0.025),
+        (2805.0, 2950.0, -2.2, -1.9, 0.8, 0.03, 0.01, 0.02, 0.03, 0.04, 0.025),
+        (2804.06, 2958.73, 2.14, 2.14, 0.05, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),
+        (2804.06, 2958.73, 2.14, -2.6, 20.0, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06),
     ])
     def test_triplet_jacobian_matches_central_differences(self, point):
         f = np.linspace(2780.0, 2980.0, 2001)
         p = np.array(point)
+        assert_matches_reference(f, p)
         _, jac = _triplet_model(f, p)
         h = 1e-5
         for i in range(p.size):
@@ -432,6 +494,61 @@ class TestFitSpectrum:
             e[i] = h
             fd = (_triplet_model(f, p + e)[0] - _triplet_model(f, p - e)[0]) / (2 * h)
             assert np.linalg.norm(jac[:, i] - fd) <= 1e-6 * np.linalg.norm(jac[:, i])
+
+    def test_fit_path_pinned(self, spin_params, monkeypatch):
+        # a change to the model's rounding that perturbs the
+        # Levenberg-Marquardt path shows here as a different call count
+        # or centre; the literals are what the (n, 6) reference layout gives
+        spec = add_contrast_noise(wide_spectrum(spin_params), 0.002, 11)
+        points = []
+        model = spin._triplet_model
+
+        def recorded(f, p):
+            points.append(p.copy())
+            return model(f, p)
+
+        monkeypatch.setattr(spin, "_triplet_model", recorded)
+        pair = fit_odmr_model(spec).pair
+        assert len(points) == 9
+        assert (pair.omega1, pair.omega2) == (2803.077139454436, 2959.5512226500528)
+        # the zero-depth start, the start with solved depths, the solution
+        for p in (points[0], points[1], points[-1]):
+            assert_matches_reference(spec.frequencies, p)
+
+    @pytest.mark.parametrize("axis", [(0.37, 153.68), (109.84, 20.60),
+                                      (109.25, 260.51), (109.31, 140.74)])
+    def test_dip_candidates_match_loop_on_noisy_spectra(self, spin_params, axis):
+        spec = wide_spectrum(spin_params, *axis)
+        for seed in range(10):
+            for sigma in (0.002, 0.006):
+                y = add_contrast_noise(spec, sigma, seed).contrast
+                f = spec.frequencies
+                assert _dip_candidates(f, y) == dip_candidates_reference(f, y)
+
+    def test_dip_candidates_match_loop_at_ties_and_ends(self):
+        f = np.linspace(2780.0, 2980.0, 500)
+        y = np.ones_like(f)
+        y[[1, 200, 201, 300, f.size - 2]] = 0.9  # a plateau tie at 200-201
+        y[[100, 101, 102]] = [0.95, 0.9, 0.95]
+        found = _dip_candidates(f, y)
+        assert found == dip_candidates_reference(f, y)
+        assert found == [float(f[i]) for i in (1, 101, 200, 300, f.size - 2)]
+        # a tie at the foot of a slope that falls to the first point: only
+        # y[6] <= y[5] makes index 6 a minimum
+        y = np.ones_like(f)
+        y[:7] = [0.80, 0.82, 0.84, 0.86, 0.88, 0.9, 0.9]
+        found = _dip_candidates(f, y)
+        assert found == dip_candidates_reference(f, y) == [float(f[6])]
+
+    def test_dip_candidates_need_a_minimum_below_the_cut(self):
+        # the only dip sits on the first sweep point, which has one
+        # neighbour and is never a local minimum
+        f = np.linspace(2780.0, 2980.0, 500)
+        y = np.ones_like(f)
+        y[0] = 0.9
+        for search in (_dip_candidates, dip_candidates_reference):
+            with pytest.raises(FitFailed, match="no local minima"):
+                search(f, y)
 
     def test_exhausted_budget_raises(self, spin_params, monkeypatch):
         spec = criterion7_spectrum(spin_params)
