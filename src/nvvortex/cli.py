@@ -104,7 +104,7 @@ def measure_nv(
         axis=NVOrientation(fit.theta, fit.phi),
         alpha=estimate.alpha_candidates[0],
         b=estimate.b,
-        alpha_sigma=estimate.alpha_sigma or 0.0,
+        alpha_sigma=estimate.alpha_sigma,
         b_sigma=estimate.b_sigma or 0.0,
         label=label,
     )

@@ -84,6 +84,28 @@ def read_json(path):
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _read_table(
+    path, header: list[str], preamble: int
+) -> tuple[list[str], np.ndarray]:
+    """A CSV table: the row of column names ``header``, then ``preamble``
+    rows returned as text, then numeric rows parsed in one call. Blank
+    lines are skipped and cells may carry surrounding whitespace; every
+    malformed input raises FileFormatError naming ``path``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [ln for ln in handle.read().splitlines() if ln.strip()]
+    if len(lines) < 2 + preamble:
+        raise FileFormatError(f"{path}: truncated table (need header + rows)")
+    if [c.strip() for c in lines[0].split(",")] != header:
+        raise FileFormatError(
+            f"{path}: bad header {lines[0].strip()!r}, expected {','.join(header)}"
+        )
+    try:
+        body = np.loadtxt(lines[1 + preamble:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: data rows: {exc}") from exc
+    return lines[1:1 + preamble], body
+
+
 # ---------------------------------------------------------------- scan images
 
 def write_scan_image_csv(image: ScanImage, path) -> None:
@@ -99,15 +121,8 @@ def write_scan_image_csv(image: ScanImage, path) -> None:
 
 
 def read_scan_image_csv(path) -> ScanImage:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = [ln.strip() for ln in handle if ln.strip()]
-    if len(raw) < 3:
-        raise FileFormatError(f"{path}: truncated scan image (need header + rows)")
-    if [c.strip() for c in raw[0].split(",")] != _IMAGE_HEADER:
-        raise FileFormatError(
-            f"{path}: bad header {raw[0]!r}, expected {','.join(_IMAGE_HEADER)}"
-        )
-    fields = raw[1].split(",")
+    (grid_row,), values = _read_table(path, _IMAGE_HEADER, 1)
+    fields = grid_row.split(",")
     if len(fields) != 5:
         raise FileFormatError(f"{path}: header value row needs 5 fields")
     try:
@@ -116,22 +131,11 @@ def read_scan_image_csv(path) -> ScanImage:
         origin = (float(fields[3]), float(fields[4]))
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header values: {exc}") from exc
-    body = raw[2:]
-    if len(body) != height:
+    if values.shape != (height, width):
         raise FileFormatError(
-            f"{path}: expected {height} data rows, found {len(body)}"
+            f"{path}: expected {height} data rows of {width} values, found "
+            f"{values.shape[0]} rows of {values.shape[1]}"
         )
-    values = np.empty((height, width))
-    for iy, line in enumerate(body):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise FileFormatError(
-                f"{path}: row {iy} has {len(cells)} values, expected {width}"
-            )
-        try:
-            values[iy] = [float(c) for c in cells]
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: row {iy}: {exc}") from exc
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise FileFormatError(f"{path}: intensities must be finite and >= 0")
     try:
@@ -183,26 +187,14 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = [ln.strip() for ln in handle if ln.strip()]
-    if len(raw) < 3:
-        raise FileFormatError(f"{path}: truncated spectrum")
-    if [c.strip() for c in raw[0].split(",")] != _SPECTRUM_HEADER:
+    _, body = _read_table(path, _SPECTRUM_HEADER, 0)
+    if body.shape[1] != 2:
         raise FileFormatError(
-            f"{path}: bad header {raw[0]!r}, expected {','.join(_SPECTRUM_HEADER)}"
+            f"{path}: data rows need 2 columns, found {body.shape[1]}"
         )
-    freqs, contrast = [], []
-    for i, line in enumerate(raw[1:]):
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise FileFormatError(f"{path}: line {i + 2} needs 2 columns")
-        try:
-            freqs.append(float(cells[0]))
-            contrast.append(float(cells[1]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: line {i + 2}: {exc}") from exc
+    frequencies, contrast = np.ascontiguousarray(body.T)
     try:
-        return Spectrum(frequencies=np.array(freqs), contrast=np.array(contrast))
+        return Spectrum(frequencies=frequencies, contrast=contrast)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

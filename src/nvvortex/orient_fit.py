@@ -4,11 +4,12 @@ At a fixed centre the pattern is linear in three basis images plus the
 background, so the axis angles, amplitude and background come from one
 linear least-squares solve and a 2x2 eigenproblem; a single 2-D
 Levenberg-Marquardt search over the centre minimizes what that solve
-leaves (variable projection, Golub & Pereyra 1973). A pattern determines
-the axis only up to the axis/antiaxis equivalence and a 180-degree
-azimuth rotation, so results are canonicalized to theta in [0, pi/2],
-phi in [0, pi), with ``mirror_phi`` carrying the other member of the
-ambiguity pair.
+leaves (variable projection, Golub & Pereyra 1973), with Kaufman's
+(1975) form of the variable-projection Jacobian read from the radial
+profile and its slope. A pattern determines the axis only up to the
+axis/antiaxis equivalence and a 180-degree azimuth rotation, so results
+are canonicalized to theta in [0, pi/2], phi in [0, pi), with
+``mirror_phi`` carrying the other member of the ambiguity pair.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ __all__ = [
 TETRAHEDRAL_POLAR = math.acos(-1.0 / 3.0)
 
 PHI_IDENTIFIABLE_MIN_THETA = math.radians(5.0)
-
-#: central-difference step (pixels) of the centre search's Jacobian
-CENTER_STEP_PX = 1e-3
 
 
 @dataclass
@@ -143,20 +141,40 @@ def _linear_fit(
     ys: np.ndarray,
     d: np.ndarray,
     profile: RadialIntensityProfile,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares coefficients (p, q, s, bg) of the basis images
     R dx^2/rho^2, R dy^2/rho^2, R dx dy/rho^2 and 1 at a fixed centre,
-    and the residual they leave. At rho = 0 the first three are 0 (R has
-    an exact null on the axis)."""
+    the residual r = P d they leave, and its Jacobian with respect to
+    the centre (nm) in Kaufman's form (BIT 15, 49, 1975), -P (dA/dc)
+    coef, with P = I - A A^+ the projector off the basis A. That form
+    drops the part of the full variable-projection Jacobian that lies in
+    the span of A, which leaves the gradient J^T r exact. At rho = 0 the
+    first three basis images and their derivatives are 0 (R has an
+    exact, even null on the axis)."""
     dx = xs - center_nm[0]
     dy = ys - center_nm[1]
     rho2 = dx * dx + dy * dy
-    w = np.divide(
-        profile(np.sqrt(rho2)), rho2, out=np.zeros_like(rho2), where=rho2 > 0.0
+    rho = np.sqrt(rho2)
+    r, slope = profile.value_and_slope(rho)
+    off_axis = rho2 > 0.0
+    w = np.divide(r, rho2, out=np.zeros_like(rho2), where=off_axis)
+    # (dw/drho) / rho for w = R / rho^2
+    w_rate = np.divide(
+        slope * rho - 2.0 * r, rho2 * rho2, out=np.zeros_like(rho2), where=off_axis
     )
     basis = np.column_stack((w * dx * dx, w * dy * dy, w * dx * dy, np.ones_like(w)))
     coef = np.linalg.lstsq(basis, d, rcond=None)[0]
-    return coef, d - basis @ coef
+    p, q, s = coef[:3]
+    quad = w_rate * (p * dx * dx + q * dy * dy + s * dx * dy)
+    # d(basis @ coef) / d(cx, cy), where dx and dy fall as the centre moves
+    dmodel = -np.column_stack(
+        (
+            quad * dx + w * (2.0 * p * dx + s * dy),
+            quad * dy + w * (2.0 * q * dy + s * dx),
+        )
+    )
+    jac = basis @ np.linalg.lstsq(basis, dmodel, rcond=None)[0] - dmodel
+    return coef, d - basis @ coef, jac
 
 
 def _angles_from_coefficients(p: float, q: float, s: float) -> tuple[float, float]:
@@ -182,8 +200,8 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     the background, so (theta, phi, amplitude, background) follow from a
     linear least-squares solve (``_linear_fit``) and a 2x2 eigenproblem.
     One Levenberg-Marquardt search over the centre, in pixels from the
-    intensity centroid, minimizes the residual of that solve, with the
-    Jacobian from central differences of step CENTER_STEP_PX. Amplitude,
+    intensity centroid, minimizes the residual of that solve, with
+    Kaufman's variable-projection Jacobian from the same solve. Amplitude,
     background and residual are reported by ``pattern_residual`` at the
     returned angles and centre. Deterministic for a fixed image. Raises
     NoConvergence when the centre search exhausts its iteration budget
@@ -202,17 +220,9 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     def to_nm(p) -> tuple[float, float]:
         return (ox + p[0] * pitch, oy + p[1] * pitch)
 
-    def leftover(p: np.ndarray) -> np.ndarray:
-        return _linear_fit(to_nm(p), xs, ys, d, profile)[1]
-
     def leftover_and_jacobian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        jac = np.column_stack(
-            [
-                (leftover(p + e) - leftover(p - e)) / (2.0 * CENTER_STEP_PX)
-                for e in CENTER_STEP_PX * np.eye(2)
-            ]
-        )
-        return leftover(p), jac
+        _, leftover, jac = _linear_fit(to_nm(p), xs, ys, d, profile)
+        return leftover, pitch * jac
 
     result = levenberg_marquardt(leftover_and_jacobian, _intensity_centroid(image))
     if not result.converged:
@@ -220,7 +230,7 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
             f"centre search did not converge in {result.iterations} iterations"
         )
     center = to_nm(result.x)
-    coef, _ = _linear_fit(center, xs, ys, d, profile)
+    coef = _linear_fit(center, xs, ys, d, profile)[0]
     theta, phi = _angles_from_coefficients(*coef[:3])
     residual, amplitude, background = pattern_residual(
         theta, phi, center, image, optics, profile

@@ -199,49 +199,94 @@ _PANEL_NODES = 0.5 + 0.5 * np.cos(
 )
 
 
-def _field_intensity(
-    rho: np.ndarray, z_nm: float, optics: OpticalConfig
-) -> np.ndarray:
-    """|E_phi(rho, z)|^2 from a piecewise-Chebyshev expansion of the
-    configured quadrature.
+def _clenshaw(coef: np.ndarray, panel: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """sum_j coef[j, ..., panel] T_j(u) by Clenshaw's recurrence, u2 = 2u;
+    the shape is coef.shape[1:-1] + u2.shape."""
+    b1 = np.zeros(coef.shape[1:-1] + u2.shape, dtype=coef.dtype)
+    b2 = np.zeros_like(b1)
+    for c in coef[:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c.take(panel, axis=-1), b1
+    return 0.5 * u2 * b1 - b2 + coef[0].take(panel, axis=-1)
+
+
+def _abs2(e: np.ndarray) -> np.ndarray:
+    return e.real**2 + e.imag**2 if np.iscomplexobj(e) else e * e
+
+
+@dataclass
+class RadialIntensityProfile:
+    """|E_phi(rho, z)|^2 on [0, r_max_nm] from a piecewise-Chebyshev
+    expansion of the configured quadrature.
 
     E_phi is a sum of J1(k rho sin t) over the quadrature nodes, a
     function of rho band-limited to k sin alpha, so on equal panels of
-    [0, max rho] no wider than _PANEL_WIDTH / (k sin alpha) a series of
+    [0, r_max_nm] no wider than _PANEL_WIDTH / (k sin alpha) a series of
     degree _PANEL_DEGREE matches it to rounding (Trefethen, Approximation
-    Theory and Approximation Practice, ch. 8). The quadrature runs at
-    the panels' Chebyshev points only, in one call, and every pixel is
-    read from its panel's series by Clenshaw's recurrence. The series
+    Theory and Approximation Practice, ch. 8): the profile reproduces the
+    quadrature to about 1e-15 of the peak. The quadrature runs at the
+    panels' Chebyshev points only, in one call, and every radius is read
+    from its panel's series by Clenshaw's recurrence. The series
     interpolates the samples at the points as they round in rho, mapped
     to the panel coordinate exactly as at evaluation, so rounding the
-    points moves no value off its point.
+    points moves no value off its point. The on-axis null is exact:
+    profile(0) is 0. Radii beyond r_max_nm read the value at r_max_nm.
     """
-    r_max = float(rho.max())
-    if r_max == 0.0:
-        return np.zeros_like(rho)  # E_phi vanishes on the beam axis
-    bandwidth = wavenumber(optics) * math.sin(max_aperture_angle(optics))
-    panels = max(1, math.ceil(bandwidth * r_max / _PANEL_WIDTH))
-    start = np.arange(panels)[:, None]  # panel starts, in panel widths
-    r = (start + _PANEL_NODES) * (r_max / panels)
-    u = 2.0 * (r * (panels / r_max) - start) - 1.0
-    vander = np.ones(u.shape + u.shape[-1:])  # vander[p, i, j] = T_j(u_pi)
-    vander[..., 1] = u
-    for j in range(2, _PANEL_DEGREE + 1):
-        vander[..., j] = 2.0 * u * vander[..., j - 1] - vander[..., j - 2]
-    samples = azimuthal_field_profile(r, z_nm, optics)
-    if not np.any(samples.imag):
-        samples = samples.real  # z = 0: keep the recurrence real
-    # coef[j] holds the T_j coefficient of every panel
-    coef = np.linalg.solve(vander, samples[..., None])[..., 0].T
-    t = rho * (panels / r_max)
-    panel = np.minimum(t.astype(np.intp), panels - 1)
-    u2 = 4.0 * (t - panel) - 2.0  # 2u, u in [-1, 1] across the panel
-    b1 = np.zeros_like(rho, dtype=coef.dtype)
-    b2 = np.zeros_like(b1)
-    for c in coef[:0:-1]:
-        b1, b2 = u2 * b1 - b2 + c.take(panel), b1
-    e = 0.5 * u2 * b1 - b2 + coef[0].take(panel)
-    return e.real**2 + e.imag**2 if np.iscomplexobj(e) else e * e
+
+    #: coef[j, 0, p] and coef[j, 1, p]: T_j coefficients of E_phi and of
+    #: dE_phi / drho on panel p
+    coef: np.ndarray
+    r_max_nm: float
+    panels_per_nm: float
+
+    @classmethod
+    def build(
+        cls, optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
+    ) -> "RadialIntensityProfile":
+        if r_max_nm == 0.0:  # E_phi vanishes on the beam axis
+            return cls(np.zeros((_PANEL_DEGREE + 1, 2, 1)), 0.0, 0.0)
+        bandwidth = wavenumber(optics) * math.sin(max_aperture_angle(optics))
+        panels = max(1, math.ceil(bandwidth * r_max_nm / _PANEL_WIDTH))
+        start = np.arange(panels)[:, None]  # panel starts, in panel widths
+        r = (start + _PANEL_NODES) * (r_max_nm / panels)
+        u = 2.0 * (r * (panels / r_max_nm) - start) - 1.0
+        vander = np.ones(u.shape + u.shape[-1:])  # vander[p, i, j] = T_j(u_pi)
+        vander[..., 1] = u
+        for j in range(2, _PANEL_DEGREE + 1):
+            vander[..., j] = 2.0 * u * vander[..., j - 1] - vander[..., j - 2]
+        samples = azimuthal_field_profile(r, z_nm, optics)
+        if not np.any(samples.imag):
+            samples = samples.real  # z = 0: keep the recurrence real
+        coef = np.zeros((_PANEL_DEGREE + 1, 2, panels), dtype=samples.dtype)
+        coef[:, 0] = np.linalg.solve(vander, samples[..., None])[..., 0].T
+        # du/drho = 2 panels / r_max on every panel
+        coef[:-1, 1] = np.polynomial.chebyshev.chebder(
+            coef[:, 0], scl=2.0 * panels / r_max_nm
+        )
+        return cls(coef, r_max_nm, panels / r_max_nm)
+
+    def _locate(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Panel of each radius, clamped to r_max_nm, and 2u there."""
+        t = np.minimum(rho, self.r_max_nm) * self.panels_per_nm
+        panel = np.minimum(t.astype(np.intp), self.coef.shape[-1] - 1)
+        return panel, 4.0 * (t - panel) - 2.0  # u in [-1, 1] across the panel
+
+    def __call__(self, rho) -> np.ndarray:
+        rho = np.asarray(rho, dtype=float)
+        e = _clenshaw(self.coef[:, 0], *self._locate(rho))
+        return np.where(rho > 0.0, _abs2(e), 0.0)
+
+    def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
+        """(|E_phi|^2, d|E_phi|^2 / drho) at ``rho``; the slope is 0 on
+        the axis, where |E_phi|^2 is even, and where the radius is
+        clamped to r_max_nm."""
+        rho = np.asarray(rho, dtype=float)
+        e, de = _clenshaw(self.coef, *self._locate(rho))
+        slope = 2.0 * (e.conj() * de).real
+        off_axis = rho > 0.0
+        return (
+            np.where(off_axis, _abs2(e), 0.0),
+            np.where(off_axis & (rho <= self.r_max_nm), slope, 0.0),
+        )
 
 
 def intensity_map(
@@ -257,12 +302,12 @@ def intensity_map(
 
         background + amplitude * |E_phi(rho, z)|^2 * projection_factor.
 
-    E_phi is the configured Gauss-Legendre quadrature, expanded in a
-    piecewise-Chebyshev series over [0, max rho]: the quadrature runs at
-    25 Chebyshev points per panel (325 radii for a 256x256 scan at 50 nm
-    pitch, instead of one per distinct pixel radius) and every pixel is
-    read from its panel's series, which reproduces the quadrature to
-    about 1e-15 of the peak. ``center_nm`` is the NV position (defaults to the grid center).
+    |E_phi|^2 is read from a RadialIntensityProfile over [0, max rho]:
+    the quadrature runs at 25 Chebyshev points per panel (325 radii for
+    a 256x256 scan at 50 nm pitch, instead of one per distinct pixel
+    radius) and every pixel is read from its panel's series, which
+    reproduces the quadrature to about 1e-15 of the peak. ``center_nm``
+    is the NV position (defaults to the grid center).
     """
     if amplitude < 0.0 or background < 0.0:
         raise ValueError("amplitude and background must be >= 0")
@@ -271,7 +316,7 @@ def intensity_map(
     dx = xs - cx
     dy = ys - cy
     rho = np.hypot(dx, dy)
-    e2 = _field_intensity(rho, z_nm, optics)
+    e2 = RadialIntensityProfile.build(optics, float(rho.max()), z_nm)(rho)
     return background + amplitude * e2 * _projection_map(orientation, dx, dy, rho)
 
 
@@ -306,55 +351,6 @@ def simulate_pattern(
     return ScanImage(grid=grid, values=noisy.reshape(mean.shape))
 
 
-#: profile samples per lateral length 1 / (k sin alpha) = lambda / (2 pi NA),
-#: about 1.5 nm at 532 nm and NA 1.4
-_SAMPLES_PER_SCALE = 40
-
-
-@dataclass
-class RadialIntensityProfile:
-    """|E_phi(rho, 0)|^2 on a uniform grid in rho, read back by the
-    4-point cubic (Lagrange) rule.
-
-    The spacing follows the optics: 1/40 of the lateral length
-    lambda / (2 pi NA) on which the field varies, about 1.5 nm for the
-    default objective, so a 31x31 scan needs about 1,000 samples. The
-    rule reproduces the exact quadrature to about 1.6e-8 of the peak and
-    is exact at the samples, so the on-axis null profile(0) is exactly
-    0. The first interval uses the ghost sample |E(-h)|^2 = |E(h)|^2 of
-    the even extension. Lookups beyond r_max_nm clamp to the value at
-    r_max_nm.
-    """
-
-    r_nm: np.ndarray  # 0, h, 2h, ..., at least one step past r_max_nm
-    intensity: np.ndarray
-    r_max_nm: float
-
-    @classmethod
-    def build(cls, optics: OpticalConfig, r_max_nm: float) -> "RadialIntensityProfile":
-        scale = optics.wavelength_nm / (TWO_PI * optics.numerical_aperture)
-        step = scale / _SAMPLES_PER_SCALE
-        r = step * np.arange(math.ceil(r_max_nm / step) + 2)
-        e = azimuthal_field_profile(r, 0.0, optics)
-        return cls(r_nm=r, intensity=e.real**2 + e.imag**2, r_max_nm=r_max_nm)
-
-    def __call__(self, rho) -> np.ndarray:
-        step = self.r_nm[1]
-        t = np.minimum(np.abs(np.asarray(rho, dtype=float)), self.r_max_nm) / step
-        i = np.minimum(t.astype(np.intp), self.r_nm.size - 3)
-        u = t - i
-        # samples at nodes i-1 .. i+2; node -1 is the even-extension ghost
-        f = self.intensity
-        fm = f[np.abs(i - 1)]
-        um, u1, u2 = u - 1.0, u + 1.0, u - 2.0
-        return (
-            (u * um * u2) * (fm * (-1.0 / 6.0))
-            + (u1 * um * u2) * (f[i] * 0.5)
-            + (u1 * u * u2) * (f[i + 1] * -0.5)
-            + (u1 * u * um) * (f[i + 2] * (1.0 / 6.0))
-        )
-
-
 #: how far (pixels) the NV may sit from the grid centre with every pixel
 #: still inside the profile
 PROFILE_MARGIN_PX = 8.0
@@ -380,8 +376,8 @@ def template_map(
 ) -> np.ndarray:
     """Unit-amplitude, zero-background pattern via the cached profile.
 
-    This is the fit-loop fast path: the radial factor comes from the
-    interpolated profile, the projection factor is exact.
+    This is the fit-loop fast path: the radial factor is read from a
+    profile built once per grid, the projection factor is exact.
     """
     xs, ys = grid.pixel_positions()
     dx = xs - center_nm[0]

@@ -336,18 +336,17 @@ def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, 
 
 def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     """Magnitude and cone-angle candidates with 1-sigma uncertainties
-    propagated to first order from the line sigmas, both analytic.
-    alpha_sigma is None where the cone angle is 0 deg, at which its
-    gradient is unbounded.
+    propagated to first order from the line sigmas, both analytic; both
+    are None when the pair carries no sigmas.
 
-    Near 90 deg, where |dalpha/dR| grows like 1 / sqrt(R), the
-    first-order sigma_R of R = cos^2(alpha) can reach past R = 0.
-    alpha_sigma is then capped at the half-width of acos(sqrt(R')) over
-    R' in [0, R + sigma_R], at most pi/4; a pair clamped to R = 0 gets
-    the cap alone. An interval that stays above 0 needs no cap: its
-    half-width is sigma_R times the mean of the convex |dalpha/dR| over
-    it, never below the first-order value. Near 0 deg the first-order
-    value is kept."""
+    Near 90 and 0 deg, where |dalpha/dR| = 1 / (2 sqrt(R (1 - R))) is
+    unbounded, the first-order interval R +- sigma_R of R = cos^2(alpha)
+    can reach past R = 0 or R = 1. alpha_sigma is then capped at the
+    half-width of acos(sqrt(R')) over that interval clipped to [0, 1],
+    at most pi/4; a pair clamped to R = 0 or R = 1 gets the cap alone.
+    An interval inside [0, 1] needs no cap: its half-width is sigma_R
+    times the mean of the convex |dalpha/dR| over it, never below the
+    first-order value."""
     b = invert_magnitude(pair, params.d, params.gamma_e)
     ratio = _cone_ratio(pair, params.d)
     a = math.acos(math.sqrt(ratio))
@@ -367,9 +366,10 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
             alpha_sigma = math.hypot(
                 scale * n1 * pair.sigma1, scale * n2 * pair.sigma2
             )
-        if ratio < 1.0 and sigma_r >= ratio:
-            # acos(0) - acos(sqrt(R')) = asin(sqrt(R'))
-            cap = 0.5 * math.asin(math.sqrt(min(ratio + sigma_r, 1.0)))
+        low, high = ratio - sigma_r, ratio + sigma_r
+        if low <= 0.0 or high >= 1.0:
+            low, high = max(low, 0.0), min(high, 1.0)
+            cap = 0.5 * (math.acos(math.sqrt(low)) - math.acos(math.sqrt(high)))
             alpha_sigma = cap if alpha_sigma is None else min(alpha_sigma, cap)
     return FieldEstimate(
         b=b,

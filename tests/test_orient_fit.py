@@ -170,7 +170,7 @@ class TestFitOrientation:
         )
         fit = fit_orientation(img, optics)
         xs, ys = (a.ravel() for a in grid31.pixel_positions())
-        coef, _ = _linear_fit(
+        coef, _, _ = _linear_fit(
             fit.center_nm, xs, ys, img.values.ravel(),
             radial_profile_for_grid(grid31, optics),
         )
@@ -179,6 +179,41 @@ class TestFitOrientation:
         assert 1.0 - evals[0] / evals[1] > 1.0  # the unclamped sin^2(theta)
         assert math.isfinite(fit.theta)
         assert axis_angle_deg(fit.theta, fit.phi, math.pi / 2, math.radians(30.0)) < 2.0
+
+    def test_centre_jacobian_is_projected_central_difference(self, grid31, optics):
+        # off the optimum the leftover r is not 0, and Kaufman's Jacobian
+        # leaves out the part of dr/dc in the span of the basis; what
+        # remains must match central differences projected off that span
+        clean = make_image(70.0, 60.0, grid31, optics)
+        img = make_image(
+            70.0, 60.0, grid31, optics, amplitude=1e4 / clean.values.max(),
+            background=50.0, noise_seed=3,
+        )
+        xs, ys = (a.ravel() for a in grid31.pixel_positions())
+        d = img.values.ravel()
+        profile = radial_profile_for_grid(grid31, optics)
+        cx, cy = grid31.center_nm
+        center = (cx + 31.0, cy - 22.0)
+        _, leftover, jac = _linear_fit(center, xs, ys, d, profile)
+        h = 1e-3
+        central = np.column_stack([
+            (_linear_fit((center[0] + ex, center[1] + ey), xs, ys, d, profile)[1]
+             - _linear_fit((center[0] - ex, center[1] - ey), xs, ys, d, profile)[1])
+            / (2.0 * h)
+            for ex, ey in h * np.eye(2)
+        ])
+        dx, dy = xs - center[0], ys - center[1]
+        rho2 = dx * dx + dy * dy
+        w = profile(np.sqrt(rho2)) / rho2
+        basis = np.column_stack(
+            (w * dx * dx, w * dy * dy, w * dx * dy, np.ones_like(w))
+        )
+        projected = central - basis @ np.linalg.lstsq(basis, central, rcond=None)[0]
+        assert np.linalg.norm(leftover) > 0.1 * np.linalg.norm(d - d.mean())
+        assert np.abs(projected - jac).max() < 1e-8 * np.abs(jac).max()
+        # the left-out part lies in the span of the basis, so the
+        # gradient J^T r is the exact one
+        assert np.allclose(jac.T @ leftover, central.T @ leftover, rtol=1e-8)
 
     def test_inverted_contrast_is_degenerate(self, grid31, optics):
         img_vals = 10.0 - make_image(70.0, 0.5, grid31, optics).values * 5.0

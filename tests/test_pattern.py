@@ -356,17 +356,30 @@ class TestRadialProfile:
         rng = np.random.default_rng(3)
         rs = rng.uniform(0.0, 1500.0, 300)
         exact = np.array([abs(azimuthal_field(float(r), 0.0, optics)) ** 2 for r in rs])
-        peak = profile.intensity.max()
-        assert np.abs(profile(rs) - exact).max() / peak < 1e-6
+        assert np.abs(profile(rs) - exact).max() / exact.max() < 1e-6
 
     def test_interpolation_no_worse_than_dense_linear_table(self, optics):
-        # the 65,536-sample linear table this replaced was within 1.6e-8
+        # the 65,536-sample linear table of the first fits was within
+        # 1.6e-8; the Chebyshev panels reproduce the quadrature to rounding
         profile = RadialIntensityProfile.build(optics, 1500.0)
         rs = np.linspace(0.0, 1500.0, 20001)
         e = azimuthal_field_profile(rs, 0.0, optics)
         exact = e.real**2 + e.imag**2
-        peak = profile.intensity.max()
-        assert np.abs(profile(rs) - exact).max() / peak < 3e-8
+        assert np.abs(profile(rs) - exact).max() / exact.max() < 1e-14
+
+    def test_slope_matches_central_difference_of_quadrature(self, optics):
+        profile = RadialIntensityProfile.build(optics, 1500.0)
+        h = 1e-3
+        rs = np.linspace(h, 1500.0 - h, 3001)
+        plus = azimuthal_field_profile(rs + h, 0.0, optics)
+        minus = azimuthal_field_profile(rs - h, 0.0, optics)
+        central = (plus.real**2 - minus.real**2) / (2.0 * h)
+        value, slope = profile.value_and_slope(rs)
+        assert np.array_equal(value, profile(rs))
+        assert np.abs(slope - central).max() / np.abs(central).max() < 1e-9
+        # |E_phi|^2 is even on the axis and clamped beyond r_max
+        _, slope = profile.value_and_slope(np.array([0.0, 1500.5, 2000.0, 1e6]))
+        assert slope.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_on_axis_null_is_exact(self, optics):
         profile = RadialIntensityProfile.build(optics, 1500.0)

@@ -233,8 +233,16 @@ class TestFieldEstimate:
         da2 = alpha(w1, w2 + 1j * h).imag / h
         pair = TransitionPair(w1, w2, sigma1=0.03, sigma2=0.05)
         est = field_estimate(pair, spin_params)
-        assert est.alpha_sigma == pytest.approx(math.hypot(0.03 * da1, 0.05 * da2),
-                                                rel=1e-9)
+        first_order = math.hypot(0.03 * da1, 0.05 * da2)
+        # the first-order interval of R = cos^2(alpha), |dR/dalpha| = |sin 2 alpha|
+        ratio = math.cos(est.alpha_candidates[0]) ** 2
+        sigma_r = first_order * abs(math.sin(2.0 * est.alpha_candidates[0]))
+        if 0.0 < ratio - sigma_r and ratio + sigma_r < 1.0:
+            assert est.alpha_sigma == pytest.approx(first_order, rel=1e-9)
+        else:  # near 0 deg: capped at the half-width over the clipped interval
+            low, high = max(ratio - sigma_r, 0.0), min(ratio + sigma_r, 1.0)
+            cap = 0.5 * (math.acos(math.sqrt(low)) - math.acos(math.sqrt(high)))
+            assert est.alpha_sigma == pytest.approx(min(cap, first_order), rel=1e-6)
 
     @pytest.mark.parametrize("alpha_deg", [90.0, 89.99])
     def test_alpha_sigma_capped_near_90_deg(self, spin_params, alpha_deg):
@@ -263,10 +271,11 @@ class TestFieldEstimate:
         # first order is linear in the line sigmas
         assert est.alpha_sigma == pytest.approx(10.0 * uncapped.alpha_sigma, rel=1e-12)
 
-    def test_alpha_sigma_capped_on_noisy_pairs_at_90_deg(self, spin_params):
-        # about half of these pairs are clamped to R = 0, where the
-        # first-order sigma is unbounded; they get the cap alone
-        base = transition_frequencies(59.5, math.pi / 2, spin_params)
+    @pytest.mark.parametrize("alpha_deg", [0.0, 90.0])
+    def test_alpha_sigma_capped_on_noisy_pairs(self, spin_params, alpha_deg):
+        # about half of these pairs are clamped to R = 1 or R = 0, where
+        # the first-order sigma is unbounded; they get the cap alone
+        base = transition_frequencies(59.5, math.radians(alpha_deg), spin_params)
         noise = np.random.default_rng(0).normal(0.0, 0.03, (2000, 2))
         for n1, n2 in noise:
             w1, w2 = sorted((base.omega1 + n1, base.omega2 + n2))
@@ -274,11 +283,25 @@ class TestFieldEstimate:
             assert est.alpha_sigma is not None
             assert 0.0 < est.alpha_sigma <= math.pi / 4
 
-    def test_alpha_sigma_none_where_gradient_is_unbounded(self, spin_params):
+    def test_alpha_sigma_capped_where_gradient_is_unbounded(self, spin_params):
+        # at 0 deg dalpha/dR is unbounded; the cap is the half-width of
+        # acos(sqrt(R')) over R' in [1 - sigma_R, 1]
         base = transition_frequencies(59.5, 0.0, spin_params)
-        pair = TransitionPair(base.omega1, base.omega2, sigma1=0.03, sigma2=0.03)
+        w1, w2, d, h = base.omega1, base.omega2, spin_params.d, 1e-30
+
+        def ratio(x1, x2):
+            r = x1 * x1 + x2 * x2 - x1 * x2 - d * d
+            return (2 * x1 - x2 - d) * (x1 - 2 * x2 + d) * (x1 + x2 + d) / (9 * d * r)
+
+        sigma_r = math.hypot(0.03 * ratio(w1 + 1j * h, w2).imag / h,
+                             0.03 * ratio(w1, w2 + 1j * h).imag / h)
+        pair = TransitionPair(w1, w2, sigma1=0.03, sigma2=0.03)
         est = field_estimate(pair, spin_params)
-        assert est.b_sigma is not None and est.alpha_sigma is None
+        assert est.b_sigma is not None and est.alpha_sigma is not None
+        assert est.alpha_sigma == pytest.approx(
+            0.5 * math.acos(math.sqrt(1.0 - sigma_r)), rel=1e-6
+        )
+        assert 0.0 < est.alpha_sigma <= math.pi / 4
 
     def test_no_sigma_in_gives_none_out(self, spin_params):
         pair = transition_frequencies(40.0, 0.7, spin_params)
