@@ -12,7 +12,7 @@ Submodules:
 
 __version__ = "0.1.0"
 
-from .focal_field import OpticalConfig, azimuthal_field
+from .focal_field import OpticalConfig
 from .pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from .orient_fit import OrientationFit, fit_orientation
 from .spin import (
@@ -36,7 +36,6 @@ from .vector_recon import (
 __all__ = [
     "__version__",
     "OpticalConfig",
-    "azimuthal_field",
     "NVOrientation",
     "ScanGrid",
     "ScanImage",

@@ -178,8 +178,7 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
             "files": {"csv": str(csv_path), "pgm": str(pgm_path)},
         }
     )
-    write_json(report, out / f"{args.prefix}.meta.json")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(report, args.out, f"{args.prefix}.meta.json")
     return EXIT_OK
 
 
@@ -474,10 +473,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = config.fit.seed
         return args.func(args, config)
-    except ConfigError as exc:
-        _print_error(exc)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         _print_error(exc)
         return EXIT_USAGE
     except FileFormatError as exc:

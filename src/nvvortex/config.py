@@ -36,6 +36,10 @@ class FitConfig:
 _REMOVED_KEYS = {
     "fit.n_starts": "the orientation fit is one centre search with no random starts",
     "fit.simplex": "both fits use a Levenberg-Marquardt solver with fixed tolerances",
+    "optics.convergence_rtol": (
+        "it set the node-doubling self-check of the focal-field quadrature, "
+        "which the package no longer ships"
+    ),
 }
 
 

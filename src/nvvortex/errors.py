@@ -24,14 +24,6 @@ class InvalidOptics(NVVortexError):
     """Optical parameters are physically inconsistent (e.g. NA >= n)."""
 
 
-class QuadratureNotConverged(NVVortexError):
-    """Node doubling changed the focal-field integral beyond tolerance."""
-
-
-class NonUnitVector(NVVortexError):
-    """An input that must be unit-norm deviates beyond tolerance."""
-
-
 class DegenerateTemplate(NVVortexError):
     """Fit template (or data) is constant; the linear system is singular."""
 

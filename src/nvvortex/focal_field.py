@@ -7,8 +7,8 @@ The only nonzero component near focus is the azimuthal one,
 
 with alpha = arcsin(NA / n) the aperture half-angle and k = 2 pi n /
 lambda_vac the wavenumber in the immersion medium. The integrand is
-smooth, so fixed-order Gauss-Legendre quadrature is used; convergence
-can be self-checked by node doubling. Lengths are in nanometres.
+smooth, so fixed-order Gauss-Legendre quadrature is used. Lengths are
+in nanometres.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import j1
-from .errors import InvalidOptics, QuadratureNotConverged
+from .errors import InvalidOptics
 
 __all__ = [
     "OpticalConfig",
     "max_aperture_angle",
     "wavenumber",
-    "azimuthal_field",
     "azimuthal_field_profile",
-    "node_doubling_error",
 ]
 
 
@@ -46,7 +44,6 @@ class OpticalConfig:
     immersion_index: float = 1.518
     pupil_amplitude: float = 1.0
     quadrature_nodes: int = 64
-    convergence_rtol: float = 1e-9
 
     def __post_init__(self):
         if not (0.0 < self.numerical_aperture < self.immersion_index):
@@ -60,8 +57,6 @@ class OpticalConfig:
             raise InvalidOptics(
                 f"quadrature_nodes must be >= 8, got {self.quadrature_nodes}"
             )
-        if not self.convergence_rtol > 0.0:
-            raise InvalidOptics("convergence_rtol must be positive")
 
 
 def max_aperture_angle(config: OpticalConfig) -> float:
@@ -111,52 +106,3 @@ def azimuthal_field_profile(
     re = bess @ (base * np.cos(phase))
     im = bess @ (base * np.sin(phase))
     return re + 1j * im
-
-
-def azimuthal_field(
-    r: float, z: float, config: OpticalConfig, check: bool = False
-) -> complex:
-    """E_phi(r, z) as a complex scalar.
-
-    With ``check=True`` the quadrature is repeated at doubled node count
-    and QuadratureNotConverged is raised if the relative change exceeds
-    config.convergence_rtol.
-    """
-    val = complex(azimuthal_field_profile(np.array([r], dtype=float), z, config)[0])
-    if check:
-        val2 = complex(
-            azimuthal_field_profile(
-                np.array([r], dtype=float), z, config,
-                nodes=2 * config.quadrature_nodes,
-            )[0]
-        )
-        scale = max(abs(val), abs(val2))
-        if scale > 0.0 and abs(val2 - val) / scale > config.convergence_rtol:
-            raise QuadratureNotConverged(
-                f"node doubling moved E_phi({r}, {z}) by "
-                f"{abs(val2 - val) / scale:.3e} relative "
-                f"(> {config.convergence_rtol:.1e})"
-            )
-    return val
-
-
-def node_doubling_error(config: OpticalConfig, rs, zs) -> float:
-    """Largest change under node doubling across a (r, z) grid.
-
-    Normalized by the largest field magnitude on the grid, so points
-    near nulls do not dominate. Used by the convergence self-check.
-    """
-    rs = np.asarray(rs, dtype=float)
-    worst = 0.0
-    peak = 0.0
-    for z in np.atleast_1d(zs):
-        a = azimuthal_field_profile(rs, float(z), config)
-        b = azimuthal_field_profile(
-            rs, float(z), config, nodes=2 * config.quadrature_nodes
-        )
-        worst = max(worst, float(np.abs(a - b).max()))
-        peak = max(peak, float(np.abs(b).max()))
-    if peak == 0.0:
-        return 0.0
-    return worst / peak
-

@@ -1,12 +1,13 @@
 """NV orientation estimation from a scan pattern.
 
-At a fixed centre the pattern is linear in three basis images plus the
-background, so the axis angles, amplitude and background come from one
-linear least-squares solve and a 2x2 eigenproblem; a single 2-D
-Levenberg-Marquardt search over the centre minimizes what that solve
-leaves (variable projection, Golub & Pereyra 1973), with Kaufman's
-(1975) form of the variable-projection Jacobian read from the radial
-profile and its slope. A pattern determines the axis only up to the
+At a fixed centre the pattern is linear in the three basis images of
+``pattern`` plus the background, so the axis angles, amplitude and
+background come from one linear least-squares solve and a 2x2
+eigenproblem; a single 2-D Levenberg-Marquardt search over the centre
+minimizes what that solve leaves (variable projection, Golub & Pereyra
+1973), with Kaufman's (1975) form of the variable-projection Jacobian
+read from the radial profile and its slope. The report comes from the
+solve at the returned centre. A pattern determines the axis only up to the
 axis/antiaxis equivalence and a 180-degree azimuth rotation, so results
 are canonicalized to theta in [0, pi/2], phi in [0, pi), with
 ``mirror_phi`` carrying the other member of the ambiguity pair.
@@ -25,15 +26,15 @@ from .pattern import (
     NVOrientation,
     RadialIntensityProfile,
     ScanImage,
+    _angles_from_coefficients,
+    _basis_images,
     radial_profile_for_grid,
-    template_map,
 )
 from .least_squares import levenberg_marquardt
 
 __all__ = [
     "OrientationFit",
     "canonical_angles",
-    "pattern_residual",
     "fit_orientation",
     "nearest_tetrahedral_axis",
     "TETRAHEDRAL_POLAR",
@@ -75,55 +76,6 @@ def canonical_angles(theta: float, phi: float) -> tuple[float, float, float]:
     return theta_c, phi_c, phi_c + math.pi
 
 
-def pattern_residual(
-    theta: float,
-    phi: float,
-    center_nm: tuple[float, float],
-    image: ScanImage,
-    optics: OpticalConfig,
-    profile: RadialIntensityProfile | None = None,
-) -> tuple[float, float, float]:
-    """Normalized misfit of the model pattern against ``image``.
-
-    Solves the two-parameter linear least squares for (amplitude,
-    background) in closed form, clamps amplitude to >= 0, and returns
-
-        (sum((data - a*T - b)^2) / sum((data - mean)^2), a, b).
-
-    Raises DegenerateTemplate when the template or the data is constant
-    on the grid (either denominator of the solve vanishes).
-    """
-    if profile is None:
-        profile = radial_profile_for_grid(image.grid, optics)
-    t = template_map(
-        NVOrientation(_fold_theta(theta), phi), image.grid, profile, center_nm
-    ).ravel()
-    d = image.values.ravel()
-    n = d.size
-    st, sd = t.sum(), d.sum()
-    stt, std = float(t @ t), float(t @ d)
-    det = n * stt - st * st  # n^2 * var(T)
-    if det <= 1e-14 * max(n * stt, 1e-300):
-        raise DegenerateTemplate("model pattern is constant across the grid")
-    dvar = float(((d - sd / n) ** 2).sum())
-    if dvar == 0.0:
-        raise DegenerateTemplate("image is constant; misfit is undefined")
-    a = (n * std - st * sd) / det
-    if a < 0.0:
-        a = 0.0
-    b = (sd - a * st) / n
-    sse = float(((d - a * t - b) ** 2).sum())
-    return sse / dvar, a, b
-
-
-def _fold_theta(theta: float) -> float:
-    """Map any real theta to [0, pi] describing the same axis ray."""
-    t = math.fmod(theta, 2.0 * math.pi)
-    if t < 0.0:
-        t += 2.0 * math.pi
-    return 2.0 * math.pi - t if t > math.pi else t
-
-
 def _intensity_centroid(image: ScanImage) -> tuple[float, float]:
     """Centroid of (values - min) in pixel coordinates; the grid centre
     when the image is constant."""
@@ -142,9 +94,9 @@ def _linear_fit(
     d: np.ndarray,
     profile: RadialIntensityProfile,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares coefficients (p, q, s, bg) of the basis images
-    R dx^2/rho^2, R dy^2/rho^2, R dx dy/rho^2 and 1 at a fixed centre,
-    the residual r = P d they leave, and its Jacobian with respect to
+    """Least-squares coefficients (p, q, s, bg) of the three basis images
+    of ``pattern._basis_images`` and 1 at a fixed centre, the residual
+    r = P d they leave, and its Jacobian with respect to
     the centre (nm) in Kaufman's form (BIT 15, 49, 1975), -P (dA/dc)
     coef, with P = I - A A^+ the projector off the basis A. That form
     drops the part of the full variable-projection Jacobian that lies in
@@ -156,13 +108,12 @@ def _linear_fit(
     rho2 = dx * dx + dy * dy
     rho = np.sqrt(rho2)
     r, slope = profile.value_and_slope(rho)
-    off_axis = rho2 > 0.0
-    w = np.divide(r, rho2, out=np.zeros_like(rho2), where=off_axis)
+    images, w = _basis_images(dx, dy, r)
     # (dw/drho) / rho for w = R / rho^2
     w_rate = np.divide(
-        slope * rho - 2.0 * r, rho2 * rho2, out=np.zeros_like(rho2), where=off_axis
+        slope * rho - 2.0 * r, rho2 * rho2, out=np.zeros_like(rho2), where=rho2 > 0.0
     )
-    basis = np.column_stack((w * dx * dx, w * dy * dy, w * dx * dy, np.ones_like(w)))
+    basis = np.column_stack((images, np.ones_like(w)))
     coef = np.linalg.lstsq(basis, d, rcond=None)[0]
     p, q, s = coef[:3]
     quad = w_rate * (p * dx * dx + q * dy * dy + s * dx * dy)
@@ -177,22 +128,6 @@ def _linear_fit(
     return coef, d - basis @ coef, jac
 
 
-def _angles_from_coefficients(p: float, q: float, s: float) -> tuple[float, float]:
-    """(theta, phi) from M = [[p, s/2], [s/2, q]] = a (I - sin^2(theta) m m^T)
-    with m = (sin phi, -cos phi): a is the larger eigenvalue, sin^2(theta)
-    = 1 - lambda_min / lambda_max clamped to [0, 1], and m the eigenvector
-    of the smaller one. Raises DegenerateTemplate when lambda_max <= 0,
-    which no positive-amplitude pattern produces."""
-    evals, evecs = np.linalg.eigh(np.array([[p, 0.5 * s], [0.5 * s, q]]))
-    if not evals[1] > 0.0:
-        raise DegenerateTemplate(
-            "best linear fit has no positive amplitude (inverted contrast?)"
-        )
-    sin2 = min(1.0, max(0.0, 1.0 - evals[0] / evals[1]))
-    mx, my = evecs[:, 0]
-    return math.asin(math.sqrt(sin2)), math.atan2(mx, -my) % math.pi
-
-
 def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     """Fit (theta, phi, center) to a scan image by variable projection.
 
@@ -201,12 +136,18 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     linear least-squares solve (``_linear_fit``) and a 2x2 eigenproblem.
     One Levenberg-Marquardt search over the centre, in pixels from the
     intensity centroid, minimizes the residual of that solve, with
-    Kaufman's variable-projection Jacobian from the same solve. Amplitude,
-    background and residual are reported by ``pattern_residual`` at the
-    returned angles and centre. Deterministic for a fixed image. Raises
-    NoConvergence when the centre search exhausts its iteration budget
-    and DegenerateTemplate when the image is constant or its best fit
-    has no positive amplitude.
+    Kaufman's variable-projection Jacobian from the same solve.
+
+    The report is read from that solve at the returned centre; no second
+    model is evaluated. The amplitude is the larger eigenvalue of the
+    2x2 form, the background the constant coefficient and the residual
+    ||leftover||^2 / sum((d - mean(d))^2). That residual is the misfit
+    of the pattern at the reported angles, except where sin^2(theta) is
+    clamped to [0, 1]: there it is the smaller misfit of the unclamped
+    form. Deterministic for a fixed image. Raises NoConvergence when the
+    centre search exhausts its iteration budget and DegenerateTemplate
+    when the image is constant or its best fit has no positive
+    amplitude.
     """
     grid = image.grid
     profile = radial_profile_for_grid(grid, optics)
@@ -220,8 +161,11 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     def to_nm(p) -> tuple[float, float]:
         return (ox + p[0] * pitch, oy + p[1] * pitch)
 
+    solves = {}  # the linear solve at every centre tried, by its bytes
+
     def leftover_and_jacobian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _, leftover, jac = _linear_fit(to_nm(p), xs, ys, d, profile)
+        coef, leftover, jac = _linear_fit(to_nm(p), xs, ys, d, profile)
+        solves[p.tobytes()] = coef, leftover
         return leftover, pitch * jac
 
     result = levenberg_marquardt(leftover_and_jacobian, _intensity_centroid(image))
@@ -229,21 +173,17 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
         raise NoConvergence(
             f"centre search did not converge in {result.iterations} iterations"
         )
-    center = to_nm(result.x)
-    coef = _linear_fit(center, xs, ys, d, profile)[0]
-    theta, phi = _angles_from_coefficients(*coef[:3])
-    residual, amplitude, background = pattern_residual(
-        theta, phi, center, image, optics, profile
-    )
+    coef, leftover = solves[result.x.tobytes()]
+    theta, phi, amplitude = _angles_from_coefficients(*coef[:3])
     theta_c, phi_c, mirror = canonical_angles(theta, phi)
     return OrientationFit(
         theta=theta_c,
         phi=phi_c,
         mirror_phi=mirror,
-        center_nm=center,
+        center_nm=to_nm(result.x),
         amplitude=amplitude,
-        background=background,
-        residual=residual,
+        background=float(coef[3]),
+        residual=float(leftover @ leftover) / float(((d - d.mean()) ** 2).sum()),
         center_iterations=result.iterations,
         converged=result.converged,
         phi_identifiable=theta_c >= PHI_IDENTIFIABLE_MIN_THETA,

@@ -12,6 +12,17 @@ psi being the pixel azimuth about the NV position. Patterns are defined
 in beam-displacement coordinates: a stage-scanned acquisition is the
 mirror image of these maps (the stage moves the sample, not the beam).
 
+With (dx, dy) the offset from the NV and rho^2 = dx^2 + dy^2, that
+factor times rho^2 is the quadratic form (dx, dy) M (dx, dy)^T of
+M = I - sin^2(theta) m m^T, m = (sin phi, -cos phi). Every pattern is
+therefore background + amplitude * (p B_xx + q B_yy + s B_xy) for the
+coefficients (p, q, s) of M = [[p, s/2], [s/2, q]] and the basis images
+B_xx = R dx^2/rho^2, B_yy = R dy^2/rho^2, B_xy = R dx dy/rho^2, with R =
+|E_phi(rho)|^2. This module owns that model: the basis images
+(``_basis_images``), the map from the axis to (p, q, s) and its inverse
+(``_coefficients_from_angles``, ``_angles_from_coefficients``); the
+synthesis evaluates it and the orientation fit solves it.
+
 Only excitation is orientation dependent here; collection efficiency is
 taken constant across the scan, intensity is linear in |E|^2, and the
 optional noise model is per-pixel Poisson with deterministic seeding.
@@ -25,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonUnitVector
+from .errors import DegenerateTemplate
 from .focal_field import (
     OpticalConfig,
     azimuthal_field_profile,
@@ -39,19 +50,16 @@ __all__ = [
     "NVOrientation",
     "ScanGrid",
     "ScanImage",
-    "dipole_projection_factor",
     "intensity_map",
     "simulate_pattern",
     "RadialIntensityProfile",
     "radial_profile_for_grid",
-    "template_map",
 ]
 
 MAX_PIXELS = 4_194_304  # memory guard for a single scan
 #: pixels per Poisson tile: tile i of the flat pixel index draws from
 #: its own generator seeded with (noise_seed, i)
 NOISE_TILE_PX = 4096
-_UNIT_TOL = 1e-9
 #: the exact map's field expansion: panels at most _PANEL_WIDTH wide in
 #: units of 1 / (k sin alpha), the field's shortest lateral length, each
 #: carrying a Chebyshev series of degree _PANEL_DEGREE; at that width
@@ -152,45 +160,53 @@ class ScanImage:
             raise ValueError("image values must be non-negative")
 
 
-def dipole_projection_factor(axis, azimuthal_dir) -> float:
-    """Summed squared projection of the field direction onto the two
-    excitation dipoles spanning the plane perpendicular to ``axis``.
-
-    Equals 1 - (azimuthal_dir . axis)^2 for any orthonormal dipole pair
-    in that plane. Both arguments must be unit vectors.
+def _coefficients_from_angles(theta: float, phi: float) -> np.ndarray:
+    """(p, q, s) of M = I - sin^2(theta) m m^T, m = (sin phi_c, -cos phi_c),
+    with the azimuth folded into phi_c in [0, pi). The fold makes the
+    phi -> phi + pi pattern symmetry exact: fmod is exact in IEEE
+    arithmetic, so both members of an ambiguity pair reduce to the same
+    double whenever phi + pi is representable.
     """
-    a = np.asarray(axis, dtype=float)
-    e = np.asarray(azimuthal_dir, dtype=float)
-    for name, v in (("axis", a), ("azimuthal_dir", e)):
-        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-            raise NonUnitVector(f"{name} has norm {np.linalg.norm(v)!r}")
-    d = float(a @ e)
-    return max(0.0, 1.0 - d * d)
-
-
-def _canonical_trig(orientation: NVOrientation) -> tuple[float, float, float]:
-    """(sin^2 theta, sin phi_c, cos phi_c) with the azimuth folded into
-    [0, pi). The fold makes the phi -> phi + pi pattern symmetry exact:
-    fmod is exact in IEEE arithmetic, so both members of an ambiguity
-    pair reduce to the same double whenever phi + pi is representable.
-    """
-    st = math.sin(orientation.theta)
-    phi_c = math.fmod(orientation.phi, math.pi)
+    st = math.sin(theta)
+    st2 = st * st
+    phi_c = math.fmod(phi, math.pi)
     if phi_c < 0.0:
         phi_c += math.pi
-    return st * st, math.sin(phi_c), math.cos(phi_c)
+    sp, cp = math.sin(phi_c), math.cos(phi_c)
+    return np.array([1.0 - st2 * sp * sp, 1.0 - st2 * cp * cp, 2.0 * st2 * sp * cp])
 
 
-def _projection_map(
-    orientation: NVOrientation, dx: np.ndarray, dy: np.ndarray, rho: np.ndarray
-) -> np.ndarray:
-    """Dipole factor per pixel: 1 - sin^2(theta) sin^2(phi - psi)."""
-    st2, sp, cp = _canonical_trig(orientation)
-    out = np.ones_like(rho)
-    nz = rho > 0.0
-    s = (sp * dx[nz] - cp * dy[nz]) / rho[nz]
-    out[nz] = 1.0 - st2 * (s * s)
-    return out
+def _angles_from_coefficients(
+    p: float, q: float, s: float
+) -> tuple[float, float, float]:
+    """(theta, phi, lambda_max) from M = [[p, s/2], [s/2, q]] = lambda_max
+    (I - sin^2(theta) m m^T) with m = (sin phi, -cos phi): lambda_max is
+    the larger eigenvalue, sin^2(theta) = 1 - lambda_min / lambda_max
+    clamped to [0, 1], and m the eigenvector of the smaller one; theta
+    is in [0, pi/2] and phi in [0, pi). Raises DegenerateTemplate when
+    lambda_max <= 0, which no positive-amplitude pattern produces."""
+    evals, evecs = np.linalg.eigh(np.array([[p, 0.5 * s], [0.5 * s, q]]))
+    if not evals[1] > 0.0:
+        raise DegenerateTemplate(
+            "best linear fit has no positive amplitude (inverted contrast?)"
+        )
+    sin2 = min(1.0, max(0.0, 1.0 - evals[0] / evals[1]))
+    mx, my = evecs[:, 0]
+    theta = math.asin(math.sqrt(sin2))
+    return theta, math.atan2(mx, -my) % math.pi, float(evals[1])
+
+
+def _basis_images(
+    dx: np.ndarray, dy: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The basis images R dx^2/rho^2, R dy^2/rho^2 and R dx dy/rho^2 at
+    offsets (dx, dy) from the NV, where the radial intensity is ``r``,
+    stacked on a new last axis, so that basis @ (p, q, s) is the
+    unit-amplitude pattern; and w = R / rho^2. All are 0 on the axis,
+    where R has an exact, even null."""
+    rho2 = dx * dx + dy * dy
+    w = np.divide(r, rho2, out=np.zeros_like(rho2), where=rho2 > 0.0)
+    return np.stack((w * dx * dx, w * dy * dy, w * dx * dy), axis=-1), w
 
 
 #: first-kind Chebyshev points cos(pi (i + 1/2) / n) mapped onto [0, 1]
@@ -300,7 +316,10 @@ def intensity_map(
 ) -> np.ndarray:
     """Noiseless pattern of the exact focal field:
 
-        background + amplitude * |E_phi(rho, z)|^2 * projection_factor.
+        background + amplitude * basis @ (p, q, s),
+
+    the basis images built on |E_phi(rho, z)|^2 and (p, q, s) the
+    coefficients of the axis (module docstring).
 
     |E_phi|^2 is read from a RadialIntensityProfile over [0, max rho]:
     the quadrature runs at 25 Chebyshev points per panel (325 radii for
@@ -317,7 +336,9 @@ def intensity_map(
     dy = ys - cy
     rho = np.hypot(dx, dy)
     e2 = RadialIntensityProfile.build(optics, float(rho.max()), z_nm)(rho)
-    return background + amplitude * e2 * _projection_map(orientation, dx, dy, rho)
+    basis, _ = _basis_images(dx, dy, e2)
+    coef = _coefficients_from_angles(orientation.theta, orientation.phi)
+    return background + amplitude * (basis @ coef)
 
 
 def simulate_pattern(
@@ -366,21 +387,3 @@ def radial_profile_for_grid(
     half_h = 0.5 * (grid.height_px - 1)
     r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + PROFILE_MARGIN_PX)
     return RadialIntensityProfile.build(optics, r_max)
-
-
-def template_map(
-    orientation: NVOrientation,
-    grid: ScanGrid,
-    profile: RadialIntensityProfile,
-    center_nm: tuple[float, float],
-) -> np.ndarray:
-    """Unit-amplitude, zero-background pattern via the cached profile.
-
-    This is the fit-loop fast path: the radial factor is read from a
-    profile built once per grid, the projection factor is exact.
-    """
-    xs, ys = grid.pixel_positions()
-    dx = xs - center_nm[0]
-    dy = ys - center_nm[1]
-    rho = np.hypot(dx, dy)
-    return profile(rho) * _projection_map(orientation, dx, dy, rho)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nvvortex.errors import FitFailed
-from nvvortex.focal_field import OpticalConfig, azimuthal_field
-from nvvortex.pattern import ScanGrid
+from nvvortex.errors import DegenerateTemplate, FitFailed, NVVortexError
+from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
+from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, intensity_map
 from nvvortex.spin import SpinParams, _lorentz
 
 settings.register_profile(
@@ -63,6 +63,121 @@ def axis_angle_deg(t1, p1, t2, p2) -> float:
         a = axis_from_degrees(np.degrees(t1), np.degrees(p1_rep))
         best = max(best, abs(float(a @ b)))
     return float(np.degrees(np.arccos(min(1.0, best))))
+
+
+class QuadratureNotConverged(NVVortexError):
+    """Node doubling changed the focal-field integral beyond tolerance."""
+
+
+def azimuthal_field(
+    r: float, z: float, config: OpticalConfig, check: bool = False, rtol: float = 1e-9
+) -> complex:
+    """E_phi(r, z) as a complex scalar.
+
+    With ``check=True`` the quadrature is repeated at doubled node count
+    and QuadratureNotConverged is raised if the relative change exceeds
+    ``rtol``.
+    """
+    val = complex(azimuthal_field_profile(np.array([r], dtype=float), z, config)[0])
+    if check:
+        val2 = complex(
+            azimuthal_field_profile(
+                np.array([r], dtype=float), z, config,
+                nodes=2 * config.quadrature_nodes,
+            )[0]
+        )
+        scale = max(abs(val), abs(val2))
+        if scale > 0.0 and abs(val2 - val) / scale > rtol:
+            raise QuadratureNotConverged(
+                f"node doubling moved E_phi({r}, {z}) by "
+                f"{abs(val2 - val) / scale:.3e} relative (> {rtol:.1e})"
+            )
+    return val
+
+
+def node_doubling_error(config: OpticalConfig, rs, zs) -> float:
+    """Largest change under node doubling across a (r, z) grid.
+
+    Normalized by the largest field magnitude on the grid, so points
+    near nulls do not dominate.
+    """
+    rs = np.asarray(rs, dtype=float)
+    worst = 0.0
+    peak = 0.0
+    for z in np.atleast_1d(zs):
+        a = azimuthal_field_profile(rs, float(z), config)
+        b = azimuthal_field_profile(
+            rs, float(z), config, nodes=2 * config.quadrature_nodes
+        )
+        worst = max(worst, float(np.abs(a - b).max()))
+        peak = max(peak, float(np.abs(b).max()))
+    if peak == 0.0:
+        return 0.0
+    return worst / peak
+
+
+class NonUnitVector(NVVortexError):
+    """An input that must be unit-norm deviates beyond tolerance."""
+
+
+_UNIT_TOL = 1e-9
+
+
+def dipole_projection_factor(axis, azimuthal_dir) -> float:
+    """Summed squared projection of the field direction onto the two
+    excitation dipoles spanning the plane perpendicular to ``axis``: the
+    two-dipole oracle for the pattern's projection factor.
+
+    Equals 1 - (azimuthal_dir . axis)^2 for any orthonormal dipole pair
+    in that plane. Both arguments must be unit vectors.
+    """
+    a = np.asarray(axis, dtype=float)
+    e = np.asarray(azimuthal_dir, dtype=float)
+    for name, v in (("axis", a), ("azimuthal_dir", e)):
+        if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            raise NonUnitVector(f"{name} has norm {np.linalg.norm(v)!r}")
+    d = float(a @ e)
+    return max(0.0, 1.0 - d * d)
+
+
+def pattern_residual(
+    theta: float,
+    phi: float,
+    center_nm: tuple[float, float],
+    image: ScanImage,
+    optics: OpticalConfig,
+) -> tuple[float, float, float]:
+    """Normalized misfit against ``image`` of the pattern of the axis
+    (theta, phi) centred at ``center_nm``, built by ``intensity_map``:
+    the reference for the report of ``fit_orientation``.
+
+    Solves the two-parameter linear least squares for (amplitude,
+    background) in closed form, clamps amplitude to >= 0, and returns
+
+        (sum((data - a*T - b)^2) / sum((data - mean)^2), a, b).
+
+    Raises DegenerateTemplate when the template or the data is constant
+    on the grid (either denominator of the solve vanishes).
+    """
+    t = intensity_map(
+        NVOrientation(theta, phi), image.grid, optics, center_nm=center_nm
+    ).ravel()
+    d = image.values.ravel()
+    n = d.size
+    st, sd = t.sum(), d.sum()
+    stt, std = float(t @ t), float(t @ d)
+    det = n * stt - st * st  # n^2 * var(T)
+    if det <= 1e-14 * max(n * stt, 1e-300):
+        raise DegenerateTemplate("model pattern is constant across the grid")
+    dvar = float(((d - sd / n) ** 2).sum())
+    if dvar == 0.0:
+        raise DegenerateTemplate("image is constant; misfit is undefined")
+    a = (n * std - st * sd) / det
+    if a < 0.0:
+        a = 0.0
+    b = (sd - a * st) / n
+    sse = float(((d - a * t - b) ** 2).sum())
+    return sse / dvar, a, b
 
 
 def field_vector_at(point, beam_center, z: float, config: OpticalConfig) -> np.ndarray:

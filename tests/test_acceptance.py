@@ -17,20 +17,14 @@ from conftest import (
     REFERENCE_ORIENTATIONS_DEG,
     axis_angle_deg,
     axis_from_degrees,
-)
-from nvvortex.fileio import load_constraints_json
-from nvvortex.focal_field import (
     azimuthal_field,
-    azimuthal_field_profile,
+    dipole_projection_factor,
     node_doubling_error,
 )
+from nvvortex.fileio import load_constraints_json
+from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.orient_fit import fit_orientation
-from nvvortex.pattern import (
-    NVOrientation,
-    ScanGrid,
-    dipole_projection_factor,
-    simulate_pattern,
-)
+from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
 from nvvortex.spin import (
     add_contrast_noise,
     field_estimate,

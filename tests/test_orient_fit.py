@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import axis_angle_deg
+from conftest import axis_angle_deg, pattern_residual
 from nvvortex import least_squares
 from nvvortex.errors import DegenerateTemplate, NoConvergence
 from nvvortex.orient_fit import (
@@ -11,7 +11,6 @@ from nvvortex.orient_fit import (
     canonical_angles,
     fit_orientation,
     nearest_tetrahedral_axis,
-    pattern_residual,
     TETRAHEDRAL_POLAR,
 )
 from nvvortex.pattern import (
@@ -179,6 +178,35 @@ class TestFitOrientation:
         assert 1.0 - evals[0] / evals[1] > 1.0  # the unclamped sin^2(theta)
         assert math.isfinite(fit.theta)
         assert axis_angle_deg(fit.theta, fit.phi, math.pi / 2, math.radians(30.0)) < 2.0
+        # the report is the unclamped solve's, no worse than the pattern
+        # at the clamped angles
+        res, _, _ = pattern_residual(fit.theta, fit.phi, fit.center_nm, img, optics)
+        assert fit.residual <= res
+
+    @pytest.mark.parametrize(
+        "theta_deg, phi_deg, offset_nm, seed",
+        [(70.0, 100.0, (0.0, 0.0), 7), (109.84, 20.6, (0.0, 0.0), 4),
+         (45.0, 200.0, (70.0, -45.0), 1), (135.0, 290.0, (-30.0, 20.0), 2)],
+    )
+    def test_report_matches_reference_pattern(
+        self, grid31, optics, theta_deg, phi_deg, offset_nm, seed
+    ):
+        # the report comes from the linear solve at the returned centre;
+        # where sin^2(theta) needs no clamp it must equal the misfit of
+        # the pattern at the reported angles, built by intensity_map
+        cx, cy = grid31.center_nm
+        center = (cx + offset_nm[0], cy + offset_nm[1])
+        orientation = NVOrientation.from_degrees(theta_deg, phi_deg)
+        clean = simulate_pattern(orientation, grid31, optics, center_nm=center)
+        img = simulate_pattern(
+            orientation, grid31, optics, amplitude=1e4 / clean.values.max(),
+            background=50.0, noise_seed=seed, center_nm=center,
+        )
+        fit = fit_orientation(img, optics)
+        res, amp, bg = pattern_residual(fit.theta, fit.phi, fit.center_nm, img, optics)
+        assert fit.residual == pytest.approx(res, rel=1e-9)
+        assert fit.amplitude == pytest.approx(amp, rel=1e-9)
+        assert fit.background == pytest.approx(bg, rel=1e-9)
 
     def test_centre_jacobian_is_projected_central_difference(self, grid31, optics):
         # off the optimum the leftover r is not 0, and Kaufman's Jacobian

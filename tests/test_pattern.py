@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_vector_at
-from nvvortex.errors import NonUnitVector
-from nvvortex.focal_field import (
-    OpticalConfig,
+from conftest import (
+    NonUnitVector,
     azimuthal_field,
-    azimuthal_field_profile,
+    dipole_projection_factor,
+    field_vector_at,
 )
+from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.pattern import (
     MAX_PIXELS,
     NOISE_TILE_PX,
@@ -19,7 +19,8 @@ from nvvortex.pattern import (
     RadialIntensityProfile,
     ScanGrid,
     ScanImage,
-    dipole_projection_factor,
+    _angles_from_coefficients,
+    _coefficients_from_angles,
     intensity_map,
     radial_profile_for_grid,
     simulate_pattern,
@@ -123,6 +124,28 @@ class TestDipoleProjection:
         rng = np.random.default_rng(seed)
         value = dipole_projection_factor(random_unit(rng), random_unit(rng))
         assert 0.0 <= value <= 1.0
+
+
+class TestQuadraticForm:
+    @pytest.mark.parametrize(
+        "theta_deg", [0.0, 10.0, 45.0, 70.16, 90.0, 109.84, 135.0, 180.0]
+    )
+    @pytest.mark.parametrize("phi_deg", [20.6, 110.0, 200.0, 290.0])
+    def test_angles_round_trip_through_coefficients(self, theta_deg, phi_deg):
+        # the axis comes back as a line: sign and phi + pi do not count,
+        # and at theta = 0 phi is free. theta from sin^2(theta) keeps
+        # only half its digits near 0 and 90 deg, hence the bound
+        orientation = NVOrientation.from_degrees(theta_deg, phi_deg)
+        p, q, s = _coefficients_from_angles(orientation.theta, orientation.phi)
+        theta, phi, amplitude = _angles_from_coefficients(p, q, s)
+        a = orientation.unit_axis
+        angle = min(
+            math.atan2(np.linalg.norm(np.cross(a, b)), abs(a @ b))
+            for b in (NVOrientation(theta, phi + k * math.pi).unit_axis for k in (0, 1))
+        )
+        assert angle < 1e-7
+        assert 0.0 <= theta <= math.pi / 2 and 0.0 <= phi < math.pi
+        assert amplitude == pytest.approx(1.0, rel=1e-14)
 
 
 class TestSimulatePattern:

@@ -29,8 +29,6 @@ HOOKED = [
     ("nvvortex.pattern", "RadialIntensityProfile.build"),
     ("nvvortex.pattern", "intensity_map"),
     ("nvvortex.pattern", "simulate_pattern"),
-    ("nvvortex.orient_fit", "template_map"),
-    ("nvvortex.orient_fit", "pattern_residual"),
     ("nvvortex.cli", "fit_orientation"),
     ("nvvortex.cli", "fit_odmr_model"),
     ("nvvortex.cli", "field_estimate"),
