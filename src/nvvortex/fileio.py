@@ -1,7 +1,9 @@
 """On-disk formats: scan-image CSV, PGM previews, spectrum CSV, JSON.
 
 All writers go through an atomic temp-file-plus-rename so a crashed run
-never leaves a half-written artifact. Scan images are stored as a
+never leaves a half-written artifact, and the file ends up with the
+mode a plain open() would give it under the current umask. Numbers are
+written as their shortest round-trip ``repr``. Scan images are stored as a
 two-line header (field names, then values) followed by row-major
 intensity rows:
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +56,23 @@ _CONSTRAINT_NUMBERS = (
 _CONSTRAINT_KEYS = {*_CONSTRAINT_NUMBERS, "label"}
 
 
+def _create_temp(path: Path) -> tuple[int, str]:
+    """A new file beside ``path``, opened exclusively for writing. It is
+    created with mode 0o666, which the kernel reduces by the umask, so
+    the renamed file gets the mode a plain open() would give it
+    (``tempfile.mkstemp`` always gives 0o600)."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = f"{path}.{os.urandom(6).hex()}"
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -109,14 +124,22 @@ def _read_table(
 # ---------------------------------------------------------------- scan images
 
 def write_scan_image_csv(image: ScanImage, path) -> None:
+    """Write ``image`` in the module's scan CSV format, every value as
+    its shortest round-trip ``repr``, so a read gives back the same
+    doubles. Each distinct value is formatted once: ``np.unique`` runs
+    on the int64 bit patterns, which keeps -0.0 apart from 0.0, and the
+    rows are joined from that table. A Poisson scan holds a few hundred
+    distinct counts, so this skips nearly every per-pixel ``repr``."""
     g = image.grid
+    values = image.values
+    bits, where = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     lines = [
         ",".join(_IMAGE_HEADER),
         f"{g.width_px},{g.height_px},{float(g.pitch_nm)!r},"
         f"{float(g.origin_nm[0])!r},{float(g.origin_nm[1])!r}",
     ]
-    for row in image.values:
-        lines.append(",".join(map(repr, row.tolist())))
+    lines += map(",".join, table[where].reshape(values.shape).tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -181,8 +204,10 @@ def write_pgm(image: ScanImage, path, bits: int = 16) -> None:
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     lines = [",".join(_SPECTRUM_HEADER)]
-    for f, c in zip(spectrum.frequencies, spectrum.contrast):
-        lines.append(f"{float(f)!r},{float(c)!r}")
+    lines += (
+        f"{f!r},{c!r}"
+        for f, c in zip(spectrum.frequencies.tolist(), spectrum.contrast.tolist())
+    )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -449,10 +449,25 @@ class OdmrModelFit:
     iterations: int
 
 
-def _dip_candidates(f: np.ndarray, y: np.ndarray) -> list[float]:
-    baseline = float(np.median(y))
+def _median(a) -> float:
+    """``np.median`` of finite values, bit for bit: the middle order
+    statistic, or the mean (a + b) / 2 of the two middle ones. It skips
+    ``np.median``'s NaN check, whose first call imports ``numpy.ma`` and
+    costs 9-15 ms in a fresh process."""
+    a = np.asarray(a, dtype=float)
+    k = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, k)[k])
+    part = np.partition(a, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2)
+
+
+def _dip_candidates(f: np.ndarray, y: np.ndarray, baseline: float) -> list[float]:
+    """Local minima of ``y`` deeper than 40% of the deepest dip below
+    ``baseline`` (the median contrast), clustered within a linewidth
+    scale; as sweep frequencies."""
     depth = baseline - float(y.min())
-    noise = 1.4826 * float(np.median(np.abs(y - baseline)))
+    noise = 1.4826 * _median(np.abs(y - baseline))
     if depth <= max(1e-12, 5.0 * noise):
         raise FitFailed("no significant dips found in the spectrum")
     cut = baseline - 0.4 * depth
@@ -482,7 +497,7 @@ def _split_groups(cands: list[float]) -> tuple[list[float], list[float]]:
     k = int(np.argmax(gaps))
     if len(cands) > 2:
         others = np.delete(gaps, k)
-        if gaps[k] <= 2.5 * float(np.median(others)):
+        if gaps[k] <= 2.5 * _median(others):
             raise TripletsOverlap(
                 "dip spacing shows no dominant gap between triplet groups"
             )
@@ -543,15 +558,15 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
     clusters)."""
     f = spectrum.frequencies
     y = spectrum.contrast
-    lo_group, hi_group = _split_groups(_dip_candidates(f, y))
-    baseline = float(np.median(y))
+    baseline = _median(y)
+    lo_group, hi_group = _split_groups(_dip_candidates(f, y, baseline))
 
     def centroid(group: list[float]) -> float:
         mask = (f >= group[0] - 4.0) & (f <= group[-1] + 4.0)
         w = np.clip(baseline - y[mask], 0.0, None)
         total = float(w.sum())
         if total <= 0.0:
-            return float(np.median(group))
+            return _median(group)
         return float((w * f[mask]).sum() / total)
 
     def spacing_init(group: list[float]) -> float:

@@ -249,3 +249,27 @@ def dip_candidates_reference(f: np.ndarray, y: np.ndarray) -> list[float]:
             continue
         merged.append(i)
     return [float(f[i]) for i in merged]
+
+
+def scan_image_csv_reference(image: ScanImage) -> str:
+    """The scan CSV text with one ``repr`` per pixel: the reference for
+    ``fileio.write_scan_image_csv``, which formats each distinct value
+    once."""
+    g = image.grid
+    lines = [
+        "width,height,pitch_nm,origin_x_nm,origin_y_nm",
+        f"{g.width_px},{g.height_px},{float(g.pitch_nm)!r},"
+        f"{float(g.origin_nm[0])!r},{float(g.origin_nm[1])!r}",
+    ]
+    for row in image.values:
+        lines.append(",".join(map(repr, row.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_csv_reference(spectrum) -> str:
+    """The spectrum CSV text formatted from numpy scalars: the reference
+    for ``fileio.write_spectrum_csv``."""
+    lines = ["frequency_mhz,contrast"]
+    for f, c in zip(spectrum.frequencies, spectrum.contrast):
+        lines.append(f"{float(f)!r},{float(c)!r}")
+    return "\n".join(lines) + "\n"

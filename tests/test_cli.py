@@ -386,6 +386,27 @@ class TestPipeline:
                         "alpha_candidates_deg"):
                 assert entry[key] == odmr[key], key
 
+    def test_pipeline_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median's NaN check imports numpy.ma on first use, which costs
+        # every fresh `nvvortex pipeline` process 10-13 ms
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        argv = ["pipeline", "--scans", str(scans), "--spectra", str(spectra)]
+        proc = _run_python(
+            "-c",
+            "import sys\n"
+            "from nvvortex.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 False"
+
     def test_empty_dirs_usage_error(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

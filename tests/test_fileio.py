@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from conftest import scan_image_csv_reference, spectrum_csv_reference
 from nvvortex.errors import FileFormatError
 from nvvortex.fileio import (
     load_constraints_json,
@@ -15,7 +18,12 @@ from nvvortex.fileio import (
     write_spectrum_csv,
 )
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
-from nvvortex.spin import Spectrum
+from nvvortex.spin import (
+    SpinParams,
+    Spectrum,
+    add_contrast_noise,
+    simulate_odmr_spectrum,
+)
 
 
 @pytest.fixture
@@ -26,7 +34,47 @@ def sample_image(optics):
     )
 
 
+@pytest.fixture(scope="module")
+def writer_images(optics):
+    """A Poisson 256x256 off-centre scan (138 distinct counts), a
+    noiseless 64x64 off-centre map whose 4,096 values are all distinct,
+    and a grid of extremes that holds both zeros."""
+    orientation = NVOrientation.from_degrees(109.84, 20.60)
+    poisson = simulate_pattern(
+        orientation, ScanGrid(256, 256, 50.0), optics, amplitude=1e4,
+        background=100.0, noise_seed=7, center_nm=(137.3, -61.9),
+    )
+    noiseless = simulate_pattern(
+        orientation, ScanGrid(64, 64, 50.0), optics, amplitude=1e4,
+        background=100.0, center_nm=(37.3, -21.9),
+    )
+    extremes = ScanImage(
+        grid=ScanGrid(3, 2, 50.0, origin_nm=(-0.0, 1e-7)),
+        values=np.array([[0.0, -0.0, 5e-324], [0.1, 1e16, 1e300]]),
+    )
+    return {"poisson": poisson, "noiseless": noiseless, "extremes": extremes}
+
+
+WRITER_IMAGES = ["poisson", "noiseless", "extremes"]
+
+
 class TestScanImageCSV:
+    @pytest.mark.parametrize("name", WRITER_IMAGES)
+    def test_matches_per_pixel_reference(self, writer_images, name, tmp_path):
+        image = writer_images[name]
+        path = tmp_path / "img.csv"
+        write_scan_image_csv(image, path)
+        assert path.read_bytes() == scan_image_csv_reference(image).encode()
+
+    @pytest.mark.parametrize("name", WRITER_IMAGES)
+    def test_round_trip_is_bit_exact(self, writer_images, name, tmp_path):
+        # np.array_equal treats -0.0 == 0.0; the bit patterns do not
+        image = writer_images[name]
+        path = tmp_path / "img.csv"
+        write_scan_image_csv(image, path)
+        back = read_scan_image_csv(path).values
+        assert np.array_equal(back.view(np.int64), image.values.view(np.int64))
+
     def test_round_trip_is_exact(self, sample_image, tmp_path):
         path = tmp_path / "img.csv"
         write_scan_image_csv(sample_image, path)
@@ -110,6 +158,19 @@ class TestSpectrumCSV:
         back = read_spectrum_csv(path)
         assert np.array_equal(back.frequencies, spec.frequencies)
         assert np.array_equal(back.contrast, spec.contrast)
+
+    def test_matches_numpy_scalar_reference(self, tmp_path):
+        o = NVOrientation.from_degrees(109.84, 20.60)
+        field = 59.5 * NVOrientation.from_degrees(8.59, 182.56).unit_axis
+        spec = add_contrast_noise(
+            simulate_odmr_spectrum(field, o, SpinParams()), 0.002, seed=3
+        )
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(spec, path)
+        assert path.read_bytes() == spectrum_csv_reference(spec).encode()
+        back = read_spectrum_csv(path)
+        assert np.array_equal(back.contrast.view(np.int64),
+                              spec.contrast.view(np.int64))
 
     def test_non_monotone_rejected(self, tmp_path):
         path = tmp_path / "spec.csv"
@@ -213,3 +274,16 @@ class TestAtomicity:
         assert json.loads(path.read_text()) == {"v": 2}
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_mode_follows_umask_like_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_json({"v": 1}, tmp_path / "atomic.json")
+            with open(tmp_path / "plain.json", "w", encoding="utf-8"):
+                pass
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("atomic.json", "plain.json")]
+        assert modes[0] == modes[1] == 0o666 & ~umask

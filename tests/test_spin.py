@@ -23,6 +23,7 @@ from nvvortex.spin import (
     TransitionPair,
     _dip_candidates,
     _lorentz,
+    _median,
     _triplet_model,
     add_contrast_noise,
     electron_hamiltonian,
@@ -546,21 +547,22 @@ class TestFitSpectrum:
             for sigma in (0.002, 0.006):
                 y = add_contrast_noise(spec, sigma, seed).contrast
                 f = spec.frequencies
-                assert _dip_candidates(f, y) == dip_candidates_reference(f, y)
+                found = _dip_candidates(f, y, float(np.median(y)))
+                assert found == dip_candidates_reference(f, y)
 
     def test_dip_candidates_match_loop_at_ties_and_ends(self):
         f = np.linspace(2780.0, 2980.0, 500)
         y = np.ones_like(f)
         y[[1, 200, 201, 300, f.size - 2]] = 0.9  # a plateau tie at 200-201
         y[[100, 101, 102]] = [0.95, 0.9, 0.95]
-        found = _dip_candidates(f, y)
+        found = _dip_candidates(f, y, float(np.median(y)))
         assert found == dip_candidates_reference(f, y)
         assert found == [float(f[i]) for i in (1, 101, 200, 300, f.size - 2)]
         # a tie at the foot of a slope that falls to the first point: only
         # y[6] <= y[5] makes index 6 a minimum
         y = np.ones_like(f)
         y[:7] = [0.80, 0.82, 0.84, 0.86, 0.88, 0.9, 0.9]
-        found = _dip_candidates(f, y)
+        found = _dip_candidates(f, y, float(np.median(y)))
         assert found == dip_candidates_reference(f, y) == [float(f[6])]
 
     def test_dip_candidates_need_a_minimum_below_the_cut(self):
@@ -569,9 +571,18 @@ class TestFitSpectrum:
         f = np.linspace(2780.0, 2980.0, 500)
         y = np.ones_like(f)
         y[0] = 0.9
-        for search in (_dip_candidates, dip_candidates_reference):
-            with pytest.raises(FitFailed, match="no local minima"):
-                search(f, y)
+        with pytest.raises(FitFailed, match="no local minima"):
+            _dip_candidates(f, y, float(np.median(y)))
+        with pytest.raises(FitFailed, match="no local minima"):
+            dip_candidates_reference(f, y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 2001, 3800])
+    def test_median_matches_numpy_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for y in (rng.normal(1.0, 0.01, n), rng.integers(0, 5, n).astype(float)):
+            want = np.float64(np.median(y)).view(np.int64)
+            assert np.float64(_median(y)).view(np.int64) == want
+            assert np.float64(_median(list(y))).view(np.int64) == want
 
     def test_exhausted_budget_raises(self, spin_params, monkeypatch):
         spec = criterion7_spectrum(spin_params)
