@@ -79,7 +79,7 @@ def main():
         )
         constraints.append(constraint)
 
-    result = solve_direction(constraints, seed=args.seed)
+    result = solve_direction(constraints)
     got = result.direction
     want = b_dir.unit_axis
     err_deg = math.degrees(
@@ -95,7 +95,7 @@ def main():
     if result.triangle_spread is not None:
         print(f"triangle spread = {math.degrees(result.triangle_spread):.4f} deg")
     if result.direction_sigma is not None:
-        print(f"bootstrap direction sigma = "
+        print(f"first-order direction sigma = "
               f"{math.degrees(result.direction_sigma):.4f} deg")
     print(f"direction error vs truth (mod antipode) = {err_deg:.4f} deg")
 

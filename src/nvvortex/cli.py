@@ -284,7 +284,7 @@ def cmd_odmr(args, config: RunConfig) -> int:
 
 
 def _reconstruction_report(constraints, config: RunConfig, seed: int) -> dict:
-    result = solve_direction(constraints, seed=seed)
+    result = solve_direction(constraints)
     report = _base_report(config, seed)
     report.update(
         {
@@ -321,10 +321,6 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         else bundled_fixture_path(args.fixture)
     )
     constraints = load_constraints_json(path)
-    if len(constraints) < 3:
-        raise ConfigError(
-            f"reconstruction needs at least 3 constraints, got {len(constraints)}"
-        )
     report = _reconstruction_report(constraints, config, args.seed)
     _emit(report, args.out, "reconstruction.json")
     return EXIT_OK
@@ -373,18 +369,21 @@ def cmd_pipeline(args, config: RunConfig) -> int:
         "NV axes use the canonical representative (theta <= 90 deg, phi < 180 "
         "deg); the 180-degree azimuth ambiguity is not resolved by this pipeline."
     )
-    if len(constraints) >= 3:
-        report["reconstruction"] = _reconstruction_report(
-            constraints, config, args.seed
-        )
-        _emit(report, args.out, "pipeline.json")
-        return EXIT_OK
     report["reconstruction"] = None
+    failure = f"only {len(constraints)} valid NV(s); need 3 for reconstruction"
+    if len(constraints) >= 3:
+        try:
+            report["reconstruction"] = _reconstruction_report(
+                constraints, config, args.seed
+            )
+        except (NVVortexError, ValueError) as exc:
+            errors.append({"nv": None, "stage": "reconstruction",
+                           "error": type(exc).__name__, "message": str(exc)})
+            failure = f"reconstruction failed: {type(exc).__name__}: {exc}"
     _emit(report, args.out, "pipeline.json")
-    print(
-        f"pipeline: only {len(constraints)} valid NV(s); need 3 for reconstruction",
-        file=sys.stderr,
-    )
+    if report["reconstruction"] is not None:
+        return EXIT_OK
+    print(f"pipeline: {failure}", file=sys.stderr)
     return EXIT_NUMERICAL
 
 

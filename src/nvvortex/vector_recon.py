@@ -15,9 +15,10 @@ secular equation for the Lagrange multiplier (Gander 1981, "Least
 squares with a quadratic constraint", Numer. Math. 36), with no
 iteration budget or tolerance to tune. Flipping every cone gives the
 antipode at the same residual, so only assignments that keep the first
-cone as given are searched. Every assignment, and every sample of the
-cone-angle bootstrap, is one row of a single batched solve that shares
-one eigendecomposition of the axes' Gram matrix.
+cone as given are searched. Every assignment is one row of a single
+batched solve sharing one eigendecomposition of the axes' Gram matrix.
+The direction's uncertainty carries the cone-angle sigmas through the
+chosen branch's minimiser to first order, with no random draws.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ __all__ = [
     "aggregate_magnitude",
 ]
 
-#: branch search is capped at 2^6 combinations; extra constraints keep
-#: their cone angle as given
-BRANCH_SEARCH_CAP = 6
+#: every one of the 2^(n-1) branch assignments is a row of one batched
+#: solve: 2,048 rows at this limit
+MAX_CONSTRAINTS = 12
 
 DEFAULT_CONDITION_BOUND = 1e6
 DEFAULT_RESIDUAL_GATE = 1e-2
@@ -83,7 +84,7 @@ class VectorFieldResult:
     direction: np.ndarray | None = field(repr=False, default=None)
     triangle_vertices: list[np.ndarray] | None = None
     triangle_spread: float | None = None  # rad, max pairwise vertex distance
-    direction_sigma: float | None = None  # rad, bootstrap angular scatter
+    direction_sigma: float | None = None  # rad, first-order RMS angular error
 
 
 def _rows(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -142,8 +143,6 @@ def _unit_sphere_lstsq(
 def solve_direction(
     constraints: list[ConeConstraint],
     residual_gate: float = DEFAULT_RESIDUAL_GATE,
-    bootstrap_samples: int = 200,
-    seed: int = 0,
 ) -> VectorFieldResult:
     """Best-fit field direction over all cone-angle branch assignments.
 
@@ -152,14 +151,17 @@ def solve_direction(
     mirror. For exactly three cones the result also carries the
     pairwise cone intersections on the chosen branches, each the point
     nearer the solution, and their spread: a consistency metric, since
-    exact constraints collapse the triangle to a point. Raises
-    DegenerateAxes when the axis matrix is conditioned worse than
-    DEFAULT_CONDITION_BOUND and NoSolution when even the best branch
-    leaves a residual above ``residual_gate``.
+    exact constraints collapse the triangle to a point.
+    ``direction_sigma`` is the RMS great-circle error the cone-angle
+    sigmas cause to first order (the limit of a parametric bootstrap),
+    None when no constraint has a sigma. Raises ValueError outside 3 to
+    MAX_CONSTRAINTS cones, DegenerateAxes when the axis matrix is
+    conditioned worse than DEFAULT_CONDITION_BOUND and NoSolution when
+    even the best branch leaves a residual above ``residual_gate``.
     """
     n = len(constraints)
-    if n < 3:
-        raise ValueError(f"need at least 3 cone constraints, got {n}")
+    if not 3 <= n <= MAX_CONSTRAINTS:
+        raise ValueError(f"need 3 to {MAX_CONSTRAINTS} cone constraints, got {n}")
     axes = np.stack([c.axis.unit_axis for c in constraints])
     if np.linalg.cond(axes) > DEFAULT_CONDITION_BOUND:
         raise DegenerateAxes(
@@ -169,15 +171,14 @@ def solve_direction(
     alphas = np.array([c.alpha for c in constraints])
     base_cos = np.cos(alphas)
 
-    # row r flips cone i (1 <= i < n_search) where bit n_search - 1 - i
-    # of r is set: the rows run in lexicographic order of their flip
-    # tuples, so argmin breaks ties toward the first tuple
-    n_search = min(n, BRANCH_SEARCH_CAP)
-    codes = np.arange(1 << (n_search - 1))[:, None]
+    # row r flips cone i (i >= 1) where bit n - 1 - i of r is set: the
+    # rows run in lexicographic order of their flip tuples, so argmin
+    # breaks ties toward the first tuple
+    codes = np.arange(1 << (n - 1))[:, None]
     flip_rows = np.zeros((len(codes), n), dtype=bool)
-    flip_rows[:, 1:n_search] = (codes >> np.arange(n_search - 2, -1, -1)) & 1
-    signs = np.where(flip_rows, -1.0, 1.0)
-    directions, residuals = _unit_sphere_lstsq(axes, signs * base_cos)
+    flip_rows[:, 1:] = (codes >> np.arange(n - 2, -1, -1)) & 1
+    cosines = np.where(flip_rows, -base_cos, base_cos)
+    directions, residuals = _unit_sphere_lstsq(axes, cosines)
     best = int(np.argmin(residuals))
     direction, residual = directions[best], float(residuals[best])
     if residual > residual_gate:
@@ -201,23 +202,21 @@ def solve_direction(
 
     if n == 3:
         result.triangle_vertices, result.triangle_spread = _triangle_vertices(
-            axes, signs[best] * base_cos, direction
+            axes, cosines[best], direction
         )
 
     sigmas = np.array([c.alpha_sigma for c in constraints])
-    noisy = sigmas > 0.0
-    if bootstrap_samples > 0 and noisy.any():
-        # parametric bootstrap over the cone angles, branch held fixed:
-        # the RMS great-circle deviation from the point solution
-        draws = np.random.default_rng(seed).standard_normal(
-            (bootstrap_samples, int(noisy.sum()))
-        )
-        drawn = np.tile(alphas, (bootstrap_samples, 1))
-        drawn[:, noisy] += sigmas[noisy] * draws
-        samples, _ = _unit_sphere_lstsq(axes, signs[best] * np.cos(drawn))
-        cos_dev = _rows(samples[:, None], direction)[:, 0]
-        devs = np.arccos(np.clip(cos_dev, -1.0, 1.0))
-        result.direction_sigma = float(np.sqrt(np.mean(np.square(devs))))
+    if sigmas.any():
+        # differentiating (A^T A - lam I) b = A^T c and b.b = 1 gives
+        # db = K dc from the bordered matrix [[H, b], [b^T, 0]], which
+        # stays regular in the hard case where H = A^T A - lam I does not
+        lam = direction @ axes.T @ (axes @ direction - cosines[best])
+        shifted = axes.T @ axes - lam * np.eye(3)
+        bordered = np.block([[shifted, direction[:, None]], [direction, 0.0]])
+        # dc_i = -+sin(alpha_i) dalpha_i; the sign drops out of the norm
+        scaled = np.vstack([axes.T * (np.sin(alphas) * sigmas), np.zeros(n)])
+        gain = np.linalg.solve(bordered, scaled)[:3]
+        result.direction_sigma = float(np.linalg.norm(gain))
     return result
 
 

@@ -8,6 +8,7 @@ from nvvortex.errors import DegenerateTemplate, FitFailed, NVVortexError
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, intensity_map
 from nvvortex.spin import SpinParams, _lorentz
+from nvvortex.vector_recon import _unit_sphere_lstsq
 
 settings.register_profile(
     "suite",
@@ -273,3 +274,21 @@ def spectrum_csv_reference(spectrum) -> str:
     for f, c in zip(spectrum.frequencies, spectrum.contrast):
         lines.append(f"{float(f)!r},{float(c)!r}")
     return "\n".join(lines) + "\n"
+
+
+def bootstrap_direction_sigma(constraints, result, samples: int, seed: int) -> float:
+    """RMS great-circle deviation of the direction over a parametric
+    bootstrap of the cone angles, branch held fixed: the Monte Carlo
+    reference for the first-order ``direction_sigma`` of
+    ``vector_recon.solve_direction``."""
+    axes = np.stack([c.axis.unit_axis for c in constraints])
+    alphas = np.array([c.alpha for c in constraints])
+    sigmas = np.array([c.alpha_sigma for c in constraints])
+    noisy = sigmas > 0.0
+    draws = np.random.default_rng(seed).standard_normal((samples, int(noisy.sum())))
+    drawn = np.tile(alphas, (samples, 1))
+    drawn[:, noisy] += sigmas[noisy] * draws
+    signs = np.where(result.branch_flipped, -1.0, 1.0)
+    points, _ = _unit_sphere_lstsq(axes, signs * np.cos(drawn))
+    devs = np.arccos(np.clip(points @ result.direction, -1.0, 1.0))
+    return float(np.sqrt(np.mean(np.square(devs))))

@@ -53,7 +53,7 @@ def test_criterion_1_reference_vector_reconstruction():
 
     constraints = load_constraints_json(bundled_fixture_path("paper_fig4"))
     start = time.perf_counter()
-    result = solve_direction(constraints, bootstrap_samples=0)
+    result = solve_direction(constraints)
     elapsed = time.perf_counter() - start
 
     target = axis_from_degrees(*REFERENCE_FIELD_DIRECTION_DEG)

@@ -433,6 +433,24 @@ class TestPipeline:
         assert any(e["nv"] == "nv4" for e in report["errors"])
         assert report["reconstruction"] is not None
 
+    def test_failed_reconstruction_keeps_per_nv_results(self, tmp_path, capsys):
+        # three copies of one NV: every fit succeeds, the axes coincide
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [(f"nv{i}", (70.16, 20.60)) for i in (1, 2, 3)]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 3
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is None
+        [entry] = report["errors"]
+        assert entry["nv"] is None and entry["stage"] == "reconstruction"
+        assert entry["error"] == "DegenerateAxes"
+        written = json.loads((tmp_path / "out" / "pipeline.json").read_text())
+        assert written == report
+
 
 def _run_python(*argv, cwd=None):
     """Run a child interpreter on this checkout with every warning an

@@ -13,13 +13,14 @@ from conftest import (
     REFERENCE_FIELD_DIRECTION_DEG,
     REFERENCE_ORIENTATIONS_DEG,
     axis_from_degrees,
+    bootstrap_direction_sigma,
 )
 from nvvortex.cli import bundled_fixture_path
 from nvvortex.errors import DegenerateAxes, NoSolution
 from nvvortex.fileio import load_constraints_json
 from nvvortex.pattern import NVOrientation
 from nvvortex.vector_recon import (
-    BRANCH_SEARCH_CAP,
+    MAX_CONSTRAINTS,
     ConeConstraint,
     _unit_sphere_lstsq,
     aggregate_magnitude,
@@ -57,7 +58,7 @@ def cones_for_field(b_hat, axes, b_mag=50.0):
     ]
 
 
-def reference_constraints(with_sigmas=False):
+def reference_constraints():
     out = []
     for (t, p), alpha, b in zip(
         REFERENCE_ORIENTATIONS_DEG[1:], REFERENCE_CONE_ANGLES_DEG, REFERENCE_B_GAUSS
@@ -67,17 +68,16 @@ def reference_constraints(with_sigmas=False):
                 axis=NVOrientation.from_degrees(t, p),
                 alpha=math.radians(alpha),
                 b=b,
-                alpha_sigma=math.radians(0.02) if with_sigmas else 0.0,
             )
         )
     return out
 
 
-def random_unit_axes(rng, n):
+def random_unit_axes(rng, n, max_cond=1e3):
     while True:
         axes = rng.normal(size=(n, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        if np.linalg.cond(axes) < 1e3:
+        if np.linalg.cond(axes) < max_cond:
             return axes
 
 
@@ -288,9 +288,7 @@ class TestSolveDirection:
                 ConeConstraint(axis=NVOrientation.from_vector(a), alpha=al, b=1.0)
                 for a, al in zip(axes, alphas)
             ]
-            result = solve_direction(
-                cons, residual_gate=math.inf, bootstrap_samples=0
-            )
+            result = solve_direction(cons, residual_gate=math.inf)
             used = np.stack([c.axis.unit_axis for c in cons])
             base_cos = np.cos(alphas)
             cosines = np.where(result.branch_flipped, -base_cos, base_cos)
@@ -332,6 +330,16 @@ class TestSolveDirection:
         )
         assert abs(np.linalg.norm(b) - 1.0) < 1e-15
         assert np.allclose(b - (b @ v0) * v0, w, atol=1e-9)
+        # the same cones with sigmas: where the hard-case branch wins
+        # (seeds None and 3), A^T A - lam I is singular
+        cosines = axes @ (w - e[0] * h_inv_w)
+        cons = [
+            ConeConstraint(axis=NVOrientation.from_vector(a), b=1.0,
+                           alpha=math.acos(np.clip(c, -1.0, 1.0)), alpha_sigma=0.01)
+            for a, c in zip(axes, cosines)
+        ]
+        sigma = solve_direction(cons, residual_gate=math.inf).direction_sigma
+        assert sigma is None or math.isfinite(sigma)
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_batched_rows_match_one_row_solves(self, n):
@@ -383,9 +391,9 @@ class TestSolveDirection:
 
     @pytest.mark.parametrize("kind", ["fig2", "tie"])
     def test_eight_cones_match_brute_force_search(self, kind):
-        # past BRANCH_SEARCH_CAP the last two cones keep their branch; the
-        # winner is the least residual over every assignment of the first
-        # six, ties going to the lexicographically first flip tuple
+        # the winner is the least residual over every assignment of the
+        # last seven cones, ties going to the lexicographically first
+        # flip tuple
         if kind == "fig2":  # the fig-2 axes twice, noisy cone angles
             rng = np.random.default_rng(8)
             b_hat = axis_from_degrees(*REFERENCE_FIELD_DIRECTION_DEG)
@@ -406,8 +414,8 @@ class TestSolveDirection:
         used = np.stack([c.axis.unit_axis for c in cons])
         base_cos = np.cos([c.alpha for c in cons])
         candidates = []
-        for head in itertools.product((False, True), repeat=BRANCH_SEARCH_CAP):
-            flips = head + (False,) * (len(cons) - BRANCH_SEARCH_CAP)
+        for tail in itertools.product((False, True), repeat=len(cons) - 1):
+            flips = (False,) + tail
             b, r = _unit_sphere_lstsq(used, np.where(flips, -base_cos, base_cos)[None])
             candidates.append((float(r[0]), flips, b[0]))
         candidates.sort(key=lambda c: (c[0], c[1]))
@@ -415,26 +423,74 @@ class TestSolveDirection:
         if kind == "tie":
             assert candidates[1][0] == residual
             assert flips[1] is False and candidates[1][1][1] is True
-        result = solve_direction(cons, bootstrap_samples=0)
+        result = solve_direction(cons)
         assert result.branch_flipped == flips
         assert result.residual == residual
         assert np.array_equal(result.direction, direction)
 
-    def test_bootstrap_stream_is_pinned(self):
-        # one draw matrix over the constraints with sigma > 0, in row-major
-        # order, is the stream of one rng.normal(alpha, sigma) per draw
-        cons = load_constraints_json(bundled_fixture_path("paper_fig4"))
-        sigma = solve_direction(cons, seed=0).direction_sigma
-        assert sigma == pytest.approx(0.00034936027078288315, rel=1e-9)
-        cons[1] = dataclasses.replace(cons[1], alpha_sigma=0.0)
-        sigma = solve_direction(cons, seed=0).direction_sigma
-        assert sigma == pytest.approx(0.00023906392100604218, rel=1e-9)
+    def test_random_eight_cone_sets_recover_the_field(self):
+        # cone angles as measure_nv gives them, all at most 90 degrees,
+        # so the later cones need their own flips as much as the first
+        rng = np.random.default_rng(88)
+        for _ in range(20):
+            b_hat = rng.normal(size=3)
+            b_hat /= np.linalg.norm(b_hat)
+            axes = random_unit_axes(rng, 8)
+            cons = [
+                ConeConstraint(axis=NVOrientation.from_vector(a), b=50.0,
+                               alpha=math.acos(min(1.0, abs(float(a @ b_hat)))))
+                for a in axes
+            ]
+            result = solve_direction(cons)
+            assert result.residual < 1e-14
+            assert direction_error_deg(result, b_hat) < 1e-6
 
-    def test_bootstrap_sigma_deterministic(self):
-        a = solve_direction(reference_constraints(with_sigmas=True), seed=5)
-        b = solve_direction(reference_constraints(with_sigmas=True), seed=5)
-        assert a.direction_sigma == b.direction_sigma
-        assert a.direction_sigma > 0.0
+    def test_cone_count_limit(self):
+        b_hat = np.array([0.3, 0.1, 0.95])
+        b_hat /= np.linalg.norm(b_hat)
+        axes = random_unit_axes(np.random.default_rng(12), MAX_CONSTRAINTS + 1)
+        cons = cones_for_field(b_hat, axes)
+        result = solve_direction(cons[:MAX_CONSTRAINTS])
+        assert direction_error_deg(result, b_hat) < 1e-6
+        with pytest.raises(ValueError, match=f"3 to {MAX_CONSTRAINTS} cone"):
+            solve_direction(cons)
+
+    def test_direction_sigma_matches_bootstrap_on_paper_fig4(self):
+        cons = load_constraints_json(bundled_fixture_path("paper_fig4"))
+        one_exact = [*cons[:1], dataclasses.replace(cons[1], alpha_sigma=0.0), *cons[2:]]
+        for case in (cons, one_exact):
+            result = solve_direction(case)
+            reference = bootstrap_direction_sigma(case, result, 20_000, seed=0)
+            assert result.direction_sigma == pytest.approx(reference, rel=0.02)
+            assert solve_direction(case).direction_sigma == result.direction_sigma
+        exact = [dataclasses.replace(c, alpha_sigma=0.0) for c in cons]
+        assert solve_direction(exact).direction_sigma is None
+
+    def test_direction_sigma_matches_bootstrap_on_random_sets(self):
+        # axes conditioned within 10 (three NV classes of the crystal give
+        # 2): on worse-conditioned axes the solve responds nonlinearly to
+        # cone-angle noise of this size, and a first-order figure is only
+        # the small-sigma limit
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            b_hat = rng.normal(size=3)
+            b_hat /= np.linalg.norm(b_hat)
+            while True:
+                axes = random_unit_axes(rng, n, max_cond=10.0)
+                alphas = np.arccos(np.clip(axes @ b_hat, -1.0, 1.0))
+                if np.all(np.abs(alphas - math.pi / 2) < math.radians(80.0)):
+                    break
+            sigmas = 10.0 ** rng.uniform(-4.0, -2.0, n)
+            alphas += sigmas * rng.standard_normal(n)
+            cons = [
+                ConeConstraint(axis=NVOrientation.from_vector(a), alpha=al, b=1.0,
+                               alpha_sigma=s)
+                for a, al, s in zip(axes, alphas, sigmas)
+            ]
+            result = solve_direction(cons, residual_gate=math.inf)
+            reference = bootstrap_direction_sigma(cons, result, 20_000, seed=n)
+            assert result.direction_sigma == pytest.approx(reference, rel=0.02)
 
 
 class TestAggregateMagnitude:
