@@ -74,6 +74,11 @@ def _check_non_negative(flag: str, value: float | None) -> None:
         raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
 
 
+def _check_finite(flag: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value}")
+
+
 def _emit(report: dict, out_dir: str | None, filename: str) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
     if out_dir is not None:
@@ -134,6 +139,9 @@ def _odmr_fields(model: OdmrModelFit, estimate: FieldEstimate) -> dict:
 
 def cmd_simulate_pattern(args, config: RunConfig) -> int:
     _check_non_negative("--noise-seed", args.noise_seed)
+    _check_finite("--center-x-nm", args.center_x_nm)
+    _check_finite("--center-y-nm", args.center_y_nm)
+    _check_finite("--z-nm", args.z_nm)
     pat = config.pattern
     grid = ScanGrid(
         width_px=args.width if args.width is not None else pat.width_px,

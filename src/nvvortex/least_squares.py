@@ -12,6 +12,7 @@ identical for every caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,12 @@ def levenberg_marquardt(fun, x0) -> LeastSquaresResult:
     for iteration in range(MAX_ITERATIONS):
         a = jac.T @ jac
         g = jac.T @ r
-        scale = np.diag(a).copy()
+        scale = a.diagonal().copy()
         scale[scale == 0.0] = 1.0  # a zero column is damped like a unit one
-        step = np.linalg.solve(a + mu * np.diag(scale), -g)
-        if np.linalg.norm(step) <= X_TOLERANCE * (np.linalg.norm(x) + X_TOLERANCE):
+        damped = a.copy()
+        damped.flat[:: x.size + 1] += mu * scale
+        step = np.linalg.solve(damped, -g)
+        if math.sqrt(step @ step) <= X_TOLERANCE * (math.sqrt(x @ x) + X_TOLERANCE):
             return LeastSquaresResult(x, iteration, True)
         trial = x + step
         r_new, jac_new, cost_new = _evaluate(fun, trial)

@@ -121,8 +121,10 @@ class ScanGrid:
     def __post_init__(self):
         if self.width_px < 1 or self.height_px < 1:
             raise ValueError("grid dimensions must be positive")
-        if not self.pitch_nm > 0.0:
-            raise ValueError(f"pitch must be positive, got {self.pitch_nm}")
+        if not (math.isfinite(self.pitch_nm) and self.pitch_nm > 0.0):
+            raise ValueError(f"pitch must be finite and positive, got {self.pitch_nm}")
+        if not all(math.isfinite(v) for v in self.origin_nm):
+            raise ValueError(f"origin must be finite, got {self.origin_nm}")
         if self.width_px * self.height_px > MAX_PIXELS:
             raise ValueError(
                 f"{self.width_px}x{self.height_px} exceeds MAX_PIXELS={MAX_PIXELS}"

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nvvortex.errors import DegenerateTemplate, FitFailed, NVVortexError
+from nvvortex import least_squares, spin
+from nvvortex.errors import (
+    DegenerateTemplate,
+    FitFailed,
+    NVVortexError,
+    ObjectiveNotFinite,
+    TripletsOverlap,
+)
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, intensity_map
 from nvvortex.spin import SpinParams, _lorentz
@@ -292,3 +299,92 @@ def bootstrap_direction_sigma(constraints, result, samples: int, seed: int) -> f
     points, _ = _unit_sphere_lstsq(axes, signs * np.cos(drawn))
     devs = np.arccos(np.clip(points @ result.direction, -1.0, 1.0))
     return float(np.sqrt(np.mean(np.square(devs))))
+
+
+def levenberg_marquardt_reference(fun, x0) -> least_squares.LeastSquaresResult:
+    """``least_squares.levenberg_marquardt`` with the damped matrix
+    formed as a + mu diag(scale) and the norms from ``np.linalg.norm``:
+    the reference for the leaner loop, which must match it bit for bit."""
+    x = np.array(x0, dtype=float).ravel()
+
+    def evaluate(x):
+        r, jac = fun(x)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+            raise ObjectiveNotFinite(f"residual or Jacobian is not finite at x = {x!r}")
+        return r, jac, float(r @ r)
+
+    r, jac, cost = evaluate(x)
+    mu, nu = least_squares.INITIAL_DAMPING, 2.0
+    tol = least_squares.X_TOLERANCE
+    for iteration in range(least_squares.MAX_ITERATIONS):
+        a = jac.T @ jac
+        g = jac.T @ r
+        scale = np.diag(a).copy()
+        scale[scale == 0.0] = 1.0
+        step = np.linalg.solve(a + mu * np.diag(scale), -g)
+        if np.linalg.norm(step) <= tol * (np.linalg.norm(x) + tol):
+            return least_squares.LeastSquaresResult(x, iteration, True)
+        trial = x + step
+        r_new, jac_new, cost_new = evaluate(trial)
+        reduction = cost - cost_new
+        if reduction > 0.0:
+            predicted = float(step @ (mu * scale * step - g))
+            rho = reduction / predicted if reduction < predicted else 1.0
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            x, r, jac, cost = trial, r_new, jac_new, cost_new
+        else:
+            mu *= nu
+            nu *= 2.0
+    return least_squares.LeastSquaresResult(x, least_squares.MAX_ITERATIONS, False)
+
+
+def fit_odmr_model_reference(spectrum):
+    """``spin.fit_odmr_model`` with Levenberg-Marquardt over the whole
+    sweep: the reference for the fit on windows around the dips.
+    Returns (omega1, omega2, sigma1, sigma2, linewidth)."""
+    f = spectrum.frequencies
+    y = spectrum.contrast
+    baseline = spin._median(y)
+    lo_group, hi_group = spin._split_groups(spin._dip_candidates(f, y, baseline))
+
+    def centroid(group):
+        mask = (f >= group[0] - 4.0) & (f <= group[-1] + 4.0)
+        w = np.clip(baseline - y[mask], 0.0, None)
+        total = float(w.sum())
+        if total <= 0.0:
+            return spin._median(group)
+        return float((w * f[mask]).sum() / total)
+
+    def spacing_init(group):
+        return 0.5 * (group[-1] - group[0]) if len(group) == 3 else 2.0
+
+    df = float(f[1] - f[0])
+    start = np.zeros(11)
+    start[:5] = (centroid(lo_group), centroid(hi_group),
+                 spacing_init(lo_group), spacing_init(hi_group), max(4.0 * df, 0.5))
+    _, jac = spin._triplet_model(f, start)
+    start[5:] = np.linalg.lstsq(-jac[:, 5:], 1.0 - y, rcond=None)[0]
+
+    def residual(p):
+        model, jac = spin._triplet_model(f, p)
+        return model - y, jac
+
+    result = least_squares.levenberg_marquardt(residual, start)
+    if not result.converged:
+        raise FitFailed(
+            f"triplet fit did not converge within {result.iterations} iterations"
+        )
+    p = result.x
+    for k in (0, 1):
+        if p[2 + k] < 0.0:
+            p[2 + k] = -p[2 + k]
+            p[5 + 3 * k : 8 + 3 * k] = p[7 + 3 * k : 4 + 3 * k : -1].copy()
+    p[4] = abs(p[4])
+    if p[0] > p[1]:
+        p = p[[1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7]]
+    if p[1] - p[0] < 3.0 * p[4]:
+        raise TripletsOverlap("group centers closer than three linewidths")
+    model, jac = spin._triplet_model(f, p)
+    sig1, sig2 = spin._center_uncertainties(jac, float((model - y) @ (model - y)))
+    return float(p[0]), float(p[1]), sig1, sig2, float(p[4])

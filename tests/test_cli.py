@@ -66,6 +66,37 @@ class TestSimulateAndFit:
         assert "--noise-seed" in payload["message"]
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--center-x-nm", "inf"), ("--center-x-nm", "nan"),
+        ("--center-y-nm", "-inf"), ("--z-nm", "nan"),
+    ])
+    def test_non_finite_position_names_the_flag(self, tmp_path, capsys, flag, value):
+        code, payload = run_cli(
+            capsys, "simulate-pattern", "--theta-deg", "90", "--phi-deg", "0",
+            f"{flag}={value}", "--out", str(tmp_path / "sim"),
+        )
+        assert code == 2
+        assert payload["error"] == "ConfigError"
+        assert flag in payload["message"]
+        assert not (tmp_path / "sim").exists()
+
+    def test_infinite_pitch_is_usage_error(self, tmp_path, capsys):
+        code, payload = run_cli(
+            capsys, "simulate-pattern", "--theta-deg", "90", "--phi-deg", "0",
+            "--pitch-nm", "inf", "--out", str(tmp_path / "sim"),
+        )
+        assert code == 2
+        assert "pitch must be finite" in payload["message"]
+        assert not (tmp_path / "sim").exists()
+
+    def test_infinite_pitch_in_csv_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("width,height,pitch_nm,origin_x_nm,origin_y_nm\n"
+                       "2,2,inf,0,0\n1,2\n3,4\n")
+        code, payload = run_cli(capsys, "fit-orientation", "--image", str(bad))
+        assert code == 4
+        assert payload["error"] == "FileFormatError"
+
     def test_fit_report_is_deterministic(self, tmp_path, capsys):
         out = tmp_path / "sim"
         run_cli(
@@ -204,6 +235,15 @@ class TestOdmr:
     def test_requires_exactly_one_source(self, capsys):
         code, payload = run_cli(capsys, "odmr")
         assert code == 2
+
+    def test_oversized_sweep_names_the_limit(self, capsys):
+        code, payload = run_cli(
+            capsys, "odmr", "--simulate", "--b-gauss", "59.5", "--b-theta-deg", "8.59",
+            "--b-phi-deg", "182.56", "--nv-theta-deg", "109.84",
+            "--nv-phi-deg", "20.60", "--sweep-points", str(10**12),
+        )
+        assert code == 2
+        assert "MAX_SWEEP_POINTS" in payload["message"]
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -431,6 +471,27 @@ class TestPipeline:
         )
         assert code == 0  # partial results: 3 valid NVs still reconstruct
         assert any(e["nv"] == "nv4" for e in report["errors"])
+        assert report["reconstruction"] is not None
+
+    def test_non_finite_scan_origin_lists_that_nv(self, tmp_path, capsys):
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        text = (scans / "nv4.csv").read_text().split("\n")
+        text[1] = "31,31,50.0,nan,0.0"
+        (scans / "nv4.csv").write_text("\n".join(text))
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv4" and entry["error"] == "FileFormatError"
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
         assert report["reconstruction"] is not None
 
     def test_failed_reconstruction_keeps_per_nv_results(self, tmp_path, capsys):

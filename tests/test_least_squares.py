@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvvortex import least_squares
+from conftest import REFERENCE_ORIENTATIONS_DEG, levenberg_marquardt_reference
+from nvvortex import least_squares, orient_fit, spin
 from nvvortex.errors import ObjectiveNotFinite
 from nvvortex.least_squares import LeastSquaresResult, levenberg_marquardt
+from nvvortex.pattern import NVOrientation, simulate_pattern
 
 
 def rosenbrock(x):
@@ -79,3 +81,50 @@ class TestLevenbergMarquardt:
         assert result.converged
         assert result.x[0] == pytest.approx(2.0, abs=1e-9)
         assert result.x[1] == 5.0
+
+
+def assert_bitwise_equal(a: LeastSquaresResult, b: LeastSquaresResult) -> None:
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
+def checked(fun, x0) -> LeastSquaresResult:
+    """``levenberg_marquardt``, asserted bit for bit against the loop
+    that formed a + mu diag(scale) and took ``np.linalg.norm``."""
+    result = levenberg_marquardt(fun, x0)
+    assert_bitwise_equal(result, levenberg_marquardt_reference(fun, x0))
+    return result
+
+
+class TestMatchesReferenceLoop:
+    def test_test_problems(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(30, 4)), rng.normal(size=30)
+        checked(lambda x: (a @ x - b, a), np.zeros(4))
+        checked(rosenbrock, [-1.2, 1.0])
+        checked(lambda x: (x + x**3 / 3.0 - 1.5, np.diag(1.0 + x**2)),
+                [4.0, -3.0, 0.5])
+        checked(lambda x: (np.array([x[0] - 2.0, 0.0]),
+                           np.array([[1.0, 0.0], [0.0, 0.0]])), [0.0, 5.0])
+        monkeypatch.setattr(least_squares, "MAX_ITERATIONS", 3)
+        assert not checked(rosenbrock, [-1.2, 1.0]).converged
+
+    def test_odmr_fits(self, spin_params, monkeypatch):
+        monkeypatch.setattr(spin, "levenberg_marquardt", checked)
+        bdir = NVOrientation.from_degrees(8.59, 182.56)
+        for theta, phi in REFERENCE_ORIENTATIONS_DEG[1:]:
+            clean = spin.simulate_odmr_spectrum(
+                59.5 * bdir.unit_axis, NVOrientation.from_degrees(theta, phi),
+                spin_params,
+            )
+            for seed in (0, 1):
+                spin.fit_odmr_model(spin.add_contrast_noise(clean, 0.002, seed))
+
+    def test_orientation_fits(self, grid31, optics, monkeypatch):
+        monkeypatch.setattr(orient_fit, "levenberg_marquardt", checked)
+        for seed, (theta, phi) in enumerate(REFERENCE_ORIENTATIONS_DEG):
+            image = simulate_pattern(
+                NVOrientation.from_degrees(theta, phi), grid31, optics,
+                amplitude=1e4, background=100.0, noise_seed=seed,
+            )
+            orient_fit.fit_orientation(image, optics)

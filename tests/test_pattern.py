@@ -65,6 +65,14 @@ class TestScanTypes:
         with pytest.raises(ValueError):
             ScanGrid(4096, MAX_PIXELS // 4096 + 1, 50.0)
 
+    @pytest.mark.parametrize("pitch, origin", [
+        (math.inf, (0.0, 0.0)), (math.nan, (0.0, 0.0)),
+        (50.0, (math.nan, 0.0)), (50.0, (0.0, -math.inf)),
+    ])
+    def test_grid_rejects_non_finite_geometry(self, pitch, origin):
+        with pytest.raises(ValueError, match="finite"):
+            ScanGrid(31, 31, pitch, origin_nm=origin)
+
     def test_center_of_odd_grid_is_middle_pixel(self):
         g = ScanGrid(31, 31, 50.0, origin_nm=(100.0, -50.0))
         assert g.center_nm == (100.0 + 15 * 50.0, -50.0 + 15 * 50.0)

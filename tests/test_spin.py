@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dip_candidates_reference, triplet_model_reference
+from conftest import (
+    REFERENCE_ORIENTATIONS_DEG,
+    dip_candidates_reference,
+    fit_odmr_model_reference,
+    triplet_model_reference,
+)
 from nvvortex import least_squares, spin
 from nvvortex.errors import (
     DegenerateField,
@@ -414,6 +419,11 @@ class TestSimulateSpectrum:
             simulate_odmr_spectrum([0, 0, 50], NVOrientation(0, 0), spin_params,
                                    contrast_depth=1.5)
 
+    def test_sweep_size_is_bounded(self):
+        SweepSettings(2780.0, 2980.0, spin.MAX_SWEEP_POINTS)  # nothing is allocated
+        with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
+            SweepSettings(2780.0, 2980.0, 10**12)
+
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
             Spectrum(frequencies=np.array([1.0, 1.0, 2.0]),
@@ -437,13 +447,39 @@ def criterion7_spectrum(spin_params):
 WIDE_SWEEP = SweepSettings(2680.0, 3060.0, 3801)
 
 
-def wide_spectrum(spin_params, theta_deg=109.84, phi_deg=20.60):
-    """Noiseless criterion-7 field over the wide sweep, any NV axis."""
+def fig2_spectrum(spin_params, axis, sweep, linewidth_mhz=0.8):
+    """Noiseless criterion-7 field (the benchmark's) for any NV axis."""
     bdir = NVOrientation.from_degrees(8.59, 182.56)
     return simulate_odmr_spectrum(
-        59.5 * bdir.unit_axis, NVOrientation.from_degrees(theta_deg, phi_deg),
-        spin_params, sweep=WIDE_SWEEP,
+        59.5 * bdir.unit_axis, NVOrientation.from_degrees(*axis), spin_params,
+        linewidth_mhz=linewidth_mhz, sweep=sweep,
     )
+
+
+def wide_spectrum(spin_params, theta_deg=109.84, phi_deg=20.60):
+    """Noiseless criterion-7 field over the wide sweep, any NV axis."""
+    return fig2_spectrum(spin_params, (theta_deg, phi_deg), WIDE_SWEEP)
+
+
+def assert_matches_full_sweep_fit(spectrum):
+    """The windowed fit against the whole-sweep reference: each centre
+    within 0.01 sigma, each sigma within [0.85, 1.15] of the reference's,
+    and the same exception where the reference raises."""
+    try:
+        ref = fit_odmr_model_reference(spectrum)
+    except (FitFailed, TripletsOverlap) as exc:
+        with pytest.raises(type(exc)):
+            fit_odmr_model(spectrum)
+        return None
+    model = fit_odmr_model(spectrum)
+    pair = model.pair
+    for omega, sigma, ref_omega, ref_sigma in (
+        (pair.omega1, pair.sigma1, ref[0], ref[2]),
+        (pair.omega2, pair.sigma2, ref[1], ref[3]),
+    ):
+        assert abs(omega - ref_omega) <= 0.01 * ref_sigma
+        assert 0.85 <= sigma / ref_sigma <= 1.15
+    return model
 
 
 def assert_matches_reference(f, p):
@@ -520,24 +556,72 @@ class TestFitSpectrum:
             assert np.linalg.norm(jac[:, i] - fd) <= 1e-6 * np.linalg.norm(jac[:, i])
 
     def test_fit_path_pinned(self, spin_params, monkeypatch):
-        # a change to the model's rounding that perturbs the
-        # Levenberg-Marquardt path shows here as a different call count
-        # or centre; the literals are what the (n, 6) reference layout gives
+        # a change to the model's rounding or to the fit window that
+        # perturbs the Levenberg-Marquardt path shows here as a different
+        # call count, window or centre
         spec = add_contrast_noise(wide_spectrum(spin_params), 0.002, 11)
-        points = []
+        calls = []
         model = spin._triplet_model
 
         def recorded(f, p):
-            points.append(p.copy())
+            calls.append((f, p.copy()))
             return model(f, p)
 
         monkeypatch.setattr(spin, "_triplet_model", recorded)
-        pair = fit_odmr_model(spec).pair
-        assert len(points) == 9
-        assert (pair.omega1, pair.omega2) == (2803.077139454436, 2959.5512226500528)
+        fit = fit_odmr_model(spec)
+        assert len(calls) == 9
+        assert {f.size for f, _ in calls} == {568}
+        assert (fit.pair.omega1, fit.pair.omega2) == (2803.07713966316, 2959.55122074699)
         # the zero-depth start, the start with solved depths, the solution
-        for p in (points[0], points[1], points[-1]):
-            assert_matches_reference(spec.frequencies, p)
+        for f, p in (calls[0], calls[1], calls[-1]):
+            assert_matches_reference(f, p)
+
+    @pytest.mark.parametrize("sweep", [WIDE_SWEEP, SweepSettings()],
+                             ids=["wide", "default"])
+    @pytest.mark.parametrize("axis", REFERENCE_ORIENTATIONS_DEG)
+    def test_window_fit_matches_full_sweep_fit(self, spin_params, axis, sweep):
+        clean = fig2_spectrum(spin_params, axis, sweep)
+        for seed in range(10):
+            assert_matches_full_sweep_fit(add_contrast_noise(clean, 0.002, seed))
+
+    @pytest.mark.parametrize("linewidth", [1.5, 3.0])
+    def test_window_grows_for_broad_lines(self, spin_params, monkeypatch, linewidth):
+        clean = fig2_spectrum(spin_params, REFERENCE_ORIENTATIONS_DEG[1], WIDE_SWEEP,
+                              linewidth_mhz=linewidth)
+        f = clean.frequencies
+        seen = []
+        model = spin._triplet_model
+
+        def recorded(points, p):
+            seen.append(points)
+            return model(points, p)
+
+        monkeypatch.setattr(spin, "_triplet_model", recorded)
+        for seed in range(5):
+            fit = assert_matches_full_sweep_fit(add_contrast_noise(clean, 0.002, seed))
+            assert fit is not None
+            fitted = seen[-1]  # the points of the windowed fit's last pass
+            # more than the 12 MHz the start window reaches: it had to grow
+            reach = spin.WINDOW_FWHM * fit.linewidth_mhz
+            for k, (low, high) in enumerate(fit.window_mhz):
+                outer = fit.dip_centers_mhz[3 * k], fit.dip_centers_mhz[3 * k + 2]
+                assert low <= max(outer[0] - reach, f[0])
+                assert high >= min(outer[1] + reach, f[-1])
+                assert np.isin(f[(f >= low) & (f <= high)], fitted).all()
+
+    def test_model_sees_only_the_window(self, spin_params, monkeypatch):
+        spec = add_contrast_noise(wide_spectrum(spin_params), 0.002, 3)
+        assert spec.frequencies.size == 3801
+        sizes = []
+        model = spin._triplet_model
+
+        def recorded(f, p):
+            sizes.append(f.size)
+            return model(f, p)
+
+        monkeypatch.setattr(spin, "_triplet_model", recorded)
+        fit_odmr_model(spec)
+        assert sizes and max(sizes) <= 800
 
     @pytest.mark.parametrize("axis", [(0.37, 153.68), (109.84, 20.60),
                                       (109.25, 260.51), (109.31, 140.74)])
