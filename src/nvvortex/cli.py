@@ -2,8 +2,10 @@
 
 Subcommands: simulate-pattern, fit-orientation, odmr, reconstruct,
 pipeline. Angles cross this boundary in degrees; everything internal is
-radians. Every report embeds the tool version, a hash of the effective
-configuration, and the seed, so runs are reproducible byte for byte.
+radians. Every report embeds the tool version and a hash of the
+effective configuration. No step draws random numbers unless asked:
+simulated noise is seeded by ``--noise-seed``, so runs are reproducible
+byte for byte.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
 failure, 4 I/O or parse failure.
@@ -61,22 +63,25 @@ def bundled_fixture_path(name: str) -> Path:
         return Path(path)
 
 
-def _base_report(config: RunConfig, seed: int) -> dict:
-    return {
-        "tool_version": __version__,
-        "config_hash": config_hash(config),
-        "seed": seed,
-    }
+def _base_report(config: RunConfig) -> dict:
+    return {"tool_version": __version__, "config_hash": config_hash(config)}
 
 
-def _check_non_negative(flag: str, value: float | None) -> None:
-    if value is not None and not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
+def _flag_values(args, flags):
+    for flag in flags:
+        yield flag, getattr(args, flag[2:].replace("-", "_"))
 
 
-def _check_finite(flag: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{flag} must be a finite number, got {value}")
+def _check_non_negative(args, *flags: str) -> None:
+    for flag, value in _flag_values(args, flags):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
+
+
+def _check_finite(args, *flags: str) -> None:
+    for flag, value in _flag_values(args, flags):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
 
 
 def _emit(report: dict, out_dir: str | None, filename: str) -> None:
@@ -138,16 +143,10 @@ def _odmr_fields(model: OdmrModelFit, estimate: FieldEstimate) -> dict:
 # ------------------------------------------------------------------ commands
 
 def cmd_simulate_pattern(args, config: RunConfig) -> int:
-    _check_non_negative("--noise-seed", args.noise_seed)
-    _check_finite("--center-x-nm", args.center_x_nm)
-    _check_finite("--center-y-nm", args.center_y_nm)
-    _check_finite("--z-nm", args.z_nm)
-    pat = config.pattern
-    grid = ScanGrid(
-        width_px=args.width if args.width is not None else pat.width_px,
-        height_px=args.height if args.height is not None else pat.height_px,
-        pitch_nm=args.pitch_nm if args.pitch_nm is not None else pat.pitch_nm,
-    )
+    _check_non_negative(args, "--noise-seed", "--amplitude", "--background")
+    _check_finite(args, "--theta-deg", "--phi-deg", "--center-x-nm", "--center-y-nm",
+                  "--z-nm")
+    grid = ScanGrid(width_px=args.width, height_px=args.height, pitch_nm=args.pitch_nm)
     orientation = NVOrientation.from_degrees(args.theta_deg, args.phi_deg)
     center = None
     if args.center_x_nm is not None or args.center_y_nm is not None:
@@ -160,8 +159,8 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
         orientation,
         grid,
         config.optics,
-        amplitude=args.amplitude if args.amplitude is not None else pat.amplitude,
-        background=args.background if args.background is not None else pat.background,
+        amplitude=args.amplitude,
+        background=args.background,
         noise_seed=args.noise_seed,
         center_nm=center,
         z_nm=args.z_nm,
@@ -172,7 +171,7 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
     pgm_path = out / f"{args.prefix}.pgm"
     write_scan_image_csv(image, csv_path)
     write_pgm(image, pgm_path)
-    report = _base_report(config, args.seed)
+    report = _base_report(config)
     report.update(
         {
             "theta_deg": args.theta_deg,
@@ -191,9 +190,10 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
 
 
 def cmd_fit_orientation(args, config: RunConfig) -> int:
+    _check_finite(args, "--crystal-azimuth-deg")
     image = read_scan_image_csv(args.image)
     fit = fit_orientation(image, config.optics)
-    report = _base_report(config, args.seed)
+    report = _base_report(config)
     report.update(_axis_fields(fit))
     report.update(
         {
@@ -201,7 +201,6 @@ def cmd_fit_orientation(args, config: RunConfig) -> int:
             "amplitude": fit.amplitude,
             "background": fit.background,
             "residual": fit.residual,
-            "converged": fit.converged,
             "center_iterations": fit.center_iterations,
             "phi_identifiable": fit.phi_identifiable,
         }
@@ -238,7 +237,7 @@ def _odmr_spectrum_from_args(args, config: RunConfig):
         sweep=sweep,
     )
     if args.noise_sigma > 0.0:
-        spectrum = add_contrast_noise(spectrum, args.noise_sigma, args.seed)
+        spectrum = add_contrast_noise(spectrum, args.noise_sigma, args.noise_seed)
     return spectrum
 
 
@@ -252,8 +251,10 @@ def cmd_odmr(args, config: RunConfig) -> int:
         for name in ("b_gauss", "b_theta_deg", "b_phi_deg", "nv_theta_deg", "nv_phi_deg"):
             if getattr(args, name) is None:
                 raise ConfigError(f"--simulate requires --{name.replace('_', '-')}")
-        _check_non_negative("--b-gauss", args.b_gauss)
-        _check_non_negative("--noise-sigma", args.noise_sigma)
+        _check_non_negative(args, "--b-gauss", "--noise-sigma", "--noise-seed")
+        _check_finite(args, "--b-theta-deg", "--b-phi-deg", "--nv-theta-deg",
+                      "--nv-phi-deg", "--linewidth-mhz", "--depth",
+                      "--sweep-start-mhz", "--sweep-stop-mhz")
         spectrum = _odmr_spectrum_from_args(args, config)
         source = {
             "simulated": True,
@@ -261,6 +262,7 @@ def cmd_odmr(args, config: RunConfig) -> int:
             "b_direction_deg": [args.b_theta_deg, args.b_phi_deg],
             "nv_orientation_deg": [args.nv_theta_deg, args.nv_phi_deg],
             "noise_sigma": args.noise_sigma,
+            "noise_seed": args.noise_seed,
         }
         if args.out is not None:
             out = Path(args.out)
@@ -270,7 +272,7 @@ def cmd_odmr(args, config: RunConfig) -> int:
 
     model = fit_odmr_model(spectrum)
     estimate = field_estimate(model.pair, config.spin)
-    report = _base_report(config, args.seed)
+    report = _base_report(config)
     report.update(_odmr_fields(model, estimate))
     report.update(
         {
@@ -291,21 +293,18 @@ def cmd_odmr(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _reconstruction_report(constraints, config: RunConfig, seed: int) -> dict:
+def _reconstruction_fields(constraints) -> dict:
     result = solve_direction(constraints)
-    report = _base_report(config, seed)
-    report.update(
-        {
-            "theta_b_deg": round(math.degrees(result.theta_b), 2),
-            "phi_b_deg": round(math.degrees(result.phi_b), 2),
-            "mirror_deg": [round(math.degrees(a), 2) for a in result.mirror],
-            "b_mean_gauss": round(result.b_mean, 4),
-            "b_std_gauss": round(result.b_std, 4),
-            "residual": result.residual,
-            "branch_flipped": list(result.branch_flipped),
-            "constraints": constraints_to_json(constraints),
-        }
-    )
+    report = {
+        "theta_b_deg": round(math.degrees(result.theta_b), 2),
+        "phi_b_deg": round(math.degrees(result.phi_b), 2),
+        "mirror_deg": [round(math.degrees(a), 2) for a in result.mirror],
+        "b_mean_gauss": round(result.b_mean, 4),
+        "b_std_gauss": round(result.b_std, 4),
+        "residual": result.residual,
+        "branch_flipped": list(result.branch_flipped),
+        "constraints": constraints_to_json(constraints),
+    }
     if result.triangle_spread is not None:
         report["triangle_spread_deg"] = round(math.degrees(result.triangle_spread), 4)
         report["triangle_vertices"] = [
@@ -329,7 +328,8 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
         else bundled_fixture_path(args.fixture)
     )
     constraints = load_constraints_json(path)
-    report = _reconstruction_report(constraints, config, args.seed)
+    report = _base_report(config)
+    report.update(_reconstruction_fields(constraints))
     _emit(report, args.out, "reconstruction.json")
     return EXIT_OK
 
@@ -370,7 +370,7 @@ def cmd_pipeline(args, config: RunConfig) -> int:
             {"nv": stem, "error": "UnpairedFile", "message": "no matching scan/spectrum"}
         )
 
-    report = _base_report(config, args.seed)
+    report = _base_report(config)
     report["per_nv"] = per_nv
     report["errors"] = errors
     report["note"] = (
@@ -381,9 +381,7 @@ def cmd_pipeline(args, config: RunConfig) -> int:
     failure = f"only {len(constraints)} valid NV(s); need 3 for reconstruction"
     if len(constraints) >= 3:
         try:
-            report["reconstruction"] = _reconstruction_report(
-                constraints, config, args.seed
-            )
+            report["reconstruction"] = _reconstruction_fields(constraints)
         except (NVVortexError, ValueError) as exc:
             errors.append({"nv": None, "stage": "reconstruction",
                            "error": type(exc).__name__, "message": str(exc)})
@@ -411,19 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed override (default: config fit.seed)")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("simulate-pattern", help="synthesize a confocal scan image")
     common(p)
     p.add_argument("--theta-deg", type=float, required=True)
     p.add_argument("--phi-deg", type=float, required=True)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--pitch-nm", type=float, default=None)
-    p.add_argument("--amplitude", type=float, default=None)
-    p.add_argument("--background", type=float, default=None)
+    p.add_argument("--width", type=int, default=31)
+    p.add_argument("--height", type=int, default=31)
+    p.add_argument("--pitch-nm", type=float, default=50.0)
+    p.add_argument("--amplitude", type=float, default=10000.0)
+    p.add_argument("--background", type=float, default=100.0)
     p.add_argument("--center-x-nm", type=float, default=None)
     p.add_argument("--center-y-nm", type=float, default=None)
     p.add_argument("--z-nm", type=float, default=0.0)
@@ -455,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-stop-mhz", type=float, default=2980.0)
     p.add_argument("--sweep-points", type=int, default=2001)
     p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--noise-seed", type=int, default=0,
+                   help="seed of the contrast noise that --noise-sigma adds")
     p.set_defaults(func=cmd_odmr)
 
     p = sub.add_parser("reconstruct", help="field vector from cone constraints")
@@ -475,11 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        _check_non_negative("--seed", args.seed)
-        if args.seed is None:
-            args.seed = config.fit.seed
-        return args.func(args, config)
+        return args.func(args, load_config(args.config))
     except (ConfigError, ValueError) as exc:
         _print_error(exc)
         return EXIT_USAGE

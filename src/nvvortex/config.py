@@ -14,8 +14,6 @@ from .focal_field import OpticalConfig
 from .spin import SpinParams
 
 __all__ = [
-    "FitConfig",
-    "PatternConfig",
     "RunConfig",
     "load_config",
     "config_hash",
@@ -23,49 +21,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-#: keys that older configs may still carry, with the reason they went
+#: keys and sections that older configs may still carry, with the reason
+#: they went; a key's own entry takes precedence over its section's
 _REMOVED_KEYS = {
+    "fit": "no step of a run draws random numbers; simulated noise takes "
+           "its seed from the --noise-seed flag",
     "fit.n_starts": "the orientation fit is one centre search with no random starts",
     "fit.simplex": "both fits use a Levenberg-Marquardt solver with fixed tolerances",
+    "pattern": "the simulate-pattern flags set the scan raster and intensity scale",
     "optics.convergence_rtol": (
         "it set the node-doubling self-check of the focal-field quadrature, "
         "which the package no longer ships"
     ),
+    "optics.pupil_amplitude": (
+        "it scaled the pattern by its square, which the fitted amplitude absorbs"
+    ),
 }
-
-
-@dataclass(frozen=True)
-class PatternConfig:
-    """Default scan raster and intensity scale for synthesis."""
-
-    width_px: int = 31
-    height_px: int = 31
-    pitch_nm: float = 50.0
-    amplitude: float = 10000.0
-    background: float = 100.0
-
-    def __post_init__(self):
-        if self.width_px < 1 or self.height_px < 1 or self.pitch_nm <= 0:
-            raise ValueError("pattern grid must have positive dimensions and pitch")
-        if self.amplitude < 0 or self.background < 0:
-            raise ValueError("amplitude and background must be >= 0")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     optics: OpticalConfig = field(default_factory=OpticalConfig)
     spin: SpinParams = field(default_factory=SpinParams)
-    fit: FitConfig = field(default_factory=FitConfig)
-    pattern: PatternConfig = field(default_factory=PatternConfig)
 
 
 #: the JSON values a field of each declared type accepts
@@ -91,10 +68,7 @@ def _build_section(cls, data: dict, where: str):
         if key.startswith("_"):
             continue
         if f"{where}.{key}" in _REMOVED_KEYS:
-            raise ConfigError(
-                f"config key '{where}.{key}' was removed: "
-                f"{_REMOVED_KEYS[f'{where}.{key}']}"
-            )
+            raise _removed(f"{where}.{key}")
         if key not in known:
             raise ConfigError(f"unknown config key '{where}.{key}'")
         types, kind = _ACCEPTED[known[key]]
@@ -111,12 +85,12 @@ def _build_section(cls, data: dict, where: str):
         raise ConfigError(f"invalid config section '{where}': {exc}") from exc
 
 
-_SECTIONS = {
-    "optics": OpticalConfig,
-    "spin": SpinParams,
-    "fit": FitConfig,
-    "pattern": PatternConfig,
-}
+_SECTIONS = {"optics": OpticalConfig, "spin": SpinParams}
+
+
+def _removed(dotted: str) -> ConfigError:
+    reason = _REMOVED_KEYS.get(dotted) or _REMOVED_KEYS[dotted.split(".")[0]]
+    return ConfigError(f"config key '{dotted}' was removed: {reason}")
 
 
 def load_config(path=None) -> RunConfig:
@@ -134,6 +108,10 @@ def load_config(path=None) -> RunConfig:
     for key, value in data.items():
         if key.startswith("_"):
             continue
+        if key in _REMOVED_KEYS:  # a whole section: name its first key
+            keys = value if isinstance(value, dict) else {}
+            inner = [k for k in keys if not k.startswith("_")]
+            raise _removed(f"{key}.{inner[0]}" if inner else key)
         if key not in _SECTIONS:
             raise ConfigError(f"unknown config key '{key}'")
         kwargs[key] = _build_section(_SECTIONS[key], value, key)

@@ -169,30 +169,24 @@ def read_scan_image_csv(path) -> ScanImage:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def write_pgm(image: ScanImage, path, bits: int = 16) -> None:
-    """Min-max scaled preview as a binary PGM (P5); the applied scaling
-    is recorded in a <path>.scale.json sidecar."""
-    if bits not in (8, 16):
-        raise ValueError("bits must be 8 or 16")
+def write_pgm(image: ScanImage, path) -> None:
+    """Min-max scaled 16-bit preview as a binary PGM (P5); the applied
+    scaling is recorded in a <path>.scale.json sidecar."""
     lo = float(image.values.min())
     hi = float(image.values.max())
-    maxval = (1 << bits) - 1
+    maxval = 65535
     span = hi - lo
     if span > 0.0:
-        scaled = np.round((image.values - lo) / span * maxval).astype(np.uint32)
+        scaled = np.round((image.values - lo) / span * maxval).astype(">u2")
     else:
-        scaled = np.zeros_like(image.values, dtype=np.uint32)
+        scaled = np.zeros_like(image.values, dtype=">u2")
     header = f"P5\n{image.grid.width_px} {image.grid.height_px}\n{maxval}\n".encode()
-    if bits == 8:
-        payload = scaled.astype(np.uint8).tobytes()
-    else:
-        payload = scaled.astype(">u2").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header + scaled.tobytes())
     write_json(
         {
             "min_intensity": lo,
             "max_intensity": hi,
-            "bits": bits,
+            "bits": 16,
             "maxval": maxval,
             "note": "pixel = round((intensity - min) / (max - min) * maxval)",
         },

@@ -2,13 +2,14 @@
 
 The only nonzero component near focus is the azimuthal one,
 
-    E_phi(r, z) = 2 A int_0^alpha sqrt(cos t) sin t J1(k r sin t)
-                  exp(i k z cos t) dt,
+    E_phi(r, z) = 2 int_0^alpha sqrt(cos t) sin t J1(k r sin t)
+                exp(i k z cos t) dt,
 
 with alpha = arcsin(NA / n) the aperture half-angle and k = 2 pi n /
-lambda_vac the wavenumber in the immersion medium. The integrand is
-smooth, so fixed-order Gauss-Legendre quadrature is used. Lengths are
-in nanometres.
+lambda_vac the wavenumber in the immersion medium. The field is in
+units of the pupil field strength. The integrand is smooth, so
+fixed-order Gauss-Legendre quadrature is used. Lengths are in
+nanometres.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ class OpticalConfig:
     """Excitation and quadrature parameters.
 
     wavelength_nm is the vacuum wavelength; the in-medium wavenumber is
-    derived as 2 pi * immersion_index / wavelength_nm. pupil_amplitude
-    is the field strength at the pupil (arbitrary units).
+    derived as 2 pi * immersion_index / wavelength_nm. The field is in
+    units of the pupil field strength: any other scale multiplies the
+    pattern by a constant that the fitted amplitude absorbs.
     """
 
     wavelength_nm: float = 532.0
     numerical_aperture: float = 1.40
     immersion_index: float = 1.518
-    pupil_amplitude: float = 1.0
     quadrature_nodes: int = 64
 
     def __post_init__(self):
@@ -100,7 +101,7 @@ def azimuthal_field_profile(
     st = np.sin(theta)
     ct = np.cos(theta)
     k = wavenumber(config)
-    base = 2.0 * config.pupil_amplitude * np.sqrt(ct) * st * weights
+    base = 2.0 * np.sqrt(ct) * st * weights
     bess = j1(k * rr[..., None] * st)
     phase = k * z * ct
     re = bess @ (base * np.cos(phase))

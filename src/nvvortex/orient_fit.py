@@ -56,7 +56,6 @@ class OrientationFit:
     background: float
     residual: float  # normalized SSE, dimensionless
     center_iterations: int  # Levenberg-Marquardt steps of the centre search
-    converged: bool
     phi_identifiable: bool  # False near theta = 0 (azimuth degenerate)
 
 
@@ -185,7 +184,6 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
         background=float(coef[3]),
         residual=float(leftover @ leftover) / float(((d - d.mean()) ** 2).sum()),
         center_iterations=result.iterations,
-        converged=result.converged,
         phi_identifiable=theta_c >= PHI_IDENTIFIABLE_MIN_THETA,
     )
 

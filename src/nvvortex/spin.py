@@ -452,7 +452,6 @@ class OdmrModelFit:
     over the fit's passes."""
 
     pair: TransitionPair
-    group_centers_mhz: tuple[float, float]
     group_spacings_mhz: tuple[float, float]
     linewidth_mhz: float
     dip_centers_mhz: tuple[float, ...]
@@ -671,7 +670,6 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
         pair=TransitionPair(
             omega1=float(p[0]), omega2=float(p[1]), sigma1=sig1, sigma2=sig2
         ),
-        group_centers_mhz=(float(p[0]), float(p[1])),
         group_spacings_mhz=(float(p[2]), float(p[3])),
         linewidth_mhz=float(p[4]),
         dip_centers_mhz=tuple(float(c) for c in centers),
@@ -686,14 +684,15 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
 
 def _center_uncertainties(jac: np.ndarray, sse: float) -> tuple[float, float]:
     """1-sigma of the two group centers from the covariance s^2 (J^T J)^-1
-    of all eleven parameters, s^2 = SSE / (n - 11)."""
+    of all eleven parameters, s^2 = SSE / (n - 11). Raises FitFailed
+    when J^T J is singular: the fit then leaves the centres undetermined."""
     dof = max(jac.shape[0] - jac.shape[1], 1)
     try:
         cov = (sse / dof) * np.linalg.inv(jac.T @ jac)
-        return (
-            float(math.sqrt(max(cov[0, 0], 0.0))),
-            float(math.sqrt(max(cov[1, 1], 0.0))),
-        )
-    except np.linalg.LinAlgError:
-        return (float("nan"), float("nan"))
+    except np.linalg.LinAlgError as exc:
+        raise FitFailed(f"the triplet fit's covariance is singular: {exc}") from exc
+    return (
+        float(math.sqrt(max(cov[0, 0], 0.0))),
+        float(math.sqrt(max(cov[1, 1], 0.0))),
+    )
 

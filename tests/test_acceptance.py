@@ -141,7 +141,7 @@ def test_criterion_4_focal_field_quadrature(optics):
     simpson_w[1:-1:2] = 4.0
     simpson_w[2:-1:2] = 2.0
     simpson_w *= alpha / panels / 3.0
-    base = 2.0 * optics.pupil_amplitude * np.sqrt(ct) * st
+    base = 2.0 * np.sqrt(ct) * st
 
     worst = 0.0
     peak = 0.0

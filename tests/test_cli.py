@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import axis_angle_deg
 import nvvortex
+from nvvortex import spin
 from nvvortex.cli import bundled_fixture_path, main
 from nvvortex.config import load_config
 from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
@@ -105,11 +107,9 @@ class TestSimulateAndFit:
         )
         _, first = run_cli(
             capsys, "fit-orientation", "--image", str(out / "pattern.csv"),
-            "--seed", "5",
         )
         _, second = run_cli(
             capsys, "fit-orientation", "--image", str(out / "pattern.csv"),
-            "--seed", "5",
         )
         assert first == second
 
@@ -160,7 +160,9 @@ class TestSimulateAndFit:
         ("optics", "wavelength_nm", float("inf")),
         ("pattern", "pitch_nm", float("nan")),
         ("optics", "quadrature_nodes", 64.0),
+        ("optics", "immersion_index", float("nan")),
         ("spin", "d", False),
+        ("spin", "gamma_e", "2.8"),
     ])
     def test_bad_config_value_names_the_key(self, tmp_path, capsys, section, key,
                                             value):
@@ -178,7 +180,10 @@ class TestSimulateAndFit:
         for section, key, value in (
             ("fit", "n_starts", 12),
             ("fit", "simplex", {"max_iterations": 2000}),
+            ("fit", "seed", 0),
+            ("pattern", "width_px", 31),
             ("optics", "convergence_rtol", 1e-9),
+            ("optics", "pupil_amplitude", 1.0),
         ):
             cfg.write_text(json.dumps({section: {key: value}}))
             code, payload = run_cli(
@@ -188,10 +193,38 @@ class TestSimulateAndFit:
             assert payload["error"] == "ConfigError"
             assert f"'{section}.{key}' was removed" in payload["message"]
 
+    def test_removed_section_without_keys_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pattern": {"_note": "raster defaults"}}))
+        code, payload = run_cli(
+            capsys, "fit-orientation", "--image", "x.csv", "--config", str(cfg),
+        )
+        assert code == 2
+        assert "'pattern' was removed" in payload["message"]
+
     def test_bundled_example_config_loads(self):
         path = os.path.join(os.path.dirname(nvvortex.__file__), "fixtures",
                             "example_config.json")
         assert load_config(path) == load_config(None)
+
+    def test_example_config_names_every_accepted_key(self):
+        path = os.path.join(os.path.dirname(nvvortex.__file__), "fixtures",
+                            "example_config.json")
+        with open(path) as handle:
+            example = json.load(handle)
+        listed = {
+            section: {k for k in keys if not k.startswith("_")}
+            for section, keys in example.items() if not section.startswith("_")
+        }
+        accepted = {
+            section: set(keys)
+            for section, keys in dataclasses.asdict(load_config(None)).items()
+        }
+        assert listed == accepted
+
+
+SIMULATED_ODMR = ("--b-gauss", "59.5", "--b-theta-deg", "8.59", "--b-phi-deg", "182.56",
+                  "--nv-theta-deg", "109.84", "--nv-phi-deg", "20.60")
 
 
 class TestOdmr:
@@ -248,7 +281,7 @@ class TestOdmr:
     @pytest.mark.parametrize(
         "flag, value",
         [("--b-gauss", "-50"), ("--b-gauss", "nan"), ("--noise-sigma", "-1"),
-         ("--noise-sigma", "nan")],
+         ("--noise-sigma", "nan"), ("--noise-seed", "-1")],
     )
     def test_bad_simulation_value_names_the_flag(self, tmp_path, capsys, flag, value):
         args = {"--b-gauss": "59.5", "--b-theta-deg": "8.59", "--b-phi-deg": "182.56",
@@ -261,6 +294,19 @@ class TestOdmr:
         assert payload["error"] == "ConfigError"
         assert flag in payload["message"]
         assert not (tmp_path / "odmr").exists()
+
+    def test_noise_seed_is_reported_and_sets_the_noise(self, tmp_path, capsys):
+        def simulate(seed):
+            out = tmp_path / f"s{seed}"
+            _, report = run_cli(
+                capsys, "odmr", "--simulate", *SIMULATED_ODMR, "--noise-sigma",
+                "0.002", "--noise-seed", str(seed), "--out", str(out),
+            )
+            return report, (out / "spectrum.csv").read_text()
+
+        (report, a), (_, b), (_, c) = simulate(7), simulate(7), simulate(8)
+        assert report["source"]["noise_seed"] == 7
+        assert a == b and a != c
 
 
 class TestReconstruct:
@@ -341,14 +387,6 @@ class TestReconstruct:
         assert code == 4
         assert payload["error"] == "FileFormatError"
         assert "entry 1: 'label'" in payload["message"]
-
-    def test_negative_seed_names_the_flag(self, capsys):
-        code, payload = run_cli(
-            capsys, "reconstruct", "--fixture", "paper_fig4", "--seed", "-1"
-        )
-        assert code == 2
-        assert payload["error"] == "ConfigError"
-        assert "--seed" in payload["message"]
 
     def test_unknown_fixture_is_usage_error(self, capsys):
         code, payload = run_cli(capsys, "reconstruct", "--fixture", "nonexistent")
@@ -511,6 +549,63 @@ class TestPipeline:
         assert entry["error"] == "DegenerateAxes"
         written = json.loads((tmp_path / "out" / "pipeline.json").read_text())
         assert written == report
+
+    def test_singular_odmr_covariance_lists_that_nv(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # four NVs, so three distinct axes remain once nv1's fit fails
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        real = spin._center_uncertainties
+        calls = []
+
+        def singular_for_first_nv(jac, sse):
+            calls.append(None)
+            if len(calls) == 1:  # NVs are fitted in sorted order
+                jac = jac.copy()
+                jac[:, 0] = 0.0
+            return real(jac, sse)
+
+        monkeypatch.setattr(spin, "_center_uncertainties", singular_for_first_nv)
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv1" and entry["error"] == "FitFailed"
+        assert sorted(report["per_nv"]) == ["nv2", "nv3", "nv4"]
+        assert report["reconstruction"] is not None
+
+
+_BAD_FLAG_CASES = [
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--linewidth-mhz", "inf"], "--linewidth-mhz"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--sweep-stop-mhz", "inf"],
+     "--sweep-stop-mhz"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--depth", "nan"], "--depth"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--nv-theta-deg", "nan"], "--nv-theta-deg"),
+    (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--amplitude", "nan"],
+     "--amplitude"),
+    (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--background", "inf"],
+     "--background"),
+    (["simulate-pattern", "--theta-deg", "nan", "--phi-deg", "0"], "--theta-deg"),
+    (["fit-orientation", "--image", "x.csv", "--crystal", "111",
+      "--crystal-azimuth-deg", "nan"], "--crystal-azimuth-deg"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _BAD_FLAG_CASES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in _BAD_FLAG_CASES])
+def test_bad_flag_value_is_named(tmp_path, capsys, argv, flag):
+    code, payload = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert payload["error"] == "ConfigError"
+    assert flag in payload["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def _run_python(*argv, cwd=None):

@@ -133,11 +133,6 @@ class TestPGM:
         assert sidecar["max_intensity"] == pytest.approx(sample_image.values.max())
         assert sidecar["bits"] == 16
 
-    def test_eight_bit_variant(self, sample_image, tmp_path):
-        path = tmp_path / "img8.pgm"
-        write_pgm(sample_image, path, bits=8)
-        assert path.read_bytes().startswith(b"P5\n9 7\n255\n")
-
     def test_constant_image_writes_zeros(self, tmp_path):
         grid = ScanGrid(3, 3, 10.0)
         img = ScanImage(grid=grid, values=np.full((3, 3), 2.0))

@@ -32,14 +32,7 @@ def simpson_field(r, z, config, panels=20_000):
     k = 2.0 * math.pi * config.immersion_index / config.wavelength_nm
     theta = np.linspace(0.0, alpha, panels + 1)
     st_, ct = np.sin(theta), np.cos(theta)
-    f = (
-        2.0
-        * config.pupil_amplitude
-        * np.sqrt(ct)
-        * st_
-        * scipy_j1(k * r * st_)
-        * np.exp(1j * k * z * ct)
-    )
+    f = 2.0 * np.sqrt(ct) * st_ * scipy_j1(k * r * st_) * np.exp(1j * k * z * ct)
     h = alpha / panels
     return complex((f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()) * h / 3.0)
 
@@ -120,7 +113,7 @@ class TestAzimuthalField:
         x, w = np.polynomial.legendre.leggauss(optics.quadrature_nodes)
         theta, weights = 0.5 * alpha * (x + 1.0), 0.5 * alpha * w
         st_ = np.sin(theta)
-        base = 2.0 * optics.pupil_amplitude * np.sqrt(np.cos(theta)) * st_ * weights
+        base = 2.0 * np.sqrt(np.cos(theta)) * st_ * weights
         rs = np.linspace(0.0, 9000.0, 3001)
         ref = scipy_j1(wavenumber(optics) * rs[:, None] * st_) @ base
         val = azimuthal_field_profile(rs, 0.0, optics)

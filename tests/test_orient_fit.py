@@ -110,7 +110,6 @@ class TestFitOrientation:
         )
         assert err < 0.5
         assert fit.residual < 1e-9
-        assert fit.converged
         assert fit.phi_identifiable
         assert fit.mirror_phi == pytest.approx(fit.phi + math.pi)
         assert fit.amplitude == pytest.approx(2.3, rel=1e-3)

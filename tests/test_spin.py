@@ -535,6 +535,14 @@ class TestFitSpectrum:
             ratio = scatter / np.mean([getattr(p, sigma) for p in pairs])
             assert 0.7 <= ratio <= 1.4, (omega, ratio)
 
+    def test_singular_covariance_raises_fit_failed(self):
+        # a parameter the data do not constrain leaves J^T J singular;
+        # the centres' uncertainties are then undefined, not NaN
+        jac = np.random.default_rng(0).standard_normal((200, 11))
+        jac[:, 4] = 0.0
+        with pytest.raises(FitFailed, match="singular"):
+            spin._center_uncertainties(jac, 1e-4)
+
     @pytest.mark.parametrize("point", [
         (2804.06, 2958.73, 2.14, 2.14, 0.8, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),
         (2850.3, 2890.1, 1.7, 2.6, 1.3, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06),
