@@ -67,21 +67,22 @@ def _base_report(config: RunConfig) -> dict:
     return {"tool_version": __version__, "config_hash": config_hash(config)}
 
 
-def _flag_values(args, flags):
+#: (requirement, test) of a flag value; a failed test exits 2 with a
+#: ConfigError that names the flag
+_FINITE = ("a finite number", math.isfinite)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+_POSITIVE = ("a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+_POLAR_DEG = ("in [0, 180]", lambda v: 0.0 <= v <= 180.0)
+_OPEN_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
+_PIXELS = ("at least 1", lambda v: v >= 1)
+
+
+def _check(args, rule, *flags: str) -> None:
+    requirement, ok = rule
     for flag in flags:
-        yield flag, getattr(args, flag[2:].replace("-", "_"))
-
-
-def _check_non_negative(args, *flags: str) -> None:
-    for flag, value in _flag_values(args, flags):
-        if value is not None and not (math.isfinite(value) and value >= 0):
-            raise ConfigError(f"{flag} must be a finite number >= 0, got {value}")
-
-
-def _check_finite(args, *flags: str) -> None:
-    for flag, value in _flag_values(args, flags):
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{flag} must be a finite number, got {value}")
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not ok(value):
+            raise ConfigError(f"{flag} must be {requirement}, got {value}")
 
 
 def _emit(report: dict, out_dir: str | None, filename: str) -> None:
@@ -143,9 +144,10 @@ def _odmr_fields(model: OdmrModelFit, estimate: FieldEstimate) -> dict:
 # ------------------------------------------------------------------ commands
 
 def cmd_simulate_pattern(args, config: RunConfig) -> int:
-    _check_non_negative(args, "--noise-seed", "--amplitude", "--background")
-    _check_finite(args, "--theta-deg", "--phi-deg", "--center-x-nm", "--center-y-nm",
-                  "--z-nm")
+    _check(args, _NON_NEGATIVE, "--noise-seed", "--amplitude", "--background")
+    _check(args, _FINITE, "--phi-deg", "--center-x-nm", "--center-y-nm", "--z-nm")
+    _check(args, _POLAR_DEG, "--theta-deg")
+    _check(args, _PIXELS, "--width", "--height")
     grid = ScanGrid(width_px=args.width, height_px=args.height, pitch_nm=args.pitch_nm)
     orientation = NVOrientation.from_degrees(args.theta_deg, args.phi_deg)
     center = None
@@ -190,7 +192,7 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
 
 
 def cmd_fit_orientation(args, config: RunConfig) -> int:
-    _check_finite(args, "--crystal-azimuth-deg")
+    _check(args, _FINITE, "--crystal-azimuth-deg")
     image = read_scan_image_csv(args.image)
     fit = fit_orientation(image, config.optics)
     report = _base_report(config)
@@ -251,10 +253,12 @@ def cmd_odmr(args, config: RunConfig) -> int:
         for name in ("b_gauss", "b_theta_deg", "b_phi_deg", "nv_theta_deg", "nv_phi_deg"):
             if getattr(args, name) is None:
                 raise ConfigError(f"--simulate requires --{name.replace('_', '-')}")
-        _check_non_negative(args, "--b-gauss", "--noise-sigma", "--noise-seed")
-        _check_finite(args, "--b-theta-deg", "--b-phi-deg", "--nv-theta-deg",
-                      "--nv-phi-deg", "--linewidth-mhz", "--depth",
-                      "--sweep-start-mhz", "--sweep-stop-mhz")
+        _check(args, _NON_NEGATIVE, "--b-gauss", "--noise-sigma", "--noise-seed")
+        _check(args, _FINITE, "--b-phi-deg", "--nv-phi-deg", "--sweep-start-mhz",
+               "--sweep-stop-mhz")
+        _check(args, _POLAR_DEG, "--b-theta-deg", "--nv-theta-deg")
+        _check(args, _POSITIVE, "--linewidth-mhz")
+        _check(args, _OPEN_UNIT, "--depth")
         spectrum = _odmr_spectrum_from_args(args, config)
         source = {
             "simulated": True,

@@ -60,12 +60,19 @@ MAX_PIXELS = 4_194_304  # memory guard for a single scan
 #: pixels per Poisson tile: tile i of the flat pixel index draws from
 #: its own generator seeded with (noise_seed, i)
 NOISE_TILE_PX = 4096
-#: the exact map's field expansion: panels at most _PANEL_WIDTH wide in
-#: units of 1 / (k sin alpha), the field's shortest lateral length, each
-#: carrying a Chebyshev series of degree _PANEL_DEGREE; at that width
-#: the series of the fastest term, exp(6ix), has shrunk to J_25(6) ~ 4e-14
+#: the exact map's field expansion: panels _PANEL_WIDTH wide in units of
+#: 1 / (k sin alpha), the field's shortest lateral length, laid from
+#: rho = 0, each carrying a Chebyshev series of degree _PANEL_DEGREE; at
+#: that width the series of the fastest term, exp(6ix), has shrunk to
+#: J_25(6) ~ 4e-14. The series are tabulated as Taylor polynomials of
+#: degree _TAYLOR_DEGREE at _NODES_PER_PANEL equally spaced nodes per
+#: panel, 0.03 / (k sin alpha) apart; a radius is read at most half a
+#: step from its node, where the first term left out is below
+#: 0.015^7 / 7! ~ 3e-17 of the field's scale
 _PANEL_WIDTH = 12.0
 _PANEL_DEGREE = 24
+_NODES_PER_PANEL = 400
+_TAYLOR_DEGREE = 6
 TWO_PI = 2.0 * math.pi
 
 
@@ -211,100 +218,156 @@ def _basis_images(
     return np.stack((w * dx * dx, w * dy * dy, w * dx * dy), axis=-1), w
 
 
+def _chebyshev_vander(u: np.ndarray) -> np.ndarray:
+    """T_j(u), j = 0 .. _PANEL_DEGREE, on a new last axis."""
+    vander = np.ones(u.shape + (_PANEL_DEGREE + 1,))
+    vander[..., 1] = u
+    for j in range(2, _PANEL_DEGREE + 1):
+        vander[..., j] = 2.0 * u * vander[..., j - 1] - vander[..., j - 2]
+    return vander
+
+
 #: first-kind Chebyshev points cos(pi (i + 1/2) / n) mapped onto [0, 1]
 _PANEL_NODES = 0.5 + 0.5 * np.cos(
     np.pi * (np.arange(_PANEL_DEGREE + 1) + 0.5) / (_PANEL_DEGREE + 1)
 )
+#: T_j at the table nodes of a panel, from its start to its end
+_NODE_VANDER = _chebyshev_vander(
+    np.arange(_NODES_PER_PANEL + 1) * (2.0 / _NODES_PER_PANEL) - 1.0
+)
 
 
-def _clenshaw(coef: np.ndarray, panel: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """sum_j coef[j, ..., panel] T_j(u) by Clenshaw's recurrence, u2 = 2u;
-    the shape is coef.shape[1:-1] + u2.shape."""
-    b1 = np.zeros(coef.shape[1:-1] + u2.shape, dtype=coef.dtype)
-    b2 = np.zeros_like(b1)
-    for c in coef[:0:-1]:
-        b1, b2 = u2 * b1 - b2 + c.take(panel, axis=-1), b1
-    return 0.5 * u2 * b1 - b2 + coef[0].take(panel, axis=-1)
+def _node_derivative() -> np.ndarray:
+    """The matrix that maps the T_j coefficients of a series in u to
+    those of its derivative in node steps, (2 / _NODES_PER_PANEL) d/du:
+    T_k' = 2k sum of T_j over j < k with k - j odd, T_0 counted once."""
+    j, k = np.indices((_PANEL_DEGREE + 1, _PANEL_DEGREE + 1))
+    diff = np.where((j < k) & ((k - j) % 2 == 1), 2.0 * k, 0.0)
+    diff[0] *= 0.5
+    return diff * (2.0 / _NODES_PER_PANEL)
+
+
+_NODE_DERIVATIVE = _node_derivative()
 
 
 def _abs2(e: np.ndarray) -> np.ndarray:
     return e.real**2 + e.imag**2 if np.iscomplexobj(e) else e * e
 
 
-@dataclass
+def _nodes_per_nm(optics: OpticalConfig) -> float:
+    """Table nodes per nm: _NODES_PER_PANEL per panel of _PANEL_WIDTH /
+    (k sin alpha), k sin alpha being the field's highest lateral
+    frequency."""
+    bandwidth = wavenumber(optics) * math.sin(max_aperture_angle(optics))
+    return bandwidth * (_NODES_PER_PANEL / _PANEL_WIDTH)
+
+
+def _last_node(optics: OpticalConfig, r_max_nm: float) -> int:
+    """Index of the table node nearest r_max_nm, rounded as reads round."""
+    return int(np.rint(r_max_nm * _nodes_per_nm(optics)))
+
+
+def _panel_count(optics: OpticalConfig, r_max_nm: float) -> int:
+    """Panels, laid from rho = 0, that hold every node up to the one
+    nearest r_max_nm; the node at a panel's end belongs to it."""
+    return max(1, -(-_last_node(optics, r_max_nm) // _NODES_PER_PANEL))
+
+
+@dataclass(frozen=True)
 class RadialIntensityProfile:
-    """|E_phi(rho, z)|^2 on [0, r_max_nm] from a piecewise-Chebyshev
-    expansion of the configured quadrature.
+    """|E_phi(rho, z)|^2 on [0, r_max_nm] from a Taylor table of the
+    configured quadrature.
 
     E_phi is a sum of J1(k rho sin t) over the quadrature nodes, a
-    function of rho band-limited to k sin alpha, so on equal panels of
-    [0, r_max_nm] no wider than _PANEL_WIDTH / (k sin alpha) a series of
-    degree _PANEL_DEGREE matches it to rounding (Trefethen, Approximation
-    Theory and Approximation Practice, ch. 8): the profile reproduces the
-    quadrature to about 1e-15 of the peak. The quadrature runs at the
-    panels' Chebyshev points only, in one call, and every radius is read
-    from its panel's series by Clenshaw's recurrence. The series
-    interpolates the samples at the points as they round in rho, mapped
-    to the panel coordinate exactly as at evaluation, so rounding the
-    points moves no value off its point. The on-axis null is exact:
-    profile(0) is 0. Radii beyond r_max_nm read the value at r_max_nm.
+    function of rho band-limited to k sin alpha. ``build`` runs the
+    quadrature once, at the Chebyshev points of panels _PANEL_WIDTH /
+    (k sin alpha) wide laid from rho = 0, on each of which a series of
+    degree _PANEL_DEGREE matches it to rounding (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8). The series
+    interpolate the samples at the points as they round in rho. From
+    them and their derivatives it tabulates, at the nodes rho_i = i h,
+    h = 0.03 / (k sin alpha) (1.81 nm at the default optics), up to the
+    node nearest r_max_nm,
+
+        taylor[m, i] = E_phi^(m)(rho_i) h^m / m!,  m = 0 .. _TAYLOR_DEGREE,
+
+    each node on its own panel's series, also where it lies past
+    r_max_nm (a value clamped to r_max_nm would not be its own). Every
+    radius is read from its nearest node by Horner's rule in
+    u = rho / h - i, |u| <= 1/2, and its slope from the derivative of
+    the same polynomial. The profile reproduces the quadrature to about
+    4e-15 of the peak, the truncation error of the panels' series. The
+    on-axis null is exact: profile(0) is 0. Radii beyond r_max_nm read
+    the value at r_max_nm, and negative ones the value at 0.
     """
 
-    #: coef[j, 0, p] and coef[j, 1, p]: T_j coefficients of E_phi and of
-    #: dE_phi / drho on panel p
-    coef: np.ndarray
+    #: taylor[m, i]: the m-th Taylor coefficient of E_phi at node i, in
+    #: powers of u
+    taylor: np.ndarray
     r_max_nm: float
-    panels_per_nm: float
+    nodes_per_nm: float
 
     @classmethod
     def build(
         cls, optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
     ) -> "RadialIntensityProfile":
-        if r_max_nm == 0.0:  # E_phi vanishes on the beam axis
-            return cls(np.zeros((_PANEL_DEGREE + 1, 2, 1)), 0.0, 0.0)
-        bandwidth = wavenumber(optics) * math.sin(max_aperture_angle(optics))
-        panels = max(1, math.ceil(bandwidth * r_max_nm / _PANEL_WIDTH))
+        nodes_per_nm = _nodes_per_nm(optics)
+        panels = _panel_count(optics, r_max_nm)
+        width = _NODES_PER_PANEL / nodes_per_nm
         start = np.arange(panels)[:, None]  # panel starts, in panel widths
-        r = (start + _PANEL_NODES) * (r_max_nm / panels)
-        u = 2.0 * (r * (panels / r_max_nm) - start) - 1.0
-        vander = np.ones(u.shape + u.shape[-1:])  # vander[p, i, j] = T_j(u_pi)
-        vander[..., 1] = u
-        for j in range(2, _PANEL_DEGREE + 1):
-            vander[..., j] = 2.0 * u * vander[..., j - 1] - vander[..., j - 2]
+        r = (start + _PANEL_NODES) * width
         samples = azimuthal_field_profile(r, z_nm, optics)
         if not np.any(samples.imag):
-            samples = samples.real  # z = 0: keep the recurrence real
-        coef = np.zeros((_PANEL_DEGREE + 1, 2, panels), dtype=samples.dtype)
-        coef[:, 0] = np.linalg.solve(vander, samples[..., None])[..., 0].T
-        # du/drho = 2 panels / r_max on every panel
-        coef[:-1, 1] = np.polynomial.chebyshev.chebder(
-            coef[:, 0], scl=2.0 * panels / r_max_nm
-        )
-        return cls(coef, r_max_nm, panels / r_max_nm)
+            samples = samples.real  # z = 0: keep the table real
+        # concatenated, series[p, j, m] are the T_j coefficients of
+        # h^m E_phi^(m) / m! on panel p
+        u = 2.0 * (r / width - start) - 1.0
+        series = [np.linalg.solve(_chebyshev_vander(u), samples[..., None])]
+        for m in range(1, _TAYLOR_DEGREE + 1):
+            series.append(_NODE_DERIVATIVE @ series[-1] / m)
+        at_nodes = _NODE_VANDER @ np.concatenate(series, axis=-1)
+        # node i is node i mod n of panel i // n; the last panel also
+        # holds the node at its end
+        taylor = np.concatenate(
+            (at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1), at_nodes[-1, -1:])
+        )[: _last_node(optics, r_max_nm) + 1].T.copy()
+        taylor[0, 0] = 0.0  # E_phi vanishes on the beam axis
+        taylor.flags.writeable = False  # cached profiles are shared
+        return cls(taylor, r_max_nm, nodes_per_nm)
 
     def _locate(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Panel of each radius, clamped to r_max_nm, and 2u there."""
-        t = np.minimum(rho, self.r_max_nm) * self.panels_per_nm
-        panel = np.minimum(t.astype(np.intp), self.coef.shape[-1] - 1)
-        return panel, 4.0 * (t - panel) - 2.0  # u in [-1, 1] across the panel
+        """Nearest node of each radius, clipped to [0, r_max_nm], and u
+        there."""
+        u = np.clip(rho, 0.0, self.r_max_nm)
+        u *= self.nodes_per_nm
+        node = np.rint(u)
+        u -= node
+        return node.astype(np.intp), u
 
     def __call__(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        e = _clenshaw(self.coef[:, 0], *self._locate(rho))
-        return np.where(rho > 0.0, _abs2(e), 0.0)
+        node, u = self._locate(np.asarray(rho, dtype=float))
+        e = self.taylor[-1].take(node)
+        for c in self.taylor[-2::-1]:
+            e *= u
+            e += c.take(node)
+        return _abs2(e)
 
     def value_and_slope(self, rho) -> tuple[np.ndarray, np.ndarray]:
         """(|E_phi|^2, d|E_phi|^2 / drho) at ``rho``; the slope is 0 on
         the axis, where |E_phi|^2 is even, and where the radius is
         clamped to r_max_nm."""
         rho = np.asarray(rho, dtype=float)
-        e, de = _clenshaw(self.coef, *self._locate(rho))
-        slope = 2.0 * (e.conj() * de).real
-        off_axis = rho > 0.0
-        return (
-            np.where(off_axis, _abs2(e), 0.0),
-            np.where(off_axis & (rho <= self.r_max_nm), slope, 0.0),
-        )
+        node, u = self._locate(rho)
+        e = self.taylor[-1].take(node)
+        de = np.zeros_like(e)  # dE_phi / du, by the same recurrence
+        for c in self.taylor[-2::-1]:
+            de *= u
+            de += e
+            e *= u
+            e += c.take(node)
+        e_de = (e.conj() * de).real if np.iscomplexobj(e) else e * de
+        slope = (2.0 * self.nodes_per_nm) * e_de
+        return _abs2(e), np.where(rho <= self.r_max_nm, slope, 0.0)
 
 
 def intensity_map(
@@ -323,12 +386,14 @@ def intensity_map(
     the basis images built on |E_phi(rho, z)|^2 and (p, q, s) the
     coefficients of the axis (module docstring).
 
-    |E_phi|^2 is read from a RadialIntensityProfile over [0, max rho]:
-    the quadrature runs at 25 Chebyshev points per panel (325 radii for
-    a 256x256 scan at 50 nm pitch, instead of one per distinct pixel
-    radius) and every pixel is read from its panel's series, which
-    reproduces the quadrature to about 1e-15 of the peak. ``center_nm``
-    is the NV position (defaults to the grid center).
+    |E_phi|^2 is read from the cached RadialIntensityProfile that
+    covers max rho (``_profile_covering``), the one the orientation fit
+    of a scan of that size reads too: the first map of a scan size runs
+    the quadrature at 25 Chebyshev points per panel (325 radii on 13
+    panels for a 256x256 scan at 50 nm pitch, instead of one per
+    distinct pixel radius); every map reads each pixel from the Taylor
+    table, which reproduces the quadrature to about 4e-15 of the peak.
+    ``center_nm`` is the NV position (defaults to the grid center).
     """
     if amplitude < 0.0 or background < 0.0:
         raise ValueError("amplitude and background must be >= 0")
@@ -337,7 +402,7 @@ def intensity_map(
     dx = xs - cx
     dy = ys - cy
     rho = np.hypot(dx, dy)
-    e2 = RadialIntensityProfile.build(optics, float(rho.max()), z_nm)(rho)
+    e2 = _profile_covering(optics, float(rho.max()), z_nm)(rho)
     basis, _ = _basis_images(dx, dy, e2)
     coef = _coefficients_from_angles(orientation.theta, orientation.phi)
     return background + amplitude * (basis @ coef)
@@ -379,13 +444,30 @@ def simulate_pattern(
 PROFILE_MARGIN_PX = 8.0
 
 
-@lru_cache(maxsize=16)
 def radial_profile_for_grid(
     grid: ScanGrid, optics: OpticalConfig
 ) -> RadialIntensityProfile:
     """Profile covering every pixel of ``grid`` from any NV position
-    within PROFILE_MARGIN_PX of the grid center; cached per (grid, optics)."""
+    within PROFILE_MARGIN_PX of the grid center, from the profile cache."""
     half_w = 0.5 * (grid.width_px - 1)
     half_h = 0.5 * (grid.height_px - 1)
     r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + PROFILE_MARGIN_PX)
-    return RadialIntensityProfile.build(optics, r_max)
+    return _profile_covering(optics, r_max)
+
+
+def _profile_covering(
+    optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
+) -> RadialIntensityProfile:
+    """The cached profile over the whole panels that cover [0, r_max_nm]."""
+    return _cached_profile(optics, _panel_count(optics, r_max_nm), float(z_nm))
+
+
+@lru_cache(maxsize=8)
+def _cached_profile(
+    optics: OpticalConfig, panels: int, z_nm: float
+) -> RadialIntensityProfile:
+    """The profile over ``panels`` whole panels: the one profile cache,
+    shared by synthesis and the orientation fit. A key always builds the
+    same table, so no result depends on what was cached before."""
+    width = _NODES_PER_PANEL / _nodes_per_nm(optics)
+    return RadialIntensityProfile.build(optics, panels * width, z_nm)

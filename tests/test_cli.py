@@ -151,14 +151,14 @@ class TestSimulateAndFit:
         assert "wavelenght_nm" in payload["message"]
 
     @pytest.mark.parametrize("section, key, value", [
-        ("fit", "seed", 1.5),
-        ("fit", "seed", "7"),
-        ("fit", "seed", True),
-        ("fit", "seed", -1),
-        ("pattern", "width_px", 2.5),
-        ("pattern", "pitch_nm", "50"),
+        ("optics", "quadrature_nodes", 2.5),
+        ("optics", "quadrature_nodes", "64"),
+        ("optics", "quadrature_nodes", True),
+        ("optics", "quadrature_nodes", 4),
+        ("optics", "numerical_aperture", None),
+        ("spin", "a_par", "-2.14"),
         ("optics", "wavelength_nm", float("inf")),
-        ("pattern", "pitch_nm", float("nan")),
+        ("spin", "gamma_n", float("nan")),
         ("optics", "quadrature_nodes", 64.0),
         ("optics", "immersion_index", float("nan")),
         ("spin", "d", False),
@@ -605,6 +605,32 @@ def test_bad_flag_value_is_named(tmp_path, capsys, argv, flag):
     assert code == 2
     assert payload["error"] == "ConfigError"
     assert flag in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+#: finite values outside a flag's range, which the library would reject
+#: in its own words (theta in radians, "grid dimensions")
+_OUT_OF_RANGE_CASES = [
+    (["simulate-pattern", "--theta-deg", "200", "--phi-deg", "0"], "--theta-deg"),
+    (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--width", "0"],
+     "--width"),
+    (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--height", "-3"],
+     "--height"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--depth", "1.5"], "--depth"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--linewidth-mhz", "0"],
+     "--linewidth-mhz"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--b-theta-deg", "190"], "--b-theta-deg"),
+    (["odmr", "--simulate", *SIMULATED_ODMR, "--nv-theta-deg", "-1"], "--nv-theta-deg"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _OUT_OF_RANGE_CASES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in _OUT_OF_RANGE_CASES])
+def test_out_of_range_flag_value_is_named(tmp_path, capsys, argv, flag):
+    code, payload = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{flag} must be")
     assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import axis_angle_deg, pattern_residual
-from nvvortex import least_squares
+from nvvortex import least_squares, pattern
 from nvvortex.errors import DegenerateTemplate, NoConvergence
 from nvvortex.orient_fit import (
     _linear_fit,
@@ -126,6 +126,18 @@ class TestFitOrientation:
         a = fit_orientation(img, optics)
         b = fit_orientation(img, optics)
         assert a == b
+
+    def test_fit_is_bit_identical_from_a_cold_and_a_warm_cache(self, grid31, optics):
+        # the warm fit reads the profile a larger synthesis needing the
+        # same 3 panels cached first
+        img = make_image(70.0, 100.0, grid31, optics, noise_seed=3,
+                         amplitude=1e4, background=100.0)
+        pattern._cached_profile.cache_clear()
+        cold = fit_orientation(img, optics)
+        pattern._cached_profile.cache_clear()
+        make_image(70.0, 100.0, ScanGrid(43, 43, 50.0), optics)
+        assert fit_orientation(img, optics) == cold
+        assert pattern._cached_profile.cache_info().currsize == 1
 
     def test_residual_certificate(self, grid31, optics):
         # the fit is the exact optimum over (theta, phi, amplitude,

@@ -11,6 +11,7 @@ from conftest import (
     dipole_projection_factor,
     field_vector_at,
 )
+import nvvortex.pattern as pattern_module
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.pattern import (
     MAX_PIXELS,
@@ -291,6 +292,20 @@ class TestSimulatePattern:
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.fixture
+def counted_quadrature(monkeypatch):
+    """The number of radii of every quadrature call the pattern module
+    makes while the test runs."""
+    requested = []
+
+    def counting(r, *args, **kwargs):
+        requested.append(np.size(r))
+        return azimuthal_field_profile(r, *args, **kwargs)
+
+    monkeypatch.setattr(pattern_module, "azimuthal_field_profile", counting)
+    return requested
+
+
 def quadrature_map(orientation, grid, optics, center, z_nm=0.0, pixels=None):
     """Unit-amplitude pattern, flattened, with the quadrature run at each
     pixel's own radius; only at the flat indices ``pixels`` if given."""
@@ -361,24 +376,42 @@ class TestIntensityMap:
         ref64 = quadrature_map(orientation, grid, OpticalConfig(), center)
         assert np.abs(vals - ref64).max() / ref64.max() > 1e-3
 
-    def test_quadrature_runs_at_the_panel_points_only(self, optics, monkeypatch):
+    def test_quadrature_runs_at_the_panel_points_only(self, optics, counted_quadrature):
         # off centre every one of the 65,536 pixels has its own radius;
-        # the expansion needs 25 points on each of 13 panels
-        import nvvortex.pattern as pattern_module
-
-        requested = []
-
-        def counting(r, *args, **kwargs):
-            requested.append(np.size(r))
-            return azimuthal_field_profile(r, *args, **kwargs)
-
-        monkeypatch.setattr(pattern_module, "azimuthal_field_profile", counting)
+        # from a cold cache the expansion needs 25 points on each of 13
+        # panels
+        pattern_module._cached_profile.cache_clear()
         grid = ScanGrid(256, 256, 50.0)
         cx, cy = grid.center_nm
         center = (cx + 50.0 * 0.31, cy - 50.0 * 0.27)
         intensity_map(NVOrientation(1.1, 0.7), grid, optics, center_nm=center)
-        assert len(requested) == 1
-        assert requested[0] <= 25 * 13
+        assert counted_quadrature == [25 * 13]
+
+    def test_second_map_of_a_grid_runs_no_quadrature(self, optics, counted_quadrature):
+        # the centred and the off-centre 256x256 scan share one profile
+        grid = ScanGrid(256, 256, 50.0)
+        cx, cy = grid.center_nm
+        intensity_map(NVOrientation(1.1, 0.7), grid, optics)
+        counted_quadrature.clear()
+        intensity_map(NVOrientation(0.4, 2.0), grid, optics)
+        intensity_map(
+            NVOrientation(1.1, 0.7), grid, optics, center_nm=(cx + 15.5, cy - 13.5)
+        )
+        assert counted_quadrature == []
+
+    def test_map_is_bit_identical_from_a_cold_and_a_warm_cache(self, optics):
+        # the warm map reads the profile a smaller scan needing the same
+        # 4 panels cached first: it must be the one the map builds itself
+        grid = ScanGrid(64, 64, 50.0)
+        cx, cy = grid.center_nm
+        kw = dict(center_nm=(cx + 15.5, cy - 13.5), z_nm=120.0)
+        pattern_module._cached_profile.cache_clear()
+        cold = intensity_map(NVOrientation(1.1, 0.7), grid, optics, **kw)
+        pattern_module._cached_profile.cache_clear()
+        intensity_map(NVOrientation(0.3, 2.0), ScanGrid(63, 63, 50.0), optics, z_nm=120.0)
+        warm = intensity_map(NVOrientation(1.1, 0.7), grid, optics, **kw)
+        assert pattern_module._cached_profile.cache_info().currsize == 1
+        assert np.array_equal(cold, warm)
 
 
 class TestRadialProfile:
@@ -412,10 +445,26 @@ class TestRadialProfile:
         _, slope = profile.value_and_slope(np.array([0.0, 1500.5, 2000.0, 1e6]))
         assert slope.tolist() == [0.0, 0.0, 0.0, 0.0]
 
+    def test_defocused_slope_matches_central_difference_of_quadrature(self, optics):
+        # at z = 300 nm the table is complex: the slope is 2 Re(E* E')
+        profile = RadialIntensityProfile.build(optics, 1500.0, 300.0)
+        h = 1e-3
+        rs = np.linspace(h, 1500.0 - h, 3001)
+        e = azimuthal_field_profile(rs, 300.0, optics)
+        plus = np.abs(azimuthal_field_profile(rs + h, 300.0, optics)) ** 2
+        minus = np.abs(azimuthal_field_profile(rs - h, 300.0, optics)) ** 2
+        central = (plus - minus) / (2.0 * h)
+        value, slope = profile.value_and_slope(rs)
+        exact = e.real**2 + e.imag**2
+        assert np.abs(value - exact).max() / exact.max() < 1e-14
+        assert np.abs(slope - central).max() / np.abs(central).max() < 1e-9
+
     def test_on_axis_null_is_exact(self, optics):
         profile = RadialIntensityProfile.build(optics, 1500.0)
         assert profile(0.0) == 0.0
         assert profile(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+        # a negative radius reads the axis, not the far end of the table
+        assert profile(np.array([-1.0, -1e6])).tolist() == [0.0, 0.0]
 
     def test_lookup_beyond_r_max_clamps(self, optics):
         profile = RadialIntensityProfile.build(optics, 1500.0)

@@ -65,7 +65,9 @@ def test_hooked_name_exists_where_the_tracer_looks(module_name, path):
 
 def test_synthesis_runs_through_the_wrapped_names(monkeypatch):
     # simulate_pattern must call the module-global intensity_map, and
-    # intensity_map the profile build and the quadrature, at call time
+    # intensity_map, on a cache miss, the profile build and the
+    # quadrature, at call time
+    pattern._cached_profile.cache_clear()
     seen = []
 
     def spy(name, fn):
