@@ -458,8 +458,12 @@ def radial_profile_for_grid(
 def _profile_covering(
     optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
 ) -> RadialIntensityProfile:
-    """The cached profile over the whole panels that cover [0, r_max_nm]."""
-    return _cached_profile(optics, _panel_count(optics, r_max_nm), float(z_nm))
+    """The cached profile over the whole panels that cover [0, r_max_nm].
+    They must hold r_max_nm itself, not only the node nearest it: reads
+    clip to the profile's r_max_nm, its last panel's end."""
+    nodes = r_max_nm * _nodes_per_nm(optics)
+    panels = max(1, math.ceil(nodes / _NODES_PER_PANEL))
+    return _cached_profile(optics, panels, float(z_nm))
 
 
 @lru_cache(maxsize=8)

@@ -363,6 +363,16 @@ class TestIntensityMap:
         # on axis the field and the reference vanish, and so must the map
         assert np.abs(vals - ref).max() <= 1e-13 * ref.max()
 
+    def test_farthest_pixel_just_past_a_panel_end(self, optics):
+        # the corner radius, 1451.83 nm, lies 0.34 nm past the end of the
+        # second panel, nearer that end's node than the next one: the
+        # cached profile must reach it, not clamp it to the panel end
+        grid = ScanGrid(31, 31, 68.44)
+        orientation = NVOrientation(1.1, 0.7)
+        vals = intensity_map(orientation, grid, optics).ravel()
+        ref = quadrature_map(orientation, grid, optics, grid.center_nm)
+        assert np.abs(vals - ref).max() <= 1e-13 * ref.max()
+
     def test_map_uses_the_configured_rule(self):
         # 8 nodes are far from converged at these radii: the map must
         # follow them rather than a rule of its own
