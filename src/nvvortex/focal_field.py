@@ -24,11 +24,14 @@ from .bessel import j1
 from .errors import InvalidOptics
 
 __all__ = [
+    "MAX_QUADRATURE_NODES",
     "OpticalConfig",
     "max_aperture_angle",
     "wavenumber",
     "azimuthal_field_profile",
 ]
+
+MAX_QUADRATURE_NODES = 1024  # the rule of n nodes is built from an n x n matrix
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,15 @@ class OpticalConfig:
     def __post_init__(self):
         if not (0.0 < self.numerical_aperture < self.immersion_index):
             raise InvalidOptics(
-                f"need 0 < NA < n, got NA={self.numerical_aperture}, "
-                f"n={self.immersion_index}"
+                "need 0 < numerical_aperture < immersion_index, got "
+                f"{self.numerical_aperture} and {self.immersion_index}"
             )
         if not self.wavelength_nm > 0.0:
-            raise InvalidOptics(f"wavelength must be positive, got {self.wavelength_nm}")
-        if self.quadrature_nodes < 8:
+            raise InvalidOptics(f"wavelength_nm must be > 0, got {self.wavelength_nm}")
+        if not 8 <= self.quadrature_nodes <= MAX_QUADRATURE_NODES:
             raise InvalidOptics(
-                f"quadrature_nodes must be >= 8, got {self.quadrature_nodes}"
+                f"quadrature_nodes must be in [8, {MAX_QUADRATURE_NODES}], "
+                f"got {self.quadrature_nodes}"
             )
 
 

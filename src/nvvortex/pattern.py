@@ -46,6 +46,7 @@ from .focal_field import (
 
 __all__ = [
     "MAX_PIXELS",
+    "MAX_PROFILE_RADIUS_NM",
     "NOISE_TILE_PX",
     "NVOrientation",
     "ScanGrid",
@@ -57,6 +58,9 @@ __all__ = [
 ]
 
 MAX_PIXELS = 4_194_304  # memory guard for a single scan
+#: memory guard for the radial profile, nm: at the default optics 1,378
+#: panels, a 31 MB table (62 MB when defocused, where it is complex)
+MAX_PROFILE_RADIUS_NM = 1e6
 #: pixels per Poisson tile: tile i of the flat pixel index draws from
 #: its own generator seeded with (noise_seed, i)
 NOISE_TILE_PX = 4096
@@ -115,6 +119,13 @@ class NVOrientation:
         )
 
 
+def _check_reach(what: str, r_nm: float) -> None:
+    """Refuses a radius, NaN included, that no profile may reach."""
+    if not r_nm <= MAX_PROFILE_RADIUS_NM:
+        limit = f"MAX_PROFILE_RADIUS_NM={MAX_PROFILE_RADIUS_NM:g}"
+        raise ValueError(f"{what} {r_nm:.6g} nm exceeds {limit}")
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Rectangular scan raster: pixel (ix, iy) sits at physical position
@@ -136,6 +147,11 @@ class ScanGrid:
             raise ValueError(
                 f"{self.width_px}x{self.height_px} exceeds MAX_PIXELS={MAX_PIXELS}"
             )
+        _check_reach("grid diagonal", self.diagonal_nm)
+
+    @property
+    def diagonal_nm(self) -> float:
+        return self.pitch_nm * math.hypot(self.width_px - 1, self.height_px - 1)
 
     @property
     def center_nm(self) -> tuple[float, float]:
@@ -262,43 +278,31 @@ def _nodes_per_nm(optics: OpticalConfig) -> float:
     return bandwidth * (_NODES_PER_PANEL / _PANEL_WIDTH)
 
 
-def _last_node(optics: OpticalConfig, r_max_nm: float) -> int:
-    """Index of the table node nearest r_max_nm, rounded as reads round."""
-    return int(np.rint(r_max_nm * _nodes_per_nm(optics)))
-
-
-def _panel_count(optics: OpticalConfig, r_max_nm: float) -> int:
-    """Panels, laid from rho = 0, that hold every node up to the one
-    nearest r_max_nm; the node at a panel's end belongs to it."""
-    return max(1, -(-_last_node(optics, r_max_nm) // _NODES_PER_PANEL))
-
-
 @dataclass(frozen=True)
 class RadialIntensityProfile:
     """|E_phi(rho, z)|^2 on [0, r_max_nm] from a Taylor table of the
-    configured quadrature.
+    configured quadrature, r_max_nm being the end of its last panel.
 
     E_phi is a sum of J1(k rho sin t) over the quadrature nodes, a
     function of rho band-limited to k sin alpha. ``build`` runs the
-    quadrature once, at the Chebyshev points of panels _PANEL_WIDTH /
-    (k sin alpha) wide laid from rho = 0, on each of which a series of
-    degree _PANEL_DEGREE matches it to rounding (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 8). The series
-    interpolate the samples at the points as they round in rho. From
-    them and their derivatives it tabulates, at the nodes rho_i = i h,
-    h = 0.03 / (k sin alpha) (1.81 nm at the default optics), up to the
-    node nearest r_max_nm,
+    quadrature once, at the Chebyshev points of whole panels
+    _PANEL_WIDTH / (k sin alpha) wide laid from rho = 0, on each of
+    which a series of degree _PANEL_DEGREE matches it to rounding
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    The series interpolate the samples at the points as they round in
+    rho. From them and their derivatives it tabulates, at the nodes
+    rho_i = i h, h = 0.03 / (k sin alpha) (1.81 nm at the default
+    optics), from the axis to the end of the last panel,
 
         taylor[m, i] = E_phi^(m)(rho_i) h^m / m!,  m = 0 .. _TAYLOR_DEGREE,
 
-    each node on its own panel's series, also where it lies past
-    r_max_nm (a value clamped to r_max_nm would not be its own). Every
-    radius is read from its nearest node by Horner's rule in
-    u = rho / h - i, |u| <= 1/2, and its slope from the derivative of
-    the same polynomial. The profile reproduces the quadrature to about
-    4e-15 of the peak, the truncation error of the panels' series. The
-    on-axis null is exact: profile(0) is 0. Radii beyond r_max_nm read
-    the value at r_max_nm, and negative ones the value at 0.
+    each node on its own panel's series. Every radius is read from its
+    nearest node by Horner's rule in u = rho / h - i, |u| <= 1/2, and
+    its slope from the derivative of the same polynomial. The profile
+    reproduces the quadrature to about 4e-15 of the peak, the truncation
+    error of the panels' series. The on-axis null is exact: profile(0)
+    is 0. Radii beyond r_max_nm read the value at r_max_nm, and negative
+    ones the value at 0.
     """
 
     #: taylor[m, i]: the m-th Taylor coefficient of E_phi at node i, in
@@ -309,10 +313,9 @@ class RadialIntensityProfile:
 
     @classmethod
     def build(
-        cls, optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
+        cls, optics: OpticalConfig, panels: int, z_nm: float = 0.0
     ) -> "RadialIntensityProfile":
         nodes_per_nm = _nodes_per_nm(optics)
-        panels = _panel_count(optics, r_max_nm)
         width = _NODES_PER_PANEL / nodes_per_nm
         start = np.arange(panels)[:, None]  # panel starts, in panel widths
         r = (start + _PANEL_NODES) * width
@@ -330,10 +333,10 @@ class RadialIntensityProfile:
         # holds the node at its end
         taylor = np.concatenate(
             (at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1), at_nodes[-1, -1:])
-        )[: _last_node(optics, r_max_nm) + 1].T.copy()
+        ).T.copy()
         taylor[0, 0] = 0.0  # E_phi vanishes on the beam axis
         taylor.flags.writeable = False  # cached profiles are shared
-        return cls(taylor, r_max_nm, nodes_per_nm)
+        return cls(taylor, panels * width, nodes_per_nm)
 
     def _locate(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nearest node of each radius, clipped to [0, r_max_nm], and u
@@ -386,9 +389,10 @@ def intensity_map(
     the basis images built on |E_phi(rho, z)|^2 and (p, q, s) the
     coefficients of the axis (module docstring).
 
-    |E_phi|^2 is read from the cached RadialIntensityProfile that
-    covers max rho (``_profile_covering``), the one the orientation fit
-    of a scan of that size reads too: the first map of a scan size runs
+    |E_phi|^2 is read from the cached RadialIntensityProfile over the
+    fewest whole panels that reach the farthest pixel
+    (``_profile_covering``, which refuses one beyond
+    MAX_PROFILE_RADIUS_NM). The first map that needs a panel count runs
     the quadrature at 25 Chebyshev points per panel (325 radii on 13
     panels for a 256x256 scan at 50 nm pitch, instead of one per
     distinct pixel radius); every map reads each pixel from the Taylor
@@ -439,30 +443,24 @@ def simulate_pattern(
     return ScanImage(grid=grid, values=noisy.reshape(mean.shape))
 
 
-#: how far (pixels) the NV may sit from the grid centre with every pixel
-#: still inside the profile
-PROFILE_MARGIN_PX = 8.0
-
-
 def radial_profile_for_grid(
     grid: ScanGrid, optics: OpticalConfig
 ) -> RadialIntensityProfile:
-    """Profile covering every pixel of ``grid`` from any NV position
-    within PROFILE_MARGIN_PX of the grid center, from the profile cache."""
-    half_w = 0.5 * (grid.width_px - 1)
-    half_h = 0.5 * (grid.height_px - 1)
-    r_max = grid.pitch_nm * (math.hypot(half_w, half_h) + PROFILE_MARGIN_PX)
-    return _profile_covering(optics, r_max)
+    """Profile covering the grid's diagonal, and so every pixel of
+    ``grid`` from any NV position inside it, from the profile cache."""
+    return _profile_covering(optics, grid.diagonal_nm)
 
 
 def _profile_covering(
     optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
 ) -> RadialIntensityProfile:
-    """The cached profile over the whole panels that cover [0, r_max_nm].
-    They must hold r_max_nm itself, not only the node nearest it: reads
-    clip to the profile's r_max_nm, its last panel's end."""
-    nodes = r_max_nm * _nodes_per_nm(optics)
-    panels = max(1, math.ceil(nodes / _NODES_PER_PANEL))
+    """The cached profile over the fewest whole panels that cover
+    [0, r_max_nm]: the one map from a radius to a panel count. The
+    panels must hold r_max_nm itself, not only the node nearest it:
+    reads clip to the profile's r_max_nm, its last panel's end. Raises
+    ValueError beyond MAX_PROFILE_RADIUS_NM, before anything is built."""
+    _check_reach("profile radius", r_max_nm)
+    panels = max(1, math.ceil(r_max_nm * _nodes_per_nm(optics) / _NODES_PER_PANEL))
     return _cached_profile(optics, panels, float(z_nm))
 
 
@@ -473,5 +471,4 @@ def _cached_profile(
     """The profile over ``panels`` whole panels: the one profile cache,
     shared by synthesis and the orientation fit. A key always builds the
     same table, so no result depends on what was cached before."""
-    width = _NODES_PER_PANEL / _nodes_per_nm(optics)
-    return RadialIntensityProfile.build(optics, panels * width, z_nm)
+    return RadialIntensityProfile.build(optics, panels, z_nm)

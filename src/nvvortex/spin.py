@@ -98,7 +98,7 @@ class SpinParams:
 
     def __post_init__(self):
         if not self.d > 0.0:
-            raise ValueError(f"zero-field splitting must be positive, got {self.d}")
+            raise ValueError(f"d, the zero-field splitting, must be > 0, got {self.d}")
         if not self.gamma_e > 0.0:
             raise ValueError(f"gamma_e must be positive, got {self.gamma_e}")
 

@@ -140,10 +140,7 @@ def _unit_sphere_lstsq(
     return b, _squared_norms(_rows(axes, b) - cosines)
 
 
-def solve_direction(
-    constraints: list[ConeConstraint],
-    residual_gate: float = DEFAULT_RESIDUAL_GATE,
-) -> VectorFieldResult:
+def solve_direction(constraints: list[ConeConstraint]) -> VectorFieldResult:
     """Best-fit field direction over all cone-angle branch assignments.
 
     Returns the minimal-residual assignment (ties broken toward the
@@ -157,7 +154,7 @@ def solve_direction(
     None when no constraint has a sigma. Raises ValueError outside 3 to
     MAX_CONSTRAINTS cones, DegenerateAxes when the axis matrix is
     conditioned worse than DEFAULT_CONDITION_BOUND and NoSolution when
-    even the best branch leaves a residual above ``residual_gate``.
+    even the best branch leaves a residual above DEFAULT_RESIDUAL_GATE.
     """
     n = len(constraints)
     if not 3 <= n <= MAX_CONSTRAINTS:
@@ -181,9 +178,9 @@ def solve_direction(
     directions, residuals = _unit_sphere_lstsq(axes, cosines)
     best = int(np.argmin(residuals))
     direction, residual = directions[best], float(residuals[best])
-    if residual > residual_gate:
+    if residual > DEFAULT_RESIDUAL_GATE:
         raise NoSolution(
-            f"best branch residual {residual:.3g} exceeds gate {residual_gate:.3g}"
+            f"best branch residual {residual:.3g} exceeds gate {DEFAULT_RESIDUAL_GATE:g}"
         )
 
     orientation = NVOrientation.from_vector(direction)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nvvortex import least_squares, spin
+from nvvortex import least_squares, pattern, spin
 from nvvortex.errors import (
     DegenerateTemplate,
     FitFailed,
@@ -40,6 +40,24 @@ def spin_params():
 def grid31():
     """Shared scan raster; session scope keeps the radial profile cache warm."""
     return ScanGrid(width_px=31, height_px=31, pitch_nm=50.0)
+
+
+@pytest.fixture
+def bounded_quadrature(monkeypatch):
+    """Fails the test, before the quadrature runs, when a profile build
+    asks for more radii than a profile reaching MAX_PROFILE_RADIUS_NM at
+    the default optics holds (25 per panel), so that an input which
+    slips past the bound fails fast instead of allocating gigabytes."""
+    reach = pattern.MAX_PROFILE_RADIUS_NM * pattern._nodes_per_nm(OpticalConfig())
+    limit = (pattern._PANEL_DEGREE + 1) * math.ceil(reach / pattern._NODES_PER_PANEL)
+    real = pattern.azimuthal_field_profile
+
+    def bounded(r, *args, **kwargs):
+        if np.size(r) > limit:
+            raise AssertionError(f"profile build asked for {np.size(r)} radii")
+        return real(r, *args, **kwargs)
+
+    monkeypatch.setattr(pattern, "azimuthal_field_profile", bounded)
 
 
 #: fitted orientations of the four NV patterns used throughout

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,13 @@ from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
 from nvvortex.focal_field import OpticalConfig
 from nvvortex.spin import SpinParams, simulate_odmr_spectrum
+
+
+#: a 2x2 scan 1e7 nm apart: covering its diagonal would take a 2.7 GB
+#: profile
+OVERSIZED_SCAN = (
+    "width,height,pitch_nm,origin_x_nm,origin_y_nm\n2,2,1e7,0,0\n1,2\n3,4\n"
+)
 
 
 def run_cli(capsys, *argv):
@@ -141,6 +149,31 @@ class TestSimulateAndFit:
         assert code == 4
         assert payload["error"] == "FileFormatError"
 
+    def test_oversized_scan_gives_parse_exit(self, tmp_path, capsys,
+                                             bounded_quadrature):
+        bad = tmp_path / "wide.csv"
+        bad.write_text(OVERSIZED_SCAN)
+        code, payload = run_cli(capsys, "fit-orientation", "--image", str(bad))
+        assert code == 4
+        assert payload["error"] == "FileFormatError"
+        assert "MAX_PROFILE_RADIUS_NM" in payload["message"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--pitch-nm", "1e9", "--width", "2", "--height", "1"],
+        ["--center-x-nm", "1e9"],
+    ], ids=["pitch", "centre"])
+    def test_synthesis_beyond_the_profile_bound_is_refused(
+        self, tmp_path, capsys, bounded_quadrature, extra
+    ):
+        out = tmp_path / "sim"
+        code, payload = run_cli(
+            capsys, "simulate-pattern", "--theta-deg", "90", "--phi-deg", "0",
+            "--out", str(out), *extra,
+        )
+        assert code == 2
+        assert "MAX_PROFILE_RADIUS_NM" in payload["message"]
+        assert not out.exists()
+
     def test_bad_config_key_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"optics": {"wavelenght_nm": 500}}))
@@ -163,6 +196,11 @@ class TestSimulateAndFit:
         ("optics", "immersion_index", float("nan")),
         ("spin", "d", False),
         ("spin", "gamma_e", "2.8"),
+        ("optics", "wavelength_nm", -1),
+        ("optics", "numerical_aperture", 2.0),
+        ("optics", "immersion_index", 1.0),
+        ("spin", "d", -5),
+        ("optics", "quadrature_nodes", 1_000_000),
     ])
     def test_bad_config_value_names_the_key(self, tmp_path, capsys, section, key,
                                             value):
@@ -173,7 +211,7 @@ class TestSimulateAndFit:
         )
         assert code == 2
         assert payload["error"] == "ConfigError"
-        assert key in payload["message"]
+        assert re.search(rf"\b{key}\b", payload["message"])
 
     def test_removed_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -523,6 +561,25 @@ class TestPipeline:
         text = (scans / "nv4.csv").read_text().split("\n")
         text[1] = "31,31,50.0,nan,0.0"
         (scans / "nv4.csv").write_text("\n".join(text))
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv4" and entry["error"] == "FileFormatError"
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is not None
+
+    def test_oversized_scan_lists_that_nv(self, tmp_path, capsys, bounded_quadrature):
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        (scans / "nv4.csv").write_text(OVERSIZED_SCAN)
         code, report = run_cli(
             capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
         )

@@ -13,6 +13,7 @@ from conftest import (
 )
 from nvvortex.errors import InvalidOptics
 from nvvortex.focal_field import (
+    MAX_QUADRATURE_NODES,
     OpticalConfig,
     azimuthal_field_profile,
     max_aperture_angle,
@@ -49,6 +50,7 @@ class TestOpticalConfig:
             {"numerical_aperture": -0.5},
             {"wavelength_nm": 0.0},
             {"quadrature_nodes": 4},
+            {"quadrature_nodes": MAX_QUADRATURE_NODES + 1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

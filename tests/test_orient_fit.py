@@ -291,6 +291,24 @@ class TestFitOrientation:
         assert fit.center_nm[0] == pytest.approx(cx + 70.0, abs=2.0)
         assert fit.center_nm[1] == pytest.approx(cy - 45.0, abs=2.0)
 
+    @pytest.mark.parametrize("offset_px", [16, 20, 24])
+    def test_far_off_centre_nv_reads_no_clamped_pixel(self, optics, offset_px):
+        # with the NV near a corner the farthest pixel lies almost a
+        # diagonal away; a profile clamped short of it leaves a residual
+        # of 5e-8 to 3e-7 and biases the axis by up to 1.4e-3 degrees
+        grid = ScanGrid(64, 64, 50.0)
+        cx, cy = grid.center_nm
+        center = (cx - 50.0 * offset_px, cy + 50.0 * offset_px)
+        img = simulate_pattern(
+            NVOrientation.from_degrees(70.0, 100.0), grid, optics,
+            amplitude=1e4, background=100.0, center_nm=center,
+        )
+        fit = fit_orientation(img, optics)
+        assert fit.residual <= 1e-15
+        err = axis_angle_deg(fit.theta, fit.phi, math.radians(70.0), math.radians(100.0))
+        assert err <= 1e-5
+        assert np.allclose(fit.center_nm, center, rtol=0.0, atol=1e-6)
+
     def test_exhausted_budget_raises(self, optics, monkeypatch):
         grid = ScanGrid(31, 31, 50.0)
         cx, cy = grid.center_nm

@@ -15,6 +15,7 @@ import nvvortex.pattern as pattern_module
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.pattern import (
     MAX_PIXELS,
+    MAX_PROFILE_RADIUS_NM,
     NOISE_TILE_PX,
     NVOrientation,
     RadialIntensityProfile,
@@ -65,6 +66,16 @@ class TestScanTypes:
             ScanGrid(10, 10, -1.0)
         with pytest.raises(ValueError):
             ScanGrid(4096, MAX_PIXELS // 4096 + 1, 50.0)
+
+    def test_grid_diagonal_is_bounded(self):
+        # a fit reads the profile over the grid's diagonal, so a grid
+        # whose diagonal lies past the profile bound is refused when made
+        edge = ScanGrid(2, 1, MAX_PROFILE_RADIUS_NM)
+        assert edge.diagonal_nm == MAX_PROFILE_RADIUS_NM
+        with pytest.raises(ValueError, match="MAX_PROFILE_RADIUS_NM"):
+            ScanGrid(2, 1, math.nextafter(MAX_PROFILE_RADIUS_NM, math.inf))
+        with pytest.raises(ValueError, match="MAX_PROFILE_RADIUS_NM"):
+            ScanGrid(2, 2, 1e7)
 
     @pytest.mark.parametrize("pitch, origin", [
         (math.inf, (0.0, 0.0)), (math.nan, (0.0, 0.0)),
@@ -409,6 +420,13 @@ class TestIntensityMap:
         )
         assert counted_quadrature == []
 
+    @pytest.mark.parametrize("cx", [1e9, math.inf, math.nan])
+    def test_nv_beyond_the_profile_bound_is_refused(self, optics, cx,
+                                                    bounded_quadrature):
+        with pytest.raises(ValueError, match="MAX_PROFILE_RADIUS_NM"):
+            intensity_map(NVOrientation(1.1, 0.7), ScanGrid(3, 3, 50.0), optics,
+                          center_nm=(cx, 0.0))
+
     def test_map_is_bit_identical_from_a_cold_and_a_warm_cache(self, optics):
         # the warm map reads the profile a smaller scan needing the same
         # 4 panels cached first: it must be the one the map builds itself
@@ -426,7 +444,7 @@ class TestIntensityMap:
 
 class TestRadialProfile:
     def test_interpolation_error_small_against_exact(self, optics):
-        profile = RadialIntensityProfile.build(optics, 1500.0)
+        profile = RadialIntensityProfile.build(optics, 3)
         rng = np.random.default_rng(3)
         rs = rng.uniform(0.0, 1500.0, 300)
         exact = np.array([abs(azimuthal_field(float(r), 0.0, optics)) ** 2 for r in rs])
@@ -435,14 +453,14 @@ class TestRadialProfile:
     def test_interpolation_no_worse_than_dense_linear_table(self, optics):
         # the 65,536-sample linear table of the first fits was within
         # 1.6e-8; the Chebyshev panels reproduce the quadrature to rounding
-        profile = RadialIntensityProfile.build(optics, 1500.0)
+        profile = RadialIntensityProfile.build(optics, 3)
         rs = np.linspace(0.0, 1500.0, 20001)
         e = azimuthal_field_profile(rs, 0.0, optics)
         exact = e.real**2 + e.imag**2
         assert np.abs(profile(rs) - exact).max() / exact.max() < 1e-14
 
     def test_slope_matches_central_difference_of_quadrature(self, optics):
-        profile = RadialIntensityProfile.build(optics, 1500.0)
+        profile = RadialIntensityProfile.build(optics, 3)
         h = 1e-3
         rs = np.linspace(h, 1500.0 - h, 3001)
         plus = azimuthal_field_profile(rs + h, 0.0, optics)
@@ -452,12 +470,13 @@ class TestRadialProfile:
         assert np.array_equal(value, profile(rs))
         assert np.abs(slope - central).max() / np.abs(central).max() < 1e-9
         # |E_phi|^2 is even on the axis and clamped beyond r_max
-        _, slope = profile.value_and_slope(np.array([0.0, 1500.5, 2000.0, 1e6]))
-        assert slope.tolist() == [0.0, 0.0, 0.0, 0.0]
+        r_max = profile.r_max_nm
+        _, slope = profile.value_and_slope(np.array([0.0, r_max + 0.5, 1e6]))
+        assert slope.tolist() == [0.0, 0.0, 0.0]
 
     def test_defocused_slope_matches_central_difference_of_quadrature(self, optics):
         # at z = 300 nm the table is complex: the slope is 2 Re(E* E')
-        profile = RadialIntensityProfile.build(optics, 1500.0, 300.0)
+        profile = RadialIntensityProfile.build(optics, 3, 300.0)
         h = 1e-3
         rs = np.linspace(h, 1500.0 - h, 3001)
         e = azimuthal_field_profile(rs, 300.0, optics)
@@ -470,17 +489,26 @@ class TestRadialProfile:
         assert np.abs(slope - central).max() / np.abs(central).max() < 1e-9
 
     def test_on_axis_null_is_exact(self, optics):
-        profile = RadialIntensityProfile.build(optics, 1500.0)
+        profile = RadialIntensityProfile.build(optics, 3)
         assert profile(0.0) == 0.0
         assert profile(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
         # a negative radius reads the axis, not the far end of the table
         assert profile(np.array([-1.0, -1e6])).tolist() == [0.0, 0.0]
 
     def test_lookup_beyond_r_max_clamps(self, optics):
-        profile = RadialIntensityProfile.build(optics, 1500.0)
-        at_edge = profile(1500.0)
+        profile = RadialIntensityProfile.build(optics, 3)
+        r_max = profile.r_max_nm
+        at_edge = profile(r_max)
         assert at_edge > 0.0
-        assert np.array_equal(profile([1500.5, 2000.0, 1e6]), np.full(3, at_edge))
+        beyond = [r_max + 0.5, r_max + 500.0, 1e6]
+        assert np.array_equal(profile(beyond), np.full(3, at_edge))
+
+    def test_build_tabulates_whole_panels(self, optics):
+        # r_max is the end of the last panel, and the table holds every
+        # node up to it, the end node included
+        profile = RadialIntensityProfile.build(optics, 3)
+        assert profile.r_max_nm == 3 * 400 / profile.nodes_per_nm
+        assert profile.taylor.shape == (7, 3 * 400 + 1)
 
     def test_cache_returns_same_object(self, grid31, optics):
         assert radial_profile_for_grid(grid31, optics) is radial_profile_for_grid(

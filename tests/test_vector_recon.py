@@ -271,7 +271,8 @@ class TestSolveDirection:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("kind", ["consistent", "noisy", "inconsistent"])
-    def test_branch_optimum_is_exact(self, n, kind, sphere_sample):
+    def test_branch_optimum_is_exact(self, n, kind, sphere_sample, monkeypatch):
+        monkeypatch.setattr("nvvortex.vector_recon.DEFAULT_RESIDUAL_GATE", math.inf)
         # KKT certificate of the constrained least-squares optimum, and a
         # dense sphere sample over every branch assignment as an oracle
         rng = np.random.default_rng([n, len(kind)])
@@ -288,7 +289,7 @@ class TestSolveDirection:
                 ConeConstraint(axis=NVOrientation.from_vector(a), alpha=al, b=1.0)
                 for a, al in zip(axes, alphas)
             ]
-            result = solve_direction(cons, residual_gate=math.inf)
+            result = solve_direction(cons)
             used = np.stack([c.axis.unit_axis for c in cons])
             base_cos = np.cos(alphas)
             cosines = np.where(result.branch_flipped, -base_cos, base_cos)
@@ -302,7 +303,8 @@ class TestSolveDirection:
             assert result.residual <= oracle.min()
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5, 6])
-    def test_hard_case(self, seed):
+    def test_hard_case(self, seed, monkeypatch):
+        monkeypatch.setattr("nvvortex.vector_recon.DEFAULT_RESIDUAL_GATE", math.inf)
         # cosines whose normal-equation right side has no component along
         # the smallest eigenvector v0 put the multiplier at e0 itself:
         # the minimiser is w + t v0 with |w| < 1 fixed by the other
@@ -338,7 +340,7 @@ class TestSolveDirection:
                            alpha=math.acos(np.clip(c, -1.0, 1.0)), alpha_sigma=0.01)
             for a, c in zip(axes, cosines)
         ]
-        sigma = solve_direction(cons, residual_gate=math.inf).direction_sigma
+        sigma = solve_direction(cons).direction_sigma
         assert sigma is None or math.isfinite(sigma)
 
     @pytest.mark.parametrize("n", [3, 4, 8])
@@ -466,7 +468,8 @@ class TestSolveDirection:
         exact = [dataclasses.replace(c, alpha_sigma=0.0) for c in cons]
         assert solve_direction(exact).direction_sigma is None
 
-    def test_direction_sigma_matches_bootstrap_on_random_sets(self):
+    def test_direction_sigma_matches_bootstrap_on_random_sets(self, monkeypatch):
+        monkeypatch.setattr("nvvortex.vector_recon.DEFAULT_RESIDUAL_GATE", math.inf)
         # axes conditioned within 10 (three NV classes of the crystal give
         # 2): on worse-conditioned axes the solve responds nonlinearly to
         # cone-angle noise of this size, and a first-order figure is only
@@ -488,7 +491,7 @@ class TestSolveDirection:
                                alpha_sigma=s)
                 for a, al, s in zip(axes, alphas, sigmas)
             ]
-            result = solve_direction(cons, residual_gate=math.inf)
+            result = solve_direction(cons)
             reference = bootstrap_direction_sigma(cons, result, 20_000, seed=n)
             assert result.direction_sigma == pytest.approx(reference, rel=0.02)
 
