@@ -8,7 +8,7 @@ simulated noise is seeded by ``--noise-seed``, so runs are reproducible
 byte for byte.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
-failure, 4 I/O or parse failure.
+failure, 4 I/O or parse failure, a closed stdout included.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -37,6 +38,8 @@ from .fileio import (
 from .orient_fit import OrientationFit, fit_orientation, nearest_tetrahedral_axis
 from .pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from .spin import (
+    MAX_SWEEP_POINTS,
+    MIN_SWEEP_POINTS,
     FieldEstimate,
     OdmrModelFit,
     Spectrum,
@@ -75,6 +78,8 @@ _POSITIVE = ("a finite number > 0", lambda v: math.isfinite(v) and v > 0)
 _POLAR_DEG = ("in [0, 180]", lambda v: 0.0 <= v <= 180.0)
 _OPEN_UNIT = ("in (0, 1)", lambda v: 0.0 < v < 1.0)
 _PIXELS = ("at least 1", lambda v: v >= 1)
+_SWEEP_POINTS = (f"in [{MIN_SWEEP_POINTS}, MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}]",
+                 lambda v: MIN_SWEEP_POINTS <= v <= MAX_SWEEP_POINTS)
 
 
 def _check(args, rule, *flags: str) -> None:
@@ -86,11 +91,12 @@ def _check(args, rule, *flags: str) -> None:
 
 
 def _emit(report: dict, out_dir: str | None, filename: str) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # the file first, so that it is written when stdout is closed
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / filename)
+    print(json.dumps(report, indent=2, sort_keys=True), flush=True)
 
 
 class NVMeasurement(NamedTuple):
@@ -148,6 +154,7 @@ def cmd_simulate_pattern(args, config: RunConfig) -> int:
     _check(args, _FINITE, "--phi-deg", "--center-x-nm", "--center-y-nm", "--z-nm")
     _check(args, _POLAR_DEG, "--theta-deg")
     _check(args, _PIXELS, "--width", "--height")
+    _check(args, _POSITIVE, "--pitch-nm")
     grid = ScanGrid(width_px=args.width, height_px=args.height, pitch_nm=args.pitch_nm)
     orientation = NVOrientation.from_degrees(args.theta_deg, args.phi_deg)
     center = None
@@ -259,6 +266,12 @@ def cmd_odmr(args, config: RunConfig) -> int:
         _check(args, _POLAR_DEG, "--b-theta-deg", "--nv-theta-deg")
         _check(args, _POSITIVE, "--linewidth-mhz")
         _check(args, _OPEN_UNIT, "--depth")
+        _check(args, _SWEEP_POINTS, "--sweep-points")
+        if not args.sweep_stop_mhz > args.sweep_start_mhz:
+            raise ConfigError(
+                f"--sweep-stop-mhz must be greater than --sweep-start-mhz "
+                f"({args.sweep_start_mhz}), got {args.sweep_stop_mhz}"
+            )
         spectrum = _odmr_spectrum_from_args(args, config)
         source = {
             "simulated": True,
@@ -478,6 +491,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, load_config(args.config))
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_IO
     except (ConfigError, ValueError) as exc:
         _print_error(exc)
         return EXIT_USAGE
@@ -493,10 +509,23 @@ def main(argv=None) -> int:
 
 
 def _print_error(exc: Exception) -> None:
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
-    )
+    try:
+        print(
+            json.dumps({"error": type(exc).__name__, "message": str(exc)},
+                       sort_keys=True),
+            flush=True,
+        )
+    except BrokenPipeError:
+        _silence_stdout()
     print(f"nvvortex: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+
+def _silence_stdout() -> None:
+    """Points stdout, whose reader has gone, at devnull: nothing more is
+    written there, and the interpreter's last flush stays quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from .focal_field import (
 
 __all__ = [
     "MAX_PIXELS",
+    "MAX_PROFILE_PANELS",
     "MAX_PROFILE_RADIUS_NM",
     "NOISE_TILE_PX",
     "NVOrientation",
@@ -278,6 +279,16 @@ def _nodes_per_nm(optics: OpticalConfig) -> float:
     return bandwidth * (_NODES_PER_PANEL / _PANEL_WIDTH)
 
 
+def _panels(optics: OpticalConfig, r_max_nm: float) -> int:
+    """The fewest whole panels that cover [0, r_max_nm]."""
+    return max(1, math.ceil(r_max_nm * _nodes_per_nm(optics) / _NODES_PER_PANEL))
+
+
+#: memory guard for the radial profile, in panels: the 1,378 that reach
+#: MAX_PROFILE_RADIUS_NM at the default optics; wider optics need more
+MAX_PROFILE_PANELS = _panels(OpticalConfig(), MAX_PROFILE_RADIUS_NM)
+
+
 @dataclass(frozen=True)
 class RadialIntensityProfile:
     """|E_phi(rho, z)|^2 on [0, r_max_nm] from a Taylor table of the
@@ -455,12 +466,19 @@ def _profile_covering(
     optics: OpticalConfig, r_max_nm: float, z_nm: float = 0.0
 ) -> RadialIntensityProfile:
     """The cached profile over the fewest whole panels that cover
-    [0, r_max_nm]: the one map from a radius to a panel count. The
-    panels must hold r_max_nm itself, not only the node nearest it:
-    reads clip to the profile's r_max_nm, its last panel's end. Raises
-    ValueError beyond MAX_PROFILE_RADIUS_NM, before anything is built."""
+    [0, r_max_nm]. The panels must hold r_max_nm itself, not only the
+    node nearest it: reads clip to the profile's r_max_nm, its last
+    panel's end. Raises ValueError beyond MAX_PROFILE_RADIUS_NM or
+    MAX_PROFILE_PANELS, before anything is built."""
     _check_reach("profile radius", r_max_nm)
-    panels = max(1, math.ceil(r_max_nm * _nodes_per_nm(optics) / _NODES_PER_PANEL))
+    panels = _panels(optics, r_max_nm)
+    if panels > MAX_PROFILE_PANELS:
+        bandwidth = _nodes_per_nm(optics) * (_PANEL_WIDTH / _NODES_PER_PANEL)
+        raise ValueError(
+            f"profile of {panels} panels exceeds MAX_PROFILE_PANELS="
+            f"{MAX_PROFILE_PANELS}: the optics' lateral bandwidth k sin alpha is "
+            f"{bandwidth:.6g} /nm"
+        )
     return _cached_profile(optics, panels, float(z_nm))
 
 

@@ -73,6 +73,7 @@ _ID3 = np.eye(3, dtype=complex)
 RADICAND_RTOL = 1e-9
 #: memory guard for a single sweep
 MAX_SWEEP_POINTS = 1_048_576
+MIN_SWEEP_POINTS = 16
 #: the spectrum fit runs on the sweep points within this many linewidths
 #: of each dip group's outer dips
 WINDOW_FWHM = 12.0
@@ -139,8 +140,8 @@ class SweepSettings:
     def __post_init__(self):
         if not self.stop_mhz > self.start_mhz:
             raise ValueError("sweep stop must exceed start")
-        if self.n_points < 16:
-            raise ValueError("sweep needs at least 16 points")
+        if self.n_points < MIN_SWEEP_POINTS:
+            raise ValueError(f"sweep needs at least {MIN_SWEEP_POINTS} points")
         if self.n_points > MAX_SWEEP_POINTS:
             raise ValueError(
                 f"{self.n_points} sweep points exceed MAX_SWEEP_POINTS={MAX_SWEEP_POINTS}"

@@ -45,11 +45,10 @@ def grid31():
 @pytest.fixture
 def bounded_quadrature(monkeypatch):
     """Fails the test, before the quadrature runs, when a profile build
-    asks for more radii than a profile reaching MAX_PROFILE_RADIUS_NM at
-    the default optics holds (25 per panel), so that an input which
-    slips past the bound fails fast instead of allocating gigabytes."""
-    reach = pattern.MAX_PROFILE_RADIUS_NM * pattern._nodes_per_nm(OpticalConfig())
-    limit = (pattern._PANEL_DEGREE + 1) * math.ceil(reach / pattern._NODES_PER_PANEL)
+    asks for more radii than a profile of MAX_PROFILE_PANELS holds (25
+    per panel), so that an input which slips past the bound fails fast
+    instead of allocating gigabytes."""
+    limit = (pattern._PANEL_DEGREE + 1) * pattern.MAX_PROFILE_PANELS
     real = pattern.azimuthal_field_profile
 
     def bounded(r, *args, **kwargs):

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import axis_angle_deg
 import nvvortex
-from nvvortex import spin
+from nvvortex import pattern, spin
 from nvvortex.cli import bundled_fixture_path, main
 from nvvortex.config import load_config
 from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
@@ -25,6 +25,15 @@ from nvvortex.spin import SpinParams, simulate_odmr_spectrum
 OVERSIZED_SCAN = (
     "width,height,pitch_nm,origin_x_nm,origin_y_nm\n2,2,1e7,0,0\n1,2\n3,4\n"
 )
+
+
+#: optics whose lateral bandwidth k sin alpha makes a 31x31 scan at 50 nm
+#: need more than MAX_PROFILE_PANELS panels (1,555,010 and 208,783 to
+#: cover its diagonal)
+WIDE_BAND_OPTICS = [
+    pytest.param({"wavelength_nm": 0.001}, id="wavelength"),
+    pytest.param({"immersion_index": 1e6, "numerical_aperture": 1e5}, id="immersion"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +105,7 @@ class TestSimulateAndFit:
             "--pitch-nm", "inf", "--out", str(tmp_path / "sim"),
         )
         assert code == 2
-        assert "pitch must be finite" in payload["message"]
+        assert payload["message"] == "--pitch-nm must be a finite number > 0, got inf"
         assert not (tmp_path / "sim").exists()
 
     def test_infinite_pitch_in_csv_is_parse_error(self, tmp_path, capsys):
@@ -173,6 +182,37 @@ class TestSimulateAndFit:
         assert code == 2
         assert "MAX_PROFILE_RADIUS_NM" in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("optics", WIDE_BAND_OPTICS)
+    @pytest.mark.parametrize("command", ["fit-orientation", "simulate-pattern"])
+    def test_wide_band_optics_are_refused_before_any_build(
+        self, tmp_path, capsys, monkeypatch, optics, command
+    ):
+        scan = tmp_path / "scan.csv"
+        write_scan_image_csv(
+            simulate_pattern(NVOrientation(1.1, 0.7), ScanGrid(31, 31, 50.0),
+                             OpticalConfig()),
+            scan,
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"optics": optics}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a profile build reached the quadrature")
+
+        monkeypatch.setattr(pattern, "azimuthal_field_profile", refuse)
+        argv = {
+            "fit-orientation": ["--image", str(scan)],
+            "simulate-pattern": ["--theta-deg", "90", "--phi-deg", "0",
+                                 "--out", str(tmp_path / "sim")],
+        }[command]
+        code, payload = run_cli(capsys, command, "--config", str(cfg), *argv)
+        assert code == 2
+        assert re.match(
+            r"profile of \d+ panels exceeds MAX_PROFILE_PANELS=1378: the optics' "
+            r"lateral bandwidth k sin alpha is ", payload["message"]
+        )
+        assert not (tmp_path / "sim").exists()
 
     def test_bad_config_key_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -523,6 +563,23 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 False"
 
+    def test_closed_stdout_exits_io_without_traceback(self, tmp_path):
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        proc = _run_with_closed_stdout(
+            "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+            "--out", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ""  # no traceback, and no second write
+        report = json.loads((tmp_path / "out" / "pipeline.json").read_text())
+        assert report["reconstruction"] is not None
+
     def test_empty_dirs_usage_error(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -653,6 +710,8 @@ _BAD_FLAG_CASES = [
         (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--background",
           "inf"], "--background"),
         (["simulate-pattern", "--theta-deg", "nan", "--phi-deg", "0"], "--theta-deg"),
+        (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--pitch-nm",
+          "nan"], "--pitch-nm"),
         (["fit-orientation", "--image", "x.csv", "--crystal", "111",
           "--crystal-azimuth-deg", "nan"], "--crystal-azimuth-deg"),
     ]
@@ -672,6 +731,12 @@ _BAD_FLAG_CASES = [
          "--b-theta-deg"),
         (["odmr", "--simulate", *SIMULATED_ODMR, "--nv-theta-deg", "-1"],
          "--nv-theta-deg"),
+        (["simulate-pattern", "--theta-deg", "90", "--phi-deg", "0", "--pitch-nm",
+          "0"], "--pitch-nm"),
+        (["odmr", "--simulate", *SIMULATED_ODMR, "--sweep-points", "5"],
+         "--sweep-points"),
+        (["odmr", "--simulate", *SIMULATED_ODMR, "--sweep-start-mhz", "2900",
+          "--sweep-stop-mhz", "2800"], "--sweep-stop-mhz"),
     ]
 ]
 
@@ -685,18 +750,36 @@ def test_bad_flag_value_is_named(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
-def _run_python(*argv, cwd=None):
+def _run_python(*argv, cwd=None, stdout=subprocess.PIPE):
     """Run a child interpreter on this checkout with every warning an
-    error, as the suite itself runs."""
+    error, as the suite itself runs; its stderr, and by default its
+    stdout, are captured."""
     # the child process imports the same package as this test run, installed
     # or not
     source_root = os.path.dirname(os.path.dirname(nvvortex.__file__))
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-W", "error", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_with_closed_stdout(*argv):
+    """Run the CLI in a child whose stdout pipe has lost its reader
+    before the child writes."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_python("-m", "nvvortex.cli", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_keeps_the_error_exit():
+    proc = _run_with_closed_stdout("reconstruct", "--fixture", "nonexistent")
+    assert proc.returncode == 2
+    assert proc.stderr == "nvvortex: ConfigError: no bundled fixture named 'nonexistent'\n"
 
 
 def test_console_entry_point_runs():
