@@ -10,6 +10,13 @@ lambda_vac the wavenumber in the immersion medium. The field is in
 units of the pupil field strength. The integrand is smooth, so
 fixed-order Gauss-Legendre quadrature is used. Lengths are in
 nanometres.
+
+The rule resolves J1's oscillation over the aperture only out to a
+reach in k r sin(alpha). Against the 1,024-node rule, the default 64
+nodes hold E_phi to 1e-12 of its peak out to k r sin(alpha) = 150.4
+(r = 9.10 um at the default optics) and to 1e-9 out to 165; 128 nodes
+hold 1e-12 out to 358. Beyond its reach a rule still returns a value,
+without warning, and the error grows with r.
 """
 
 from __future__ import annotations

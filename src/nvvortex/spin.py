@@ -264,6 +264,57 @@ def six_transition_frequencies(b_vec_nv, params: SpinParams) -> np.ndarray:
 
 # ------------------------------------------------------------------ inversion
 
+def _invariants(pair: TransitionPair, d: float) -> tuple:
+    """P = (gamma_e B)^2 and Q = (gamma_e B cos alpha)^2 (MHz^2) of the
+    mI = 0 pair and their gradients over (w1, w2), dP and dQ, from
+
+        3 P    = w1^2 + w2^2 - w1 w2 - d^2
+        27 d Q = (2 w1 - w2 - d)(w1 - 2 w2 + d)(w1 + w2 + d).
+
+    Then B = sqrt(P) / gamma_e, dB = dP / (2 gamma_e^2 B), R = cos^2(alpha)
+    = Q / P and dR = (dQ - R dP) / P."""
+    w1, w2 = pair.omega1, pair.omega2
+    f1, f2, f3 = 2.0 * w1 - w2 - d, w1 - 2.0 * w2 + d, w1 + w2 + d
+    k = 27.0 * d
+    return (
+        (w1 * w1 + w2 * w2 - w1 * w2 - d * d) / 3.0,
+        f1 * f2 * f3 / k,
+        ((2.0 * w1 - w2) / 3.0, (2.0 * w2 - w1) / 3.0),
+        ((2.0 * f2 * f3 + f1 * f3 + f1 * f2) / k,
+         (f1 * f2 - f2 * f3 - 2.0 * f1 * f3) / k),
+    )
+
+
+def _magnitude(p: float, d: float) -> float:
+    """gamma_e B = sqrt(P); see invert_magnitude for the clamp."""
+    tol = RADICAND_RTOL * d * d / 3.0
+    if p < -tol:
+        raise InconsistentFrequencies(
+            f"(gamma_e B)^2 = {p:.6g} MHz^2 below -{tol:.3g}; no real field fits"
+        )
+    return math.sqrt(max(p, 0.0))
+
+
+def _cone_ratio(pair: TransitionPair, p: float, q: float, dp, dq, d: float) -> float:
+    """R = cos^2(alpha) = Q / P, clamped to [0, 1], from _invariants;
+    see invert_polar_angle for the tolerance and the errors."""
+    if p <= RADICAND_RTOL * d * d / 3.0:
+        raise DegenerateField(
+            "transition pair implies B ~ 0; the cone angle is undefined"
+        )
+    ratio = q / p
+    tol = RADICAND_RTOL
+    if not 0.0 <= ratio <= 1.0 and pair.sigma1 is not None and pair.sigma2 is not None:
+        # sigma_R at the R the noise produced, not at the clamped one
+        tol = max(tol, 5.0 * math.hypot((dq[0] - ratio * dp[0]) * pair.sigma1,
+                                        (dq[1] - ratio * dp[1]) * pair.sigma2) / p)
+    if ratio < -tol or ratio > 1.0 + tol:
+        raise InconsistentFrequencies(
+            f"arccos argument {ratio:.6g} outside [0, 1] beyond tolerance {tol:.3g}"
+        )
+    return min(max(ratio, 0.0), 1.0)
+
+
 def invert_magnitude(pair: TransitionPair, d: float = 2870.0,
                      gamma_e: float = 2.8025) -> float:
     """Field magnitude (G) from the mI = 0 pair via the closed form
@@ -271,63 +322,7 @@ def invert_magnitude(pair: TransitionPair, d: float = 2870.0,
 
     The radicand is clamped to zero within RADICAND_RTOL * d^2; below
     that, no real field reproduces the pair."""
-    w1, w2 = pair.omega1, pair.omega2
-    r = w1 * w1 + w2 * w2 - w1 * w2 - d * d
-    tol = RADICAND_RTOL * d * d
-    if r < -tol:
-        raise InconsistentFrequencies(
-            f"radicand {r:.6g} MHz^2 below -{tol:.3g}; no real field fits"
-        )
-    return math.sqrt(max(r, 0.0) / 3.0) / gamma_e
-
-
-def _ratio_slopes(
-    w1: float, w2: float, d: float, ratio: float
-) -> tuple[float, float, float]:
-    """(n1, n2, m) with dR/dw_i = n_i / m at R = ratio, for
-    R = cos^2(alpha) = p q s / (9 d r) with the factors of
-    invert_polar_angle: dR/dw = (dN/dw - 9 d R dr/dw) / (9 d r)."""
-    p, q, s = 2.0 * w1 - w2 - d, w1 - 2.0 * w2 + d, w1 + w2 + d
-    r = w1 * w1 + w2 * w2 - w1 * w2 - d * d
-    k = 9.0 * d * ratio
-    return (
-        2.0 * q * s + p * s + p * q - k * (2.0 * w1 - w2),
-        p * q - q * s - 2.0 * p * s - k * (2.0 * w2 - w1),
-        9.0 * d * r,
-    )
-
-
-def _ratio_sigma(pair: TransitionPair, d: float, ratio: float) -> float | None:
-    """First-order 1-sigma of R = cos^2(alpha) at R = ratio from the
-    line sigmas; None when the pair carries no sigmas. Finite wherever
-    the field is not degenerate, R = 0 and R = 1 included."""
-    if pair.sigma1 is None or pair.sigma2 is None:
-        return None
-    n1, n2, m = _ratio_slopes(pair.omega1, pair.omega2, d, ratio)
-    return math.hypot(n1 * pair.sigma1, n2 * pair.sigma2) / m
-
-
-def _cone_ratio(pair: TransitionPair, d: float) -> float:
-    """R = cos^2(alpha) of the pair, clamped to [0, 1]; see
-    invert_polar_angle for the tolerance and the errors."""
-    w1, w2 = pair.omega1, pair.omega2
-    r = w1 * w1 + w2 * w2 - w1 * w2 - d * d  # equals 3 (gamma_e B)^2
-    if r <= RADICAND_RTOL * d * d:
-        raise DegenerateField(
-            "transition pair implies B ~ 0; the cone angle is undefined"
-        )
-    num = (2.0 * w1 - w2 - d) * (w1 - 2.0 * w2 + d) * (w1 + w2 + d)
-    ratio = num / (9.0 * d * r)
-    tol = RADICAND_RTOL
-    if not 0.0 <= ratio <= 1.0:
-        sigma_r = _ratio_sigma(pair, d, ratio)
-        if sigma_r is not None:
-            tol = max(tol, 5.0 * sigma_r)
-    if ratio < -tol or ratio > 1.0 + tol:
-        raise InconsistentFrequencies(
-            f"arccos argument {ratio:.6g} outside [0, 1] beyond tolerance {tol:.3g}"
-        )
-    return min(max(ratio, 0.0), 1.0)
+    return _magnitude(_invariants(pair, d)[0], d) / gamma_e
 
 
 def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, float]:
@@ -340,7 +335,7 @@ def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, 
     carries both line sigmas: line noise moves R past the end of its
     range on about half the pairs of a cone at 0 or 90 deg, and such a
     pair is clamped rather than rejected."""
-    a = math.acos(math.sqrt(_cone_ratio(pair, d)))
+    a = math.acos(math.sqrt(_cone_ratio(pair, *_invariants(pair, d), d)))
     return (a, math.pi - a)
 
 
@@ -357,36 +352,25 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     An interval inside [0, 1] needs no cap: its half-width is sigma_R
     times the mean of the convex |dalpha/dR| over it, never below the
     first-order value."""
-    b = invert_magnitude(pair, params.d, params.gamma_e)
-    ratio = _cone_ratio(pair, params.d)
+    p, q, dp, dq = _invariants(pair, params.d)
+    b = _magnitude(p, params.d) / params.gamma_e
+    ratio = _cone_ratio(pair, p, q, dp, dq, params.d)
     a = math.acos(math.sqrt(ratio))
     b_sigma = alpha_sigma = None
-    sigma_r = _ratio_sigma(pair, params.d, ratio)
-    if sigma_r is not None:
-        w1, w2 = pair.omega1, pair.omega2
-        g2b = 3.0 * params.gamma_e**2 * b
-        if g2b > 0.0:
-            db1 = (2.0 * w1 - w2) / (2.0 * g2b)
-            db2 = (2.0 * w2 - w1) / (2.0 * g2b)
-            b_sigma = math.hypot(db1 * pair.sigma1, db2 * pair.sigma2)
+    if pair.sigma1 is not None and pair.sigma2 is not None:
+        s1, s2 = pair.sigma1, pair.sigma2
+        b_sigma = math.hypot(dp[0] * s1, dp[1] * s2) / (2.0 * params.gamma_e**2 * b)
+        # sigma_R at the clamped R, the one alpha is reported at
+        sigma_r = math.hypot((dq[0] - ratio * dp[0]) * s1,
+                             (dq[1] - ratio * dp[1]) * s2) / p
         if 0.0 < ratio < 1.0:
-            # alpha = acos(sqrt(R)): dalpha/dR = -1 / (2 sqrt(R (1 - R)))
-            n1, n2, m = _ratio_slopes(w1, w2, params.d, ratio)
-            scale = -1.0 / (2.0 * m * math.sqrt(ratio * (1.0 - ratio)))
-            alpha_sigma = math.hypot(
-                scale * n1 * pair.sigma1, scale * n2 * pair.sigma2
-            )
+            alpha_sigma = sigma_r / (2.0 * math.sqrt(ratio * (1.0 - ratio)))
         low, high = ratio - sigma_r, ratio + sigma_r
         if low <= 0.0 or high >= 1.0:
             low, high = max(low, 0.0), min(high, 1.0)
             cap = 0.5 * (math.acos(math.sqrt(low)) - math.acos(math.sqrt(high)))
             alpha_sigma = cap if alpha_sigma is None else min(alpha_sigma, cap)
-    return FieldEstimate(
-        b=b,
-        alpha_candidates=(a, math.pi - a),
-        b_sigma=b_sigma,
-        alpha_sigma=alpha_sigma,
-    )
+    return FieldEstimate(b, (a, math.pi - a), b_sigma, alpha_sigma)
 
 
 # -------------------------------------------------------------------- spectra

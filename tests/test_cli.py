@@ -343,6 +343,16 @@ class TestOdmr:
         assert code == 3
         assert payload["error"] in ("TripletsOverlap", "DegenerateField", "FitFailed")
 
+    def test_one_dip_spectrum_is_numerical_error(self, tmp_path, capsys):
+        f = np.linspace(2780.0, 2980.0, 2001)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(spin.Spectrum(f, 1.0 - 0.03 * spin._lorentz(f, 2870.0, 0.8)),
+                           path)
+        code, payload = run_cli(capsys, "odmr", "--spectrum", str(path))
+        assert code == 3
+        assert payload["error"] == "TripletsOverlap"
+        assert "only one dip cluster" in payload["message"]
+
     def test_requires_exactly_one_source(self, capsys):
         code, payload = run_cli(capsys, "odmr")
         assert code == 2
@@ -359,13 +369,17 @@ class TestOdmr:
     @pytest.mark.parametrize(
         "flag, value",
         [("--b-gauss", "-50"), ("--b-gauss", "nan"), ("--noise-sigma", "-1"),
-         ("--noise-sigma", "nan"), ("--noise-seed", "-1")],
+         ("--noise-sigma", "nan"), ("--noise-seed", "-1"),
+         # None leaves the flag out
+         *((name, None) for name in ("--b-gauss", "--b-theta-deg", "--b-phi-deg",
+                                     "--nv-theta-deg", "--nv-phi-deg"))],
     )
     def test_bad_simulation_value_names_the_flag(self, tmp_path, capsys, flag, value):
         args = {"--b-gauss": "59.5", "--b-theta-deg": "8.59", "--b-phi-deg": "182.56",
                 "--nv-theta-deg": "109.84", "--nv-phi-deg": "20.60", flag: value}
         code, payload = run_cli(
-            capsys, "odmr", "--simulate", *(x for kv in args.items() for x in kv),
+            capsys, "odmr", "--simulate",
+            *(x for kv in args.items() if kv[1] is not None for x in kv),
             "--out", str(tmp_path / "odmr"),
         )
         assert code == 2
@@ -599,11 +613,14 @@ class TestPipeline:
         scans, spectra = self._synthesize(tmp_path, labels, field)
         (scans / "nv4.csv").write_text("garbage\n")
         (spectra / "nv4.csv").write_text("garbage\n")
+        (scans / "nv5.csv").write_text("garbage\n")  # no spectrum of that name
         code, report = run_cli(
             capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
         )
         assert code == 0  # partial results: 3 valid NVs still reconstruct
         assert any(e["nv"] == "nv4" for e in report["errors"])
+        assert {"nv": "nv5", "error": "UnpairedFile",
+                "message": "no matching scan/spectrum"} in report["errors"]
         assert report["reconstruction"] is not None
 
     def test_non_finite_scan_origin_lists_that_nv(self, tmp_path, capsys):
@@ -750,6 +767,40 @@ def test_bad_flag_value_is_named(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["reconstruct"], "reconstruct needs exactly one of"),
+    (["reconstruct", "--fixture", "paper_fig4", "--constraints", "cones.json"],
+     "reconstruct needs exactly one of"),
+    (["pipeline", "--scans", "missing", "--spectra", "."],
+     "--scans and --spectra must be existing directories"),
+    (["pipeline", "--scans", ".", "--spectra", "cones.json"],
+     "--scans and --spectra must be existing directories"),
+], ids=["reconstruct-neither", "reconstruct-both", "pipeline-scans", "pipeline-spectra"])
+def test_bad_sources_are_usage_errors(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cones.json").write_text("[]")
+    code, payload = run_cli(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"optics": 5}', "config section 'optics' must be an object"),
+    ('{"optics": {', "not valid JSON"),
+    ('[{"optics": {}}]', "top level must be an object"),
+    ('{"optcs": {"wavelength_nm": 500}}', "unknown config key 'optcs'"),
+], ids=["section-not-object", "invalid-json", "top-level-not-object", "unknown-section"])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, payload = run_cli(capsys, "reconstruct", "--fixture", "paper_fig4",
+                            "--config", str(cfg))
+    assert code == 2
+    assert payload["error"] == "ConfigError"
+    assert message in payload["message"]
+
+
 def _run_python(*argv, cwd=None, stdout=subprocess.PIPE):
     """Run a child interpreter on this checkout with every warning an
     error, as the suite itself runs; its stderr, and by default its
@@ -780,6 +831,12 @@ def test_closed_stdout_keeps_the_error_exit():
     proc = _run_with_closed_stdout("reconstruct", "--fixture", "nonexistent")
     assert proc.returncode == 2
     assert proc.stderr == "nvvortex: ConfigError: no bundled fixture named 'nonexistent'\n"
+
+
+def test_closed_stdout_after_a_report_exits_io():
+    proc = _run_with_closed_stdout("reconstruct", "--fixture", "paper_fig4")
+    assert proc.returncode == 4
+    assert proc.stderr == ""  # no traceback, and no second write
 
 
 def test_console_entry_point_runs():

@@ -96,6 +96,19 @@ class TestScanImageCSV:
         with pytest.raises(FileFormatError):
             read_scan_image_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,2,50.0,0.0", "header value row needs 5 fields"),
+        ("2,2,50.0,0.0,0.0,1", "header value row needs 5 fields"),
+        ("2,two,50.0,0.0,0.0", "bad header values"),
+        ("2.5,2,50.0,0.0,0.0", "bad header values"),
+    ])
+    def test_bad_header_values_rejected(self, tmp_path, row, message):
+        path = tmp_path / "img.csv"
+        path.write_text(f"width,height,pitch_nm,origin_x_nm,origin_y_nm\n{row}\n"
+                        "1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(FileFormatError, match=message):
+            read_scan_image_csv(path)
+
     def test_ragged_row_rejected(self, sample_image, tmp_path):
         path = tmp_path / "img.csv"
         write_scan_image_csv(sample_image, path)
@@ -254,6 +267,18 @@ class TestConstraints:
         with pytest.raises(FileFormatError, match="entry 0"):
             load_constraints_json(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"axis_theta_deg": 1', "not valid JSON"),
+        ('[{"axis_theta_deg": 1, "axis_phi_deg": 2, "alpha_deg": 3, "b_gauss": 4}, 5]',
+         "entry 1 is not an object"),
+        ('[["axis_theta_deg", 1]]', "entry 0 is not an object"),
+    ], ids=["invalid-json", "number-entry", "list-entry"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "cones.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match=message):
+            load_constraints_json(path)
+
     def test_non_list_rejected(self, tmp_path):
         path = tmp_path / "cones.json"
         write_json({"constraints": []}, path)
@@ -269,6 +294,24 @@ class TestAtomicity:
         assert json.loads(path.read_text()) == {"v": 2}
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+    def test_failed_rename_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        write_json({"v": 1}, path)
+        before = path.read_bytes()
+        written = []
+
+        def fail(src, dst):  # the temp file is complete: it only lacks the rename
+            with open(src, "rb") as handle:
+                written.append(handle.read())
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            write_json({"v": 2}, path)
+        assert written == [b'{\n  "v": 2\n}\n']
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_mode_follows_umask_like_open(self, tmp_path, umask):

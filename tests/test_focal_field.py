@@ -121,6 +121,16 @@ class TestAzimuthalField:
         val = azimuthal_field_profile(rs, 0.0, optics)
         assert np.abs(val - ref).max() / np.abs(ref).max() < 1e-12
 
+    def test_default_rule_is_resolved_past_a_256_scan(self, optics):
+        # the farthest pixel of a 256x256 scan at 50 nm is 9,051 nm from
+        # the NV; the 64-node rule holds 1e-12 of the peak out to k r
+        # sin(alpha) = 150.4, r = 9,096 nm at these optics
+        assert optics.quadrature_nodes == 64
+        rs = np.linspace(0.0, 9060.0, 907)
+        got = azimuthal_field_profile(rs, 0.0, optics)
+        want = azimuthal_field_profile(rs, 0.0, optics, nodes=MAX_QUADRATURE_NODES)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
     def test_mirror_symmetry_in_defocus(self, optics):
         # integrand phase reverses under z -> -z, so E(r,-z) = conj(E(r,z));
         # the separated cos/sin accumulation makes this exact

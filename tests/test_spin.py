@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -224,9 +225,9 @@ class TestFieldEstimate:
     @pytest.mark.parametrize("b", [5.0, 20.0, 59.5, 150.0])
     @pytest.mark.parametrize("alpha_deg", [1, 5, 30, 60, 85, 89, 95, 150])
     def test_alpha_sigma_matches_complex_step(self, spin_params, b, alpha_deg):
-        # complex-step derivatives of acos(sqrt(R)) carry no cancellation
-        # error; the central-difference stencil this closed form replaced
-        # returned None at (5 G, 1 deg)
+        # complex-step derivatives of acos(sqrt(R)) and of B carry no
+        # cancellation error; the central-difference stencil this closed
+        # form replaced returned None at (5 G, 1 deg)
         base = transition_frequencies(b, math.radians(alpha_deg), spin_params)
         w1, w2, d, h = base.omega1, base.omega2, spin_params.d, 1e-30
 
@@ -235,10 +236,18 @@ class TestFieldEstimate:
             num = (2 * x1 - x2 - d) * (x1 - 2 * x2 + d) * (x1 + x2 + d)
             return cmath.acos(cmath.sqrt(num / (9 * d * r)))
 
+        def magnitude(x1, x2):
+            r = x1 * x1 + x2 * x2 - x1 * x2 - d * d
+            return cmath.sqrt(r / 3) / spin_params.gamma_e
+
         da1 = alpha(w1 + 1j * h, w2).imag / h
         da2 = alpha(w1, w2 + 1j * h).imag / h
         pair = TransitionPair(w1, w2, sigma1=0.03, sigma2=0.05)
         est = field_estimate(pair, spin_params)
+        db1 = magnitude(w1 + 1j * h, w2).imag / h
+        db2 = magnitude(w1, w2 + 1j * h).imag / h
+        assert est.b_sigma == pytest.approx(math.hypot(0.03 * db1, 0.05 * db2),
+                                            rel=1e-9)
         first_order = math.hypot(0.03 * da1, 0.05 * da2)
         # the first-order interval of R = cos^2(alpha), |dR/dalpha| = |sin 2 alpha|
         ratio = math.cos(est.alpha_candidates[0]) ** 2
@@ -308,6 +317,33 @@ class TestFieldEstimate:
             0.5 * math.acos(math.sqrt(1.0 - sigma_r)), rel=1e-6
         )
         assert 0.0 < est.alpha_sigma <= math.pi / 4
+
+    def test_clamped_pair_takes_each_sigma_r_at_its_own_ratio(self, spin_params):
+        # 3.6 G at 20 deg with line noise: R = 2.54 lies within 5 sigma_R
+        # at R = 2.54 (2.08) though not at R = 1 (0.82), so the pair is
+        # clamped to R = 1, and there sigma_R = 0.163 sets the cap to
+        # 0.208 rad, where sigma_R at R = 2.54 would give 0.350
+        w1, w2 = 2860.4864012602834, 2879.456612239044
+        s1, s2 = 0.0041967710374627275, 0.004369342822289381
+        d, h = spin_params.d, 1e-30
+
+        def invariants(x1, x2):  # P = (gamma_e B)^2, Q = P cos^2(alpha)
+            return ((x1 * x1 + x2 * x2 - x1 * x2 - d * d) / 3,
+                    (2 * x1 - x2 - d) * (x1 - 2 * x2 + d) * (x1 + x2 + d) / (27 * d))
+
+        p, q = invariants(w1, w2)
+        dp1, dq1 = (v.imag / h for v in invariants(w1 + 1j * h, w2))
+        dp2, dq2 = (v.imag / h for v in invariants(w1, w2 + 1j * h))
+
+        def sigma_r(ratio):
+            return math.hypot(s1 * (dq1 - ratio * dp1), s2 * (dq2 - ratio * dp2)) / p
+
+        assert 1.0 + 5.0 * sigma_r(1.0) < q / p < 1.0 + 5.0 * sigma_r(q / p)
+        est = field_estimate(TransitionPair(w1, w2, s1, s2), spin_params)
+        assert est.alpha_candidates == (0.0, math.pi)
+        cap = 0.5 * math.acos(math.sqrt(1.0 - sigma_r(1.0)))
+        assert est.alpha_sigma == pytest.approx(cap, rel=1e-9)
+        assert est.alpha_sigma == pytest.approx(0.208, abs=5e-4)
 
     def test_no_sigma_in_gives_none_out(self, spin_params):
         pair = transition_frequencies(40.0, 0.7, spin_params)
@@ -480,6 +516,50 @@ def assert_matches_full_sweep_fit(spectrum):
         assert abs(omega - ref_omega) <= 0.01 * ref_sigma
         assert 0.85 <= sigma / ref_sigma <= 1.15
     return model
+
+
+def broad_close_triplets() -> Spectrum:
+    """Two triplets 12 MHz apart with 3 MHz lines on a sweep 24 MHz past
+    the outer dips: once the fit knows the linewidth, both of its
+    windows reach 36 MHz past the dips and cover the whole sweep, so
+    every relabelling of one solution leaves the same fit window."""
+    c1, c2, s, w = 2862.0, 2874.0, 2.14, 3.0
+    f = np.linspace(c1 - s - 24.0, c2 + s + 24.0, 1001)
+    y = np.ones_like(f)
+    for c in (c1 - s, c1, c1 + s, c2 - s, c2, c2 + s):
+        y -= 0.03 * _lorentz(f, c, w)
+    return Spectrum(f, y)
+
+
+def reversed_spacing(x):
+    """The same two-triplet model with group 1's spacing negative: its
+    dips, and so its depths, listed from the top."""
+    x = x.copy()
+    x[2] = -x[2]
+    x[5:8] = x[7:4:-1]
+    return x
+
+
+def swapped_groups(x):
+    """The same two-triplet model with the two groups' labels swapped."""
+    return x[[1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7]]
+
+
+def rewriting_solver(rewrite):
+    """``levenberg_marquardt`` returning ``rewrite`` of each solution.
+    A start it returned before is handed back in its original form, so
+    the real solver follows the path of an unpatched fit."""
+    real = least_squares.levenberg_marquardt
+    last = {}
+
+    def solve(fun, x0):
+        if x0 is last.get("rewritten"):
+            x0 = last["solution"]
+        result = real(fun, x0)
+        last.update(solution=result.x, rewritten=rewrite(result.x))
+        return dataclasses.replace(result, x=last["rewritten"])
+
+    return solve
 
 
 def assert_matches_reference(f, p):
@@ -681,6 +761,26 @@ class TestFitSpectrum:
         monkeypatch.setattr(least_squares, "MAX_ITERATIONS", 1)
         with pytest.raises(FitFailed, match="did not converge"):
             fit_odmr_model(spec)
+
+    @pytest.mark.parametrize("rewrite", [
+        reversed_spacing, lambda x: swapped_groups(reversed_spacing(x)),
+    ], ids=["reversed-spacing", "reversed-spacing-swapped-groups"])
+    def test_relabelled_solution_reports_the_same_fit(self, monkeypatch, rewrite):
+        spec = broad_close_triplets()
+        want = fit_odmr_model(spec)
+        assert want.window_mhz == ((spec.frequencies[0], spec.frequencies[-1]),) * 2
+        monkeypatch.setattr(spin, "levenberg_marquardt", rewriting_solver(rewrite))
+        assert fit_odmr_model(spec) == want
+
+    def test_groups_closer_than_three_linewidths_overlap(self, monkeypatch):
+        def broaden(x):
+            x = x.copy()
+            x[4] = 0.4 * (x[1] - x[0])
+            return x
+
+        monkeypatch.setattr(spin, "levenberg_marquardt", rewriting_solver(broaden))
+        with pytest.raises(TripletsOverlap, match="closer than three linewidths"):
+            fit_odmr_model(broad_close_triplets())
 
     def test_flat_spectrum_fails(self):
         f = np.linspace(2780.0, 2980.0, 500)
