@@ -17,6 +17,13 @@ nodes hold E_phi to 1e-12 of its peak out to k r sin(alpha) = 150.4
 (r = 9.10 um at the default optics) and to 1e-9 out to 165; 128 nodes
 hold 1e-12 out to 358. Beyond its reach a rule still returns a value,
 without warning, and the error grows with r.
+
+The quadrature runs over blocks of the leading axis of r, each of at
+most _J1_BLOCK = 16,384 J1 arguments (radii times nodes), so a call
+needs its output plus one block's temporaries, about 1.4 MB, however
+many rows r has. The blocks leave the trailing axes of r whole, and
+with one BLAS thread every result has the bits of one evaluation over
+the whole of r.
 """
 
 from __future__ import annotations
@@ -39,6 +46,10 @@ __all__ = [
 ]
 
 MAX_QUADRATURE_NODES = 1024  # the rule of n nodes is built from an n x n matrix
+#: J1 arguments per block of the quadrature: r is cut along its leading
+#: axis into blocks of at most this many radii times nodes (one row of
+#: r when that alone holds more; the last block may take one row more)
+_J1_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -98,13 +109,15 @@ def azimuthal_field_profile(
 ) -> np.ndarray:
     """E_phi at radial offsets ``r`` (array-like, nm) and defocus ``z`` (nm).
 
-    Vectorized over r. Real and imaginary parts are accumulated
-    separately so the z = 0 result is exactly real and
-    E(r, -z) == conj(E(r, z)) holds to machine precision.
+    Vectorized over r, and run over blocks of its leading axis (module
+    docstring). Real and imaginary parts are accumulated separately so
+    the z = 0 result is exactly real and E(r, -z) == conj(E(r, z))
+    holds to machine precision. Raises ValueError for a radius that is
+    negative, NaN or infinite.
     """
     rr = np.asarray(r, dtype=float)
-    if np.any(rr < 0.0):
-        raise ValueError("radial offset r must be >= 0")
+    if not np.all(np.isfinite(rr) & (rr >= 0.0)):
+        raise ValueError("radial offset r must be finite and >= 0")
     theta, weights = _aperture_rule(
         nodes if nodes is not None else config.quadrature_nodes,
         max_aperture_angle(config),
@@ -113,8 +126,28 @@ def azimuthal_field_profile(
     ct = np.cos(theta)
     k = wavenumber(config)
     base = 2.0 * np.sqrt(ct) * st * weights
-    bess = j1(k * rr[..., None] * st)
     phase = k * z * ct
-    re = bess @ (base * np.cos(phase))
-    im = bess @ (base * np.sin(phase))
-    return re + 1j * im
+    cos_weights = base * np.cos(phase)
+    sin_weights = base * np.sin(phase)
+
+    def field(block: np.ndarray) -> np.ndarray:
+        bess = j1(k * block[..., None] * st)
+        re = bess @ cos_weights
+        im = bess @ sin_weights
+        return re + 1j * im
+
+    if rr.ndim == 0:
+        return field(rr)
+    out = np.empty(rr.shape, dtype=complex)
+    n = len(rr)
+    # the largest power of two of rows within _J1_BLOCK arguments, at
+    # least 1: every block of a 1-D r then starts on a row group of the
+    # BLAS matrix-vector kernel, so its sums round as one call over r
+    # does. A lone last row would go through numpy's dot instead: it
+    # joins the block before it
+    fit = _J1_BLOCK // max(1, st.size * math.prod(rr.shape[1:]))
+    step = 1 << max(0, fit.bit_length() - 1)
+    for lo in range(0, max(1, n - 1), step):
+        hi = lo + step if lo + step < n - 1 else n
+        out[lo:hi] = field(rr[lo:hi])
+    return out

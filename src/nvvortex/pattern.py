@@ -26,11 +26,21 @@ synthesis evaluates it and the orientation fit solves it.
 Only excitation is orientation dependent here; collection efficiency is
 taken constant across the scan, intensity is linear in |E|^2, and the
 optional noise model is per-pixel Poisson with deterministic seeding.
+
+Every array stage runs over fixed-size blocks. A map is filled in
+blocks of whole rows of at most _PIXEL_BLOCK = 8,192 pixels (one row
+when a row is wider), and a profile's table is written _PANEL_BLOCK =
+64 panels at a time, after one blocked quadrature call. So a map needs
+its output plus one block (a noisy scan its two maps plus one block),
+and a build its table plus one block, whatever the size of the scan or
+the profile. The blocks give the bits of one evaluation over the whole
+grid or all panels.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,9 +68,12 @@ __all__ = [
     "radial_profile_for_grid",
 ]
 
-MAX_PIXELS = 4_194_304  # memory guard for a single scan
+#: memory guard for a single scan: a 32 MiB map, which needs one block
+#: of _PIXEL_BLOCK pixels beside it (a noisy scan holds two such maps)
+MAX_PIXELS = 4_194_304
 #: memory guard for the radial profile, nm: at the default optics 1,378
-#: panels, a 31 MB table (62 MB when defocused, where it is complex)
+#: panels, a 31 MB table (62 MB when defocused, where it is complex),
+#: which its build needs plus one block of _PANEL_BLOCK panels
 MAX_PROFILE_RADIUS_NM = 1e6
 #: pixels per Poisson tile: tile i of the flat pixel index draws from
 #: its own generator seeded with (noise_seed, i)
@@ -78,6 +91,10 @@ _PANEL_WIDTH = 12.0
 _PANEL_DEGREE = 24
 _NODES_PER_PANEL = 400
 _TAYLOR_DEGREE = 6
+#: panels per block of the table build, and pixels per block of a map
+#: (whole rows, at least one): each needs its output plus one block
+_PANEL_BLOCK = 64
+_PIXEL_BLOCK = 8192
 TWO_PI = 2.0 * math.pi
 
 
@@ -161,11 +178,15 @@ class ScanGrid:
             self.origin_nm[1] + 0.5 * (self.height_px - 1) * self.pitch_nm,
         )
 
-    def pixel_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) physical coordinates, each height_px x width_px."""
+    def pixel_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) physical coordinates of the columns and of the rows."""
         x = self.origin_nm[0] + self.pitch_nm * np.arange(self.width_px)
         y = self.origin_nm[1] + self.pitch_nm * np.arange(self.height_px)
-        return np.meshgrid(x, y)
+        return x, y
+
+    def pixel_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Y) physical coordinates, each height_px x width_px."""
+        return np.meshgrid(*self.pixel_axes())
 
 
 @dataclass
@@ -313,7 +334,9 @@ class RadialIntensityProfile:
     reproduces the quadrature to about 4e-15 of the peak, the truncation
     error of the panels' series. The on-axis null is exact: profile(0)
     is 0. Radii beyond r_max_nm read the value at r_max_nm, and negative
-    ones the value at 0.
+    ones the value at 0. ``build`` solves the series and writes the
+    preallocated table _PANEL_BLOCK panels at a time, so it needs the
+    table plus one block.
     """
 
     #: taylor[m, i]: the m-th Taylor coefficient of E_phi at node i, in
@@ -333,18 +356,25 @@ class RadialIntensityProfile:
         samples = azimuthal_field_profile(r, z_nm, optics)
         if not np.any(samples.imag):
             samples = samples.real  # z = 0: keep the table real
-        # concatenated, series[p, j, m] are the T_j coefficients of
-        # h^m E_phi^(m) / m! on panel p
         u = 2.0 * (r / width - start) - 1.0
-        series = [np.linalg.solve(_chebyshev_vander(u), samples[..., None])]
-        for m in range(1, _TAYLOR_DEGREE + 1):
-            series.append(_NODE_DERIVATIVE @ series[-1] / m)
-        at_nodes = _NODE_VANDER @ np.concatenate(series, axis=-1)
         # node i is node i mod n of panel i // n; the last panel also
         # holds the node at its end
-        taylor = np.concatenate(
-            (at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1), at_nodes[-1, -1:])
-        ).T.copy()
+        taylor = np.empty(
+            (_TAYLOR_DEGREE + 1, panels * _NODES_PER_PANEL + 1), samples.dtype
+        )
+        for lo in range(0, panels, _PANEL_BLOCK):
+            hi = min(lo + _PANEL_BLOCK, panels)
+            # concatenated, series[p, j, m] are the T_j coefficients of
+            # h^m E_phi^(m) / m! on panel p
+            vander = _chebyshev_vander(u[lo:hi])
+            series = [np.linalg.solve(vander, samples[lo:hi, :, None])]
+            for m in range(1, _TAYLOR_DEGREE + 1):
+                series.append(_NODE_DERIVATIVE @ series[-1] / m)
+            at_nodes = _NODE_VANDER @ np.concatenate(series, axis=-1)
+            taylor[:, lo * _NODES_PER_PANEL:hi * _NODES_PER_PANEL] = (
+                at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1).T
+            )
+        taylor[:, -1] = at_nodes[-1, -1]
         taylor[0, 0] = 0.0  # E_phi vanishes on the beam axis
         taylor.flags.writeable = False  # cached profiles are shared
         return cls(taylor, panels * width, nodes_per_nm)
@@ -408,19 +438,34 @@ def intensity_map(
     panels for a 256x256 scan at 50 nm pitch, instead of one per
     distinct pixel radius); every map reads each pixel from the Taylor
     table, which reproduces the quadrature to about 4e-15 of the peak.
+    The map is filled in blocks of whole rows of at most _PIXEL_BLOCK
+    pixels, so no full-size temporary is made beside the output.
     ``center_nm`` is the NV position (defaults to the grid center).
+    Raises ValueError for an ``amplitude`` or ``background`` that is
+    negative, NaN or infinite, naming it.
     """
-    if amplitude < 0.0 or background < 0.0:
-        raise ValueError("amplitude and background must be >= 0")
+    _check_finite_non_negative("amplitude", amplitude)
+    _check_finite_non_negative("background", background)
     cx, cy = center_nm if center_nm is not None else grid.center_nm
-    xs, ys = grid.pixel_positions()
-    dx = xs - cx
-    dy = ys - cy
-    rho = np.hypot(dx, dy)
-    e2 = _profile_covering(optics, float(rho.max()), z_nm)(rho)
-    basis, _ = _basis_images(dx, dy, e2)
+    x, y = grid.pixel_axes()
+    dx = x - cx
+    dy = (y - cy)[:, None]
+    # hypot is monotone in |dx| and |dy|: the farthest pixel is a corner
+    reach = float(np.hypot(np.abs(dx).max(), np.abs(dy).max()))
+    profile = _profile_covering(optics, reach, z_nm)
     coef = _coefficients_from_angles(orientation.theta, orientation.phi)
-    return background + amplitude * (basis @ coef)
+    out = np.empty((grid.height_px, grid.width_px))
+    rows = max(1, _PIXEL_BLOCK // grid.width_px)
+    for lo in range(0, grid.height_px, rows):
+        block_dy = dy[lo:lo + rows]
+        basis, _ = _basis_images(dx, block_dy, profile(np.hypot(dx, block_dy)))
+        out[lo:lo + rows] = background + amplitude * (basis @ coef)
+    return out
+
+
+def _check_finite_non_negative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def simulate_pattern(
@@ -439,8 +484,14 @@ def simulate_pattern(
     around the noiseless mean. The flat pixel index is cut into tiles of
     NOISE_TILE_PX pixels, and tile i draws from its own generator seeded
     with (noise_seed, i), so the result is bitwise reproducible and
-    independent of evaluation order.
+    independent of evaluation order. Raises ValueError, naming the
+    argument, for a ``noise_seed`` that is not an integer >= 0, and for
+    what ``intensity_map`` refuses.
     """
+    if noise_seed is not None and not (
+        isinstance(noise_seed, numbers.Integral) and noise_seed >= 0
+    ):
+        raise ValueError(f"noise_seed must be an integer >= 0, got {noise_seed!r}")
     mean = intensity_map(
         orientation, grid, optics, amplitude, background, center_nm, z_nm
     )

@@ -11,10 +11,13 @@ from conftest import (
     field_vector_at,
     node_doubling_error,
 )
+import nvvortex.focal_field as focal_field_module
+from nvvortex.bessel import j1
 from nvvortex.errors import InvalidOptics
 from nvvortex.focal_field import (
     MAX_QUADRATURE_NODES,
     OpticalConfig,
+    _aperture_rule,
     azimuthal_field_profile,
     max_aperture_angle,
     wavenumber,
@@ -89,8 +92,12 @@ class TestAzimuthalField:
             assert azimuthal_field(r, 0.0, optics).imag == 0.0
 
     def test_negative_radius_rejected(self, optics):
-        with pytest.raises(ValueError):
-            azimuthal_field(-1.0, 0.0, optics)
+        # and a NaN or infinite one, anywhere in r, before any block runs
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radial offset"):
+                azimuthal_field(bad, 0.0, optics)
+            with pytest.raises(ValueError, match="radial offset"):
+                azimuthal_field_profile(np.array([[10.0, 20.0], [30.0, bad]]), 0.0, optics)
 
     def test_against_simpson_oracle(self, optics):
         rs = np.linspace(0.0, 5 * optics.wavelength_nm, 7)
@@ -158,6 +165,58 @@ class TestAzimuthalField:
             assert prof[i] == pytest.approx(
                 azimuthal_field(float(r), 77.0, optics), rel=1e-13, abs=1e-16
             )
+
+
+def full_array_profile(r, z, config, nodes=None):
+    """azimuthal_field_profile as one evaluation over the whole of r,
+    in the expressions it used before it ran over blocks of r."""
+    theta, weights = _aperture_rule(
+        nodes if nodes is not None else config.quadrature_nodes,
+        max_aperture_angle(config),
+    )
+    st_ = np.sin(theta)
+    ct = np.cos(theta)
+    k = wavenumber(config)
+    base = 2.0 * np.sqrt(ct) * st_ * weights
+    bess = j1(k * np.asarray(r, dtype=float)[..., None] * st_)
+    phase = k * z * ct
+    re = bess @ (base * np.cos(phase))
+    im = bess @ (base * np.sin(phase))
+    return re + 1j * im
+
+
+class TestBlocks:
+    """The quadrature runs over blocks of r's leading axis; every result
+    must be the bits of one evaluation over the whole of r."""
+
+    @pytest.mark.parametrize("z", [0.0, 300.0])
+    def test_scalar_radius(self, optics, z):
+        got = azimuthal_field_profile(1234.5, z, optics)
+        assert np.ndim(got) == 0
+        assert np.array_equal(got, full_array_profile(1234.5, z, optics))
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 18, 47, 48, 49, 130])
+    @pytest.mark.parametrize("nodes", [64, 100])
+    def test_1d_radii_across_block_edges(self, optics, monkeypatch, n, nodes):
+        # room for 18 radii a block, of which a power of two, 16, are
+        # taken: small enough that the whole-r reference stays one
+        # single-threaded BLAS call. A lone last radius joins the block
+        # before it
+        monkeypatch.setattr(focal_field_module, "_J1_BLOCK", 18 * nodes)
+        r = np.random.default_rng(n).uniform(0.0, 9000.0, n)
+        for z in (0.0, 300.0):
+            got = azimuthal_field_profile(r, z, optics, nodes=nodes)
+            assert np.array_equal(got, full_array_profile(r, z, optics, nodes))
+
+    @pytest.mark.parametrize("shape", [(40, 25), (41, 25), (9, 2, 25), (0, 25)])
+    def test_nd_radii_with_the_module_block(self, optics, shape):
+        # 25 radii a row at 64 nodes: 8 rows a block
+        assert focal_field_module._J1_BLOCK // (25 * 64) == 10
+        r = np.random.default_rng(7).uniform(0.0, 9000.0, shape)
+        for z in (0.0, 300.0):
+            got = azimuthal_field_profile(r, z, optics)
+            assert got.shape == shape
+            assert np.array_equal(got, full_array_profile(r, z, optics))
 
 
 class TestFieldVector:

@@ -14,6 +14,13 @@ from conftest import (
 import nvvortex.pattern as pattern_module
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.pattern import (
+    _NODE_DERIVATIVE,
+    _NODE_VANDER,
+    _NODES_PER_PANEL,
+    _PANEL_BLOCK,
+    _PANEL_NODES,
+    _PIXEL_BLOCK,
+    _TAYLOR_DEGREE,
     MAX_PIXELS,
     MAX_PROFILE_RADIUS_NM,
     NOISE_TILE_PX,
@@ -22,7 +29,11 @@ from nvvortex.pattern import (
     ScanGrid,
     ScanImage,
     _angles_from_coefficients,
+    _basis_images,
+    _chebyshev_vander,
     _coefficients_from_angles,
+    _nodes_per_nm,
+    _profile_covering,
     intensity_map,
     radial_profile_for_grid,
     simulate_pattern,
@@ -302,6 +313,24 @@ class TestSimulatePattern:
         b = simulate_pattern(NVOrientation(0.9, 0.4), grid31, optics)
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("make, kwargs, name", [
+        *((make, kwargs, name) for make in (intensity_map, simulate_pattern)
+          for kwargs, name in [
+              ({"amplitude": math.nan}, "amplitude"),
+              ({"amplitude": math.inf}, "amplitude"),
+              ({"amplitude": -1.0}, "amplitude"),
+              ({"background": math.nan}, "background"),
+              ({"background": -math.inf}, "background"),
+              ({"background": -0.5}, "background"),
+          ]),
+        (simulate_pattern, {"noise_seed": -1}, "noise_seed"),
+        (simulate_pattern, {"noise_seed": 1.5}, "noise_seed"),
+        (simulate_pattern, {"noise_seed": 2.0}, "noise_seed"),
+    ])
+    def test_bad_argument_is_refused_by_name(self, optics, make, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            make(NVOrientation(1.0, 0.5), ScanGrid(5, 5, 50.0), optics, **kwargs)
+
 
 @pytest.fixture
 def counted_quadrature(monkeypatch):
@@ -440,6 +469,80 @@ class TestIntensityMap:
         warm = intensity_map(NVOrientation(1.1, 0.7), grid, optics, **kw)
         assert pattern_module._cached_profile.cache_info().currsize == 1
         assert np.array_equal(cold, warm)
+
+
+def full_array_map(orientation, grid, optics, amplitude, background, center, z_nm):
+    """intensity_map as one evaluation over the whole grid, in the
+    expressions it used before it ran over row blocks."""
+    xs, ys = grid.pixel_positions()
+    dx = xs - center[0]
+    dy = ys - center[1]
+    rho = np.hypot(dx, dy)
+    e2 = _profile_covering(optics, float(rho.max()), z_nm)(rho)
+    basis, _ = _basis_images(dx, dy, e2)
+    coef = _coefficients_from_angles(orientation.theta, orientation.phi)
+    return background + amplitude * (basis @ coef)
+
+
+def full_array_taylor(optics, panels, z_nm):
+    """RadialIntensityProfile.build's table as one evaluation over all
+    panels, in the expressions it used before it ran over panel
+    blocks."""
+    width = _NODES_PER_PANEL / _nodes_per_nm(optics)
+    start = np.arange(panels)[:, None]
+    r = (start + _PANEL_NODES) * width
+    samples = azimuthal_field_profile(r, z_nm, optics)
+    if not np.any(samples.imag):
+        samples = samples.real
+    u = 2.0 * (r / width - start) - 1.0
+    series = [np.linalg.solve(_chebyshev_vander(u), samples[..., None])]
+    for m in range(1, _TAYLOR_DEGREE + 1):
+        series.append(_NODE_DERIVATIVE @ series[-1] / m)
+    at_nodes = _NODE_VANDER @ np.concatenate(series, axis=-1)
+    taylor = np.concatenate(
+        (at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1), at_nodes[-1, -1:])
+    ).T.copy()
+    taylor[0, 0] = 0.0
+    return taylor
+
+
+class TestBlocks:
+    """Maps run over row blocks and the profile build over panel
+    blocks; every result must be the bits of one evaluation over the
+    whole grid or all panels."""
+
+    @pytest.mark.parametrize(
+        "width, height, pitch, offset_px, z_nm",
+        [
+            (256, 100, 50.0, (0.31, -0.27), 0.0),
+            (100, 83, 40.0, (0.0, 0.0), 0.0),
+            (9000, 3, 2.0, (0.31, -0.27), 0.0),
+            (1, 1, 50.0, (0.0, 0.0), 0.0),
+            (64, 200, 50.0, (-30.0, 12.5), 300.0),
+        ],
+        # _PIXEL_BLOCK // width rows a block: 32 rows into 100, 81 into 83,
+        # one row of 9,000 pixels at a time, and 128 rows into 200
+        ids=["rows-not-a-multiple", "centred", "row-wider-than-a-block",
+             "1x1", "defocused"],
+    )
+    def test_map_matches_one_full_array_evaluation(
+        self, optics, width, height, pitch, offset_px, z_nm
+    ):
+        assert _PIXEL_BLOCK == 8192
+        grid = ScanGrid(width, height, pitch)
+        cx, cy = grid.center_nm
+        center = (cx + pitch * offset_px[0], cy + pitch * offset_px[1])
+        orientation = NVOrientation(1.1, 0.7)
+        got = intensity_map(orientation, grid, optics, 1e4, 100.0, center, z_nm)
+        want = full_array_map(orientation, grid, optics, 1e4, 100.0, center, z_nm)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("panels", [1, _PANEL_BLOCK, _PANEL_BLOCK + 1, 130])
+    @pytest.mark.parametrize("z_nm", [0.0, 300.0])
+    def test_table_matches_one_full_array_evaluation(self, optics, panels, z_nm):
+        got = RadialIntensityProfile.build(optics, panels, z_nm).taylor
+        want = full_array_taylor(optics, panels, z_nm)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRadialProfile:

@@ -1,0 +1,72 @@
+"""Working set of the focal-field chain: the quadrature, the profile
+build and a map each need their output plus one block, not temporaries
+the size of their input. Peaks are traced allocations above the call's
+start, so they do not depend on the interpreter's own footprint; the
+bounds are ratios to the output and to one block, so that they hold
+across numpy versions."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import nvvortex.focal_field as focal_field
+import nvvortex.pattern as pattern
+from nvvortex.focal_field import azimuthal_field_profile
+from nvvortex.pattern import NVOrientation, RadialIntensityProfile, ScanGrid
+
+#: bytes of one float64 array the size of a block
+J1_BLOCK_BYTES = 8 * focal_field._J1_BLOCK
+PIXEL_BLOCK_BYTES = 8 * pattern._PIXEL_BLOCK
+#: bytes of one real panel block's Taylor values at its nodes
+PANEL_BLOCK_BYTES = (
+    8 * pattern._PANEL_BLOCK * (pattern._NODES_PER_PANEL + 1) * (pattern._TAYLOR_DEGREE + 1)
+)
+
+
+@pytest.fixture
+def traced_peak():
+    """Calls a function under tracemalloc and returns (peak bytes above
+    the call's start, its result)."""
+    tracemalloc.start()
+
+    def peak(fn):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - start, out
+
+    yield peak
+    tracemalloc.stop()
+
+
+def test_noisy_map_needs_its_two_maps_plus_one_block(optics, traced_peak):
+    # the noiseless mean and the Poisson draws are the two full-size
+    # arrays; one row block is the rest (a full-size evaluation needs
+    # about 14 maps)
+    grid = ScanGrid(512, 512, 50.0)
+    cx, cy = grid.center_nm
+    kw = dict(amplitude=1e4, background=100.0, center_nm=(cx + 15.5, cy - 13.5))
+    orientation = NVOrientation(1.1, 0.7)
+    pattern.simulate_pattern(orientation, grid, optics, noise_seed=1, **kw)  # warm
+    peak, image = traced_peak(
+        lambda: pattern.simulate_pattern(orientation, grid, optics, noise_seed=2, **kw)
+    )
+    assert peak <= 2.25 * image.values.nbytes + 16 * PIXEL_BLOCK_BYTES
+
+
+def test_quadrature_needs_its_output_plus_one_block(optics, traced_peak):
+    # 2,048 radii at 64 nodes: 2^17 J1 arguments, 8 blocks (a full-size
+    # evaluation needs about 68 blocks)
+    r = np.linspace(0.0, 9000.0, 2048)
+    assert r.size * optics.quadrature_nodes == 2**17
+    peak, field = traced_peak(lambda: azimuthal_field_profile(r, 0.0, optics))
+    assert peak <= 2 * field.nbytes + 16 * J1_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("z_nm", [0.0, 300.0])
+def test_build_needs_its_table_plus_one_block(optics, traced_peak, z_nm):
+    # 200 panels, 4 blocks (a full-size build needs about 7 tables)
+    peak, profile = traced_peak(lambda: RadialIntensityProfile.build(optics, 200, z_nm))
+    scale = profile.taylor.itemsize // 8  # a complex table holds two floats
+    assert peak <= profile.taylor.nbytes + scale * 4 * PANEL_BLOCK_BYTES
