@@ -177,7 +177,11 @@ def write_pgm(image: ScanImage, path) -> None:
     maxval = 65535
     span = hi - lo
     if span > 0.0:
-        scaled = np.round((image.values - lo) / span * maxval).astype(">u2")
+        # round((v - lo) / span * maxval), step by step in one buffer
+        scaled = np.subtract(image.values, lo)
+        scaled /= span
+        scaled *= maxval
+        scaled = np.round(scaled, out=scaled).astype(">u2")
     else:
         scaled = np.zeros_like(image.values, dtype=">u2")
     header = f"P5\n{image.grid.width_px} {image.grid.height_px}\n{maxval}\n".encode()

@@ -71,10 +71,13 @@ __all__ = [
 #: memory guard for a single scan: a 32 MiB map, which needs one block
 #: of _PIXEL_BLOCK pixels beside it (a noisy scan holds two such maps)
 MAX_PIXELS = 4_194_304
-#: memory guard for the radial profile, nm: at the default optics 1,378
-#: panels, a 31 MB table (62 MB when defocused, where it is complex),
-#: which its build needs plus one block of _PANEL_BLOCK panels
-MAX_PROFILE_RADIUS_NM = 1e6
+#: bound on the radial profile, nm: at the default optics 138 panels, a
+#: 3.1 MB table (6.2 MB when defocused, where it is complex), which its
+#: build needs plus one block of _PANEL_BLOCK panels. In focus their
+#: quadrature takes 12 sub-intervals, 768 nodes, within
+#: MAX_QUADRATURE_NODES, so this bound and MAX_PROFILE_PANELS refuse a
+#: reach before the node bound does
+MAX_PROFILE_RADIUS_NM = 1e5
 #: pixels per Poisson tile: tile i of the flat pixel index draws from
 #: its own generator seeded with (noise_seed, i)
 NOISE_TILE_PX = 4096
@@ -305,7 +308,7 @@ def _panels(optics: OpticalConfig, r_max_nm: float) -> int:
     return max(1, math.ceil(r_max_nm * _nodes_per_nm(optics) / _NODES_PER_PANEL))
 
 
-#: memory guard for the radial profile, in panels: the 1,378 that reach
+#: bound on the radial profile, in panels: the 138 that reach
 #: MAX_PROFILE_RADIUS_NM at the default optics; wider optics need more
 MAX_PROFILE_PANELS = _panels(OpticalConfig(), MAX_PROFILE_RADIUS_NM)
 
@@ -313,7 +316,7 @@ MAX_PROFILE_PANELS = _panels(OpticalConfig(), MAX_PROFILE_RADIUS_NM)
 @dataclass(frozen=True)
 class RadialIntensityProfile:
     """|E_phi(rho, z)|^2 on [0, r_max_nm] from a Taylor table of the
-    configured quadrature, r_max_nm being the end of its last panel.
+    quadrature, r_max_nm being the end of its last panel.
 
     E_phi is a sum of J1(k rho sin t) over the quadrature nodes, a
     function of rho band-limited to k sin alpha. ``build`` runs the
@@ -442,7 +445,9 @@ def intensity_map(
     pixels, so no full-size temporary is made beside the output.
     ``center_nm`` is the NV position (defaults to the grid center).
     Raises ValueError for an ``amplitude`` or ``background`` that is
-    negative, NaN or infinite, naming it.
+    negative, NaN or infinite, naming it, and, from the quadrature, for
+    a ``z_nm`` that is NaN or infinite or whose rule would need more
+    than MAX_QUADRATURE_NODES nodes.
     """
     _check_finite_non_negative("amplitude", amplitude)
     _check_finite_non_negative("background", background)

@@ -315,8 +315,8 @@ def _cone_ratio(pair: TransitionPair, p: float, q: float, dp, dq, d: float) -> f
     return min(max(ratio, 0.0), 1.0)
 
 
-def invert_magnitude(pair: TransitionPair, d: float = 2870.0,
-                     gamma_e: float = 2.8025) -> float:
+def invert_magnitude(pair: TransitionPair, d: float = SpinParams.d,
+                     gamma_e: float = SpinParams.gamma_e) -> float:
     """Field magnitude (G) from the mI = 0 pair via the closed form
     sqrt((w1^2 + w2^2 - w1 w2 - d^2)/3) / gamma_e.
 
@@ -325,7 +325,9 @@ def invert_magnitude(pair: TransitionPair, d: float = 2870.0,
     return _magnitude(_invariants(pair, d)[0], d) / gamma_e
 
 
-def invert_polar_angle(pair: TransitionPair, d: float = 2870.0) -> tuple[float, float]:
+def invert_polar_angle(
+    pair: TransitionPair, d: float = SpinParams.d
+) -> tuple[float, float]:
     """Cone-angle candidates {alpha, pi - alpha} (rad) from the mI = 0
     pair. Raises DegenerateField at zero field (the formula's
     denominator vanishes) and InconsistentFrequencies if the arccos

@@ -48,8 +48,9 @@ def bounded_quadrature(monkeypatch):
     asks for more radii than a profile of MAX_PROFILE_PANELS holds (25
     per panel), so that an input which slips past the bound fails fast.
     A build needs only its table plus one block, so without this check
-    such an input would run on, slowly, into a table of gigabytes (31 MB
-    per 1,378 panels)."""
+    such an input would run on, slowly, into a table of gigabytes (3.1 MB
+    per 138 panels), unless its reach first asks for more than
+    MAX_QUADRATURE_NODES nodes."""
     limit = (pattern._PANEL_DEGREE + 1) * pattern.MAX_PROFILE_PANELS
     real = pattern.azimuthal_field_profile
 
@@ -97,22 +98,22 @@ class QuadratureNotConverged(NVVortexError):
 
 
 def azimuthal_field(
-    r: float, z: float, config: OpticalConfig, check: bool = False, rtol: float = 1e-9
+    r: float, z: float, config: OpticalConfig, check: bool = False, rtol: float = 1e-9,
+    nodes: int | None = None,
 ) -> complex:
-    """E_phi(r, z) as a complex scalar.
+    """E_phi(r, z) as a complex scalar, by the automatic rule or by the
+    single rule of ``nodes`` nodes.
 
-    With ``check=True`` the quadrature is repeated at doubled node count
-    and QuadratureNotConverged is raised if the relative change exceeds
+    With ``check=True`` the quadrature is repeated by the single rule of
+    twice the nodes (of one sub-interval, for the automatic rule) and
+    QuadratureNotConverged is raised if the relative change exceeds
     ``rtol``.
     """
-    val = complex(azimuthal_field_profile(np.array([r], dtype=float), z, config)[0])
+    rr = np.array([r], dtype=float)
+    val = complex(azimuthal_field_profile(rr, z, config, nodes=nodes)[0])
     if check:
-        val2 = complex(
-            azimuthal_field_profile(
-                np.array([r], dtype=float), z, config,
-                nodes=2 * config.quadrature_nodes,
-            )[0]
-        )
+        doubled = 2 * (nodes or config.quadrature_nodes)
+        val2 = complex(azimuthal_field_profile(rr, z, config, nodes=doubled)[0])
         scale = max(abs(val), abs(val2))
         if scale > 0.0 and abs(val2 - val) / scale > rtol:
             raise QuadratureNotConverged(

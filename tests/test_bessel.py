@@ -43,6 +43,14 @@ def test_dense_grid_against_mpmath_within_1e12():
     assert np.abs(j1(xs) - ref).max() < 1e-12
 
 
+def test_far_arguments_against_scipy_within_1e14():
+    # a profile at the radius bound, defocused up to the node bound,
+    # asks for arguments up to k sin(alpha) r = 2,240
+    scipy_special = pytest.importorskip("scipy.special")
+    xs = np.linspace(160.0, 2240.0, 20001)
+    assert np.abs(j1(xs) - scipy_special.j1(xs)).max() < 1e-14
+
+
 def test_zero_is_exact():
     assert j1(0.0) == 0.0
 

@@ -183,6 +183,19 @@ class TestSimulateAndFit:
         assert "MAX_PROFILE_RADIUS_NM" in payload["message"]
         assert not out.exists()
 
+    def test_defocus_past_the_node_bound_is_refused(self, tmp_path, capsys,
+                                                     bounded_quadrature):
+        # 200 um of defocus asks for k |z| = 3,586, past the 2,240 that
+        # MAX_QUADRATURE_NODES covers
+        out = tmp_path / "sim"
+        code, payload = run_cli(
+            capsys, "simulate-pattern", "--theta-deg", "90", "--phi-deg", "0",
+            "--z-nm", "2e5", "--out", str(out),
+        )
+        assert code == 2
+        assert "MAX_QUADRATURE_NODES=1024" in payload["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("optics", WIDE_BAND_OPTICS)
     @pytest.mark.parametrize("command", ["fit-orientation", "simulate-pattern"])
     def test_wide_band_optics_are_refused_before_any_build(
@@ -209,7 +222,7 @@ class TestSimulateAndFit:
         code, payload = run_cli(capsys, command, "--config", str(cfg), *argv)
         assert code == 2
         assert re.match(
-            r"profile of \d+ panels exceeds MAX_PROFILE_PANELS=1378: the optics' "
+            r"profile of \d+ panels exceeds MAX_PROFILE_PANELS=138: the optics' "
             r"lateral bandwidth k sin alpha is ", payload["message"]
         )
         assert not (tmp_path / "sim").exists()
@@ -223,6 +236,8 @@ class TestSimulateAndFit:
         assert code == 2
         assert "wavelenght_nm" in payload["message"]
 
+    # optics.quadrature_nodes is a removed key: it is refused by name
+    # whatever its value, 64 included
     @pytest.mark.parametrize("section, key, value", [
         ("optics", "quadrature_nodes", 2.5),
         ("optics", "quadrature_nodes", "64"),
@@ -252,6 +267,8 @@ class TestSimulateAndFit:
         assert code == 2
         assert payload["error"] == "ConfigError"
         assert re.search(rf"\b{key}\b", payload["message"])
+        if key == "quadrature_nodes":
+            assert "'optics.quadrature_nodes' was removed" in payload["message"]
 
     def test_removed_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -262,6 +279,7 @@ class TestSimulateAndFit:
             ("pattern", "width_px", 31),
             ("optics", "convergence_rtol", 1e-9),
             ("optics", "pupil_amplitude", 1.0),
+            ("optics", "quadrature_nodes", 64),
         ):
             cfg.write_text(json.dumps({section: {key: value}}))
             code, payload = run_cli(
@@ -299,6 +317,15 @@ class TestSimulateAndFit:
             for section, keys in dataclasses.asdict(load_config(None)).items()
         }
         assert listed == accepted
+
+    def test_config_holds_nine_settable_values(self):
+        assert {
+            section: sorted(keys)
+            for section, keys in dataclasses.asdict(load_config(None)).items()
+        } == {
+            "optics": ["immersion_index", "numerical_aperture", "wavelength_nm"],
+            "spin": ["a_par", "a_perp", "d", "gamma_e", "gamma_n", "q"],
+        }
 
 
 SIMULATED_ODMR = ("--b-gauss", "59.5", "--b-theta-deg", "8.59", "--b-phi-deg", "182.56",

@@ -15,6 +15,7 @@ import nvvortex.focal_field as focal_field_module
 from nvvortex.bessel import j1
 from nvvortex.errors import InvalidOptics
 from nvvortex.focal_field import (
+    _INTERVAL_REACH,
     MAX_QUADRATURE_NODES,
     OpticalConfig,
     _aperture_rule,
@@ -22,6 +23,7 @@ from nvvortex.focal_field import (
     max_aperture_angle,
     wavenumber,
 )
+from nvvortex.pattern import _PANEL_WIDTH, MAX_PROFILE_PANELS
 
 # arcsin(1.40 / 1.518), evaluated with a reference arithmetic tool
 APERTURE_NA140_N1518 = 1.1739024744345716
@@ -52,13 +54,20 @@ class TestOpticalConfig:
             {"numerical_aperture": 0.0},
             {"numerical_aperture": -0.5},
             {"wavelength_nm": 0.0},
-            {"quadrature_nodes": 4},
-            {"quadrature_nodes": MAX_QUADRATURE_NODES + 1},
+            {"wavelength_nm": -532.0},
+            {"immersion_index": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidOptics):
             OpticalConfig(**kwargs)
+
+    def test_quadrature_nodes_is_not_a_setting(self):
+        # the rule follows each call's reach; the per-sub-interval node
+        # count is a class constant, outside the fields and the hash
+        assert OpticalConfig.quadrature_nodes == 64
+        with pytest.raises(TypeError):
+            OpticalConfig(quadrature_nodes=64)
 
 
 class TestApertureAngle:
@@ -114,13 +123,15 @@ class TestAzimuthalField:
 
     def test_same_rule_on_scipy_j1_out_to_9000_nm(self, optics):
         # a 256x256 scan at 50 nm pitch reaches rho ~ 9,050 nm and J1
-        # arguments ~ 149; the same Gauss-Legendre sum built on scipy's J1
-        # leaves only the error of the package's J1
+        # arguments ~ 149, where the rule takes 64 nodes on each of two
+        # halves of the aperture; the same Gauss-Legendre sum built on
+        # scipy's J1 leaves only the error of the package's J1
         from scipy.special import j1 as scipy_j1
 
-        alpha = max_aperture_angle(optics)
-        x, w = np.polynomial.legendre.leggauss(optics.quadrature_nodes)
-        theta, weights = 0.5 * alpha * (x + 1.0), 0.5 * alpha * w
+        half = 0.5 * max_aperture_angle(optics)
+        x, w = np.polynomial.legendre.leggauss(64)
+        theta = np.concatenate([0.5 * half * (x + 1.0), half + 0.5 * half * (x + 1.0)])
+        weights = np.concatenate([0.5 * half * w] * 2)
         st_ = np.sin(theta)
         base = 2.0 * np.sqrt(np.cos(theta)) * st_ * weights
         rs = np.linspace(0.0, 9000.0, 3001)
@@ -130,9 +141,8 @@ class TestAzimuthalField:
 
     def test_default_rule_is_resolved_past_a_256_scan(self, optics):
         # the farthest pixel of a 256x256 scan at 50 nm is 9,051 nm from
-        # the NV; the 64-node rule holds 1e-12 of the peak out to k r
-        # sin(alpha) = 150.4, r = 9,096 nm at these optics
-        assert optics.quadrature_nodes == 64
+        # the NV, k r sin(alpha) = 149.7, past the reach of one
+        # sub-interval: the rule takes two
         rs = np.linspace(0.0, 9060.0, 907)
         got = azimuthal_field_profile(rs, 0.0, optics)
         want = azimuthal_field_profile(rs, 0.0, optics, nodes=MAX_QUADRATURE_NODES)
@@ -149,10 +159,9 @@ class TestAzimuthalField:
         zs = np.linspace(-5 * optics.wavelength_nm, 5 * optics.wavelength_nm, 5)
         assert node_doubling_error(optics, rs, zs) < 1e-9
 
-    def test_unconverged_quadrature_raises(self):
-        coarse = OpticalConfig(quadrature_nodes=8)
+    def test_unconverged_quadrature_raises(self, optics):
         with pytest.raises(QuadratureNotConverged):
-            azimuthal_field(5 * 532.0, 2000.0, coarse, check=True, rtol=1e-12)
+            azimuthal_field(5 * 532.0, 2000.0, optics, check=True, rtol=1e-12, nodes=8)
 
     def test_check_passes_for_default_nodes(self, optics):
         azimuthal_field(500.0, 500.0, optics, check=True)
@@ -167,13 +176,11 @@ class TestAzimuthalField:
             )
 
 
-def full_array_profile(r, z, config, nodes=None):
+def full_array_profile(r, z, config, nodes=64, intervals=1):
     """azimuthal_field_profile as one evaluation over the whole of r,
-    in the expressions it used before it ran over blocks of r."""
-    theta, weights = _aperture_rule(
-        nodes if nodes is not None else config.quadrature_nodes,
-        max_aperture_angle(config),
-    )
+    in the expressions it used before it ran over blocks of r, with
+    ``nodes`` nodes on each of ``intervals`` sub-intervals."""
+    theta, weights = _aperture_rule(nodes, max_aperture_angle(config), intervals)
     st_ = np.sin(theta)
     ct = np.cos(theta)
     k = wavenumber(config)
@@ -210,13 +217,119 @@ class TestBlocks:
 
     @pytest.mark.parametrize("shape", [(40, 25), (41, 25), (9, 2, 25), (0, 25)])
     def test_nd_radii_with_the_module_block(self, optics, shape):
-        # 25 radii a row at 64 nodes: 8 rows a block
+        # 25 radii a row at 64 nodes, one sub-interval within 8,000 nm:
+        # 8 rows a block
         assert focal_field_module._J1_BLOCK // (25 * 64) == 10
-        r = np.random.default_rng(7).uniform(0.0, 9000.0, shape)
+        r = np.random.default_rng(7).uniform(0.0, 8000.0, shape)
         for z in (0.0, 300.0):
             got = azimuthal_field_profile(r, z, optics)
             assert got.shape == shape
             assert np.array_equal(got, full_array_profile(r, z, optics))
+
+    @pytest.mark.parametrize("shape", [(40, 25), (41, 25), (9, 2, 25)])
+    def test_nd_radii_with_a_composite_rule(self, optics, shape):
+        # out to 20,000 nm the rule takes three sub-intervals, 192 nodes:
+        # 2 rows of 25 radii a block
+        r = np.random.default_rng(7).uniform(0.0, 20_000.0, shape)
+        r.flat[0] = 20_000.0
+        for z in (0.0, 300.0):
+            got = azimuthal_field_profile(r, z, optics)
+            assert np.array_equal(got, full_array_profile(r, z, optics, intervals=3))
+
+
+def composite_reference(r, z, config):
+    """E_phi by 128 nodes on each of 32 sub-intervals, 4,096 nodes: at
+    least twice the nodes of any automatic rule, and each sub-interval
+    far inside the reach of its 128 nodes."""
+    return full_array_profile(r, z, config, nodes=128, intervals=32)
+
+
+@pytest.fixture
+def chosen_rules(monkeypatch):
+    """(nodes, intervals) of every rule azimuthal_field_profile asks
+    for while the test runs."""
+    rules = []
+    real = focal_field_module._aperture_rule
+
+    def spy(nodes, alpha, intervals=1):
+        rules.append((nodes, intervals))
+        return real(nodes, alpha, intervals)
+
+    monkeypatch.setattr(focal_field_module, "_aperture_rule", spy)
+    return rules
+
+
+def panel_ends(optics, panels, samples=1001):
+    """Radii from the axis to the end of the profile's last panel, the
+    farthest radius its build evaluates."""
+    width = _PANEL_WIDTH / (wavenumber(optics) * math.sin(max_aperture_angle(optics)))
+    return np.linspace(0.0, panels * width, min(samples, 25 * panels + 1))
+
+
+class TestAutomaticRule:
+    """The rule takes 64 nodes on each of s = max(1, ceil(x / 140))
+    sub-intervals, x = k sin(alpha) max r + k |z|."""
+
+    @pytest.mark.parametrize("z", [0.0, 300.0])
+    def test_one_sub_interval_is_the_64_node_rule(self, optics, chosen_rules, z):
+        # out to 8,000 nm, x = 132 in focus and 138 at 300 nm
+        r = np.linspace(0.0, 8000.0, 1001)
+        assert np.array_equal(
+            azimuthal_field_profile(r, z, optics),
+            azimuthal_field_profile(r, z, optics, nodes=64),
+        )
+        assert np.array_equal(
+            azimuthal_field_profile(8000.0, z, optics),
+            azimuthal_field_profile(8000.0, z, optics, nodes=64),
+        )
+        assert chosen_rules == [(64, 1), (64, 1)] * 2
+
+    @pytest.mark.parametrize("panels, z, intervals", [
+        (3, 0.0, 1),        # a 31x31 scan at 50 nm
+        (13, 0.0, 2),       # a 256x256 scan at 50 nm
+        (13, 10_000.0, 3),
+        (MAX_PROFILE_PANELS, 0.0, 12),
+        (MAX_PROFILE_PANELS, 10_000.0, 14),
+    ])
+    def test_sub_intervals_follow_the_reach(self, optics, chosen_rules, panels, z,
+                                            intervals):
+        azimuthal_field_profile(panel_ends(optics, panels, samples=2), z, optics)
+        assert chosen_rules == [(64, intervals)]
+
+    @pytest.mark.parametrize("panels", [1, 13, MAX_PROFILE_PANELS])
+    @pytest.mark.parametrize("z", [0.0, 300.0, 1000.0, 2000.0, 5000.0, 10_000.0])
+    def test_rule_holds_1e_12_out_to_the_panel_ends(self, optics, panels, z):
+        r = panel_ends(optics, panels)
+        peak = np.abs(azimuthal_field_profile(np.linspace(0.0, 600.0, 601), 0.0,
+                                              optics)).max()
+        err = np.abs(azimuthal_field_profile(r, z, optics) - composite_reference(r, z, optics))
+        assert err.max() <= 1e-12 * peak
+
+    def test_node_bound_is_refused_before_any_evaluation(self, optics, chosen_rules,
+                                                         monkeypatch):
+        # 16 sub-intervals of 64 nodes reach x = 2,240
+        assert MAX_QUADRATURE_NODES // 64 * _INTERVAL_REACH == 2240.0
+        k = wavenumber(optics)
+        band = k * math.sin(max_aperture_angle(optics))
+
+        def refuse(*args):
+            raise AssertionError("the quadrature ran")
+
+        real_j1 = focal_field_module.j1
+        monkeypatch.setattr(focal_field_module, "j1", refuse)
+        for r, z in [(0.0, 2240.5 / k), (0.0, -1e6), (2240.5 / band, 0.0),
+                     (2000.0 / band, 300.0 / k)]:
+            with pytest.raises(ValueError, match="MAX_QUADRATURE_NODES=1024"):
+                azimuthal_field_profile(np.array([10.0, r]), z, optics)
+        assert chosen_rules == []
+        monkeypatch.setattr(focal_field_module, "j1", real_j1)
+        azimuthal_field_profile(np.array([10.0, 0.0]), 2239.5 / k, optics)
+        assert chosen_rules == [(64, 16)]
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_defocus_is_refused(self, optics, z):
+        with pytest.raises(ValueError, match="defocus z must be finite"):
+            azimuthal_field_profile(np.array([10.0, 20.0]), z, optics)
 
 
 class TestFieldVector:

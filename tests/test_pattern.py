@@ -12,7 +12,7 @@ from conftest import (
     field_vector_at,
 )
 import nvvortex.pattern as pattern_module
-from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
+from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.pattern import (
     _NODE_DERIVATIVE,
     _NODE_VANDER,
@@ -326,6 +326,9 @@ class TestSimulatePattern:
         (simulate_pattern, {"noise_seed": -1}, "noise_seed"),
         (simulate_pattern, {"noise_seed": 1.5}, "noise_seed"),
         (simulate_pattern, {"noise_seed": 2.0}, "noise_seed"),
+        # the defocus, named by the quadrature, before any profile is built
+        *((make, {"z_nm": z}, "defocus z") for make in (intensity_map, simulate_pattern)
+          for z in (math.nan, math.inf, -math.inf)),
     ])
     def test_bad_argument_is_refused_by_name(self, optics, make, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -346,15 +349,17 @@ def counted_quadrature(monkeypatch):
     return requested
 
 
-def quadrature_map(orientation, grid, optics, center, z_nm=0.0, pixels=None):
+def quadrature_map(orientation, grid, optics, center, z_nm=0.0, pixels=None,
+                   nodes=None):
     """Unit-amplitude pattern, flattened, with the quadrature run at each
-    pixel's own radius; only at the flat indices ``pixels`` if given."""
+    pixel's own radius; only at the flat indices ``pixels`` if given,
+    and by the single rule of ``nodes`` nodes if given."""
     xs, ys = grid.pixel_positions()
     dx, dy = (xs - center[0]).ravel(), (ys - center[1]).ravel()
     if pixels is not None:
         dx, dy = dx[pixels], dy[pixels]
     rho = np.hypot(dx, dy)
-    e = azimuthal_field_profile(rho, z_nm, optics)
+    e = azimuthal_field_profile(rho, z_nm, optics, nodes=nodes)
     n = orientation.unit_axis
     safe = np.where(rho > 0.0, rho, 1.0)
     proj = np.where(rho > 0.0, 1.0 - ((n[1] * dx - n[0] * dy) / safe) ** 2, 1.0)
@@ -376,18 +381,20 @@ class TestIntensityMap:
         assert np.abs(vals - ref).max() / ref.max() < 1e-14
 
     @pytest.mark.parametrize(
-        "width, offset_px, z_nm, nodes, subset",
+        "width, offset_px, z_nm, subset",
         [
-            (256, (0.31, -0.27), 0.0, 64, 2048),
-            (64, (0.31, -0.27), 300.0, 64, None),
-            (64, (0.31, -0.27), 0.0, 8, None),
-            (1, (0.0, 0.0), 0.0, 64, None),
-            (16, (-30.0, 12.5), 0.0, 64, None),
+            (256, (0.31, -0.27), 0.0, 2048),
+            (64, (0.31, -0.27), 300.0, None),
+            (400, (0.31, -0.27), 0.0, 2048),
+            (1, (0.0, 0.0), 0.0, None),
+            (16, (-30.0, 12.5), 0.0, None),
         ],
-        ids=["256-off-centre", "defocus-300nm", "8-nodes", "1x1-on-axis", "nv-outside"],
+        ids=["256-off-centre", "defocus-300nm", "400-off-centre", "1x1-on-axis",
+             "nv-outside"],
     )
-    def test_matches_configured_quadrature(self, width, offset_px, z_nm, nodes, subset):
-        optics = OpticalConfig(quadrature_nodes=nodes)
+    def test_matches_configured_quadrature(self, optics, width, offset_px, z_nm, subset):
+        # the map's profile and the per-pixel quadrature each take the
+        # rule of their own reach (two sub-intervals at 256 and 400)
         grid = ScanGrid(width, width, 50.0)
         cx, cy = grid.center_nm
         center = (cx + 50.0 * offset_px[0], cy + 50.0 * offset_px[1])
@@ -413,18 +420,22 @@ class TestIntensityMap:
         ref = quadrature_map(orientation, grid, optics, grid.center_nm)
         assert np.abs(vals - ref).max() <= 1e-13 * ref.max()
 
-    def test_map_uses_the_configured_rule(self):
-        # 8 nodes are far from converged at these radii: the map must
-        # follow them rather than a rule of its own
-        grid = ScanGrid(64, 64, 50.0)
-        cx, cy = grid.center_nm
-        center = (cx + 50.0 * 0.31, cy - 50.0 * 0.27)
-        orientation = NVOrientation(1.1, 0.7)
-        vals = intensity_map(
-            orientation, grid, OpticalConfig(quadrature_nodes=8), center_nm=center
-        ).ravel()
-        ref64 = quadrature_map(orientation, grid, OpticalConfig(), center)
-        assert np.abs(vals - ref64).max() / ref64.max() > 1e-3
+    @pytest.mark.parametrize("width, z_nm", [(400, 0.0), (512, 0.0), (256, 5000.0)])
+    def test_map_agrees_with_the_1024_node_rule(self, optics, width, z_nm):
+        # past k rho sin(alpha) = 150 (9.1 um) and under defocus the
+        # 64-node rule alone was off by up to 1.2e-3 of the peak at 400
+        # and 2.1e-3 at 512; the rule of the map's reach is not. Checked
+        # at 2,048 pixels and the four corners, the farthest radii
+        grid = ScanGrid(width, width, 50.0)
+        orientation = NVOrientation.from_degrees(109.84, 20.60)  # NV1
+        center = grid.center_nm
+        pixels = np.random.default_rng(width).choice(width * width, 2048, replace=False)
+        pixels[:4] = [0, width - 1, width * (width - 1), width * width - 1]
+        got = intensity_map(orientation, grid, optics, 1e4, 100.0, center, z_nm)
+        want = 100.0 + 1e4 * quadrature_map(
+            orientation, grid, optics, center, z_nm, pixels, nodes=1024
+        )
+        assert np.abs(got.ravel()[pixels] - want).max() <= 1e-11 * 1e4
 
     def test_quadrature_runs_at_the_panel_points_only(self, optics, counted_quadrature):
         # off centre every one of the 65,536 pixels has its own radius;
@@ -546,6 +557,11 @@ class TestBlocks:
 
 
 class TestRadialProfile:
+    @pytest.mark.parametrize("z_nm", [math.nan, math.inf, -math.inf])
+    def test_build_refuses_a_non_finite_defocus(self, optics, z_nm):
+        with pytest.raises(ValueError, match="defocus z must be finite"):
+            RadialIntensityProfile.build(optics, 3, z_nm)
+
     def test_interpolation_error_small_against_exact(self, optics):
         profile = RadialIntensityProfile.build(optics, 3)
         rng = np.random.default_rng(3)

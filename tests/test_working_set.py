@@ -12,6 +12,7 @@ import pytest
 
 import nvvortex.focal_field as focal_field
 import nvvortex.pattern as pattern
+from nvvortex.fileio import write_pgm
 from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.pattern import NVOrientation, RadialIntensityProfile, ScanGrid
 
@@ -56,17 +57,31 @@ def test_noisy_map_needs_its_two_maps_plus_one_block(optics, traced_peak):
 
 
 def test_quadrature_needs_its_output_plus_one_block(optics, traced_peak):
-    # 2,048 radii at 64 nodes: 2^17 J1 arguments, 8 blocks (a full-size
-    # evaluation needs about 68 blocks)
-    r = np.linspace(0.0, 9000.0, 2048)
-    assert r.size * optics.quadrature_nodes == 2**17
+    # 2,048 radii out to 18,000 nm, where the rule takes 64 nodes on
+    # each of 3 sub-intervals: 3 * 2^17 J1 arguments in 32 blocks of 64
+    # radii (a full-size evaluation needs about 200 blocks' worth)
+    r = np.linspace(0.0, 18_000.0, 2048)
     peak, field = traced_peak(lambda: azimuthal_field_profile(r, 0.0, optics))
     assert peak <= 2 * field.nbytes + 16 * J1_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("z_nm", [0.0, 300.0])
 def test_build_needs_its_table_plus_one_block(optics, traced_peak, z_nm):
-    # 200 panels, 4 blocks (a full-size build needs about 7 tables)
-    peak, profile = traced_peak(lambda: RadialIntensityProfile.build(optics, 200, z_nm))
+    # the 138 panels of MAX_PROFILE_PANELS, 3 blocks (a full-size build
+    # needs about 7 tables)
+    panels = pattern.MAX_PROFILE_PANELS
+    assert panels == 138
+    peak, profile = traced_peak(lambda: RadialIntensityProfile.build(optics, panels, z_nm))
     scale = profile.taylor.itemsize // 8  # a complex table holds two floats
     assert peak <= profile.taylor.nbytes + scale * 4 * PANEL_BLOCK_BYTES
+
+
+def test_pgm_needs_one_float_copy_of_the_image(tmp_path, traced_peak):
+    # the scaling runs in one float buffer beside the 16-bit pixels; one
+    # full-size temporary per step of the formula needs twice the image
+    grid = ScanGrid(256, 256, 50.0)
+    values = np.random.default_rng(3).poisson(100.0, (256, 256)).astype(float)
+    image = pattern.ScanImage(grid, values)
+    write_pgm(image, tmp_path / "warm.pgm")
+    peak, _ = traced_peak(lambda: write_pgm(image, tmp_path / "scan.pgm"))
+    assert peak <= 1.5 * values.nbytes
