@@ -112,8 +112,9 @@ def measure_nv(
     """One NV through the measurement chain: the scan gives the axis,
     the ODMR fit gives |B| and the cone angle, and together they make
     the cone constraint that ``solve_direction`` intersects. The axis is
-    the canonical representative and the cone angle the first candidate;
-    their ambiguities are left to the reconstruction."""
+    the member of its class {+-n, +-M n} that the fit reports and the cone
+    angle the first candidate; their ambiguities are left to the
+    reconstruction."""
     fit = fit_orientation(image, config.optics)
     model = fit_odmr_model(spectrum)
     estimate = field_estimate(model.pair, config.spin)
@@ -211,7 +212,6 @@ def cmd_fit_orientation(args, config: RunConfig) -> int:
             "background": fit.background,
             "residual": fit.residual,
             "center_iterations": fit.center_iterations,
-            "phi_identifiable": fit.phi_identifiable,
         }
     )
     if args.crystal is not None:

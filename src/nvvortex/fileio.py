@@ -159,8 +159,6 @@ def read_scan_image_csv(path) -> ScanImage:
             f"{path}: expected {height} data rows of {width} values, found "
             f"{values.shape[0]} rows of {values.shape[1]}"
         )
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-        raise FileFormatError(f"{path}: intensities must be finite and >= 0")
     try:
         grid = ScanGrid(width_px=width, height_px=height, pitch_nm=pitch,
                         origin_nm=origin)

@@ -7,10 +7,12 @@ eigenproblem; a single 2-D Levenberg-Marquardt search over the centre
 minimizes what that solve leaves (variable projection, Golub & Pereyra
 1973), with Kaufman's (1975) form of the variable-projection Jacobian
 read from the radial profile and its slope. The report comes from the
-solve at the returned centre. A pattern determines the axis only up to the
-axis/antiaxis equivalence and a 180-degree azimuth rotation, so results
-are canonicalized to theta in [0, pi/2], phi in [0, pi), with
-``mirror_phi`` carrying the other member of the ambiguity pair.
+solve at the returned centre. A pattern determines the axis n only up to
+the class {+-n, +-M n}, M = diag(1, 1, -1): the sign of n and its mirror
+in the x-y plane, which up to sign is the 180-degree azimuth partner.
+The fit reports the member that ``pattern._angles_from_coefficients``
+returns, theta in [0, pi/2] and phi in [0, pi), with ``mirror_phi``
+naming the unresolved partner.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .least_squares import levenberg_marquardt
 
 __all__ = [
     "OrientationFit",
-    "canonical_angles",
     "fit_orientation",
     "nearest_tetrahedral_axis",
     "TETRAHEDRAL_POLAR",
@@ -43,36 +44,21 @@ __all__ = [
 #: polar angle between tetrahedral bond directions, arccos(-1/3)
 TETRAHEDRAL_POLAR = math.acos(-1.0 / 3.0)
 
-PHI_IDENTIFIABLE_MIN_THETA = math.radians(5.0)
-
 
 @dataclass
 class OrientationFit:
-    theta: float  # rad, canonicalized to [0, pi/2]
-    phi: float  # rad, canonicalized to [0, pi)
-    mirror_phi: float  # phi + pi: the 180-degree ambiguity partner
+    theta: float  # rad, in [0, pi/2]
+    phi: float  # rad, in [0, pi)
     center_nm: tuple[float, float]
     amplitude: float
     background: float
     residual: float  # normalized SSE, dimensionless
     center_iterations: int  # Levenberg-Marquardt steps of the centre search
-    phi_identifiable: bool  # False near theta = 0 (azimuth degenerate)
 
-
-def canonical_angles(theta: float, phi: float) -> tuple[float, float, float]:
-    """Fold an axis (theta in [0, pi], any finite phi) onto the
-    canonical patch.
-
-    Patterns are invariant under axis negation and under phi -> phi +
-    pi, so every orientation has an equivalent with theta in [0, pi/2]
-    and phi in [0, pi). Returns (theta, phi, mirror_phi).
-    """
-    nx, ny, nz = NVOrientation(theta, phi).unit_axis
-    if nz < 0.0:
-        nx, ny, nz = -nx, -ny, -nz
-    theta_c = math.acos(min(1.0, max(0.0, nz)))
-    phi_c = math.atan2(ny, nx) % math.pi
-    return theta_c, phi_c, phi_c + math.pi
+    @property
+    def mirror_phi(self) -> float:
+        """phi + pi: the azimuth of the unresolved partner M n."""
+        return self.phi + math.pi
 
 
 def _intensity_centroid(image: ScanImage) -> tuple[float, float]:
@@ -145,13 +131,18 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     clamped to [0, 1]: there it is the smaller misfit of the unclamped
     form. Deterministic for a fixed image. Raises NoConvergence when the
     centre search exhausts its iteration budget and DegenerateTemplate
-    when the image is constant or its best fit has no positive
-    amplitude.
+    when the image has no more pixels than the fit's six unknowns, is
+    constant, or its best fit has no positive amplitude.
     """
     grid = image.grid
+    d = image.values.ravel()
+    if d.size <= 6:
+        raise DegenerateTemplate(
+            f"scan has {d.size} pixels, no more than the fit's 6 unknowns "
+            "(p, q, s, background and the centre's x and y)"
+        )
     profile = radial_profile_for_grid(grid, optics)
     xs, ys = (a.ravel() for a in grid.pixel_positions())
-    d = image.values.ravel()
     if np.all(d == d[0]):
         raise DegenerateTemplate("image is constant; misfit is undefined")
     pitch = grid.pitch_nm
@@ -174,17 +165,14 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
         )
     coef, leftover = solves[result.x.tobytes()]
     theta, phi, amplitude = _angles_from_coefficients(*coef[:3])
-    theta_c, phi_c, mirror = canonical_angles(theta, phi)
     return OrientationFit(
-        theta=theta_c,
-        phi=phi_c,
-        mirror_phi=mirror,
+        theta=theta,
+        phi=phi,
         center_nm=to_nm(result.x),
         amplitude=amplitude,
         background=float(coef[3]),
         residual=float(leftover @ leftover) / float(((d - d.mean()) ** 2).sum()),
         center_iterations=result.iterations,
-        phi_identifiable=theta_c >= PHI_IDENTIFIABLE_MIN_THETA,
     )
 
 
@@ -196,24 +184,23 @@ def nearest_tetrahedral_axis(
 
     Axis 0 points along +z; axes 1..3 sit at arccos(-1/3) polar angle
     with azimuths azimuth_offset + {0, 120, 240} degrees. The fit's
-    full ambiguity class (axis sign and 180-degree azimuth) is searched.
-    Returns (axis_index, mismatch_rad, (theta, phi) of the matched
-    signed representative in radians).
+    class {+-n, +-M n} is two lines, n and (theta, phi + pi) =
+    (-nx, -ny, nz), so one 2x4 table of dot products d with the four
+    axes searches it: the largest |d| picks the line and the axis, and
+    the sign of d the signed representative. Returns (axis_index,
+    mismatch_rad, (theta, phi) of that representative in radians).
     """
-    tet = [(0.0, 0.0)] + [
-        (TETRAHEDRAL_POLAR, azimuth_offset + k * 2.0 * math.pi / 3.0)
-        for k in range(3)
+    tetrad = [(0.0, 0.0)] + [
+        (TETRAHEDRAL_POLAR, azimuth_offset + k * 2.0 * math.pi / 3.0) for k in range(3)
     ]
-    reps = [(theta, phi), (theta, phi + math.pi)]
-    best: tuple[float, int, tuple[float, float]] | None = None
-    for rt, rp in reps:
-        v = NVOrientation(rt, rp).unit_axis
-        for i, (tt, tp) in enumerate(tet):
-            a = NVOrientation(tt, tp).unit_axis
-            d = float(np.clip(v @ a, -1.0, 1.0))
-            mismatch = math.acos(abs(d))
-            if best is None or mismatch < best[0]:
-                rep = (rt, rp) if d >= 0.0 else (math.pi - rt, rp + math.pi)
-                best = (mismatch, i, rep)
-    mismatch, index, rep = best
-    return index, mismatch, (rep[0], rep[1] % (2.0 * math.pi))
+    axes = np.array([NVOrientation(*a).unit_axis for a in tetrad])
+    lines = np.array(
+        [NVOrientation(theta, phi + k * math.pi).unit_axis for k in (0, 1)]
+    )
+    d = lines @ axes.T
+    row, index = divmod(int(np.argmax(np.abs(d))), 4)
+    rep_theta, rep_phi = theta, phi + row * math.pi
+    if d[row, index] < 0.0:
+        rep_theta, rep_phi = math.pi - rep_theta, rep_phi + math.pi
+    mismatch = math.acos(min(1.0, abs(float(d[row, index]))))
+    return index, mismatch, (rep_theta, rep_phi % (2.0 * math.pi))

@@ -13,6 +13,7 @@ from nvvortex.errors import (
     TripletsOverlap,
 )
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
+from nvvortex.orient_fit import TETRAHEDRAL_POLAR
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, intensity_map
 from nvvortex.spin import SpinParams, _lorentz
 from nvvortex.vector_recon import _unit_sphere_lstsq
@@ -319,6 +320,32 @@ def bootstrap_direction_sigma(constraints, result, samples: int, seed: int) -> f
     points, _ = _unit_sphere_lstsq(axes, signs * np.cos(drawn))
     devs = np.arccos(np.clip(points @ result.direction, -1.0, 1.0))
     return float(np.sqrt(np.mean(np.square(devs))))
+
+
+def nearest_tetrahedral_axis_reference(
+    theta: float, phi: float, azimuth_offset: float = 0.0
+) -> tuple[int, float, tuple[float, float]]:
+    """``orient_fit.nearest_tetrahedral_axis`` as a double loop over the
+    two azimuth partners and the four tetrahedral axes, keeping the first
+    smallest mismatch: the reference for the one-table form, which must
+    match it bit for bit."""
+    tet = [(0.0, 0.0)] + [
+        (TETRAHEDRAL_POLAR, azimuth_offset + k * 2.0 * math.pi / 3.0)
+        for k in range(3)
+    ]
+    reps = [(theta, phi), (theta, phi + math.pi)]
+    best = None
+    for rt, rp in reps:
+        v = NVOrientation(rt, rp).unit_axis
+        for i, (tt, tp) in enumerate(tet):
+            a = NVOrientation(tt, tp).unit_axis
+            d = float(np.clip(v @ a, -1.0, 1.0))
+            mismatch = math.acos(abs(d))
+            if best is None or mismatch < best[0]:
+                rep = (rt, rp) if d >= 0.0 else (math.pi - rt, rp + math.pi)
+                best = (mismatch, i, rep)
+    mismatch, index, rep = best
+    return index, mismatch, (rep[0], rep[1] % (2.0 * math.pi))
 
 
 def levenberg_marquardt_reference(fun, x0) -> least_squares.LeastSquaresResult:

@@ -124,8 +124,20 @@ class TestScanImageCSV:
             "width,height,pitch_nm,origin_x_nm,origin_y_nm\n"
             "2,2,50.0,0.0,0.0\n1.0,2.0\n-3.0,4.0\n"
         )
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as err:
             read_scan_image_csv(path)
+        assert str(err.value) == f"{path}: image values must be non-negative"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_values_rejected(self, tmp_path, value):
+        path = tmp_path / "img.csv"
+        path.write_text(
+            "width,height,pitch_nm,origin_x_nm,origin_y_nm\n"
+            f"2,2,50.0,0.0,0.0\n1.0,2.0\n{value},4.0\n"
+        )
+        with pytest.raises(FileFormatError) as err:
+            read_scan_image_csv(path)
+        assert str(err.value) == f"{path}: image values must be finite"
 
 
 class TestPGM:
