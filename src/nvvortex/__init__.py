@@ -20,9 +20,8 @@ from .spin import (
     SpinParams,
     Spectrum,
     TransitionPair,
+    field_estimate,
     fit_odmr_model,
-    invert_magnitude,
-    invert_polar_angle,
     simulate_odmr_spectrum,
     transition_frequencies,
 )
@@ -47,8 +46,7 @@ __all__ = [
     "FieldEstimate",
     "Spectrum",
     "transition_frequencies",
-    "invert_magnitude",
-    "invert_polar_angle",
+    "field_estimate",
     "simulate_odmr_spectrum",
     "fit_odmr_model",
     "ConeConstraint",

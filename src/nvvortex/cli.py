@@ -123,7 +123,7 @@ def measure_nv(
         alpha=estimate.alpha_candidates[0],
         b=estimate.b,
         alpha_sigma=estimate.alpha_sigma,
-        b_sigma=estimate.b_sigma or 0.0,
+        b_sigma=estimate.b_sigma,
         label=label,
     )
     return NVMeasurement(fit, model, estimate, constraint)
@@ -299,11 +299,7 @@ def cmd_odmr(args, config: RunConfig) -> int:
             "linewidth_mhz": model.linewidth_mhz,
             "dip_centers_mhz": list(model.dip_centers_mhz),
             "b_sigma_gauss": estimate.b_sigma,
-            "alpha_sigma_deg": (
-                round(math.degrees(estimate.alpha_sigma), 4)
-                if estimate.alpha_sigma is not None
-                else None
-            ),
+            "alpha_sigma_deg": round(math.degrees(estimate.alpha_sigma), 4),
         }
     )
     _emit(report, args.out, "odmr_fit.json")

@@ -58,7 +58,3 @@ class DegenerateAxes(NVVortexError):
 
 class NoSolution(NVVortexError):
     """Best branch combination still exceeds the residual gate."""
-
-
-class NoIntersection(NVVortexError):
-    """Two cones do not intersect on the unit sphere."""

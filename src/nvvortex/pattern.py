@@ -81,6 +81,8 @@ MAX_PROFILE_RADIUS_NM = 1e5
 #: pixels per Poisson tile: tile i of the flat pixel index draws from
 #: its own generator seeded with (noise_seed, i)
 NOISE_TILE_PX = 4096
+#: numpy's largest Poisson mean, int64 max - 10 sqrt(int64 max)
+POISSON_MAX_MEAN = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 #: the exact map's field expansion: panels _PANEL_WIDTH wide in units of
 #: 1 / (k sin alpha), the field's shortest lateral length, laid from
 #: rho = 0, each carrying a Chebyshev series of degree _PANEL_DEGREE; at
@@ -490,7 +492,8 @@ def simulate_pattern(
     NOISE_TILE_PX pixels, and tile i draws from its own generator seeded
     with (noise_seed, i), so the result is bitwise reproducible and
     independent of evaluation order. Raises ValueError, naming the
-    argument, for a ``noise_seed`` that is not an integer >= 0, and for
+    argument, for a ``noise_seed`` that is not an integer >= 0, for a
+    noisy scan whose mean exceeds POISSON_MAX_MEAN somewhere, and for
     what ``intensity_map`` refuses.
     """
     if noise_seed is not None and not (
@@ -502,6 +505,13 @@ def simulate_pattern(
     )
     if noise_seed is None:
         return ScanImage(grid=grid, values=mean)
+    peak = float(mean.max())
+    if peak > POISSON_MAX_MEAN:
+        raise ValueError(
+            f"amplitude={amplitude!r} and background={background!r} give a mean "
+            f"of {peak:.6g} counts, beyond the largest Poisson mean "
+            f"{POISSON_MAX_MEAN:.16g}"
+        )
     flat = mean.ravel()
     noisy = np.empty_like(flat)
     for tile, lo in enumerate(range(0, flat.size, NOISE_TILE_PX)):

@@ -49,8 +49,6 @@ __all__ = [
     "SZ",
     "electron_hamiltonian",
     "transition_frequencies",
-    "invert_magnitude",
-    "invert_polar_angle",
     "field_estimate",
     "full_hamiltonian",
     "lab_field_in_nv_frame",
@@ -69,7 +67,8 @@ SY = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex) / (_SQRT2 * 1j
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 _ID3 = np.eye(3, dtype=complex)
 
-#: relative clamp applied to inversion radicands before erroring
+#: relative tolerance of the pair inversion: |P| within RADICAND_RTOL d^2 / 3
+#: is a zero field, and R = cos^2(alpha) within RADICAND_RTOL of [0, 1] is clamped
 RADICAND_RTOL = 1e-9
 #: memory guard for a single sweep
 MAX_SWEEP_POINTS = 1_048_576
@@ -106,12 +105,13 @@ class SpinParams:
 
 @dataclass(frozen=True)
 class TransitionPair:
-    """mI = 0 line positions (MHz): omega1 <= omega2 by convention."""
+    """mI = 0 line positions (MHz): omega1 <= omega2 by convention, and
+    their 1-sigma uncertainties, 0.0 for none."""
 
     omega1: float
     omega2: float
-    sigma1: float | None = None
-    sigma2: float | None = None
+    sigma1: float = 0.0
+    sigma2: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.omega1 <= self.omega2):
@@ -123,12 +123,13 @@ class TransitionPair:
 @dataclass(frozen=True)
 class FieldEstimate:
     """Inversion output: magnitude (G) and the unordered cone-angle
-    candidate pair {alpha, pi - alpha} (rad)."""
+    candidate pair {alpha, pi - alpha} (rad), with their 1-sigma
+    uncertainties, 0.0 for a pair without line sigmas."""
 
     b: float
     alpha_candidates: tuple[float, float]
-    b_sigma: float | None = None
-    alpha_sigma: float | None = None
+    b_sigma: float = 0.0
+    alpha_sigma: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -285,93 +286,67 @@ def _invariants(pair: TransitionPair, d: float) -> tuple:
     )
 
 
-def _magnitude(p: float, d: float) -> float:
-    """gamma_e B = sqrt(P); see invert_magnitude for the clamp."""
-    tol = RADICAND_RTOL * d * d / 3.0
-    if p < -tol:
+def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
+    """Magnitude and cone-angle candidates {alpha, pi - alpha} (rad) of
+    the mI = 0 pair, with 1-sigma uncertainties propagated to first
+    order from the line sigmas, both analytic; zero line sigmas give
+    zero output sigmas.
+
+    With P and R = cos^2(alpha) = Q / P from ``_invariants``, raises
+    InconsistentFrequencies when P < -RADICAND_RTOL d^2 / 3 (no real
+    field fits), DegenerateField when |P| is within that (zero field:
+    the cone angle is undefined), and InconsistentFrequencies when R
+    falls outside [0, 1] beyond a tolerance. The tolerance is
+    RADICAND_RTOL, widened to 5 sigma_R at the R the noise produced:
+    line noise moves R past the end of its range on about half the
+    pairs of a cone at 0 or 90 deg, and such a pair is clamped rather
+    than rejected.
+
+    Near 90 and 0 deg, where |dalpha/dR| = 1 / (2 sqrt(R (1 - R))) is
+    unbounded, the first-order interval R +- sigma_R, with sigma_R at
+    the clamped R that alpha is reported at, can reach past R = 0 or
+    R = 1. alpha_sigma is then capped at the half-width of
+    acos(sqrt(R')) over that interval clipped to [0, 1], at most pi/4;
+    a pair clamped to R = 0 or R = 1 gets the cap alone. An interval
+    inside [0, 1] needs no cap: its half-width is sigma_R times the mean
+    of the convex |dalpha/dR| over it, never below the first-order
+    value."""
+    p, q, dp, dq = _invariants(pair, params.d)
+    p_tol = RADICAND_RTOL * params.d * params.d / 3.0
+    if p < -p_tol:
         raise InconsistentFrequencies(
-            f"(gamma_e B)^2 = {p:.6g} MHz^2 below -{tol:.3g}; no real field fits"
+            f"(gamma_e B)^2 = {p:.6g} MHz^2 below -{p_tol:.3g}; no real field fits"
         )
-    return math.sqrt(max(p, 0.0))
-
-
-def _cone_ratio(pair: TransitionPair, p: float, q: float, dp, dq, d: float) -> float:
-    """R = cos^2(alpha) = Q / P, clamped to [0, 1], from _invariants;
-    see invert_polar_angle for the tolerance and the errors."""
-    if p <= RADICAND_RTOL * d * d / 3.0:
+    if p <= p_tol:
         raise DegenerateField(
             "transition pair implies B ~ 0; the cone angle is undefined"
         )
+    s1, s2 = pair.sigma1, pair.sigma2
+
+    def sigma_r(r: float) -> float:
+        return math.hypot((dq[0] - r * dp[0]) * s1, (dq[1] - r * dp[1]) * s2) / p
+
     ratio = q / p
     tol = RADICAND_RTOL
-    if not 0.0 <= ratio <= 1.0 and pair.sigma1 is not None and pair.sigma2 is not None:
-        # sigma_R at the R the noise produced, not at the clamped one
-        tol = max(tol, 5.0 * math.hypot((dq[0] - ratio * dp[0]) * pair.sigma1,
-                                        (dq[1] - ratio * dp[1]) * pair.sigma2) / p)
+    if not 0.0 <= ratio <= 1.0:
+        tol = max(tol, 5.0 * sigma_r(ratio))
     if ratio < -tol or ratio > 1.0 + tol:
         raise InconsistentFrequencies(
             f"arccos argument {ratio:.6g} outside [0, 1] beyond tolerance {tol:.3g}"
         )
-    return min(max(ratio, 0.0), 1.0)
-
-
-def invert_magnitude(pair: TransitionPair, d: float = SpinParams.d,
-                     gamma_e: float = SpinParams.gamma_e) -> float:
-    """Field magnitude (G) from the mI = 0 pair via the closed form
-    sqrt((w1^2 + w2^2 - w1 w2 - d^2)/3) / gamma_e.
-
-    The radicand is clamped to zero within RADICAND_RTOL * d^2; below
-    that, no real field reproduces the pair."""
-    return _magnitude(_invariants(pair, d)[0], d) / gamma_e
-
-
-def invert_polar_angle(
-    pair: TransitionPair, d: float = SpinParams.d
-) -> tuple[float, float]:
-    """Cone-angle candidates {alpha, pi - alpha} (rad) from the mI = 0
-    pair. Raises DegenerateField at zero field (the formula's
-    denominator vanishes) and InconsistentFrequencies if the arccos
-    argument R = cos^2(alpha) falls outside [0, 1] beyond tolerance.
-
-    The tolerance is RADICAND_RTOL, widened to 5 sigma_R when the pair
-    carries both line sigmas: line noise moves R past the end of its
-    range on about half the pairs of a cone at 0 or 90 deg, and such a
-    pair is clamped rather than rejected."""
-    a = math.acos(math.sqrt(_cone_ratio(pair, *_invariants(pair, d), d)))
-    return (a, math.pi - a)
-
-
-def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
-    """Magnitude and cone-angle candidates with 1-sigma uncertainties
-    propagated to first order from the line sigmas, both analytic; both
-    are None when the pair carries no sigmas.
-
-    Near 90 and 0 deg, where |dalpha/dR| = 1 / (2 sqrt(R (1 - R))) is
-    unbounded, the first-order interval R +- sigma_R of R = cos^2(alpha)
-    can reach past R = 0 or R = 1. alpha_sigma is then capped at the
-    half-width of acos(sqrt(R')) over that interval clipped to [0, 1],
-    at most pi/4; a pair clamped to R = 0 or R = 1 gets the cap alone.
-    An interval inside [0, 1] needs no cap: its half-width is sigma_R
-    times the mean of the convex |dalpha/dR| over it, never below the
-    first-order value."""
-    p, q, dp, dq = _invariants(pair, params.d)
-    b = _magnitude(p, params.d) / params.gamma_e
-    ratio = _cone_ratio(pair, p, q, dp, dq, params.d)
+    ratio = min(max(ratio, 0.0), 1.0)
+    b = math.sqrt(p) / params.gamma_e
     a = math.acos(math.sqrt(ratio))
-    b_sigma = alpha_sigma = None
-    if pair.sigma1 is not None and pair.sigma2 is not None:
-        s1, s2 = pair.sigma1, pair.sigma2
-        b_sigma = math.hypot(dp[0] * s1, dp[1] * s2) / (2.0 * params.gamma_e**2 * b)
-        # sigma_R at the clamped R, the one alpha is reported at
-        sigma_r = math.hypot((dq[0] - ratio * dp[0]) * s1,
-                             (dq[1] - ratio * dp[1]) * s2) / p
-        if 0.0 < ratio < 1.0:
-            alpha_sigma = sigma_r / (2.0 * math.sqrt(ratio * (1.0 - ratio)))
-        low, high = ratio - sigma_r, ratio + sigma_r
-        if low <= 0.0 or high >= 1.0:
-            low, high = max(low, 0.0), min(high, 1.0)
-            cap = 0.5 * (math.acos(math.sqrt(low)) - math.acos(math.sqrt(high)))
-            alpha_sigma = cap if alpha_sigma is None else min(alpha_sigma, cap)
+    b_sigma = math.hypot(dp[0] * s1, dp[1] * s2) / (2.0 * params.gamma_e**2 * b)
+    spread = sigma_r(ratio)
+    alpha_sigma = math.inf
+    if 0.0 < ratio < 1.0:
+        alpha_sigma = spread / (2.0 * math.sqrt(ratio * (1.0 - ratio)))
+    low, high = ratio - spread, ratio + spread
+    if low <= 0.0 or high >= 1.0:
+        low, high = max(low, 0.0), min(high, 1.0)
+        cap = 0.5 * (math.acos(math.sqrt(low)) - math.acos(math.sqrt(high)))
+        alpha_sigma = min(alpha_sigma, cap)
     return FieldEstimate(b, (a, math.pi - a), b_sigma, alpha_sigma)
 
 
@@ -583,8 +558,9 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
     the passes) are taken over the n_w points of the final window,
     which ``window_mhz`` reports.
 
-    Raises FitFailed when no dips are found or the optimizer exhausts
-    its budget in any pass, TripletsOverlap when the groups cannot be
+    Raises FitFailed when no dips are found, the optimizer exhausts
+    its budget in any pass or the lower group center is not above
+    0 MHz, TripletsOverlap when the groups cannot be
     separated (closer than three linewidths, or no dominant gap between
     the dip clusters)."""
     f = spectrum.frequencies
@@ -649,6 +625,8 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
             f"group centers {p[0]:.2f} and {p[1]:.2f} MHz are closer than "
             f"three linewidths ({3 * p[4]:.2f} MHz)"
         )
+    if not p[0] > 0.0:  # a sweep not in absolute MHz, or a stray dip
+        raise FitFailed(f"lower group center {p[0]:.2f} MHz is not above 0 MHz")
     model, jac = _triplet_model(fw, p)
     sse = float((model - yw) @ (model - yw))
     sig1, sig2 = _center_uncertainties(jac, sse)

@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateAxes, NoIntersection, NoSolution
+from .errors import DegenerateAxes, NoSolution
 from .pattern import NVOrientation
 
 __all__ = [
@@ -236,26 +236,23 @@ def aggregate_magnitude(constraints: list[ConeConstraint]) -> tuple[float, float
 
 def _two_cone_points(
     n1: np.ndarray, c1: float, n2: np.ndarray, c2: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Unit vectors on both cones: u.n1 = c1, u.n2 = c2, |u| = 1.
 
-    Closed form via u = a n1 + b n2 + t (n1 x n2). Raises
-    NoIntersection when the circles on the sphere do not meet."""
+    Closed form via u = a n1 + b n2 + t (n1 x n2). None when the axes
+    are (anti)parallel or the circles on the sphere do not meet."""
     d = float(n1 @ n2)
     det = 1.0 - d * d
     if det < 1e-12:
-        raise NoIntersection("cone axes are (anti)parallel")
+        return None
     a = (c1 - c2 * d) / det
     b = (c2 - c1 * d) / det
     w = np.cross(n1, n2)
     t2 = (1.0 - a * a - b * b - 2.0 * a * b * d) / float(w @ w)
     if t2 < 0.0:
-        if t2 > -1e-12:  # grazing contact within roundoff
-            t2 = 0.0
-        else:
-            raise NoIntersection(
-                f"cones at cos = {c1:.4f}, {c2:.4f} do not meet on the sphere"
-            )
+        if t2 <= -1e-12:
+            return None
+        t2 = 0.0  # grazing contact within roundoff
     t = math.sqrt(t2)
     base = a * n1 + b * n2
     return base + t * w, base - t * w
@@ -269,11 +266,10 @@ def _triangle_vertices(
     distance (None with fewer than two)."""
     verts = []
     for i, j in combinations(range(3), 2):
-        try:
-            p, q = _two_cone_points(axes[i], cosines[i], axes[j], cosines[j])
-        except NoIntersection:
-            continue
-        verts.append(p if p @ reference >= q @ reference else q)
+        points = _two_cone_points(axes[i], cosines[i], axes[j], cosines[j])
+        if points is not None:
+            p, q = points
+            verts.append(p if p @ reference >= q @ reference else q)
     if len(verts) < 2:
         return verts, None
     # chord-based great-circle distance stays exact for nearly

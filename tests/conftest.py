@@ -6,8 +6,10 @@ from hypothesis import HealthCheck, settings
 
 from nvvortex import least_squares, pattern, spin
 from nvvortex.errors import (
+    DegenerateField,
     DegenerateTemplate,
     FitFailed,
+    InconsistentFrequencies,
     NVVortexError,
     ObjectiveNotFinite,
     TripletsOverlap,
@@ -435,3 +437,53 @@ def fit_odmr_model_reference(spectrum):
     model, jac = spin._triplet_model(f, p)
     sig1, sig2 = spin._center_uncertainties(jac, float((model - y) @ (model - y)))
     return float(p[0]), float(p[1]), sig1, sig2, float(p[4])
+
+
+def field_estimate_reference(w1, w2, sigma1=None, sigma2=None, d=2870.0, gamma_e=2.8025):
+    """The pair inversion as it stood with ``None`` for "no sigma":
+    ``_magnitude``, ``_cone_ratio`` and ``field_estimate`` in one, the
+    reference for ``spin.field_estimate``. Returns (b, alpha candidates,
+    b_sigma, alpha_sigma), the sigmas None without line sigmas."""
+    rtol = 1e-9
+    f1, f2, f3 = 2.0 * w1 - w2 - d, w1 - 2.0 * w2 + d, w1 + w2 + d
+    k = 27.0 * d
+    p = (w1 * w1 + w2 * w2 - w1 * w2 - d * d) / 3.0
+    q = f1 * f2 * f3 / k
+    dp = ((2.0 * w1 - w2) / 3.0, (2.0 * w2 - w1) / 3.0)
+    dq = ((2.0 * f2 * f3 + f1 * f3 + f1 * f2) / k,
+          (f1 * f2 - f2 * f3 - 2.0 * f1 * f3) / k)
+    tol = rtol * d * d / 3.0
+    if p < -tol:
+        raise InconsistentFrequencies(
+            f"(gamma_e B)^2 = {p:.6g} MHz^2 below -{tol:.3g}; no real field fits"
+        )
+    b = math.sqrt(max(p, 0.0)) / gamma_e
+    if p <= rtol * d * d / 3.0:
+        raise DegenerateField(
+            "transition pair implies B ~ 0; the cone angle is undefined"
+        )
+    ratio = q / p
+    tol = rtol
+    if not 0.0 <= ratio <= 1.0 and sigma1 is not None and sigma2 is not None:
+        tol = max(tol, 5.0 * math.hypot((dq[0] - ratio * dp[0]) * sigma1,
+                                        (dq[1] - ratio * dp[1]) * sigma2) / p)
+    if ratio < -tol or ratio > 1.0 + tol:
+        raise InconsistentFrequencies(
+            f"arccos argument {ratio:.6g} outside [0, 1] beyond tolerance {tol:.3g}"
+        )
+    ratio = min(max(ratio, 0.0), 1.0)
+    a = math.acos(math.sqrt(ratio))
+    b_sigma = alpha_sigma = None
+    if sigma1 is not None and sigma2 is not None:
+        s1, s2 = sigma1, sigma2
+        b_sigma = math.hypot(dp[0] * s1, dp[1] * s2) / (2.0 * gamma_e**2 * b)
+        sigma_r = math.hypot((dq[0] - ratio * dp[0]) * s1,
+                             (dq[1] - ratio * dp[1]) * s2) / p
+        if 0.0 < ratio < 1.0:
+            alpha_sigma = sigma_r / (2.0 * math.sqrt(ratio * (1.0 - ratio)))
+        low, high = ratio - sigma_r, ratio + sigma_r
+        if low <= 0.0 or high >= 1.0:
+            low, high = max(low, 0.0), min(high, 1.0)
+            cap = 0.5 * (math.acos(math.sqrt(low)) - math.acos(math.sqrt(high)))
+            alpha_sigma = cap if alpha_sigma is None else min(alpha_sigma, cap)
+    return b, (a, math.pi - a), b_sigma, alpha_sigma

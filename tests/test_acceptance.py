@@ -29,8 +29,6 @@ from nvvortex.spin import (
     add_contrast_noise,
     field_estimate,
     fit_odmr_model,
-    invert_magnitude,
-    invert_polar_angle,
     simulate_odmr_spectrum,
     transition_frequencies,
 )
@@ -90,7 +88,7 @@ def test_criterion_2_magnitude_aggregation():
 
 
 def test_criterion_3_inversion_round_trip_1000():
-    """Closed-form inversions against exact diagonalization: 1000
+    """Closed-form inversion against exact diagonalization: 1000
     random (B, alpha) recovered to 1e-6 relative / 1e-6 rad in < 5 s."""
     from nvvortex.spin import SpinParams
 
@@ -102,11 +100,11 @@ def test_criterion_3_inversion_round_trip_1000():
     for _ in range(1000):
         b = rng.uniform(1.0, 100.0)
         alpha = rng.uniform(0.01, math.pi - 0.01)
-        pair = transition_frequencies(b, alpha, params)
-        b_rec = invert_magnitude(pair, params.d, params.gamma_e)
-        candidates = invert_polar_angle(pair, params.d)
-        worst_b = max(worst_b, abs(b_rec - b) / b)
-        worst_alpha = max(worst_alpha, min(abs(a - alpha) for a in candidates))
+        est = field_estimate(transition_frequencies(b, alpha, params), params)
+        worst_b = max(worst_b, abs(est.b - b) / b)
+        worst_alpha = max(
+            worst_alpha, min(abs(a - alpha) for a in est.alpha_candidates)
+        )
     elapsed = time.perf_counter() - start
     assert worst_b < 1e-6
     assert worst_alpha < 1e-6
@@ -260,7 +258,7 @@ def test_criterion_7_odmr_end_to_end(spin_params):
     for seed in range(20):
         noisy = add_contrast_noise(spec, 0.002, seed)
         est_n = field_estimate(fit_odmr_model(noisy).pair, spin_params)
-        assert est_n.b_sigma is not None and est_n.b_sigma > 0.0
+        assert est_n.b_sigma > 0.0
         assert abs(est_n.b - b_true) <= 3.0 * est_n.b_sigma + 0.02
         alpha_err_n = min(
             abs(math.degrees(a) - alpha_true) for a in est_n.alpha_candidates

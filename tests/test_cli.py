@@ -14,10 +14,15 @@ import nvvortex
 from nvvortex import pattern, spin
 from nvvortex.cli import bundled_fixture_path, main
 from nvvortex.config import load_config
-from nvvortex.fileio import write_json, write_scan_image_csv, write_spectrum_csv
+from nvvortex.fileio import (
+    read_spectrum_csv,
+    write_json,
+    write_scan_image_csv,
+    write_spectrum_csv,
+)
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from nvvortex.focal_field import OpticalConfig
-from nvvortex.spin import SpinParams, simulate_odmr_spectrum
+from nvvortex.spin import SpinParams, Spectrum, simulate_odmr_spectrum
 
 
 #: a 2x2 scan 1e7 nm apart: covering its diagonal would take a 2.7 GB
@@ -782,6 +787,30 @@ class TestPipeline:
         assert entry["nv"] == "nv1" and entry["error"] == "FitFailed"
         assert sorted(report["per_nv"]) == ["nv2", "nv3", "nv4"]
         assert report["reconstruction"] is not None
+
+    def test_spectrum_with_negative_lower_line_lists_that_nv(self, tmp_path, capsys):
+        # nv4's sweep shifted by -2900 MHz: its lower line fits at -96.9 MHz
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        spec = read_spectrum_csv(spectra / "nv4.csv")
+        write_spectrum_csv(Spectrum(spec.frequencies - 2900.0, spec.contrast),
+                           spectra / "nv4.csv")
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv4" and entry["error"] == "FitFailed"
+        assert "-96.9" in entry["message"]
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is not None
+        assert len(report["reconstruction"]["constraints"]) == 3
 
 
 _BAD_FLAG_CASES = [

@@ -24,6 +24,7 @@ from nvvortex.pattern import (
     MAX_PIXELS,
     MAX_PROFILE_RADIUS_NM,
     NOISE_TILE_PX,
+    POISSON_MAX_MEAN,
     NVOrientation,
     RadialIntensityProfile,
     ScanGrid,
@@ -307,6 +308,23 @@ class TestSimulatePattern:
         assert np.array_equal(noisy, np.round(noisy))
         chi2 = float(np.mean((noisy - mean) ** 2 / mean))
         assert abs(chi2 - 1.0) < 8.0 * math.sqrt(2.0 / noisy.size)
+
+    def test_poisson_mean_beyond_numpy_limit_is_refused_by_name(
+        self, optics, monkeypatch
+    ):
+        # numpy refuses a mean above int64 max - 10 sqrt(int64 max) with
+        # "lam value too large", which names no argument
+        grid = ScanGrid(5, 5, 50.0)
+        orientation = NVOrientation(1.0, 0.5)
+        at_limit = simulate_pattern(orientation, grid, optics, amplitude=0.0,
+                                    background=POISSON_MAX_MEAN, noise_seed=1)
+        assert np.all(np.isfinite(at_limit.values))
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+        beyond = math.nextafter(POISSON_MAX_MEAN, math.inf)
+        for kwargs in (dict(amplitude=0.0, background=beyond),
+                       dict(amplitude=1e300, background=100.0)):
+            with pytest.raises(ValueError, match="^amplitude=.* and background="):
+                simulate_pattern(orientation, grid, optics, noise_seed=1, **kwargs)
 
     def test_noiseless_is_deterministic(self, grid31, optics):
         a = simulate_pattern(NVOrientation(0.9, 0.4), grid31, optics)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     REFERENCE_ORIENTATIONS_DEG,
     dip_candidates_reference,
+    field_estimate_reference,
     fit_odmr_model_reference,
     triplet_model_reference,
 )
@@ -18,6 +19,7 @@ from nvvortex.errors import (
     DegenerateField,
     FitFailed,
     InconsistentFrequencies,
+    NVVortexError,
     TripletsOverlap,
 )
 from nvvortex.pattern import NVOrientation
@@ -36,8 +38,6 @@ from nvvortex.spin import (
     field_estimate,
     fit_odmr_model,
     full_hamiltonian,
-    invert_magnitude,
-    invert_polar_angle,
     lab_field_in_nv_frame,
     simulate_odmr_spectrum,
     six_transition_frequencies,
@@ -119,57 +119,66 @@ class TestTransitionFrequencies:
             TransitionPair(omega1=2900.0, omega2=2800.0)
 
 
-class TestInversion:
-    def test_degenerate_pair_gives_zero_field(self):
-        assert invert_magnitude(TransitionPair(2870.0, 2870.0)) == 0.0
+def outcome(call):
+    """A call's result, or its exception class and message."""
+    try:
+        return call()
+    except NVVortexError as exc:
+        return type(exc), str(exc)
 
-    def test_aligned_identity(self):
+
+class TestInversion:
+    def test_zero_field_pairs_raise_degenerate_field(self, spin_params):
+        # the pair at D, and radicands 3 P within RADICAND_RTOL d^2 of
+        # zero on either side, have no cone angle
+        for w1, w2 in ((2870.0, 2870.0), (2870.0, 2870.0 + 1e-7),
+                       (2870.0 - 1e-7, 2870.0 - 1e-7)):
+            with pytest.raises(DegenerateField):
+                field_estimate(TransitionPair(w1, w2), spin_params)
+
+    def test_aligned_identity(self, spin_params):
         g = 2.8025
         pair = TransitionPair(2870.0 - 50 * g, 2870.0 + 50 * g)
-        assert invert_magnitude(pair) == pytest.approx(50.0, abs=1e-9)
+        assert field_estimate(pair, spin_params).b == pytest.approx(50.0, abs=1e-9)
 
     def test_magnitude_round_trip_table1(self, spin_params):
         pair = transition_frequencies(59.53, math.radians(117.62), spin_params)
-        assert invert_magnitude(pair) == pytest.approx(59.53, abs=1e-6)
+        assert field_estimate(pair, spin_params).b == pytest.approx(59.53, abs=1e-6)
 
-    def test_inconsistent_pair_rejected(self):
+    def test_inconsistent_pair_rejected(self, spin_params):
         # omega1 = omega2 below D: radicand strongly negative
         with pytest.raises(InconsistentFrequencies):
-            invert_magnitude(TransitionPair(2000.0, 2000.0))
+            field_estimate(TransitionPair(2000.0, 2000.0), spin_params)
 
-    def test_tiny_negative_radicand_clamped(self):
-        pair = TransitionPair(2870.0, 2870.0 + 1e-7)
-        assert invert_magnitude(pair) >= 0.0
-
-    def test_polar_angle_aligned_branches(self):
+    def test_polar_angle_aligned_branches(self, spin_params):
         g = 2.8025
         pair = TransitionPair(2870.0 - 80 * g, 2870.0 + 80 * g)
-        lo, hi = invert_polar_angle(pair)
+        lo, hi = field_estimate(pair, spin_params).alpha_candidates
         assert lo == pytest.approx(0.0, abs=1e-6)
         assert hi == pytest.approx(math.pi, abs=1e-6)
 
-    def test_polar_angle_degenerate_field(self):
+    def test_polar_angle_degenerate_field(self, spin_params):
         with pytest.raises(DegenerateField):
-            invert_polar_angle(TransitionPair(2870.0, 2870.0))
+            field_estimate(TransitionPair(2870.0, 2870.0, 0.03, 0.03), spin_params)
 
     def test_polar_angle_table1_round_trip(self, spin_params):
         pair = transition_frequencies(59.53, math.radians(117.62), spin_params)
-        candidates = invert_polar_angle(pair)
+        candidates = field_estimate(pair, spin_params).alpha_candidates
         best = min(abs(math.degrees(a) - 117.62) for a in candidates)
         assert best < 1e-4
 
     def test_candidates_sum_to_pi_exactly(self, spin_params):
         pair = transition_frequencies(42.0, 1.1, spin_params)
-        lo, hi = invert_polar_angle(pair)
+        lo, hi = field_estimate(pair, spin_params).alpha_candidates
         assert lo + hi == pytest.approx(math.pi, abs=1e-12)
 
-    def test_inconsistent_angle_ratio_rejected(self):
+    def test_inconsistent_angle_ratio_rejected(self, spin_params):
         # both transitions far above D cannot come from a real tilt
         with pytest.raises(InconsistentFrequencies):
-            invert_polar_angle(TransitionPair(3100.0, 3105.0))
+            field_estimate(TransitionPair(3100.0, 3105.0), spin_params)
         # R = -0.0137 lies far beyond 5 sigma_R = 6.4e-6 of these sigmas
         with pytest.raises(InconsistentFrequencies):
-            invert_polar_angle(TransitionPair(3100.0, 3105.0, 0.03, 0.03))
+            field_estimate(TransitionPair(3100.0, 3105.0, 0.03, 0.03), spin_params)
 
     @pytest.mark.parametrize("alpha_deg", [90.0, 0.0, 0.5])
     def test_noisy_pairs_at_range_ends_accepted(self, spin_params, alpha_deg):
@@ -180,10 +189,11 @@ class TestInversion:
         outside = 0
         for n1, n2 in noise:
             w1, w2 = sorted((base.omega1 + n1, base.omega2 + n2))
-            lo, hi = invert_polar_angle(TransitionPair(w1, w2, 0.03, 0.03))
+            est = field_estimate(TransitionPair(w1, w2, 0.03, 0.03), spin_params)
+            lo, hi = est.alpha_candidates
             assert 0.0 <= lo <= math.pi / 2 and hi == math.pi - lo
             try:
-                invert_polar_angle(TransitionPair(w1, w2))
+                field_estimate(TransitionPair(w1, w2), spin_params)
             except InconsistentFrequencies:
                 outside += 1
         # without sigmas the tolerance stays RADICAND_RTOL
@@ -193,12 +203,9 @@ class TestInversion:
     @settings(max_examples=100)
     def test_round_trip_property(self, b, alpha):
         params = SpinParams()
-        pair = transition_frequencies(b, alpha, params)
-        assert invert_magnitude(pair, params.d, params.gamma_e) == pytest.approx(
-            b, rel=1e-6
-        )
-        candidates = invert_polar_angle(pair, params.d)
-        assert min(abs(a - alpha) for a in candidates) < 1e-6
+        est = field_estimate(transition_frequencies(b, alpha, params), params)
+        assert est.b == pytest.approx(b, rel=1e-6)
+        assert min(abs(a - alpha) for a in est.alpha_candidates) < 1e-6
 
     def test_swap_symmetry_of_magnitude(self):
         # radicand is symmetric in omega1 <-> omega2; the type enforces
@@ -208,6 +215,42 @@ class TestInversion:
         r21 = w2 * w2 + w1 * w1 - w2 * w1 - d * d
         assert r12 == r21
 
+    def test_matches_reference_inversion_bit_for_bit(self, spin_params):
+        # 24,000 noisy pairs from 0 to 120 G, a third of them at exactly
+        # 0 or 90 deg, where R clamps: with sigmas every output and
+        # every exception is the reference's to the bit; without, the
+        # same with 0.0 for its None sigmas
+        rng = np.random.default_rng(24)
+        n = 24_000
+        fields = rng.uniform(0.0, 120.0, n)
+        alphas = rng.choice([0.0, math.pi / 2, math.nan], n, p=[1 / 6, 1 / 6, 2 / 3])
+        alphas = np.where(np.isnan(alphas), rng.uniform(0.0, math.pi, n), alphas)
+        scales = rng.uniform(0.0, 0.3, n)
+        noise = rng.standard_normal((n, 2)) * scales[:, None]
+        raised = clamped = 0
+        for b, alpha, s, (n1, n2) in zip(fields, alphas, scales, noise):
+            base = transition_frequencies(float(b), float(alpha), spin_params)
+            w1, w2 = sorted((base.omega1 + float(n1), base.omega2 + float(n2)))
+            s1, s2 = float(s), float(s) * 1.25
+            ref = outcome(lambda: field_estimate_reference(w1, w2, s1, s2))
+            est = outcome(lambda: field_estimate(TransitionPair(w1, w2, s1, s2),
+                                                 spin_params))
+            if isinstance(est, FieldEstimate):
+                est = (est.b, est.alpha_candidates, est.b_sigma, est.alpha_sigma)
+                clamped += est[1][0] in (0.0, math.pi / 2)
+            else:
+                raised += 1
+            assert repr(est) == repr(ref), (w1, w2, s1, s2)
+
+            ref = outcome(lambda: field_estimate_reference(w1, w2))
+            est = outcome(lambda: field_estimate(TransitionPair(w1, w2), spin_params))
+            if isinstance(ref, tuple) and len(ref) == 4:
+                assert ref[2:] == (None, None)
+                ref = (*ref[:2], 0.0, 0.0)
+                est = (est.b, est.alpha_candidates, est.b_sigma, est.alpha_sigma)
+            assert repr(est) == repr(ref), (w1, w2)
+        assert raised > 0 and clamped > 1000
+
 
 class TestFieldEstimate:
     def test_sigma_propagation(self, spin_params):
@@ -216,8 +259,8 @@ class TestFieldEstimate:
         est = field_estimate(pair, spin_params)
         assert isinstance(est, FieldEstimate)
         assert est.b == pytest.approx(59.53, abs=1e-6)
-        assert est.b_sigma is not None and 0.0 < est.b_sigma < 0.1
-        assert est.alpha_sigma is not None and 0.0 < est.alpha_sigma < math.radians(1)
+        assert 0.0 < est.b_sigma < 0.1
+        assert 0.0 < est.alpha_sigma < math.radians(1)
         assert est.alpha_candidates[0] + est.alpha_candidates[1] == pytest.approx(
             math.pi, abs=1e-12
         )
@@ -266,7 +309,6 @@ class TestFieldEstimate:
         base = transition_frequencies(59.5, math.radians(alpha_deg), spin_params)
         pair = TransitionPair(base.omega1, base.omega2, sigma1=0.03, sigma2=0.03)
         est = field_estimate(pair, spin_params)
-        assert est.alpha_sigma is not None
         assert 0.0 < est.alpha_sigma <= math.pi / 4
 
     @pytest.mark.parametrize("alpha_deg", [30, 45, 60])
@@ -295,7 +337,6 @@ class TestFieldEstimate:
         for n1, n2 in noise:
             w1, w2 = sorted((base.omega1 + n1, base.omega2 + n2))
             est = field_estimate(TransitionPair(w1, w2, 0.03, 0.03), spin_params)
-            assert est.alpha_sigma is not None
             assert 0.0 < est.alpha_sigma <= math.pi / 4
 
     def test_alpha_sigma_capped_where_gradient_is_unbounded(self, spin_params):
@@ -312,7 +353,7 @@ class TestFieldEstimate:
                              0.03 * ratio(w1, w2 + 1j * h).imag / h)
         pair = TransitionPair(w1, w2, sigma1=0.03, sigma2=0.03)
         est = field_estimate(pair, spin_params)
-        assert est.b_sigma is not None and est.alpha_sigma is not None
+        assert est.b_sigma > 0.0
         assert est.alpha_sigma == pytest.approx(
             0.5 * math.acos(math.sqrt(1.0 - sigma_r)), rel=1e-6
         )
@@ -345,10 +386,13 @@ class TestFieldEstimate:
         assert est.alpha_sigma == pytest.approx(cap, rel=1e-9)
         assert est.alpha_sigma == pytest.approx(0.208, abs=5e-4)
 
-    def test_no_sigma_in_gives_none_out(self, spin_params):
-        pair = transition_frequencies(40.0, 0.7, spin_params)
-        est = field_estimate(pair, spin_params)
-        assert est.b_sigma is None and est.alpha_sigma is None
+    def test_zero_sigma_in_gives_zero_out(self, spin_params):
+        # inside (0, 1) and at both clamped ends of R = cos^2(alpha)
+        for alpha in (0.0, 0.7, math.pi / 2):
+            pair = transition_frequencies(40.0, alpha, spin_params)
+            assert (pair.sigma1, pair.sigma2) == (0.0, 0.0)
+            est = field_estimate(pair, spin_params)
+            assert (est.b_sigma, est.alpha_sigma) == (0.0, 0.0)
 
 
 class TestFullHamiltonian:
@@ -602,7 +646,7 @@ class TestFitSpectrum:
             pair = fit_odmr_model(add_contrast_noise(spec, 0.002, seed)).pair
             assert abs(pair.omega1 - ref.omega1) < 0.05
             assert abs(pair.omega2 - ref.omega2) < 0.05
-            assert pair.sigma1 is not None and pair.sigma1 > 0.0
+            assert pair.sigma1 > 0.0
 
     def test_sigma_matches_scatter_over_40_seeds(self, spin_params):
         # criterion 7 bounds each error by 3 sigma, which an inflated
@@ -781,6 +825,13 @@ class TestFitSpectrum:
         monkeypatch.setattr(spin, "levenberg_marquardt", rewriting_solver(broaden))
         with pytest.raises(TripletsOverlap, match="closer than three linewidths"):
             fit_odmr_model(broad_close_triplets())
+
+    def test_lower_center_not_above_zero_fails(self, spin_params):
+        # a sweep shifted by -2900 MHz puts the lower group at -96.9 MHz
+        spec = criterion7_spectrum(spin_params)
+        shifted = Spectrum(spec.frequencies - 2900.0, spec.contrast)
+        with pytest.raises(FitFailed, match=r"^lower group center -96\.91 MHz "):
+            fit_odmr_model(shifted)
 
     def test_flat_spectrum_fails(self):
         f = np.linspace(2780.0, 2980.0, 500)
