@@ -128,13 +128,18 @@ def outcome(call):
 
 
 class TestInversion:
-    def test_zero_field_pairs_raise_degenerate_field(self, spin_params):
-        # the pair at D, and radicands 3 P within RADICAND_RTOL d^2 of
-        # zero on either side, have no cone angle
-        for w1, w2 in ((2870.0, 2870.0), (2870.0, 2870.0 + 1e-7),
-                       (2870.0 - 1e-7, 2870.0 - 1e-7)):
-            with pytest.raises(DegenerateField):
+    def test_degenerate_pair_gives_zero_field(self, spin_params):
+        # the pair at D is B = 0, where the cone angle is undefined; so is
+        # a radicand 3 P within RADICAND_RTOL d^2 above zero
+        for w1, w2 in ((2870.0, 2870.0), (2870.0, 2870.0 + 1e-7)):
+            with pytest.raises(DegenerateField, match="B ~ 0"):
                 field_estimate(TransitionPair(w1, w2), spin_params)
+
+    def test_tiny_negative_radicand_clamped(self, spin_params):
+        # P = -1.9e-4 MHz^2 lies within RADICAND_RTOL d^2 / 3 below zero:
+        # it is taken as B = 0, not rejected as InconsistentFrequencies
+        with pytest.raises(DegenerateField, match="B ~ 0"):
+            field_estimate(TransitionPair(2870.0 - 1e-7, 2870.0 - 1e-7), spin_params)
 
     def test_aligned_identity(self, spin_params):
         g = 2.8025
