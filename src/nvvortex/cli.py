@@ -323,10 +323,8 @@ def _reconstruction_fields(constraints) -> dict:
         report["triangle_vertices"] = [
             [round(float(c), 6) for c in v] for v in result.triangle_vertices
         ]
-    if result.direction_sigma is not None:
-        report["direction_sigma_deg"] = round(
-            math.degrees(result.direction_sigma), 4
-        )
+    if any(c.alpha_sigma for c in constraints):
+        report["direction_sigma_deg"] = round(math.degrees(result.direction_sigma), 4)
     return report
 
 
@@ -460,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nv-phi-deg", type=float, default=None)
     p.add_argument("--linewidth-mhz", type=float, default=0.8)
     p.add_argument("--depth", type=float, default=0.03)
-    p.add_argument("--sweep-start-mhz", type=float, default=2780.0)
-    p.add_argument("--sweep-stop-mhz", type=float, default=2980.0)
-    p.add_argument("--sweep-points", type=int, default=2001)
+    p.add_argument("--sweep-start-mhz", type=float, default=SweepSettings.start_mhz)
+    p.add_argument("--sweep-stop-mhz", type=float, default=SweepSettings.stop_mhz)
+    p.add_argument("--sweep-points", type=int, default=SweepSettings.n_points)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=0,
                    help="seed of the contrast noise that --noise-sigma adds")

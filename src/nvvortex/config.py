@@ -40,6 +40,11 @@ _REMOVED_KEYS = {
     "optics.pupil_amplitude": (
         "it scaled the pattern by its square, which the fitted amplitude absorbs"
     ),
+    **dict.fromkeys(
+        ("spin.a_par", "spin.a_perp", "spin.q", "spin.gamma_n"),
+        "the 14N hyperfine, quadrupole and nuclear-Zeeman constants are fixed "
+        "literature values of the spectrum simulator",
+    ),
 }
 
 

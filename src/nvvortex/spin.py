@@ -3,7 +3,7 @@
 The ground-state Hamiltonian (frequencies in MHz, fields in gauss, the
 NV axis along z) is
 
-    H = D Sz^2 + gamma_e B.S + S.A.I + Q Iz^2 + gamma_n B.I
+    H = D Sz^2 + gamma_e B.S + S.A.I + q Iz^2 + gamma_n B.I
 
 with S = I = 1, an axial hyperfine tensor A = diag(a_perp, a_perp,
 a_par), and gamma in MHz/G. Working in ordinary frequencies makes the
@@ -17,9 +17,9 @@ where (w1, w2) are the mI = 0 transitions ms=0 -> -1 and ms=0 -> +1.
 Both arccos branches are always propagated: one NV alone cannot pick
 between alpha and pi - alpha.
 
-The hyperfine, quadrupole, and nuclear-Zeeman defaults are standard
-14N literature values and are configuration, not measured quantities
-of this toolkit.
+The inversion reads D and gamma_e alone. The 14N hyperfine, quadrupole
+and nuclear-Zeeman constants are fixed literature values, not measured
+by this toolkit, that only the spectrum simulator reads.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ SY = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex) / (_SQRT2 * 1j
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 _ID3 = np.eye(3, dtype=complex)
 
+#: 14N constants of the simulator's 9x9 Hamiltonian (MHz; gamma_n in MHz/G)
+A_PAR_MHZ = -2.14
+A_PERP_MHZ = -2.70
+QUADRUPOLE_MHZ = -4.96
+GAMMA_N_MHZ_PER_G = 3.077e-4
+
 #: relative tolerance of the pair inversion: |P| within RADICAND_RTOL d^2 / 3
 #: is a zero field, and R = cos^2(alpha) within RADICAND_RTOL of [0, 1] is clamped
 RADICAND_RTOL = 1e-9
@@ -80,21 +86,14 @@ WINDOW_FWHM = 12.0
 
 @dataclass(frozen=True)
 class SpinParams:
-    """Ground-state constants. d and the hyperfine terms in MHz, the
-    gyromagnetic ratios in MHz/G.
-
-    Defaults: d = 2870 and gamma_e = 2.8025 (g_e mu_B / h); a_par,
-    a_perp, q, gamma_n are 14N literature values supplied as defaults
-    because the magnetometer model needs them, not because this toolkit
-    determines them.
+    """The two ground-state constants the pair inversion reads: the
+    zero-field splitting d in MHz and gamma_e in MHz/G. Defaults:
+    d = 2870 and gamma_e = 2.8025 (g_e mu_B / h). The 14N constants of
+    the simulator are module constants, fixed literature values.
     """
 
     d: float = 2870.0
     gamma_e: float = 2.8025
-    a_par: float = -2.14
-    a_perp: float = -2.70
-    q: float = -4.96
-    gamma_n: float = 3.077e-4
 
     def __post_init__(self):
         if not self.d > 0.0:
@@ -106,7 +105,7 @@ class SpinParams:
 @dataclass(frozen=True)
 class TransitionPair:
     """mI = 0 line positions (MHz): omega1 <= omega2 by convention, and
-    their 1-sigma uncertainties, 0.0 for none."""
+    their finite 1-sigma uncertainties, 0.0 for none."""
 
     omega1: float
     omega2: float
@@ -114,9 +113,10 @@ class TransitionPair:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.omega1 <= self.omega2):
+        if not (0.0 < self.omega1 <= self.omega2 < math.inf
+                and 0.0 <= self.sigma1 < math.inf and 0.0 <= self.sigma2 < math.inf):
             raise ValueError(
-                f"need 0 < omega1 <= omega2, got ({self.omega1}, {self.omega2})"
+                f"need 0 < omega1 <= omega2 < inf and finite sigmas >= 0, got {self}"
             )
 
 
@@ -207,14 +207,14 @@ def transition_frequencies(b: float, alpha: float, params: SpinParams) -> Transi
 def full_hamiltonian(b_vec_nv, params: SpinParams) -> np.ndarray:
     """9x9 electron (S=1) x nuclear (I=1) Hamiltonian for a field given
     in the NV frame (gauss), including axial hyperfine, quadrupole, and
-    nuclear Zeeman terms. MHz; Hermitian."""
+    nuclear Zeeman terms with the fixed 14N constants. MHz; Hermitian."""
     bx, by, bz = (float(c) for c in np.asarray(b_vec_nv, dtype=float))
     h_e = params.d * (SZ @ SZ) + params.gamma_e * (bx * SX + by * SY + bz * SZ)
     h = np.kron(h_e, _ID3)
-    h += params.a_perp * (np.kron(SX, SX) + np.kron(SY, SY))
-    h += params.a_par * np.kron(SZ, SZ)
-    h += params.q * np.kron(_ID3, SZ @ SZ)
-    h += params.gamma_n * (
+    h += A_PERP_MHZ * (np.kron(SX, SX) + np.kron(SY, SY))
+    h += A_PAR_MHZ * np.kron(SZ, SZ)
+    h += QUADRUPOLE_MHZ * np.kron(_ID3, SZ @ SZ)
+    h += GAMMA_N_MHZ_PER_G * (
         bx * np.kron(_ID3, SX) + by * np.kron(_ID3, SY) + bz * np.kron(_ID3, SZ)
     )
     return h
@@ -293,14 +293,14 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     zero output sigmas.
 
     With P and R = cos^2(alpha) = Q / P from ``_invariants``, raises
-    InconsistentFrequencies when P < -RADICAND_RTOL d^2 / 3 (no real
-    field fits), DegenerateField when |P| is within that (zero field:
-    the cone angle is undefined), and InconsistentFrequencies when R
-    falls outside [0, 1] beyond a tolerance. The tolerance is
-    RADICAND_RTOL, widened to 5 sigma_R at the R the noise produced:
-    line noise moves R past the end of its range on about half the
-    pairs of a cone at 0 or 90 deg, and such a pair is clamped rather
-    than rejected.
+    InconsistentFrequencies when P or Q is not finite or P <
+    -RADICAND_RTOL d^2 / 3 (no real field fits), DegenerateField when
+    |P| is within that (zero field: the cone angle is undefined), and
+    InconsistentFrequencies when R falls outside [0, 1] beyond a
+    tolerance. The tolerance is RADICAND_RTOL, widened to 5 sigma_R at
+    the R the noise produced: line noise moves R past the end of its
+    range on about half the pairs of a cone at 0 or 90 deg, and such a
+    pair is clamped rather than rejected.
 
     Near 90 and 0 deg, where |dalpha/dR| = 1 / (2 sqrt(R (1 - R))) is
     unbounded, the first-order interval R +- sigma_R, with sigma_R at
@@ -312,6 +312,10 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     of the convex |dalpha/dR| over it, never below the first-order
     value."""
     p, q, dp, dq = _invariants(pair, params.d)
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise InconsistentFrequencies(
+            f"invariants P = {p:.6g} and Q = {q:.6g} MHz^2 are not finite"
+        )
     p_tol = RADICAND_RTOL * params.d * params.d / 3.0
     if p < -p_tol:
         raise InconsistentFrequencies(
@@ -650,14 +654,15 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
 def _center_uncertainties(jac: np.ndarray, sse: float) -> tuple[float, float]:
     """1-sigma of the two group centers from the covariance s^2 (J^T J)^-1
     of all eleven parameters, s^2 = SSE / (n - 11). Raises FitFailed
-    when J^T J is singular: the fit then leaves the centres undetermined."""
+    when J^T J is singular or a sigma is not finite: the fit then leaves
+    the centres undetermined."""
     dof = max(jac.shape[0] - jac.shape[1], 1)
     try:
         cov = (sse / dof) * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
         raise FitFailed(f"the triplet fit's covariance is singular: {exc}") from exc
-    return (
-        float(math.sqrt(max(cov[0, 0], 0.0))),
-        float(math.sqrt(max(cov[1, 1], 0.0))),
-    )
+    sigmas = tuple(math.sqrt(max(float(cov[k, k]), 0.0)) for k in (0, 1))
+    if not all(map(math.isfinite, sigmas)):
+        raise FitFailed(f"the triplet fit's centre sigmas {sigmas} are not finite")
+    return sigmas
 

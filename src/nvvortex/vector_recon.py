@@ -81,10 +81,10 @@ class VectorFieldResult:
     b_std: float
     residual: float  # sum of squared cosine misfits at the optimum
     branch_flipped: tuple[bool, ...]  # True where pi - alpha was selected
-    direction: np.ndarray | None = field(repr=False, default=None)
+    direction: np.ndarray = field(repr=False)  # unit vector at (theta_b, phi_b)
     triangle_vertices: list[np.ndarray] | None = None
     triangle_spread: float | None = None  # rad, max pairwise vertex distance
-    direction_sigma: float | None = None  # rad, first-order RMS angular error
+    direction_sigma: float = 0.0  # rad, first-order RMS angular error
 
 
 def _rows(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -151,7 +151,7 @@ def solve_direction(constraints: list[ConeConstraint]) -> VectorFieldResult:
     exact constraints collapse the triangle to a point.
     ``direction_sigma`` is the RMS great-circle error the cone-angle
     sigmas cause to first order (the limit of a parametric bootstrap),
-    None when no constraint has a sigma. Raises ValueError outside 3 to
+    0.0 when no constraint has a sigma. Raises ValueError outside 3 to
     MAX_CONSTRAINTS cones, DegenerateAxes when the axis matrix is
     conditioned worse than DEFAULT_CONDITION_BOUND and NoSolution when
     even the best branch leaves a residual above DEFAULT_RESIDUAL_GATE.
@@ -160,9 +160,9 @@ def solve_direction(constraints: list[ConeConstraint]) -> VectorFieldResult:
     if not 3 <= n <= MAX_CONSTRAINTS:
         raise ValueError(f"need 3 to {MAX_CONSTRAINTS} cone constraints, got {n}")
     axes = np.stack([c.axis.unit_axis for c in constraints])
-    if np.linalg.cond(axes) > DEFAULT_CONDITION_BOUND:
+    if (cond := np.linalg.cond(axes)) > DEFAULT_CONDITION_BOUND:
         raise DegenerateAxes(
-            f"axis matrix condition number {np.linalg.cond(axes):.3g} exceeds "
+            f"axis matrix condition number {cond:.3g} exceeds "
             f"{DEFAULT_CONDITION_BOUND:.3g}; axes are too close to degenerate"
         )
     alphas = np.array([c.alpha for c in constraints])

@@ -304,6 +304,10 @@ class TestSimulateAndFit:
             ("optics", "convergence_rtol", 1e-9),
             ("optics", "pupil_amplitude", 1.0),
             ("optics", "quadrature_nodes", 64),
+            ("spin", "a_par", -2.14),
+            ("spin", "a_perp", -2.70),
+            ("spin", "q", -4.96),
+            ("spin", "gamma_n", 3.077e-4),
         ):
             cfg.write_text(json.dumps({section: {key: value}}))
             code, payload = run_cli(
@@ -342,13 +346,13 @@ class TestSimulateAndFit:
         }
         assert listed == accepted
 
-    def test_config_holds_nine_settable_values(self):
+    def test_config_holds_five_settable_values(self):
         assert {
             section: sorted(keys)
             for section, keys in dataclasses.asdict(load_config(None)).items()
         } == {
             "optics": ["immersion_index", "numerical_aperture", "wavelength_nm"],
-            "spin": ["a_par", "a_perp", "d", "gamma_e", "gamma_n", "q"],
+            "spin": ["d", "gamma_e"],
         }
 
 
@@ -609,6 +613,27 @@ class TestPipeline:
             for key in ("omega1_mhz", "omega2_mhz", "b_gauss",
                         "alpha_candidates_deg"):
                 assert entry[key] == odmr[key], key
+
+    def test_every_settable_config_value_moves_the_report(self, tmp_path, capsys):
+        # a config value that no measurement reads would only change the
+        # provenance hash; each one, scaled by 1%, must move a result
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        argv = ("pipeline", "--scans", str(scans), "--spectra", str(spectra))
+        _, base = run_cli(capsys, *argv)
+        del base["config_hash"]
+        cfg = tmp_path / "cfg.json"
+        for section, values in dataclasses.asdict(load_config(None)).items():
+            for key, value in values.items():
+                cfg.write_text(json.dumps({section: {key: 1.01 * value}}))
+                _, report = run_cli(capsys, *argv, "--config", str(cfg))
+                del report["config_hash"]
+                assert report != base, f"{section}.{key}"
 
     def test_pipeline_leaves_numpy_ma_unimported(self, tmp_path):
         # np.median's NaN check imports numpy.ma on first use, which costs

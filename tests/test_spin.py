@@ -118,6 +118,16 @@ class TestTransitionFrequencies:
         with pytest.raises(ValueError):
             TransitionPair(omega1=2900.0, omega2=2800.0)
 
+    @pytest.mark.parametrize("values", [
+        (2800.0, math.inf), (math.nan, 2900.0), (2800.0, math.nan),
+        (2800.0, 2900.0, math.nan, 0.03), (2800.0, 2900.0, 0.03, math.inf),
+        (2800.0, 2900.0, -0.03, 0.03), (2800.0, 2900.0, 0.03, -0.03),
+    ])
+    def test_non_finite_or_negative_value_refused(self, values):
+        # field_estimate cannot invert such a pair: it would return NaN
+        with pytest.raises(ValueError, match="< inf and finite sigmas >= 0"):
+            TransitionPair(*values)
+
 
 def outcome(call):
     """A call's result, or its exception class and message."""
@@ -154,6 +164,11 @@ class TestInversion:
         # omega1 = omega2 below D: radicand strongly negative
         with pytest.raises(InconsistentFrequencies):
             field_estimate(TransitionPair(2000.0, 2000.0), spin_params)
+
+    def test_overflowing_invariants_rejected(self, spin_params):
+        # finite lines whose squares overflow: P is NaN, Q is -inf
+        with pytest.raises(InconsistentFrequencies, match="not finite"):
+            field_estimate(TransitionPair(1e200, 1e200), spin_params)
 
     def test_polar_angle_aligned_branches(self, spin_params):
         g = 2.8025
@@ -401,17 +416,28 @@ class TestFieldEstimate:
 
 
 class TestFullHamiltonian:
-    def test_bare_zero_field_spectrum(self):
-        params = SpinParams(a_par=0.0, a_perp=0.0, q=0.0, gamma_n=0.0)
-        evals = np.linalg.eigvalsh(full_hamiltonian([0.0, 0.0, 0.0], params))
-        assert np.allclose(np.sort(evals), [0.0] * 3 + [2870.0] * 6, atol=1e-9)
+    def test_bare_zero_field_spectrum(self, spin_params):
+        # at B = 0 the hyperfine term couples |ms, mI> only to
+        # |ms -+ 1, mI +- 1>: two 2x2 blocks (|0,+1>,|+1,0>) and
+        # (|0,-1>,|-1,0>), one 3x3 block (|+1,-1>,|0,0>,|-1,+1>) whose
+        # antisymmetric state decouples, and |+1,+1>, |-1,-1> alone
+        d, a, b, q = spin_params.d, spin.A_PAR_MHZ, spin.A_PERP_MHZ, spin.QUADRUPOLE_MHZ
+        r2 = math.sqrt(2.0)
+        expected = np.sort(np.concatenate([
+            [d + a + q] * 2,
+            [d - a + q],
+            np.repeat(np.linalg.eigvalsh([[q, b], [b, d]]), 2),
+            np.linalg.eigvalsh([[0.0, r2 * b], [r2 * b, d - a + q]]),
+        ]))
+        evals = np.linalg.eigvalsh(full_hamiltonian([0.0, 0.0, 0.0], spin_params))
+        assert np.max(np.abs(np.sort(evals) - expected)) <= 1e-11
 
     def test_hermitian(self, spin_params):
         h = full_hamiltonian([12.0, -7.0, 55.0], spin_params)
         assert np.allclose(h, h.conj().T, rtol=1e-12, atol=1e-12)
 
     def test_trace_identity_independent_of_field(self, spin_params):
-        expected = 6.0 * spin_params.d + 6.0 * spin_params.q
+        expected = 6.0 * spin_params.d + 6.0 * spin.QUADRUPOLE_MHZ
         rng = np.random.default_rng(2)
         for _ in range(10):
             h = full_hamiltonian(rng.uniform(-200, 200, 3), spin_params)
@@ -422,11 +448,11 @@ class TestFullHamiltonian:
         minus, plus = np.sort(lines[:3]), np.sort(lines[3:])
         for group in (minus, plus):
             gaps = np.diff(group)
-            assert np.allclose(gaps, abs(spin_params.a_par), atol=0.05)
+            assert np.allclose(gaps, abs(spin.A_PAR_MHZ), atol=0.05)
 
     def test_six_lines_cluster_at_d_at_zero_field(self, spin_params):
         lines = six_transition_frequencies([0.0, 0.0, 0.0], spin_params)
-        assert np.all(np.abs(lines - spin_params.d) < 3 * abs(spin_params.a_par))
+        assert np.all(np.abs(lines - spin_params.d) < 3 * abs(spin.A_PAR_MHZ))
 
     def test_cone_degeneracy_of_full_hamiltonian(self, spin_params):
         # fields with equal axial/transverse split but different lab
@@ -474,7 +500,7 @@ class TestSimulateSpectrum:
             sweep=SweepSettings(2850.0, 2890.0, 1001),
         )
         dip = spec.frequencies[np.argmin(spec.contrast)]
-        assert abs(dip - spin_params.d) < 3 * abs(spin_params.a_par)
+        assert abs(dip - spin_params.d) < 3 * abs(spin.A_PAR_MHZ)
 
     def test_aligned_field_triplets_near_zeeman_pair(self, spin_params):
         o = NVOrientation(0.0, 0.0)
@@ -486,7 +512,7 @@ class TestSimulateSpectrum:
         assert np.min(np.abs(lines - (2870.0 - 59.5 * g))) < 3.0
         assert np.min(np.abs(lines - (2870.0 + 59.5 * g))) < 3.0
         spacing = np.diff(np.sort(lines[:3]))
-        assert np.allclose(spacing, abs(spin_params.a_par), atol=0.05)
+        assert np.allclose(spacing, abs(spin.A_PAR_MHZ), atol=0.05)
 
     def test_contrast_lower_bound(self, spin_params):
         spec = simulate_odmr_spectrum(
@@ -671,6 +697,14 @@ class TestFitSpectrum:
         jac[:, 4] = 0.0
         with pytest.raises(FitFailed, match="singular"):
             spin._center_uncertainties(jac, 1e-4)
+
+    @pytest.mark.parametrize("sse", [math.inf, math.nan])
+    def test_non_finite_sigma_raises_fit_failed(self, sse):
+        # a non-finite sigma would make TransitionPair raise ValueError,
+        # which the pipeline's per-NV handler does not catch
+        jac = np.random.default_rng(0).standard_normal((200, 11))
+        with pytest.raises(FitFailed, match="not finite"):
+            spin._center_uncertainties(jac, sse)
 
     @pytest.mark.parametrize("point", [
         (2804.06, 2958.73, 2.14, 2.14, 0.8, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),

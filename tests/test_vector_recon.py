@@ -466,7 +466,7 @@ class TestSolveDirection:
             assert result.direction_sigma == pytest.approx(reference, rel=0.02)
             assert solve_direction(case).direction_sigma == result.direction_sigma
         exact = [dataclasses.replace(c, alpha_sigma=0.0) for c in cons]
-        assert solve_direction(exact).direction_sigma is None
+        assert solve_direction(exact).direction_sigma == 0.0
 
     def test_direction_sigma_matches_bootstrap_on_random_sets(self, monkeypatch):
         monkeypatch.setattr("nvvortex.vector_recon.DEFAULT_RESIDUAL_GATE", math.inf)
