@@ -3,10 +3,11 @@
 
 Picks a ground-truth field, synthesizes a scan pattern and an ODMR
 spectrum for three NV centers along the fig-2 axes NV1-NV3 as they lie
-in the crystal, writes them to a temporary directory, runs
-``nvvortex pipeline`` on it (orientation fit -> spectrum fit ->
-inversion -> cone intersection) and compares the reported field with
-the truth. Exits with the pipeline's status.
+in the crystal, read from the bundled ``paper_fig2_orientations.json``,
+writes them to a temporary directory, runs ``nvvortex pipeline`` on it
+(orientation fit -> spectrum fit -> inversion -> cone intersection)
+and compares the reported field with the truth. Exits with the
+pipeline's status.
 """
 
 import argparse
@@ -26,14 +27,21 @@ from nvvortex.fileio import write_scan_image_csv, write_spectrum_csv
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
 from nvvortex.spin import add_contrast_noise, simulate_odmr_spectrum
 
-NV_ANGLES_DEG = [(109.84, 20.60), (109.25, 260.51), (109.31, 140.74)]
+
+def fig2_axes_deg() -> list[tuple[float, float]]:
+    """(theta, phi) in degrees of NV1, NV2 and NV3 of the bundled fig-2
+    orientations."""
+    with open(cli.bundled_fixture_path("paper_fig2_orientations")) as handle:
+        entries = {entry["label"]: entry for entry in json.load(handle)}
+    return [(entries[k]["theta_deg"], entries[k]["phi_deg"])
+            for k in ("NV1", "NV2", "NV3")]
 
 
-def synthesize(args, b_vec: np.ndarray, scans: Path, spectra: Path) -> None:
-    """One scan CSV and one spectrum CSV per NV, named NV1.csv ..."""
+def synthesize(args, axes_deg, b_vec: np.ndarray, scans: Path, spectra: Path) -> None:
+    """One scan CSV and one spectrum CSV per NV axis, named NV1.csv ..."""
     config = RunConfig()
     grid = ScanGrid(31, 31, 50.0)
-    for i, (theta_deg, phi_deg) in enumerate(NV_ANGLES_DEG, start=1):
+    for i, (theta_deg, phi_deg) in enumerate(axes_deg, start=1):
         orientation = NVOrientation.from_degrees(theta_deg, phi_deg)
         if args.poisson_peak > 0:
             clean = simulate_pattern(orientation, grid, config.optics)
@@ -73,12 +81,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    axes_deg = fig2_axes_deg()
     b_dir = NVOrientation.from_degrees(args.b_theta_deg, args.b_phi_deg)
     with tempfile.TemporaryDirectory() as tmp:
         scans, spectra = Path(tmp, "scans"), Path(tmp, "spectra")
         scans.mkdir()
         spectra.mkdir()
-        synthesize(args, args.b_gauss * b_dir.unit_axis, scans, spectra)
+        synthesize(args, axes_deg, args.b_gauss * b_dir.unit_axis, scans, spectra)
         code, report = run_pipeline(scans, spectra)
     if code != cli.EXIT_OK:
         print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
@@ -86,7 +95,7 @@ def main() -> int:
 
     print(f"truth: |B| = {args.b_gauss:.3f} G along "
           f"(theta={args.b_theta_deg:.2f}, phi={args.b_phi_deg:.2f}) deg\n")
-    for i, (theta_deg, phi_deg) in enumerate(NV_ANGLES_DEG, start=1):
+    for i, (theta_deg, phi_deg) in enumerate(axes_deg, start=1):
         nv = report["per_nv"][f"NV{i}"]
         axis = NVOrientation.from_degrees(theta_deg, phi_deg).unit_axis
         alpha_true = math.degrees(

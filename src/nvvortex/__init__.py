@@ -1,12 +1,16 @@
 """NV-center vector magnetometry with azimuthally polarized excitation.
 
 Submodules:
+    bessel        - self-contained Bessel J1 of the focal-field integral
     focal_field   - focused field of the azimuthal (doughnut) beam
     pattern       - orientation-dependent confocal scan synthesis
     orient_fit    - orientation fitting: linear solve per centre, 2-D centre search
     spin          - ground-state Hamiltonians, ODMR spectra and their fit, inversion
     least_squares - Levenberg-Marquardt solver shared by both fits
     vector_recon  - field vector from cone constraints
+    config        - run configuration: one strictly validated JSON file
+    errors        - exception types, grouped by CLI exit code
+    fileio        - on-disk formats: scan and spectrum CSV, PGM, JSON
     cli           - command-line front end (``nvvortex`` entry point)
 """
 

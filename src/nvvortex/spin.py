@@ -1,7 +1,7 @@
 """NV ground-state spin model, ODMR spectra, and field/cone inversion.
 
-The ground-state Hamiltonian (frequencies in MHz, fields in gauss, the
-NV axis along z) is
+The ground-state Hamiltonian (MHz) at the NV-frame field (B_par, B_perp)
+in gauss, B = (B_perp, 0, B_par) with the NV axis along z, is
 
     H = D Sz^2 + gamma_e B.S + S.A.I + q Iz^2 + gamma_n B.I
 
@@ -204,36 +204,30 @@ def transition_frequencies(b: float, alpha: float, params: SpinParams) -> Transi
     return TransitionPair(omega1=w[0], omega2=w[1])
 
 
-def full_hamiltonian(b_vec_nv, params: SpinParams) -> np.ndarray:
-    """9x9 electron (S=1) x nuclear (I=1) Hamiltonian for a field given
-    in the NV frame (gauss), including axial hyperfine, quadrupole, and
-    nuclear Zeeman terms with the fixed 14N constants. MHz; Hermitian."""
-    bx, by, bz = (float(c) for c in np.asarray(b_vec_nv, dtype=float))
-    h_e = params.d * (SZ @ SZ) + params.gamma_e * (bx * SX + by * SY + bz * SZ)
-    h = np.kron(h_e, _ID3)
+def full_hamiltonian(b_par: float, b_perp: float, params: SpinParams) -> np.ndarray:
+    """9x9 electron (S=1) x nuclear (I=1) Hamiltonian, MHz: the electron
+    Hamiltonian at the NV-frame field (b_par, b_perp) in gauss plus the
+    14N hyperfine, quadrupole, and nuclear Zeeman terms. Hermitian."""
+    h = np.kron(electron_hamiltonian(b_par, b_perp, params), _ID3)
     h += A_PERP_MHZ * (np.kron(SX, SX) + np.kron(SY, SY))
     h += A_PAR_MHZ * np.kron(SZ, SZ)
     h += QUADRUPOLE_MHZ * np.kron(_ID3, SZ @ SZ)
-    h += GAMMA_N_MHZ_PER_G * (
-        bx * np.kron(_ID3, SX) + by * np.kron(_ID3, SY) + bz * np.kron(_ID3, SZ)
-    )
+    h += GAMMA_N_MHZ_PER_G * (b_perp * np.kron(_ID3, SX) + b_par * np.kron(_ID3, SZ))
     return h
 
 
-def lab_field_in_nv_frame(b_vec_lab, orientation: NVOrientation) -> np.ndarray:
-    """Project a lab-frame field onto an NV frame with z along the axis.
-
-    The in-plane azimuth is arbitrary for the axial Hamiltonian, so the
-    transverse component is placed along x.
-    """
+def lab_field_in_nv_frame(b_vec_lab, orientation: NVOrientation) -> tuple[float, float]:
+    """(b_par, b_perp >= 0), a lab-frame field's parts along the NV axis and
+    across it in gauss: the axial Hamiltonian ignores the transverse azimuth."""
     b = np.asarray(b_vec_lab, dtype=float)
     axis = orientation.unit_axis
     b_par = float(b @ axis)
-    perp = b - b_par * axis
-    return np.array([float(np.linalg.norm(perp)), 0.0, b_par])
+    return b_par, float(np.linalg.norm(b - b_par * axis))
 
 
-def six_transition_frequencies(b_vec_nv, params: SpinParams) -> np.ndarray:
+def six_transition_frequencies(
+    b_par: float, b_perp: float, params: SpinParams
+) -> np.ndarray:
     """The six mI-preserving ms=0 -> +-1 lines (MHz), from the 9x9
     Hamiltonian, ordered (ms=-1; mI=+1,0,-1), then (ms=+1; mI=+1,0,-1).
 
@@ -241,7 +235,7 @@ def six_transition_frequencies(b_vec_nv, params: SpinParams) -> np.ndarray:
     conflict resolution, which is unambiguous away from level
     anticrossings.
     """
-    evals, evecs = np.linalg.eigh(full_hamiltonian(b_vec_nv, params))
+    evals, evecs = np.linalg.eigh(full_hamiltonian(b_par, b_perp, params))
     weight = np.abs(evecs) ** 2  # weight[basis, state]
     # greedy bijection: most confident states claim their best basis first
     confidence = np.argsort(-weight.max(axis=0), kind="stable")
@@ -293,7 +287,7 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     zero output sigmas.
 
     With P and R = cos^2(alpha) = Q / P from ``_invariants``, raises
-    InconsistentFrequencies when P or Q is not finite or P <
+    InconsistentFrequencies when P, Q or b_sigma is not finite or P <
     -RADICAND_RTOL d^2 / 3 (no real field fits), DegenerateField when
     |P| is within that (zero field: the cone angle is undefined), and
     InconsistentFrequencies when R falls outside [0, 1] beyond a
@@ -342,6 +336,10 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
     b = math.sqrt(p) / params.gamma_e
     a = math.acos(math.sqrt(ratio))
     b_sigma = math.hypot(dp[0] * s1, dp[1] * s2) / (2.0 * params.gamma_e**2 * b)
+    if not math.isfinite(b_sigma):
+        raise InconsistentFrequencies(
+            f"b_sigma of line sigmas {s1:.6g} and {s2:.6g} MHz is not finite"
+        )
     spread = sigma_r(ratio)
     alpha_sigma = math.inf
     if 0.0 < ratio < 1.0:
@@ -378,9 +376,8 @@ def simulate_odmr_spectrum(
         raise ValueError("contrast_depth must lie in (0, 1)")
     sweep = sweep if sweep is not None else SweepSettings()
     freqs = sweep.frequencies()
-    lines = six_transition_frequencies(
-        lab_field_in_nv_frame(b_vec_lab, orientation), params
-    )
+    b_par, b_perp = lab_field_in_nv_frame(b_vec_lab, orientation)
+    lines = six_transition_frequencies(b_par, b_perp, params)
     contrast = np.ones_like(freqs)
     for line in lines:
         contrast -= contrast_depth * _lorentz(freqs, float(line), linewidth_mhz)
@@ -410,18 +407,15 @@ def add_contrast_noise(spectrum: Spectrum, sigma: float, seed: int) -> Spectrum:
 
 @dataclass
 class OdmrModelFit:
-    """Two-triplet Lorentzian model fit: per group a center, a hyperfine
-    spacing shared within the group, a global linewidth, and six free
-    dip depths solved linearly. ``window_mhz`` is the part of the sweep
-    the fit ran on, one (low, high) span in MHz per dip group, clipped
-    to the sweep; ``sse`` is taken over it and ``iterations`` is summed
-    over the fit's passes."""
+    """Two-triplet Lorentzian model fit: the pair of group centers c, the
+    global linewidth and the dip centers (c - s, c, c + s) of each group.
+    ``window_mhz`` is the part of the sweep the fit ran on, one (low,
+    high) span in MHz per dip group, clipped to the sweep; ``sse`` is
+    taken over it and ``iterations`` is summed over the fit's passes."""
 
     pair: TransitionPair
-    group_spacings_mhz: tuple[float, float]
     linewidth_mhz: float
     dip_centers_mhz: tuple[float, ...]
-    depths: tuple[float, ...]
     sse: float
     iterations: int
     window_mhz: tuple[tuple[float, float], tuple[float, float]]
@@ -542,7 +536,7 @@ def _in_window(f: np.ndarray, spans: list[tuple[float, float]]) -> np.ndarray:
 
 
 def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
-    """Fit the two-triplet model and return the full parameter set.
+    """Fit the two-triplet model and return its centers and linewidth.
 
     Levenberg-Marquardt runs over all eleven parameters of
     ``_triplet_model`` from the intensity centroid of each dip group,
@@ -574,11 +568,8 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
 
     def centroid(group: list[float]) -> float:
         mask = (f >= group[0] - 4.0) & (f <= group[-1] + 4.0)
-        w = np.clip(baseline - y[mask], 0.0, None)
-        total = float(w.sum())
-        if total <= 0.0:
-            return _median(group)
-        return float((w * f[mask]).sum() / total)
+        w = np.clip(baseline - y[mask], 0.0, None)  # > 0 at the group's own dips
+        return float((w * f[mask]).sum() / float(w.sum()))
 
     def spacing_init(group: list[float]) -> float:
         if len(group) == 3:
@@ -639,10 +630,8 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
         pair=TransitionPair(
             omega1=float(p[0]), omega2=float(p[1]), sigma1=sig1, sigma2=sig2
         ),
-        group_spacings_mhz=(float(p[2]), float(p[3])),
         linewidth_mhz=float(p[4]),
         dip_centers_mhz=tuple(float(c) for c in centers),
-        depths=tuple(float(d) for d in p[5:]),
         sse=sse,
         iterations=iterations,
         window_mhz=tuple(

@@ -17,7 +17,18 @@ from nvvortex.errors import (
 from nvvortex.focal_field import OpticalConfig, azimuthal_field_profile
 from nvvortex.orient_fit import TETRAHEDRAL_POLAR
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, intensity_map
-from nvvortex.spin import SpinParams, _lorentz
+from nvvortex.spin import (
+    _ID3,
+    A_PAR_MHZ,
+    A_PERP_MHZ,
+    GAMMA_N_MHZ_PER_G,
+    QUADRUPOLE_MHZ,
+    SX,
+    SY,
+    SZ,
+    SpinParams,
+    _lorentz,
+)
 from nvvortex.vector_recon import _unit_sphere_lstsq
 
 settings.register_profile(
@@ -437,6 +448,24 @@ def fit_odmr_model_reference(spectrum):
     model, jac = spin._triplet_model(f, p)
     sig1, sig2 = spin._center_uncertainties(jac, float((model - y) @ (model - y)))
     return float(p[0]), float(p[1]), sig1, sig2, float(p[4])
+
+
+def full_hamiltonian_reference(b_vec_nv, params: SpinParams) -> np.ndarray:
+    """9x9 electron (S=1) x nuclear (I=1) Hamiltonian for a field given
+    in the NV frame (gauss), including axial hyperfine, quadrupole, and
+    nuclear Zeeman terms with the fixed 14N constants. MHz; Hermitian.
+    The general-vector builder: the reference for
+    ``spin.full_hamiltonian(b_par, b_perp, params)``."""
+    bx, by, bz = (float(c) for c in np.asarray(b_vec_nv, dtype=float))
+    h_e = params.d * (SZ @ SZ) + params.gamma_e * (bx * SX + by * SY + bz * SZ)
+    h = np.kron(h_e, _ID3)
+    h += A_PERP_MHZ * (np.kron(SX, SX) + np.kron(SY, SY))
+    h += A_PAR_MHZ * np.kron(SZ, SZ)
+    h += QUADRUPOLE_MHZ * np.kron(_ID3, SZ @ SZ)
+    h += GAMMA_N_MHZ_PER_G * (
+        bx * np.kron(_ID3, SX) + by * np.kron(_ID3, SY) + bz * np.kron(_ID3, SZ)
+    )
+    return h
 
 
 def field_estimate_reference(w1, w2, sigma1=None, sigma2=None, d=2870.0, gamma_e=2.8025):

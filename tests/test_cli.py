@@ -11,7 +11,7 @@ import pytest
 
 from conftest import axis_angle_deg
 import nvvortex
-from nvvortex import pattern, spin
+from nvvortex import cli, pattern, spin
 from nvvortex.cli import bundled_fixture_path, main
 from nvvortex.config import load_config
 from nvvortex.fileio import (
@@ -812,6 +812,38 @@ class TestPipeline:
         assert entry["nv"] == "nv1" and entry["error"] == "FitFailed"
         assert sorted(report["per_nv"]) == ["nv2", "nv3", "nv4"]
         assert report["reconstruction"] is not None
+
+    def test_overflowing_b_sigma_lists_that_nv(self, tmp_path, capsys, monkeypatch):
+        # nv1's line sigmas of 1e306 MHz overflow its b_sigma: that NV is
+        # listed, and two valid NVs leave no reconstruction
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        real = cli.fit_odmr_model
+        calls = []
+
+        def huge_sigmas_for_first_nv(spectrum):
+            fit = real(spectrum)
+            calls.append(None)
+            if len(calls) == 1:  # NVs are fitted in sorted order
+                pair = dataclasses.replace(fit.pair, sigma1=1e306, sigma2=1e306)
+                fit = dataclasses.replace(fit, pair=pair)
+            return fit
+
+        monkeypatch.setattr(cli, "fit_odmr_model", huge_sigmas_for_first_nv)
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 3
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv1" and entry["error"] == "InconsistentFrequencies"
+        assert "b_sigma" in entry["message"]
+        assert sorted(report["per_nv"]) == ["nv2", "nv3"]
+        assert report["reconstruction"] is None
 
     def test_spectrum_with_negative_lower_line_lists_that_nv(self, tmp_path, capsys):
         # nv4's sweep shifted by -2900 MHz: its lower line fits at -96.9 MHz

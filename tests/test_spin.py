@@ -12,6 +12,7 @@ from conftest import (
     dip_candidates_reference,
     field_estimate_reference,
     fit_odmr_model_reference,
+    full_hamiltonian_reference,
     triplet_model_reference,
 )
 from nvvortex import least_squares, spin
@@ -169,6 +170,19 @@ class TestInversion:
         # finite lines whose squares overflow: P is NaN, Q is -inf
         with pytest.raises(InconsistentFrequencies, match="not finite"):
             field_estimate(TransitionPair(1e200, 1e200), spin_params)
+
+    def test_overflowing_b_sigma_rejected(self, spin_params):
+        # 59.5 G at 1 rad: b_sigma is linear in the line sigmas until
+        # hypot overflows, between 1e300 and 1e306 MHz
+        w = transition_frequencies(59.5, 1.0, spin_params)
+        unit = field_estimate(TransitionPair(w.omega1, w.omega2, 1.0, 1.0), spin_params)
+        est = field_estimate(
+            TransitionPair(w.omega1, w.omega2, 1e300, 1e300), spin_params
+        )
+        assert est.b_sigma == pytest.approx(1.46e300, rel=5e-3)
+        assert est.b_sigma == pytest.approx(1e300 * unit.b_sigma, rel=1e-12)
+        with pytest.raises(InconsistentFrequencies, match="b_sigma"):
+            field_estimate(TransitionPair(w.omega1, w.omega2, 1e306, 1e306), spin_params)
 
     def test_polar_angle_aligned_branches(self, spin_params):
         g = 2.8025
@@ -429,30 +443,49 @@ class TestFullHamiltonian:
             np.repeat(np.linalg.eigvalsh([[q, b], [b, d]]), 2),
             np.linalg.eigvalsh([[0.0, r2 * b], [r2 * b, d - a + q]]),
         ]))
-        evals = np.linalg.eigvalsh(full_hamiltonian([0.0, 0.0, 0.0], spin_params))
+        evals = np.linalg.eigvalsh(full_hamiltonian(0.0, 0.0, spin_params))
         assert np.max(np.abs(np.sort(evals) - expected)) <= 1e-11
 
     def test_hermitian(self, spin_params):
-        h = full_hamiltonian([12.0, -7.0, 55.0], spin_params)
+        h = full_hamiltonian(55.0, math.hypot(12.0, -7.0), spin_params)
         assert np.allclose(h, h.conj().T, rtol=1e-12, atol=1e-12)
 
     def test_trace_identity_independent_of_field(self, spin_params):
         expected = 6.0 * spin_params.d + 6.0 * spin.QUADRUPOLE_MHZ
         rng = np.random.default_rng(2)
         for _ in range(10):
-            h = full_hamiltonian(rng.uniform(-200, 200, 3), spin_params)
+            bx, by, bz = rng.uniform(-200, 200, 3)
+            h = full_hamiltonian(bz, math.hypot(bx, by), spin_params)
             assert np.trace(h).real == pytest.approx(expected, rel=1e-12)
 
     def test_axial_field_triplet_splitting_approaches_a_par(self, spin_params):
-        lines = six_transition_frequencies([0.0, 0.0, 500.0], spin_params)
+        lines = six_transition_frequencies(500.0, 0.0, spin_params)
         minus, plus = np.sort(lines[:3]), np.sort(lines[3:])
         for group in (minus, plus):
             gaps = np.diff(group)
             assert np.allclose(gaps, abs(spin.A_PAR_MHZ), atol=0.05)
 
     def test_six_lines_cluster_at_d_at_zero_field(self, spin_params):
-        lines = six_transition_frequencies([0.0, 0.0, 0.0], spin_params)
+        lines = six_transition_frequencies(0.0, 0.0, spin_params)
         assert np.all(np.abs(lines - spin_params.d) < 3 * abs(spin.A_PAR_MHZ))
+
+    def test_equals_general_vector_reference(self, spin_params):
+        # the matrix at (b_par, b_perp) is the general-vector builder's at
+        # (b_perp, 0, b_par) bit for bit; at by != 0 the spectrum depends
+        # on the transverse part only through its length
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            b = rng.normal(size=3)
+            bx, by, bz = b * (rng.uniform(0.0, 200.0) / np.linalg.norm(b))
+            b_perp = math.hypot(bx, by)
+            h = full_hamiltonian(bz, b_perp, spin_params)
+            ref = full_hamiltonian_reference([b_perp, 0.0, bz], spin_params)
+            assert h.tobytes() == ref.tobytes()
+            evals = np.linalg.eigvalsh(h)
+            ref_evals = np.linalg.eigvalsh(
+                full_hamiltonian_reference([bx, by, bz], spin_params)
+            )
+            assert np.max(np.abs(evals - ref_evals)) <= 1e-9
 
     def test_cone_degeneracy_of_full_hamiltonian(self, spin_params):
         # fields with equal axial/transverse split but different lab
@@ -468,7 +501,7 @@ class TestFullHamiltonian:
         for psi in (0.0, 1.1, 2.9):
             b_lab = b_par * axis + b_perp * (math.cos(psi) * u + math.sin(psi) * v)
             lines = six_transition_frequencies(
-                lab_field_in_nv_frame(b_lab, o), spin_params
+                *lab_field_in_nv_frame(b_lab, o), spin_params
             )
             if ref is None:
                 ref = lines
@@ -480,9 +513,9 @@ class TestLabToNVFrame:
     def test_parallel_field(self, spin_params):
         o = NVOrientation(0.3, 1.1)
         b = 42.0 * o.unit_axis
-        vec = lab_field_in_nv_frame(b, o)
-        assert vec[0] == pytest.approx(0.0, abs=1e-10)
-        assert vec[2] == pytest.approx(42.0, rel=1e-12)
+        b_par, b_perp = lab_field_in_nv_frame(b, o)
+        assert b_perp == pytest.approx(0.0, abs=1e-10)
+        assert b_par == pytest.approx(42.0, rel=1e-12)
 
     def test_magnitude_preserved(self):
         rng = np.random.default_rng(4)
