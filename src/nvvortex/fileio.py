@@ -1,11 +1,14 @@
 """On-disk formats: scan-image CSV, PGM previews, spectrum CSV, JSON.
 
-All writers go through an atomic temp-file-plus-rename so a crashed run
-never leaves a half-written artifact, and the file ends up with the
-mode a plain open() would give it under the current umask. Numbers are
-written as their shortest round-trip ``repr``. Scan images are stored as a
-two-line header (field names, then values) followed by row-major
-intensity rows:
+All writers go through one atomic path, ``atomic_writer``: a temp file
+beside the target, renamed over it once the last byte is written, so a
+crashed run never leaves a half-written artifact, and the file ends up
+with the mode a plain open() would give it under the current umask. The
+scan CSV and PGM writers stream into that temp file in the row blocks of
+``ScanGrid.row_blocks``, so a write needs one block beside the image,
+whatever its size. Numbers are written as their shortest round-trip
+``repr``. Scan images are stored as a two-line header (field names,
+then values) followed by row-major intensity rows:
 
     width,height,pitch_nm,origin_x_nm,origin_y_nm
     31,31,50.0,0.0,0.0
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from .spin import Spectrum
 from .vector_recon import ConeConstraint
 
 __all__ = [
+    "atomic_writer",
     "atomic_write_bytes",
     "atomic_write_text",
     "write_json",
@@ -70,17 +75,27 @@ def _create_temp(path: Path) -> tuple[int, str]:
             continue
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
+@contextmanager
+def atomic_writer(path):
+    """A binary handle on a new temp file beside ``path``. The temp file
+    is renamed over ``path`` when the block exits normally and removed
+    when anything raises, so ``path`` holds either its previous content
+    or every byte written."""
     path = Path(path)
     fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    with atomic_writer(path) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -126,21 +141,31 @@ def _read_table(
 def write_scan_image_csv(image: ScanImage, path) -> None:
     """Write ``image`` in the module's scan CSV format, every value as
     its shortest round-trip ``repr``, so a read gives back the same
-    doubles. Each distinct value is formatted once: ``np.unique`` runs
-    on the int64 bit patterns, which keeps -0.0 apart from 0.0, and the
-    rows are joined from that table. A Poisson scan holds a few hundred
-    distinct counts, so this skips nearly every per-pixel ``repr``."""
+    doubles. The rows are formatted and written one row block at a time.
+    In each block every distinct value is formatted once: ``np.unique``
+    runs on the int64 bit patterns, which keeps -0.0 apart from 0.0, and
+    the rows are joined from that table. A Poisson scan holds a few
+    hundred distinct counts, so this skips nearly every per-pixel
+    ``repr``, and the write needs one block beside the image."""
     g = image.grid
-    values = image.values
-    bits, where = np.unique(values.ravel().view(np.int64), return_inverse=True)
-    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    lines = [
-        ",".join(_IMAGE_HEADER),
+    header = (
+        f"{','.join(_IMAGE_HEADER)}\n"
         f"{g.width_px},{g.height_px},{float(g.pitch_nm)!r},"
-        f"{float(g.origin_nm[0])!r},{float(g.origin_nm[1])!r}",
-    ]
-    lines += map(",".join, table[where].reshape(values.shape).tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        f"{float(g.origin_nm[0])!r},{float(g.origin_nm[1])!r}\n"
+    )
+    with atomic_writer(path) as handle:
+        handle.write(header.encode())
+        for rows in g.row_blocks():
+            handle.write(_csv_rows(image.values[rows]))
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of ``block``, each distinct bit pattern formatted
+    once. Its temporaries go on return, before the next block is made."""
+    bits, where = np.unique(block.ravel().view(np.int64), return_inverse=True)
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    lines = map(",".join, table[where].reshape(block.shape).tolist())
+    return ("\n".join(lines) + "\n").encode()
 
 
 def read_scan_image_csv(path) -> ScanImage:
@@ -169,21 +194,18 @@ def read_scan_image_csv(path) -> ScanImage:
 
 def write_pgm(image: ScanImage, path) -> None:
     """Min-max scaled 16-bit preview as a binary PGM (P5); the applied
-    scaling is recorded in a <path>.scale.json sidecar."""
+    scaling is recorded in a <path>.scale.json sidecar. The pixels are
+    scaled and written one row block at a time, so the write needs one
+    block beside the image."""
     lo = float(image.values.min())
     hi = float(image.values.max())
     maxval = 65535
     span = hi - lo
-    if span > 0.0:
-        # round((v - lo) / span * maxval), step by step in one buffer
-        scaled = np.subtract(image.values, lo)
-        scaled /= span
-        scaled *= maxval
-        scaled = np.round(scaled, out=scaled).astype(">u2")
-    else:
-        scaled = np.zeros_like(image.values, dtype=">u2")
     header = f"P5\n{image.grid.width_px} {image.grid.height_px}\n{maxval}\n".encode()
-    atomic_write_bytes(path, header + scaled.tobytes())
+    with atomic_writer(path) as handle:
+        handle.write(header)
+        for rows in image.grid.row_blocks():
+            handle.write(_pgm_rows(image.values[rows], lo, span, maxval))
     write_json(
         {
             "min_intensity": lo,
@@ -194,6 +216,18 @@ def write_pgm(image: ScanImage, path) -> None:
         },
         str(path) + ".scale.json",
     )
+
+
+def _pgm_rows(block: np.ndarray, lo: float, span: float, maxval: int) -> bytes:
+    """round((v - lo) / span * maxval) over ``block``, step by step in
+    one float buffer, as big-endian 16-bit pixels. A constant image is
+    all lo, so its v - lo is already 0."""
+    scaled = np.subtract(block, lo)
+    if span > 0.0:
+        scaled /= span
+        scaled *= maxval
+        np.round(scaled, out=scaled)
+    return scaled.astype(">u2").tobytes()
 
 
 # ------------------------------------------------------------------- spectra

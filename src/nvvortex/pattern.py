@@ -29,7 +29,8 @@ optional noise model is per-pixel Poisson with deterministic seeding.
 
 Every array stage runs over fixed-size blocks. A map is filled in
 blocks of whole rows of at most _PIXEL_BLOCK = 8,192 pixels (one row
-when a row is wider), and a profile's table is written _PANEL_BLOCK =
+when a row is wider: ``ScanGrid.row_blocks``, which the scan writers
+of ``fileio`` share), and a profile's table is written _PANEL_BLOCK =
 64 panels at a time, after one blocked quadrature call. So a map needs
 its output plus one block (a noisy scan its two maps plus one block),
 and a build its table plus one block, whatever the size of the scan or
@@ -97,7 +98,8 @@ _PANEL_DEGREE = 24
 _NODES_PER_PANEL = 400
 _TAYLOR_DEGREE = 6
 #: panels per block of the table build, and pixels per block of a map
-#: (whole rows, at least one): each needs its output plus one block
+#: or a scan write (whole rows, at least one): each needs its output
+#: plus one block
 _PANEL_BLOCK = 64
 _PIXEL_BLOCK = 8192
 TWO_PI = 2.0 * math.pi
@@ -192,6 +194,14 @@ class ScanGrid:
     def pixel_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) physical coordinates, each height_px x width_px."""
         return np.meshgrid(*self.pixel_axes())
+
+    def row_blocks(self):
+        """Row slices that cut the raster, in order, into blocks of whole
+        rows of at most _PIXEL_BLOCK pixels, one row when a row is wider:
+        the blocks a map is filled in and a scan is written in."""
+        rows = max(1, _PIXEL_BLOCK // self.width_px)
+        for lo in range(0, self.height_px, rows):
+            yield slice(lo, lo + rows)
 
 
 @dataclass
@@ -443,8 +453,8 @@ def intensity_map(
     panels for a 256x256 scan at 50 nm pitch, instead of one per
     distinct pixel radius); every map reads each pixel from the Taylor
     table, which reproduces the quadrature to about 4e-15 of the peak.
-    The map is filled in blocks of whole rows of at most _PIXEL_BLOCK
-    pixels, so no full-size temporary is made beside the output.
+    The map is filled in the row blocks of ``grid.row_blocks()``, so no
+    full-size temporary is made beside the output.
     ``center_nm`` is the NV position (defaults to the grid center).
     Raises ValueError for an ``amplitude`` or ``background`` that is
     negative, NaN or infinite, naming it, and, from the quadrature, for
@@ -462,11 +472,10 @@ def intensity_map(
     profile = _profile_covering(optics, reach, z_nm)
     coef = _coefficients_from_angles(orientation.theta, orientation.phi)
     out = np.empty((grid.height_px, grid.width_px))
-    rows = max(1, _PIXEL_BLOCK // grid.width_px)
-    for lo in range(0, grid.height_px, rows):
-        block_dy = dy[lo:lo + rows]
+    for rows in grid.row_blocks():
+        block_dy = dy[rows]
         basis, _ = _basis_images(dx, block_dy, profile(np.hypot(dx, block_dy)))
-        out[lo:lo + rows] = background + amplitude * (basis @ coef)
+        out[rows] = background + amplitude * (basis @ coef)
     return out
 
 

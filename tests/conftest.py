@@ -308,6 +308,24 @@ def scan_image_csv_reference(image: ScanImage) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pgm_reference(image: ScanImage) -> bytes:
+    """The PGM bytes with the whole image scaled at once: the reference
+    for ``fileio.write_pgm``, which scales one row block at a time."""
+    lo = float(image.values.min())
+    hi = float(image.values.max())
+    maxval = 65535
+    span = hi - lo
+    if span > 0.0:
+        scaled = np.subtract(image.values, lo)
+        scaled /= span
+        scaled *= maxval
+        scaled = np.round(scaled, out=scaled).astype(">u2")
+    else:
+        scaled = np.zeros_like(image.values, dtype=">u2")
+    header = f"P5\n{image.grid.width_px} {image.grid.height_px}\n{maxval}\n".encode()
+    return header + scaled.tobytes()
+
+
 def spectrum_csv_reference(spectrum) -> str:
     """The spectrum CSV text formatted from numpy scalars: the reference
     for ``fileio.write_spectrum_csv``."""

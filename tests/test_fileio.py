@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import scan_image_csv_reference, spectrum_csv_reference
+from conftest import pgm_reference, scan_image_csv_reference, spectrum_csv_reference
 from nvvortex.errors import FileFormatError
 from nvvortex.fileio import (
     load_constraints_json,
@@ -38,7 +39,11 @@ def sample_image(optics):
 def writer_images(optics):
     """A Poisson 256x256 off-centre scan (138 distinct counts), a
     noiseless 64x64 off-centre map whose 4,096 values are all distinct,
-    and a grid of extremes that holds both zeros."""
+    a grid of extremes that holds both zeros, and images that cross the
+    writers' row-block edges: a noiseless 9000x1 row, wider than one
+    block; a Poisson 256x37 scan, blocks of 32 and 5 rows; a noiseless
+    1x300 column; and a 4096x3 grid whose first block holds 0.0 and
+    whose second holds only -0.0."""
     orientation = NVOrientation.from_degrees(109.84, 20.60)
     poisson = simulate_pattern(
         orientation, ScanGrid(256, 256, 50.0), optics, amplitude=1e4,
@@ -52,10 +57,30 @@ def writer_images(optics):
         grid=ScanGrid(3, 2, 50.0, origin_nm=(-0.0, 1e-7)),
         values=np.array([[0.0, -0.0, 5e-324], [0.1, 1e16, 1e300]]),
     )
-    return {"poisson": poisson, "noiseless": noiseless, "extremes": extremes}
+    kw = dict(amplitude=1e4, background=100.0)
+    zeros = np.zeros((3, 4096))
+    zeros[0, :3] = [1.0, 2.0, 3.0]
+    zeros[2] = -0.0
+    return {
+        "poisson": poisson,
+        "noiseless": noiseless,
+        "extremes": extremes,
+        "wide_row": simulate_pattern(
+            orientation, ScanGrid(9000, 1, 10.0), optics, center_nm=(30_003.3, 1.7), **kw
+        ),
+        "rows_32_5": simulate_pattern(
+            orientation, ScanGrid(256, 37, 50.0), optics, noise_seed=5, **kw
+        ),
+        "column": simulate_pattern(
+            orientation, ScanGrid(1, 300, 50.0), optics, center_nm=(13.3, 7_001.7), **kw
+        ),
+        "split_zeros": ScanImage(grid=ScanGrid(4096, 3, 10.0), values=zeros),
+    }
 
 
-WRITER_IMAGES = ["poisson", "noiseless", "extremes"]
+WRITER_IMAGES = [
+    "poisson", "noiseless", "extremes", "wide_row", "rows_32_5", "column", "split_zeros",
+]
 
 
 class TestScanImageCSV:
@@ -157,6 +182,13 @@ class TestPGM:
         assert sidecar["min_intensity"] == pytest.approx(sample_image.values.min())
         assert sidecar["max_intensity"] == pytest.approx(sample_image.values.max())
         assert sidecar["bits"] == 16
+
+    @pytest.mark.parametrize("name", WRITER_IMAGES)
+    def test_matches_whole_image_reference(self, writer_images, name, tmp_path):
+        image = writer_images[name]
+        path = tmp_path / "img.pgm"
+        write_pgm(image, path)
+        assert path.read_bytes() == pgm_reference(image)
 
     def test_constant_image_writes_zeros(self, tmp_path):
         grid = ScanGrid(3, 3, 10.0)
@@ -324,6 +356,29 @@ class TestAtomicity:
         assert written == [b'{\n  "v": 2\n}\n']
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("writer", [write_scan_image_csv, write_pgm],
+                             ids=lambda w: w.__name__)
+    def test_failed_block_write_leaves_target_and_no_temp_file(
+        self, writer, writer_images, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "out"
+        writer(writer_images["noiseless"], path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        writes = []
+
+        class FailingHandle(io.BufferedWriter):
+            def write(self, data):  # the header, the first block, then a failure
+                writes.append(len(data))
+                if len(writes) == 3:
+                    raise OSError("disk full")
+                return super().write(data)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: FailingHandle(io.FileIO(fd, "w")))
+        with pytest.raises(OSError, match="disk full"):
+            writer(writer_images["rows_32_5"], path)  # two blocks
+        assert len(writes) == 3
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_mode_follows_umask_like_open(self, tmp_path, umask):

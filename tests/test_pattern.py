@@ -566,6 +566,16 @@ class TestBlocks:
         want = full_array_map(orientation, grid, optics, 1e4, 100.0, center, z_nm)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("width, height", [(256, 100), (100, 83), (9000, 3),
+                                               (1, 1), (1, 300), (8192, 2)])
+    def test_row_blocks_cut_the_rows_in_order(self, width, height):
+        blocks = [range(height)[rows] for rows in ScanGrid(width, height, 1.0).row_blocks()]
+        assert [row for block in blocks for row in block] == list(range(height))
+        sizes = [len(block) for block in blocks]
+        # at most _PIXEL_BLOCK pixels or one row, and full but for the last
+        assert all(n * width <= _PIXEL_BLOCK or n == 1 for n in sizes)
+        assert all((n + 1) * width > _PIXEL_BLOCK for n in sizes[:-1])
+
     @pytest.mark.parametrize("panels", [1, _PANEL_BLOCK, _PANEL_BLOCK + 1, 130])
     @pytest.mark.parametrize("z_nm", [0.0, 300.0])
     def test_table_matches_one_full_array_evaluation(self, optics, panels, z_nm):

@@ -1,9 +1,9 @@
-"""Working set of the focal-field chain: the quadrature, the profile
-build and a map each need their output plus one block, not temporaries
-the size of their input. Peaks are traced allocations above the call's
-start, so they do not depend on the interpreter's own footprint; the
-bounds are ratios to the output and to one block, so that they hold
-across numpy versions."""
+"""Working set of the focal-field chain and the scan writers: the
+quadrature, the profile build and a map each need their output plus one
+block, and a scan write one block, not temporaries the size of their
+input. Peaks are traced allocations above the call's start, so they do
+not depend on the interpreter's own footprint; the bounds are ratios to
+the output and to one block, so that they hold across numpy versions."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ import pytest
 
 import nvvortex.focal_field as focal_field
 import nvvortex.pattern as pattern
-from nvvortex.fileio import write_pgm
+from nvvortex.fileio import write_pgm, write_scan_image_csv
 from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.pattern import NVOrientation, RadialIntensityProfile, ScanGrid
 
@@ -76,12 +76,27 @@ def test_build_needs_its_table_plus_one_block(optics, traced_peak, z_nm):
     assert peak <= profile.taylor.nbytes + scale * 4 * PANEL_BLOCK_BYTES
 
 
-def test_pgm_needs_one_float_copy_of_the_image(tmp_path, traced_peak):
-    # the scaling runs in one float buffer beside the 16-bit pixels; one
-    # full-size temporary per step of the formula needs twice the image
-    grid = ScanGrid(256, 256, 50.0)
-    values = np.random.default_rng(3).poisson(100.0, (256, 256)).astype(float)
-    image = pattern.ScanImage(grid, values)
-    write_pgm(image, tmp_path / "warm.pgm")
-    peak, _ = traced_peak(lambda: write_pgm(image, tmp_path / "scan.pgm"))
-    assert peak <= 1.5 * values.nbytes
+def _poisson_scans():
+    for n in (512, 1024):
+        values = np.random.default_rng(3).poisson(100.0, (n, n)).astype(float)
+        yield pattern.ScanImage(ScanGrid(n, n, 50.0), values)
+
+
+def test_scan_csv_needs_one_block(tmp_path, traced_peak):
+    # a row block's unique table, inverse and text, the same bound at
+    # both sizes (about 5 blocks here); formatting the whole image at
+    # once needs 5 times the image, 164 blocks at 512^2
+    for image in _poisson_scans():
+        write_scan_image_csv(image, tmp_path / "warm.csv")
+        peak, _ = traced_peak(lambda: write_scan_image_csv(image, tmp_path / "scan.csv"))
+        assert peak <= 12 * PIXEL_BLOCK_BYTES, image.grid
+
+
+def test_pgm_needs_one_block(tmp_path, traced_peak):
+    # a row block's float buffer and its 16-bit pixels, the same bound at
+    # both sizes; scaling the whole image at once needs 1.25 times the
+    # image, 40 blocks at 512^2
+    for image in _poisson_scans():
+        write_pgm(image, tmp_path / "warm.pgm")
+        peak, _ = traced_peak(lambda: write_pgm(image, tmp_path / "scan.pgm"))
+        assert peak <= 3 * PIXEL_BLOCK_BYTES, image.grid
