@@ -6,7 +6,7 @@ Submodules:
     pattern       - orientation-dependent confocal scan synthesis
     orient_fit    - orientation fitting: linear solve per centre, 2-D centre search
     spin          - ground-state Hamiltonians, ODMR spectra and their fit, inversion
-    least_squares - Levenberg-Marquardt solver shared by both fits
+    least_squares - variable-projection solver shared by both fits
     vector_recon  - field vector from cone constraints
     config        - run configuration: one strictly validated JSON file
     errors        - exception types, grouped by CLI exit code

@@ -297,6 +297,7 @@ def cmd_odmr(args, config: RunConfig) -> int:
             "omega1_sigma_mhz": model.pair.sigma1,
             "omega2_sigma_mhz": model.pair.sigma2,
             "linewidth_mhz": model.linewidth_mhz,
+            "baseline": model.baseline,
             "dip_centers_mhz": list(model.dip_centers_mhz),
             "b_sigma_gauss": estimate.b_sigma,
             "alpha_sigma_deg": round(math.degrees(estimate.alpha_sigma), 4),

@@ -32,6 +32,11 @@ class ObjectiveNotFinite(NVVortexError):
     """The least-squares solver met a NaN or infinite residual or Jacobian."""
 
 
+class RankDeficient(NVVortexError):
+    """A separable least-squares model's basis, or its full Jacobian at
+    the solution, is rank-deficient: the data do not determine the fit."""
+
+
 class NoConvergence(NVVortexError):
     """The orientation fit's centre search exhausted its iteration budget."""
 

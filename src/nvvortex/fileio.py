@@ -18,6 +18,7 @@ then values) followed by row-major intensity rows:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -114,26 +115,42 @@ def read_json(path):
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _line_blocks(handle, chars: int = 1 << 14):
+    """The lines of a text file without their ends, as one list per
+    ``chars`` characters read, so that no more of the file is held."""
+    tail = ""
+    while chunk := handle.read(chars):
+        lines = (tail + chunk).split("\n")
+        tail = lines.pop()  # the line the next block completes
+        yield lines
+    yield [tail]
+
+
 def _read_table(
     path, header: list[str], preamble: int
 ) -> tuple[list[str], np.ndarray]:
     """A CSV table: the row of column names ``header``, then ``preamble``
-    rows returned as text, then numeric rows parsed in one call. Blank
-    lines are skipped and cells may carry surrounding whitespace; every
-    malformed input raises FileFormatError naming ``path``."""
+    rows returned as text, then numeric rows parsed in one call from the
+    open file, whose text is never held whole. Blank lines are skipped
+    and cells may carry surrounding whitespace; every malformed input
+    raises FileFormatError naming ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln for ln in handle.read().splitlines() if ln.strip()]
-    if len(lines) < 2 + preamble:
-        raise FileFormatError(f"{path}: truncated table (need header + rows)")
-    if [c.strip() for c in lines[0].split(",")] != header:
-        raise FileFormatError(
-            f"{path}: bad header {lines[0].strip()!r}, expected {','.join(header)}"
-        )
-    try:
-        body = np.loadtxt(lines[1 + preamble:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: data rows: {exc}") from exc
-    return lines[1:1 + preamble], body
+        lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(handle)))
+        head = list(itertools.islice(lines, 2 + preamble))
+        if len(head) < 2 + preamble:
+            raise FileFormatError(f"{path}: truncated table (need header + rows)")
+        if [c.strip() for c in head[0].split(",")] != header:
+            raise FileFormatError(
+                f"{path}: bad header {head[0].strip()!r}, expected {','.join(header)}"
+            )
+        try:
+            body = np.loadtxt(
+                itertools.chain(head[1 + preamble:], lines),
+                delimiter=",", comments=None, ndmin=2,
+            )
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: data rows: {exc}") from exc
+    return head[1:1 + preamble], body
 
 
 # ---------------------------------------------------------------- scan images

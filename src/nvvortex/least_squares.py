@@ -1,7 +1,11 @@
-"""Levenberg-Marquardt minimizer for smooth nonlinear least squares.
+"""The one least-squares solver of both fits, and its Levenberg-Marquardt
+minimizer.
 
-Minimizes ||r(x)||^2 for a residual function that also returns its
-Jacobian. The damping is Marquardt's (scaled by the diagonal of J^T J,
+``variable_projection`` solves a separable problem, a model A(x) c that
+is linear in the coefficients c: c = A^+ d at every x, and
+``levenberg_marquardt`` runs on x alone with Kaufman's Jacobian (Golub &
+Pereyra 1973; Kaufman 1975; O'Leary & Rust 2013, Comput. Optim. Appl.
+54, 579). Its damping is Marquardt's (scaled by the diagonal of J^T J,
 so the step does not depend on the units of each parameter) and is
 updated by Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004,
 "Methods for non-linear least squares problems", section 3.2). A step
@@ -17,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObjectiveNotFinite
+from .errors import ObjectiveNotFinite, RankDeficient
 
-__all__ = ["LeastSquaresResult", "levenberg_marquardt"]
+__all__ = [
+    "LeastSquaresResult",
+    "SeparableResult",
+    "levenberg_marquardt",
+    "variable_projection",
+]
 
 #: trial steps allowed before the run is reported unconverged
 MAX_ITERATIONS = 100
@@ -27,6 +36,7 @@ MAX_ITERATIONS = 100
 X_TOLERANCE = 1e-10
 #: initial damping, relative to the diagonal of J^T J
 INITIAL_DAMPING = 1e-3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -82,3 +92,69 @@ def levenberg_marquardt(fun, x0) -> LeastSquaresResult:
             mu *= nu
             nu *= 2.0
     return LeastSquaresResult(x, MAX_ITERATIONS, False)
+
+
+@dataclass
+class SeparableResult(LeastSquaresResult):
+    c: np.ndarray  # the linear coefficients A(x)^+ d
+    residual: np.ndarray  # the leftover d - A(x) c
+    covariance: np.ndarray | None  # of (x, c); None when unconverged
+
+
+def _gram_inverse(a: np.ndarray, what: str) -> np.ndarray:
+    """(A^T A)^-1 of the tall matrix ``a``. Raises RankDeficient, naming
+    ``what``, when A^T A is singular to working precision: the product of
+    its largest entry and its inverse's, within k^2 of its condition
+    number, reaches 1 / eps. A NaN passes, for the finiteness check."""
+    gram = a.T @ a
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(gram, np.inf)
+    if gram.diagonal().max() * np.abs(inverse.diagonal()).max() * _EPS >= 1.0:
+        raise RankDeficient(f"{what} ({a.shape[0]} x {a.shape[1]}) is rank-deficient")
+    return inverse
+
+
+def _project(model, data: np.ndarray, x: np.ndarray) -> tuple:
+    """At ``x``: c = A^+ d, the leftover r = d - A c, Kaufman's Jacobian
+    of r, -(I - A A^+) d(A c)/dx, which leaves out only a part in the
+    span of A and so keeps J^T r exact, then A and d(A c)/dx. One
+    inverse of A^T A serves c and the projection."""
+    basis, slopes = model(x)
+    inverse = _gram_inverse(basis, "the basis")
+    coef = inverse @ (basis.T @ data)
+    dmodel = slopes(coef)
+    jac = basis @ (inverse @ (basis.T @ dmodel)) - dmodel
+    return coef, data - basis @ coef, jac, basis, dmodel
+
+
+def variable_projection(model, data, x0) -> SeparableResult:
+    """Minimize ||d - A(x) c||^2 over x and c from ``x0``, where
+    ``model(x)`` returns the (n, k) basis A(x) and a function that gives
+    the (n, m) derivative d(A c)/dx for coefficients c.
+
+    Levenberg-Marquardt solves an m x m system per step whatever k is.
+    The result is read from the solve at the returned x; a converged one
+    carries the covariance s^2 (J^T J)^-1 of (x, c) from the full
+    Jacobian J = [d(A c)/dx | A], s^2 = SSE / (n - m - k). Raises
+    RankDeficient when A, or the full Jacobian at the solution, is, and
+    ObjectiveNotFinite as ``levenberg_marquardt`` does."""
+    data = np.asarray(data, dtype=float)
+    states = {}  # the solve at every x tried, by its bytes
+
+    def leftover(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        state = states[x.tobytes()] = _project(model, data, x)
+        return state[1], state[2]
+
+    result = levenberg_marquardt(leftover, x0)
+    coef, resid, _, basis, dmodel = states[result.x.tobytes()]
+    covariance = None
+    if result.converged:
+        full = np.hstack((dmodel, basis))
+        dof = max(full.shape[0] - full.shape[1], 1)
+        scale = float(resid @ resid) / dof
+        covariance = scale * _gram_inverse(full, "the full Jacobian")
+    return SeparableResult(
+        result.x, result.iterations, result.converged, coef, resid, covariance
+    )

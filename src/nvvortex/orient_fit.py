@@ -1,18 +1,14 @@
 """NV orientation estimation from a scan pattern.
 
 At a fixed centre the pattern is linear in the three basis images of
-``pattern`` plus the background, so the axis angles, amplitude and
-background come from one linear least-squares solve and a 2x2
-eigenproblem; a single 2-D Levenberg-Marquardt search over the centre
-minimizes what that solve leaves (variable projection, Golub & Pereyra
-1973), with Kaufman's (1975) form of the variable-projection Jacobian
-read from the radial profile and its slope. The report comes from the
-solve at the returned centre. A pattern determines the axis n only up to
-the class {+-n, +-M n}, M = diag(1, 1, -1): the sign of n and its mirror
-in the x-y plane, which up to sign is the 180-degree azimuth partner.
-The fit reports the member that ``pattern._angles_from_coefficients``
-returns, theta in [0, pi/2] and phi in [0, pi), with ``mirror_phi``
-naming the unresolved partner.
+``pattern`` plus the background, so the fit is a separable problem for
+``least_squares.variable_projection`` (``_pattern_model``), whose
+Levenberg-Marquardt search runs over the 2 centre coordinates alone. A
+pattern determines the axis n only up to the class {+-n, +-M n}, M =
+diag(1, 1, -1): the sign of n and its mirror in the x-y plane, which up
+to sign is the 180-degree azimuth partner. The fit reports the member
+that ``pattern._angles_from_coefficients`` returns, theta in [0, pi/2]
+and phi in [0, pi), with ``mirror_phi`` naming the unresolved partner.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTemplate, NoConvergence
+from .errors import DegenerateTemplate, NoConvergence, RankDeficient
 from .focal_field import OpticalConfig
 from .pattern import (
     NVOrientation,
@@ -32,7 +28,7 @@ from .pattern import (
     _basis_images,
     radial_profile_for_grid,
 )
-from .least_squares import levenberg_marquardt
+from .least_squares import variable_projection
 
 __all__ = [
     "OrientationFit",
@@ -72,67 +68,57 @@ def _intensity_centroid(image: ScanImage) -> tuple[float, float]:
     return float((xs * d).sum() / total), float((ys * d).sum() / total)
 
 
-def _linear_fit(
+def _pattern_model(
     center_nm: tuple[float, float],
     xs: np.ndarray,
     ys: np.ndarray,
-    d: np.ndarray,
     profile: RadialIntensityProfile,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares coefficients (p, q, s, bg) of the three basis images
-    of ``pattern._basis_images`` and 1 at a fixed centre, the residual
-    r = P d they leave, and its Jacobian with respect to
-    the centre (nm) in Kaufman's form (BIT 15, 49, 1975), -P (dA/dc)
-    coef, with P = I - A A^+ the projector off the basis A. That form
-    drops the part of the full variable-projection Jacobian that lies in
-    the span of A, which leaves the gradient J^T r exact. At rho = 0 the
-    first three basis images and their derivatives are 0 (R has an
-    exact, even null on the axis)."""
+):
+    """The basis [B_xx, B_yy, B_xy, 1] of ``pattern._basis_images`` and
+    the background at a centre (nm), and the function that gives
+    d(basis @ coef)/d(cx, cy) for coef = (p, q, s, bg), read from the
+    radial profile and its slope. At rho = 0 the basis images and their
+    derivatives are 0 (R has an exact, even null on the axis)."""
     dx = xs - center_nm[0]
     dy = ys - center_nm[1]
     rho2 = dx * dx + dy * dy
     rho = np.sqrt(rho2)
     r, slope = profile.value_and_slope(rho)
     images, w = _basis_images(dx, dy, r)
-    # (dw/drho) / rho for w = R / rho^2
+    # (dw/drho) / (2 rho) for w = R / rho^2
     w_rate = np.divide(
-        slope * rho - 2.0 * r, rho2 * rho2, out=np.zeros_like(rho2), where=rho2 > 0.0
+        slope * rho - 2.0 * r, 2.0 * rho2 * rho2,
+        out=np.zeros_like(rho2), where=rho2 > 0.0,
     )
-    basis = np.column_stack((images, np.ones_like(w)))
-    coef = np.linalg.lstsq(basis, d, rcond=None)[0]
-    p, q, s = coef[:3]
-    quad = w_rate * (p * dx * dx + q * dy * dy + s * dx * dy)
-    # d(basis @ coef) / d(cx, cy), where dx and dy fall as the centre moves
-    dmodel = -np.column_stack(
-        (
-            quad * dx + w * (2.0 * p * dx + s * dy),
-            quad * dy + w * (2.0 * q * dy + s * dx),
-        )
-    )
-    jac = basis @ np.linalg.lstsq(basis, dmodel, rcond=None)[0] - dmodel
-    return coef, d - basis @ coef, jac
+
+    def slopes(coef: np.ndarray) -> np.ndarray:
+        p, q, s = coef[:3]
+        # the gradient (gx, gy) of the form F = p dx^2 + q dy^2 + s dx dy,
+        # 2 F = dx gx + dy gy; dx and dy fall as the centre moves
+        gx = (2.0 * p) * dx + s * dy
+        gy = (2.0 * q) * dy + s * dx
+        quad = w_rate * (dx * gx + dy * gy)
+        return -np.column_stack((quad * dx + w * gx, quad * dy + w * gy))
+
+    return np.column_stack((images, np.ones_like(w))), slopes
 
 
 def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
-    """Fit (theta, phi, center) to a scan image by variable projection.
+    """Fit (theta, phi, center) to a scan image by variable projection:
+    one search over the centre, in pixels from the intensity centroid,
+    with (p, q, s, background) solved at every centre.
 
-    At a fixed centre the pattern is linear in three basis images plus
-    the background, so (theta, phi, amplitude, background) follow from a
-    linear least-squares solve (``_linear_fit``) and a 2x2 eigenproblem.
-    One Levenberg-Marquardt search over the centre, in pixels from the
-    intensity centroid, minimizes the residual of that solve, with
-    Kaufman's variable-projection Jacobian from the same solve.
-
-    The report is read from that solve at the returned centre; no second
-    model is evaluated. The amplitude is the larger eigenvalue of the
-    2x2 form, the background the constant coefficient and the residual
-    ||leftover||^2 / sum((d - mean(d))^2). That residual is the misfit
-    of the pattern at the reported angles, except where sin^2(theta) is
-    clamped to [0, 1]: there it is the smaller misfit of the unclamped
-    form. Deterministic for a fixed image. Raises NoConvergence when the
-    centre search exhausts its iteration budget and DegenerateTemplate
-    when the image has no more pixels than the fit's six unknowns, is
-    constant, or its best fit has no positive amplitude.
+    The report is read from the solve at the returned centre; no second
+    model is evaluated. The angles and the amplitude (the larger
+    eigenvalue) come from the 2x2 form of (p, q, s), the background is
+    the constant coefficient and the residual ||leftover||^2 / sum((d -
+    mean(d))^2), the misfit of the pattern at the reported angles except
+    where sin^2(theta) is clamped to [0, 1]: there it is the smaller
+    misfit of the unclamped form. Deterministic for a fixed image.
+    Raises NoConvergence when the centre search exhausts its iteration
+    budget and DegenerateTemplate when the image has no more pixels than
+    the fit's six unknowns, is constant, has a rank-deficient basis (a
+    scan of one row or one column) or no positive amplitude.
     """
     grid = image.grid
     d = image.values.ravel()
@@ -151,19 +137,22 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     def to_nm(p) -> tuple[float, float]:
         return (ox + p[0] * pitch, oy + p[1] * pitch)
 
-    solves = {}  # the linear solve at every centre tried, by its bytes
+    def model(p: np.ndarray):  # slopes per pixel
+        basis, slopes = _pattern_model(to_nm(p), xs, ys, profile)
+        return basis, lambda coef: pitch * slopes(coef)
 
-    def leftover_and_jacobian(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coef, leftover, jac = _linear_fit(to_nm(p), xs, ys, d, profile)
-        solves[p.tobytes()] = coef, leftover
-        return leftover, pitch * jac
-
-    result = levenberg_marquardt(leftover_and_jacobian, _intensity_centroid(image))
+    try:
+        result = variable_projection(model, d, _intensity_centroid(image))
+    except RankDeficient as exc:
+        raise DegenerateTemplate(
+            f"a scan of {grid.width_px} x {grid.height_px} pixels does not "
+            f"determine the pattern: {exc}"
+        ) from exc
     if not result.converged:
         raise NoConvergence(
             f"centre search did not converge in {result.iterations} iterations"
         )
-    coef, leftover = solves[result.x.tobytes()]
+    coef, leftover = result.c, result.residual
     theta, phi, amplitude = _angles_from_coefficients(*coef[:3])
     return OrientationFit(
         theta=theta,

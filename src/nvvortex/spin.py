@@ -19,7 +19,10 @@ between alpha and pi - alpha.
 
 The inversion reads D and gamma_e alone. The 14N hyperfine, quadrupole
 and nuclear-Zeeman constants are fixed literature values, not measured
-by this toolkit, that only the spectrum simulator reads.
+by this toolkit, that only the spectrum simulator reads. The spectrum
+fit is a separable problem for ``least_squares.variable_projection``:
+5 nonlinear parameters (two group centers, two spacings, the linewidth)
+and 7 linear ones (six depths and a fitted baseline).
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from .errors import (
     DegenerateField,
     FitFailed,
     InconsistentFrequencies,
+    RankDeficient,
     TripletsOverlap,
 )
-from .least_squares import levenberg_marquardt
+from .least_squares import variable_projection
 from .pattern import NVOrientation
 
 __all__ = [
@@ -408,10 +412,11 @@ def add_contrast_noise(spectrum: Spectrum, sigma: float, seed: int) -> Spectrum:
 @dataclass
 class OdmrModelFit:
     """Two-triplet Lorentzian model fit: the pair of group centers c, the
-    global linewidth and the dip centers (c - s, c, c + s) of each group.
-    ``window_mhz`` is the part of the sweep the fit ran on, one (low,
-    high) span in MHz per dip group, clipped to the sweep; ``sse`` is
-    taken over it and ``iterations`` is summed over the fit's passes."""
+    global linewidth, the dip centers (c - s, c, c + s) of each group and
+    the off-resonance contrast ``baseline``. ``window_mhz`` is the part
+    of the sweep the fit ran on, one (low, high) span in MHz per dip
+    group, clipped to the sweep; ``sse`` is taken over it and
+    ``iterations`` is summed over the fit's passes."""
 
     pair: TransitionPair
     linewidth_mhz: float
@@ -419,6 +424,7 @@ class OdmrModelFit:
     sse: float
     iterations: int
     window_mhz: tuple[tuple[float, float], tuple[float, float]]
+    baseline: float
 
 
 def _median(a) -> float:
@@ -476,44 +482,48 @@ def _split_groups(cands: list[float]) -> tuple[list[float], list[float]]:
     return list(cands[: k + 1]), list(cands[k + 1 :])
 
 
-def _triplet_model(f: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-triplet contrast model 1 - sum_k depth_k L(f; center_k, fwhm)
-    and its Jacobian for p = (c1, c2, s1, s2, fwhm, depth_1..6), with the
-    centers (c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2).
+#: d(center_k)/d(c1, c2, s1, s2) of the centers (c1 - s1, c1, c1 + s1,
+#: c2 - s2, c2, c2 + s2), and a 1 per center for the width row
+_CENTER_RATES = np.array([
+    [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+    [-1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1],
+], dtype=float)
 
-    With u = f - center and h = fwhm / 2, the Lorentzians are
-    L = h^2 / (u^2 + h^2) and their derivatives are
-    dL/dcenter = 2 u L^2 / h^2 and dL/dfwhm = L (1 - L) / h.
 
-    The work arrays are laid out sweep-major, (6, n) with one row per
-    center, so every ufunc runs along the sweep. The Jacobian is built
-    as an (11, n) array and returned as its transposed (n, 11) view,
-    without a copy."""
-    c1, c2, s1, s2, w = p[:5]
-    depths = p[5:]
+def _triplet_model(f: np.ndarray, x: np.ndarray):
+    """The two-triplet contrast model baseline - sum_k depth_k L(f;
+    center_k, fwhm) as a separable one: at x = (c1, c2, s1, s2, fwhm),
+    centers (c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2), the (n, 7) basis
+    [-L_1 .. -L_6, 1] of c = (depth_1..6, baseline) and the function that
+    gives d(model)/dx, (n, 5). With u = f - center and h = fwhm / 2,
+    L = h^2 / (u^2 + h^2), dL/dcenter = 2 u L^2 / h^2 and dL/dfwhm =
+    L (1 - L) / h, so d(model)/dx is one product of a (5, 12) matrix of c
+    with the rows u L^2 and -L (1 - L). The arrays are built sweep-major,
+    one row per column, and returned as transposed views."""
+    c1, c2, s1, s2, w = x
     centers = np.array([c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2])
     h = 0.5 * w
     hh = h * h
-    jac = np.empty((11, f.size))
-    lor = jac[5:]  # L in the depth rows, negated once it is no longer needed
     u = f - centers[:, None]
-    np.multiply(u, u, out=lor)
-    lor += hh
-    np.divide(hh, lor, out=lor)
-    model = 1.0 - depths @ lor
-    d_center = u  # d model / d center_k, built in place of u
-    d_center *= lor
-    d_center *= lor
-    d_center *= (-2.0 / hh) * depths[:, None]
-    d_center[:3].sum(axis=0, out=jac[0])
-    d_center[3:].sum(axis=0, out=jac[1])
-    np.subtract(d_center[2], d_center[0], out=jac[2])
-    np.subtract(d_center[5], d_center[3], out=jac[3])
-    d_width = np.subtract(1.0, lor, out=d_center)  # reuses the (6, n) work array
-    d_width *= lor
-    np.dot(depths / -h, d_width, out=jac[4])
-    np.negative(lor, out=lor)
-    return model, jac.T
+    basis = np.empty((7, f.size))
+    neg = np.multiply(u, u, out=basis[:6])  # -L, built in place
+    neg += hh
+    np.divide(-hh, neg, out=neg)
+    basis[6] = 1.0
+    rates = np.empty((12, f.size))  # u L^2, then -L (1 - L)
+    np.multiply(u, neg, out=rates[:6])
+    rates[:6] *= neg
+    np.add(1.0, neg, out=rates[6:])
+    rates[6:] *= neg
+    scale = np.array([-2.0 / hh] * 6 + [1.0 / h] * 6)
+
+    def slopes(c: np.ndarray) -> np.ndarray:
+        return ((_CENTER_RATES * (scale * np.tile(c[:6], 2))) @ rates).T
+
+    return basis.T, slopes
 
 
 def _window(
@@ -536,31 +546,28 @@ def _in_window(f: np.ndarray, spans: list[tuple[float, float]]) -> np.ndarray:
 
 
 def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
-    """Fit the two-triplet model and return its centers and linewidth.
+    """Fit the two-triplet model: its centers, linewidth and baseline.
 
-    Levenberg-Marquardt runs over all eleven parameters of
-    ``_triplet_model`` from the intensity centroid of each dip group,
-    with the depths started from one linear solve. It runs only on the
-    sweep points of a window around each group (``_window``): from the
-    group's lowest to its highest dip, detected or fitted, plus
-    WINDOW_FWHM linewidths at each end. The first window takes the dip
-    search's linewidth scale, max(4 df, 1 MHz); after each converged
-    pass the fitted linewidth may ask for a wider one, and the fit is
-    repeated from its solution on the grown window until the window
-    stops growing, at most to the whole sweep. A dip's Lorentzian
-    beyond 12 linewidths is below 0.2% of its depth, and the centre
-    information of a point falls like the sixth power of its distance.
+    ``least_squares.variable_projection`` runs on ``_triplet_model``,
+    with Levenberg-Marquardt over (c1, c2, s1, s2, fwhm) from the
+    intensity centroid of each dip group and the 6 depths and the
+    baseline solved at every step: the baseline is fitted, not assumed
+    to be 1. The fit sees only a window around each group (``_window``):
+    from the group's lowest to its highest dip, detected or fitted, plus
+    WINDOW_FWHM linewidths at each end, where a dip's Lorentzian is below
+    0.2% of its depth. The first window takes the dip search's linewidth
+    scale, max(4 df, 1 MHz); while the fitted linewidth asks for a wider
+    one, the fit is repeated from its solution on the grown window, at
+    most the whole sweep. ``sse``, the center sigmas (from the solver's
+    covariance of all 12 parameters, s^2 = SSE / (n_w - 12)) and
+    ``iterations`` (summed over the passes) are taken over the n_w points
+    of the final window, which ``window_mhz`` reports.
 
-    ``sse``, the center sigmas (covariance s^2 (J^T J)^-1 at the
-    solution, s^2 = SSE / (n_w - 11)) and ``iterations`` (summed over
-    the passes) are taken over the n_w points of the final window,
-    which ``window_mhz`` reports.
-
-    Raises FitFailed when no dips are found, the optimizer exhausts
-    its budget in any pass or the lower group center is not above
-    0 MHz, TripletsOverlap when the groups cannot be
-    separated (closer than three linewidths, or no dominant gap between
-    the dip clusters)."""
+    Raises FitFailed when no dips are found, the optimizer exhausts its
+    budget in any pass, the model is rank-deficient, a center sigma is
+    not finite or the lower group center is not above 0 MHz, and
+    TripletsOverlap when the groups cannot be separated (closer than
+    three linewidths, or no dominant gap between the dip clusters)."""
     f = spectrum.frequencies
     y = spectrum.contrast
     baseline = _median(y)
@@ -577,81 +584,58 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
         return 2.0
 
     df = float(f[1] - f[0])
-    p = np.zeros(11)
-    p[:5] = (centroid(groups[0]), centroid(groups[1]),
-             spacing_init(groups[0]), spacing_init(groups[1]), max(4.0 * df, 0.5))
-    spans = _window(groups, p, max(4.0 * df, 1.0))
+    x = np.array([centroid(groups[0]), centroid(groups[1]),
+                  spacing_init(groups[0]), spacing_init(groups[1]), max(4.0 * df, 0.5)])
+    spans = _window(groups, x, max(4.0 * df, 1.0))
     inside = _in_window(f, spans)
     fw, yw = f[inside], y[inside]
-    _, jac = _triplet_model(fw, p)  # at zero depths the last six columns are -L
-    p[5:] = np.linalg.lstsq(-jac[:, 5:], 1.0 - yw, rcond=None)[0]
-
-    def residual(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        model, jac = _triplet_model(fw, q)  # the current window
-        return model - yw, jac
 
     iterations = 0
     while True:
-        result = levenberg_marquardt(residual, p)
+        try:
+            result = variable_projection(lambda q: _triplet_model(fw, q), yw, x)
+        except RankDeficient as exc:
+            raise FitFailed(f"the triplet fit is undetermined: {exc}") from exc
         iterations += result.iterations
         if not result.converged:
             raise FitFailed(
                 f"triplet fit did not converge within {iterations} iterations"
             )
-        p = result.x
+        x = result.x
         spans = [
             (min(lo, need_lo), max(hi, need_hi))
-            for (lo, hi), (need_lo, need_hi) in zip(spans, _window(groups, p, abs(p[4])))
+            for (lo, hi), (need_lo, need_hi) in zip(spans, _window(groups, x, abs(x[4])))
         ]
         inside = _in_window(f, spans)
         if np.count_nonzero(inside) == fw.size:  # the window only ever grows
             break
         fw, yw = f[inside], y[inside]
 
-    for k in (0, 1):  # a negative spacing lists the group's outer dips reversed
-        if p[2 + k] < 0.0:
-            p[2 + k] = -p[2 + k]
-            p[5 + 3 * k : 8 + 3 * k] = p[7 + 3 * k : 4 + 3 * k : -1].copy()
-    p[4] = abs(p[4])
-    if p[0] > p[1]:  # keep group 1 the lower-frequency triplet
-        p = p[[1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7]]
-    if p[1] - p[0] < 3.0 * p[4]:
+    # a negative spacing lists a group's outer dips reversed; the
+    # Lorentzians are even in the width
+    c1, c2, s1, s2, width = x[0], x[1], abs(x[2]), abs(x[3]), abs(x[4])
+    sigmas = [math.sqrt(max(float(result.covariance[k, k]), 0.0)) for k in (0, 1)]
+    if c1 > c2:  # keep group 1 the lower-frequency triplet
+        c1, c2, s1, s2 = c2, c1, s2, s1
+        sigmas.reverse()
+    if c2 - c1 < 3.0 * width:
         raise TripletsOverlap(
-            f"group centers {p[0]:.2f} and {p[1]:.2f} MHz are closer than "
-            f"three linewidths ({3 * p[4]:.2f} MHz)"
+            f"group centers {c1:.2f} and {c2:.2f} MHz are closer than "
+            f"three linewidths ({3 * width:.2f} MHz)"
         )
-    if not p[0] > 0.0:  # a sweep not in absolute MHz, or a stray dip
-        raise FitFailed(f"lower group center {p[0]:.2f} MHz is not above 0 MHz")
-    model, jac = _triplet_model(fw, p)
-    sse = float((model - yw) @ (model - yw))
-    sig1, sig2 = _center_uncertainties(jac, sse)
-    centers = (p[0] - p[2], p[0], p[0] + p[2], p[1] - p[3], p[1], p[1] + p[3])
+    if not c1 > 0.0:  # a sweep not in absolute MHz, or a stray dip
+        raise FitFailed(f"lower group center {c1:.2f} MHz is not above 0 MHz")
+    if not all(map(math.isfinite, sigmas)):
+        raise FitFailed(f"the triplet fit's centre sigmas {sigmas} are not finite")
+    centers = (c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2)
     return OdmrModelFit(
-        pair=TransitionPair(
-            omega1=float(p[0]), omega2=float(p[1]), sigma1=sig1, sigma2=sig2
-        ),
-        linewidth_mhz=float(p[4]),
+        pair=TransitionPair(float(c1), float(c2), sigmas[0], sigmas[1]),
+        linewidth_mhz=float(width),
         dip_centers_mhz=tuple(float(c) for c in centers),
-        sse=sse,
+        sse=float(result.residual @ result.residual),
         iterations=iterations,
         window_mhz=tuple(
             (max(lo, float(f[0])), min(hi, float(f[-1]))) for lo, hi in spans
         ),
+        baseline=float(result.c[6]),
     )
-
-
-def _center_uncertainties(jac: np.ndarray, sse: float) -> tuple[float, float]:
-    """1-sigma of the two group centers from the covariance s^2 (J^T J)^-1
-    of all eleven parameters, s^2 = SSE / (n - 11). Raises FitFailed
-    when J^T J is singular or a sigma is not finite: the fit then leaves
-    the centres undetermined."""
-    dof = max(jac.shape[0] - jac.shape[1], 1)
-    try:
-        cov = (sse / dof) * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError as exc:
-        raise FitFailed(f"the triplet fit's covariance is singular: {exc}") from exc
-    sigmas = tuple(math.sqrt(max(float(cov[k, k]), 0.0)) for k in (0, 1))
-    if not all(map(math.isfinite, sigmas)):
-        raise FitFailed(f"the triplet fit's centre sigmas {sigmas} are not finite")
-    return sigmas
-

@@ -243,27 +243,30 @@ def field_vector_at(point, beam_center, z: float, config: OpticalConfig) -> np.n
     return amp * phi_hat
 
 
-def triplet_model_reference(
-    f: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-triplet model and (n, 11) Jacobian in the sample-major (n, 6)
-    layout, one column per center: the reference for the sweep-major
-    ``spin._triplet_model``."""
-    c1, c2, s1, s2, w = p[:5]
-    depths = p[5:]
+def triplet_model_reference(f: np.ndarray, x: np.ndarray):
+    """Two-triplet basis [-L_1 .. -L_6, 1] (n, 7) and the function giving
+    d(model)/dx (n, 5) for coefficients c, in the sample-major (n, 6)
+    layout with one column per center and the derivatives summed column
+    by column: the reference for the sweep-major ``spin._triplet_model``,
+    which takes them as one matrix product."""
+    c1, c2, s1, s2, w = x
     centers = np.array([c1 - s1, c1, c1 + s1, c2 - s2, c2, c2 + s2])
     h = 0.5 * w
     u = f[:, None] - centers
     lor = _lorentz(f[:, None], centers, w)
-    d_center = -depths * (2.0 * u * lor * lor / (h * h))
-    jac = np.empty((f.size, 11))
-    jac[:, 0] = d_center[:, :3].sum(axis=1)
-    jac[:, 1] = d_center[:, 3:].sum(axis=1)
-    jac[:, 2] = d_center[:, 2] - d_center[:, 0]
-    jac[:, 3] = d_center[:, 5] - d_center[:, 3]
-    jac[:, 4] = -(lor * (1.0 - lor) / h) @ depths
-    jac[:, 5:] = -lor
-    return 1.0 - lor @ depths, jac
+
+    def slopes(c):
+        depths = c[:6]
+        d_center = -depths * (2.0 * u * lor * lor / (h * h))
+        jac = np.empty((f.size, 5))
+        jac[:, 0] = d_center[:, :3].sum(axis=1)
+        jac[:, 1] = d_center[:, 3:].sum(axis=1)
+        jac[:, 2] = d_center[:, 2] - d_center[:, 0]
+        jac[:, 3] = d_center[:, 5] - d_center[:, 3]
+        jac[:, 4] = -(lor * (1.0 - lor) / h) @ depths
+        return jac
+
+    return np.column_stack((-lor, np.ones_like(f))), slopes
 
 
 def dip_candidates_reference(f: np.ndarray, y: np.ndarray) -> list[float]:
@@ -417,18 +420,21 @@ def levenberg_marquardt_reference(fun, x0) -> least_squares.LeastSquaresResult:
     return least_squares.LeastSquaresResult(x, least_squares.MAX_ITERATIONS, False)
 
 
-def fit_odmr_model_reference(spectrum):
-    """``spin.fit_odmr_model`` with Levenberg-Marquardt over the whole
-    sweep: the reference for the fit on windows around the dips.
+def fit_odmr_model_reference(spectrum, baseline: float):
+    """``spin.fit_odmr_model`` with variable projection over the whole
+    sweep and the baseline held at ``baseline``: the reference for the
+    fit on windows around the dips. The points off the windows inform
+    the baseline, so a free one would differ by its own noise; held at
+    the windowed fit's value, it leaves only what the windows cut.
     Returns (omega1, omega2, sigma1, sigma2, linewidth)."""
     f = spectrum.frequencies
     y = spectrum.contrast
-    baseline = spin._median(y)
-    lo_group, hi_group = spin._split_groups(spin._dip_candidates(f, y, baseline))
+    median = spin._median(y)
+    lo_group, hi_group = spin._split_groups(spin._dip_candidates(f, y, median))
 
     def centroid(group):
         mask = (f >= group[0] - 4.0) & (f <= group[-1] + 4.0)
-        w = np.clip(baseline - y[mask], 0.0, None)
+        w = np.clip(median - y[mask], 0.0, None)
         total = float(w.sum())
         if total <= 0.0:
             return spin._median(group)
@@ -438,34 +444,24 @@ def fit_odmr_model_reference(spectrum):
         return 0.5 * (group[-1] - group[0]) if len(group) == 3 else 2.0
 
     df = float(f[1] - f[0])
-    start = np.zeros(11)
-    start[:5] = (centroid(lo_group), centroid(hi_group),
-                 spacing_init(lo_group), spacing_init(hi_group), max(4.0 * df, 0.5))
-    _, jac = spin._triplet_model(f, start)
-    start[5:] = np.linalg.lstsq(-jac[:, 5:], 1.0 - y, rcond=None)[0]
+    start = np.array([centroid(lo_group), centroid(hi_group),
+                      spacing_init(lo_group), spacing_init(hi_group), max(4.0 * df, 0.5)])
+    def model(x):
+        basis, slopes = spin._triplet_model(f, x)
+        return basis[:, :6], slopes
 
-    def residual(p):
-        model, jac = spin._triplet_model(f, p)
-        return model - y, jac
-
-    result = least_squares.levenberg_marquardt(residual, start)
+    result = least_squares.variable_projection(model, y - baseline, start)
     if not result.converged:
         raise FitFailed(
             f"triplet fit did not converge within {result.iterations} iterations"
         )
-    p = result.x
-    for k in (0, 1):
-        if p[2 + k] < 0.0:
-            p[2 + k] = -p[2 + k]
-            p[5 + 3 * k : 8 + 3 * k] = p[7 + 3 * k : 4 + 3 * k : -1].copy()
-    p[4] = abs(p[4])
-    if p[0] > p[1]:
-        p = p[[1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7]]
-    if p[1] - p[0] < 3.0 * p[4]:
+    c1, c2, width = result.x[0], result.x[1], abs(result.x[4])
+    sig1, sig2 = np.sqrt(result.covariance.diagonal()[:2])
+    if c1 > c2:
+        c1, c2, sig1, sig2 = c2, c1, sig2, sig1
+    if c2 - c1 < 3.0 * width:
         raise TripletsOverlap("group centers closer than three linewidths")
-    model, jac = spin._triplet_model(f, p)
-    sig1, sig2 = spin._center_uncertainties(jac, float((model - y) @ (model - y)))
-    return float(p[0]), float(p[1]), sig1, sig2, float(p[4])
+    return float(c1), float(c2), float(sig1), float(sig2), float(width)
 
 
 def full_hamiltonian_reference(b_vec_nv, params: SpinParams) -> np.ndarray:

@@ -375,6 +375,7 @@ class TestOdmr:
         assert best < 0.1
         assert (tmp_path / "spectrum.csv").exists()
         assert (tmp_path / "odmr_fit.json").exists()
+        assert report["baseline"] == pytest.approx(1.0, abs=1e-5)
 
     def test_fit_existing_spectrum_file(self, tmp_path, capsys):
         spec = simulate_odmr_spectrum(
@@ -793,23 +794,62 @@ class TestPipeline:
             ("nv4", (70.16, 20.60)),
         ]
         scans, spectra = self._synthesize(tmp_path, labels, field)
-        real = spin._center_uncertainties
-        calls = []
+        real_fit, real_model = cli.fit_odmr_model, spin._triplet_model
+        fits = []
 
-        def singular_for_first_nv(jac, sse):
-            calls.append(None)
-            if len(calls) == 1:  # NVs are fitted in sorted order
-                jac = jac.copy()
+        def counted(spectrum):
+            fits.append(None)
+            return real_fit(spectrum)
+
+        def singular_for_first_nv(f, x):
+            basis, slopes = real_model(f, x)
+            if len(fits) > 1:  # NVs are fitted in sorted order
+                return basis, slopes
+
+            def flat_in_c1(c):
+                jac = slopes(c).copy()
                 jac[:, 0] = 0.0
-            return real(jac, sse)
+                return jac
 
-        monkeypatch.setattr(spin, "_center_uncertainties", singular_for_first_nv)
+            return basis, flat_in_c1
+
+        monkeypatch.setattr(cli, "fit_odmr_model", counted)
+        monkeypatch.setattr(spin, "_triplet_model", singular_for_first_nv)
         code, report = run_cli(
             capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
         )
         assert code == 0
         [entry] = report["errors"]
         assert entry["nv"] == "nv1" and entry["error"] == "FitFailed"
+        assert "rank-deficient" in entry["message"]
+        assert sorted(report["per_nv"]) == ["nv2", "nv3", "nv4"]
+        assert report["reconstruction"] is not None
+
+    @pytest.mark.parametrize("width, height", [(50, 1), (1, 50)])
+    def test_scan_of_one_row_or_column_lists_that_nv(self, tmp_path, capsys,
+                                                      width, height):
+        # such a scan does not determine the pattern; its NV is listed and
+        # the other three still give a reconstruction
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        thin = simulate_pattern(
+            NVOrientation.from_degrees(70.0, 20.0), ScanGrid(width, height, 50.0),
+            OpticalConfig(), amplitude=1e4, background=100.0, noise_seed=1,
+        )
+        write_scan_image_csv(thin, scans / "nv1.csv")
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv1" and entry["error"] == "DegenerateTemplate"
+        assert f"scan of {width} x {height} pixels" in entry["message"]
         assert sorted(report["per_nv"]) == ["nv2", "nv3", "nv4"]
         assert report["reconstruction"] is not None
 

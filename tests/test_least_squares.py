@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import REFERENCE_ORIENTATIONS_DEG, levenberg_marquardt_reference
 from nvvortex import least_squares, orient_fit, spin
-from nvvortex.errors import ObjectiveNotFinite
-from nvvortex.least_squares import LeastSquaresResult, levenberg_marquardt
+from nvvortex.errors import ObjectiveNotFinite, RankDeficient
+from nvvortex.least_squares import (
+    LeastSquaresResult,
+    levenberg_marquardt,
+    variable_projection,
+)
 from nvvortex.pattern import NVOrientation, simulate_pattern
 
 
@@ -83,6 +89,107 @@ class TestLevenbergMarquardt:
         assert result.x[1] == 5.0
 
 
+def exponentials(t):
+    """The separable model c0 + c1 exp(-x0 t) + c2 exp(-x1 t): its basis
+    and the slopes d(A c)/dx."""
+
+    def model(x):
+        decays = np.exp(-np.outer(t, x))
+        basis = np.column_stack((np.ones_like(t), decays))
+        return basis, lambda c: -t[:, None] * decays * c[1:]
+
+    return model
+
+
+class TestVariableProjection:
+    def test_closed_form_optimum_and_covariance(self):
+        # c (cos x, sin x, 0) against d = (3, 4, 2): the optimum is x =
+        # atan2(4, 3), c = 5 with leftover (0, 0, 2), and J = [c (-sin x,
+        # cos x, 0) | (cos x, sin x, 0)] gives J^T J = diag(25, 1) and
+        # s^2 = 4 / (3 - 2)
+        def model(x):
+            cos, sin = math.cos(x[0]), math.sin(x[0])
+            return np.array([[cos], [sin], [0.0]]), lambda c: c[0] * np.array(
+                [[-sin], [cos], [0.0]]
+            )
+
+        result = variable_projection(model, [3.0, 4.0, 2.0], [0.3])
+        assert result.converged
+        assert result.x[0] == pytest.approx(math.atan2(4.0, 3.0), abs=1e-9)
+        assert result.c[0] == pytest.approx(5.0, abs=1e-9)
+        assert np.allclose(result.residual, [0.0, 0.0, 2.0], rtol=0.0, atol=1e-9)
+        assert np.allclose(result.covariance, np.diag([4.0 / 25.0, 4.0]), rtol=1e-10)
+
+    def test_exact_data_are_recovered(self):
+        model = exponentials(np.linspace(0.0, 5.0, 40))
+        data = model(np.array([0.4, 2.5]))[0] @ np.array([1.0, 2.0, -1.5])
+        result = variable_projection(model, data, [0.2, 1.0])
+        assert result.converged
+        assert np.allclose(result.x, [0.4, 2.5], rtol=0.0, atol=1e-9)
+        assert np.allclose(result.c, [1.0, 2.0, -1.5], rtol=0.0, atol=1e-9)
+        assert np.abs(result.residual).max() < 1e-12
+
+    def test_covariance_matches_finite_difference_jacobian(self):
+        t = np.linspace(0.0, 5.0, 60)
+        model = exponentials(t)
+        noise = 0.01 * np.random.default_rng(5).standard_normal(t.size)
+        data = model(np.array([0.4, 2.5]))[0] @ np.array([1.0, 2.0, -1.5]) + noise
+        result = variable_projection(model, data, [0.3, 2.0])
+        assert result.converged
+        p = np.concatenate((result.x, result.c))
+
+        def full_model(p):
+            return model(p[:2])[0] @ p[2:]
+
+        h = 1e-6
+        jac = np.column_stack([
+            (full_model(p + h * e) - full_model(p - h * e)) / (2.0 * h)
+            for e in np.eye(p.size)
+        ])
+        assert np.allclose(result.residual, data - full_model(p), rtol=0.0, atol=1e-12)
+        sse = float(result.residual @ result.residual)
+        want = sse / (t.size - p.size) * np.linalg.inv(jac.T @ jac)
+        assert np.allclose(result.covariance, want, rtol=1e-5, atol=0.0)
+
+    def test_rank_deficient_basis_raises(self):
+        t = np.linspace(0.0, 5.0, 40)
+
+        def repeated(x):
+            decay = np.exp(-x[0] * t)
+            basis = np.column_stack((decay, decay))
+            return basis, lambda c: -(t * decay * c.sum())[:, None]
+
+        with pytest.raises(RankDeficient, match=r"the basis \(40 x 2\)"):
+            variable_projection(repeated, t, [1.0])
+
+    def test_rank_deficient_full_jacobian_raises(self):
+        # c0 + c1 (t - x) is linear in disguise: x trades against c0, so
+        # the search stops at once and the covariance is undefined
+        t = np.linspace(0.0, 5.0, 40)
+
+        def shifted(x):
+            basis = np.column_stack((np.ones_like(t), t - x[0]))
+            return basis, lambda c: np.full((t.size, 1), -c[1])
+
+        with pytest.raises(RankDeficient, match=r"the full Jacobian \(40 x 3\)"):
+            variable_projection(shifted, 2.0 + 3.0 * t, [1.0])
+
+    def test_unconverged_run_has_no_covariance(self, monkeypatch):
+        monkeypatch.setattr(least_squares, "MAX_ITERATIONS", 1)
+        model = exponentials(np.linspace(0.0, 5.0, 40))
+        data = model(np.array([0.4, 2.5]))[0] @ np.array([1.0, 2.0, -1.5])
+        result = variable_projection(model, data, [0.2, 1.0])
+        assert not result.converged and result.covariance is None
+        assert result.iterations == 1
+
+    def test_nan_basis_raises_objective_not_finite(self):
+        def nan_basis(x):
+            return np.full((5, 2), np.nan), lambda c: np.zeros((5, 1))
+
+        with pytest.raises(ObjectiveNotFinite):
+            variable_projection(nan_basis, np.ones(5), [0.0])
+
+
 def assert_bitwise_equal(a: LeastSquaresResult, b: LeastSquaresResult) -> None:
     assert a.x.tobytes() == b.x.tobytes()
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
@@ -110,7 +217,7 @@ class TestMatchesReferenceLoop:
         assert not checked(rosenbrock, [-1.2, 1.0]).converged
 
     def test_odmr_fits(self, spin_params, monkeypatch):
-        monkeypatch.setattr(spin, "levenberg_marquardt", checked)
+        monkeypatch.setattr(least_squares, "levenberg_marquardt", checked)
         bdir = NVOrientation.from_degrees(8.59, 182.56)
         for theta, phi in REFERENCE_ORIENTATIONS_DEG[1:]:
             clean = spin.simulate_odmr_spectrum(
@@ -121,7 +228,7 @@ class TestMatchesReferenceLoop:
                 spin.fit_odmr_model(spin.add_contrast_noise(clean, 0.002, seed))
 
     def test_orientation_fits(self, grid31, optics, monkeypatch):
-        monkeypatch.setattr(orient_fit, "levenberg_marquardt", checked)
+        monkeypatch.setattr(least_squares, "levenberg_marquardt", checked)
         for seed, (theta, phi) in enumerate(REFERENCE_ORIENTATIONS_DEG):
             image = simulate_pattern(
                 NVOrientation.from_degrees(theta, phi), grid31, optics,

@@ -12,7 +12,7 @@ from conftest import (
 from nvvortex import least_squares, pattern
 from nvvortex.errors import DegenerateTemplate, NoConvergence
 from nvvortex.orient_fit import (
-    _linear_fit,
+    _pattern_model,
     fit_orientation,
     nearest_tetrahedral_axis,
     TETRAHEDRAL_POLAR,
@@ -163,11 +163,10 @@ class TestFitOrientation:
         )
         fit = fit_orientation(img, optics)
         xs, ys = (a.ravel() for a in grid31.pixel_positions())
-        coef, _, _ = _linear_fit(
-            fit.center_nm, xs, ys, img.values.ravel(),
-            radial_profile_for_grid(grid31, optics),
+        basis, _ = _pattern_model(
+            fit.center_nm, xs, ys, radial_profile_for_grid(grid31, optics)
         )
-        p, q, s = coef[:3]
+        p, q, s = np.linalg.lstsq(basis, img.values.ravel(), rcond=None)[0][:3]
         evals = np.linalg.eigvalsh([[p, 0.5 * s], [0.5 * s, q]])
         assert 1.0 - evals[0] / evals[1] > 1.0  # the unclamped sin^2(theta)
         assert math.isfinite(fit.theta)
@@ -215,14 +214,17 @@ class TestFitOrientation:
         d = img.values.ravel()
         profile = radial_profile_for_grid(grid31, optics)
         cx, cy = grid31.center_nm
-        center = (cx + 31.0, cy - 22.0)
-        _, leftover, jac = _linear_fit(center, xs, ys, d, profile)
+
+        def model(center):
+            return _pattern_model(center, xs, ys, profile)
+
+        center = np.array([cx + 31.0, cy - 22.0])
+        _, leftover, jac, _, _ = least_squares._project(model, d, center)
         h = 1e-3
         central = np.column_stack([
-            (_linear_fit((center[0] + ex, center[1] + ey), xs, ys, d, profile)[1]
-             - _linear_fit((center[0] - ex, center[1] - ey), xs, ys, d, profile)[1])
-            / (2.0 * h)
-            for ex, ey in h * np.eye(2)
+            (least_squares._project(model, d, center + e)[1]
+             - least_squares._project(model, d, center - e)[1]) / (2.0 * h)
+            for e in h * np.eye(2)
         ])
         dx, dy = xs - center[0], ys - center[1]
         rho2 = dx * dx + dy * dy
@@ -236,6 +238,20 @@ class TestFitOrientation:
         # the left-out part lies in the span of the basis, so the
         # gradient J^T r is the exact one
         assert np.allclose(jac.T @ leftover, central.T @ leftover, rtol=1e-8)
+
+    @pytest.mark.parametrize("width, height", [(50, 1), (1, 50)])
+    def test_scan_of_one_row_or_column_is_degenerate(self, optics, width, height):
+        # one row leaves B_yy and B_xy at 0, one column B_xx and B_xy:
+        # the basis is rank-deficient, and the scan's shape is named
+        # instead of an axis (90, 0) deg being reported
+        grid = ScanGrid(width, height, 50.0)
+        img = simulate_pattern(
+            NVOrientation.from_degrees(70.0, 20.0), grid, optics,
+            amplitude=1e4, background=100.0, noise_seed=1,
+        )
+        shape = f"scan of {width} x {height} pixels"
+        with pytest.raises(DegenerateTemplate, match=f"{shape} .* rank-deficient"):
+            fit_orientation(img, optics)
 
     def test_inverted_contrast_is_degenerate(self, grid31, optics):
         img_vals = 10.0 - make_image(70.0, 0.5, grid31, optics).values * 5.0

@@ -606,16 +606,17 @@ def wide_spectrum(spin_params, theta_deg=109.84, phi_deg=20.60):
 
 
 def assert_matches_full_sweep_fit(spectrum):
-    """The windowed fit against the whole-sweep reference: each centre
-    within 0.01 sigma, each sigma within [0.85, 1.15] of the reference's,
-    and the same exception where the reference raises."""
+    """The windowed fit against the whole-sweep reference at the same
+    baseline: each centre within 0.01 sigma, each sigma within [0.85,
+    1.15] of the reference's, and the same exception where either
+    raises."""
     try:
-        ref = fit_odmr_model_reference(spectrum)
+        model = fit_odmr_model(spectrum)
     except (FitFailed, TripletsOverlap) as exc:
         with pytest.raises(type(exc)):
-            fit_odmr_model(spectrum)
+            fit_odmr_model_reference(spectrum, 1.0)
         return None
-    model = fit_odmr_model(spectrum)
+    ref = fit_odmr_model_reference(spectrum, model.baseline)
     pair = model.pair
     for omega, sigma, ref_omega, ref_sigma in (
         (pair.omega1, pair.sigma1, ref[0], ref[2]),
@@ -639,44 +640,57 @@ def broad_close_triplets() -> Spectrum:
     return Spectrum(f, y)
 
 
-def reversed_spacing(x):
-    """The same two-triplet model with group 1's spacing negative: its
-    dips, and so its depths, listed from the top."""
-    x = x.copy()
-    x[2] = -x[2]
-    x[5:8] = x[7:4:-1]
-    return x
+def relabelling(order, signs):
+    """A relabelling of the two-triplet solution: the signed permutation
+    (x, c) -> signs * (x, c)[order] of the 12 parameters, applied to a
+    ``variable_projection`` result's x, c and covariance alike."""
+    order, signs = np.array(order), np.array(signs, dtype=float)
+
+    def rewrite(result):
+        p = signs * np.concatenate((result.x, result.c))[order]
+        cov = np.outer(signs, signs) * result.covariance[np.ix_(order, order)]
+        return dataclasses.replace(result, x=p[:5], c=p[5:], covariance=cov)
+
+    return rewrite
 
 
-def swapped_groups(x):
-    """The same two-triplet model with the two groups' labels swapped."""
-    return x[[1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7]]
+#: the same model with group 1's spacing negative: its dips, and so its
+#: depths, listed from the top
+reversed_spacing = relabelling(
+    [0, 1, 2, 3, 4, 7, 6, 5, 8, 9, 10, 11], [1, 1, -1] + [1] * 9
+)
+#: the same model with the two groups' labels swapped
+swapped_groups = relabelling([1, 0, 3, 2, 4, 8, 9, 10, 5, 6, 7, 11], [1] * 12)
 
 
 def rewriting_solver(rewrite):
-    """``levenberg_marquardt`` returning ``rewrite`` of each solution.
-    A start it returned before is handed back in its original form, so
+    """``variable_projection`` returning ``rewrite`` of each result. A
+    start it returned before is handed back in its original form, so
     the real solver follows the path of an unpatched fit."""
-    real = least_squares.levenberg_marquardt
+    real = least_squares.variable_projection
     last = {}
 
-    def solve(fun, x0):
+    def solve(model, data, x0):
         if x0 is last.get("rewritten"):
             x0 = last["solution"]
-        result = real(fun, x0)
-        last.update(solution=result.x, rewritten=rewrite(result.x))
-        return dataclasses.replace(result, x=last["rewritten"])
+        result = real(model, data, x0)
+        rewritten = rewrite(result)
+        last.update(solution=result.x, rewritten=rewritten.x)
+        return rewritten
 
     return solve
 
 
-def assert_matches_reference(f, p):
-    """Sweep-major model against the (n, 6) reference: the model within
-    1e-15 of its peak, each Jacobian column within 1e-13 of its own."""
-    model, jac = _triplet_model(f, p)
-    ref_model, ref_jac = triplet_model_reference(f, p)
-    assert jac.shape == (f.size, 11) and jac.T.flags.c_contiguous
-    assert np.max(np.abs(model - ref_model)) <= 1e-15 * np.max(np.abs(ref_model))
+def assert_matches_reference(f, x, c):
+    """Sweep-major model against the (n, 6) reference: the basis within
+    1e-15 of its peak, each column of d(model)/dx within 1e-13 of its
+    own, both returned as transposed views of sweep-major arrays."""
+    basis, slopes = _triplet_model(f, x)
+    ref_basis, ref_slopes = triplet_model_reference(f, x)
+    jac, ref_jac = slopes(c), ref_slopes(c)
+    assert basis.shape == (f.size, 7) and basis.T.flags.c_contiguous
+    assert jac.shape == (f.size, 5) and jac.T.flags.c_contiguous
+    assert np.max(np.abs(basis - ref_basis)) <= 1e-15
     err = np.max(np.abs(jac - ref_jac), axis=0)
     assert np.all(err <= 1e-13 * np.max(np.abs(ref_jac), axis=0)), err
 
@@ -723,40 +737,80 @@ class TestFitSpectrum:
             ratio = scatter / np.mean([getattr(p, sigma) for p in pairs])
             assert 0.7 <= ratio <= 1.4, (omega, ratio)
 
-    def test_singular_covariance_raises_fit_failed(self):
+    @pytest.mark.parametrize("axis", [(109.84, 20.60), (109.31, 140.74)],
+                             ids=["NV1", "NV3"])
+    @pytest.mark.parametrize("baseline", [0.97, 0.99, 1.01, 1.03])
+    def test_baseline_is_fitted_not_assumed(self, spin_params, axis, baseline):
+        # a spectrum normalised by an inexact reference: with the
+        # baseline assumed to be 1, 0.99 failed on every seed and 1.01
+        # halved the linewidth. z is taken against the noiseless fit of
+        # the same spectrum, which leaves out the triplet model's own bias
+        clean = fig2_spectrum(spin_params, axis, SweepSettings())
+        scaled = Spectrum(clean.frequencies, baseline * clean.contrast)
+        ref = fit_odmr_model(scaled)
+        assert ref.baseline == pytest.approx(baseline, abs=1e-6)
+        z = []
+        for seed in range(40):
+            fit = fit_odmr_model(add_contrast_noise(scaled, 0.002, seed))
+            assert abs(fit.linewidth_mhz - 0.8) <= 0.05 * 0.8
+            assert abs(fit.baseline - baseline) <= 1e-3
+            z.append(((fit.pair.omega1 - ref.pair.omega1) / fit.pair.sigma1,
+                      (fit.pair.omega2 - ref.pair.omega2) / fit.pair.sigma2))
+        rms = np.sqrt(np.mean(np.square(z), axis=0))
+        assert np.all((0.8 <= rms) & (rms <= 1.25)), rms
+
+    def test_singular_covariance_raises_fit_failed(self, spin_params, monkeypatch):
         # a parameter the data do not constrain leaves J^T J singular;
         # the centres' uncertainties are then undefined, not NaN
-        jac = np.random.default_rng(0).standard_normal((200, 11))
-        jac[:, 4] = 0.0
-        with pytest.raises(FitFailed, match="singular"):
-            spin._center_uncertainties(jac, 1e-4)
+        model = spin._triplet_model
 
-    @pytest.mark.parametrize("sse", [math.inf, math.nan])
-    def test_non_finite_sigma_raises_fit_failed(self, sse):
+        def flat_in_width(f, x):
+            basis, slopes = model(f, x)
+
+            def flat(c):
+                jac = slopes(c).copy()
+                jac[:, 4] = 0.0
+                return jac
+
+            return basis, flat
+
+        monkeypatch.setattr(spin, "_triplet_model", flat_in_width)
+        with pytest.raises(FitFailed, match="full Jacobian .* is rank-deficient"):
+            fit_odmr_model(criterion7_spectrum(spin_params))
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_sigma_raises_fit_failed(self, spin_params, monkeypatch, scale):
         # a non-finite sigma would make TransitionPair raise ValueError,
         # which the pipeline's per-NV handler does not catch
-        jac = np.random.default_rng(0).standard_normal((200, 11))
+        real = least_squares.variable_projection
+
+        def scaled(model, data, x0):
+            result = real(model, data, x0)
+            return dataclasses.replace(result, covariance=scale * result.covariance)
+
+        monkeypatch.setattr(spin, "variable_projection", scaled)
         with pytest.raises(FitFailed, match="not finite"):
-            spin._center_uncertainties(jac, sse)
+            fit_odmr_model(criterion7_spectrum(spin_params))
 
     @pytest.mark.parametrize("point", [
-        (2804.06, 2958.73, 2.14, 2.14, 0.8, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),
-        (2850.3, 2890.1, 1.7, 2.6, 1.3, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06),
-        (2805.0, 2950.0, -2.2, 2.0, -0.6, 0.03, -0.01, 0.02, 0.03, 0.0, 0.025),
-        (2805.0, 2950.0, -2.2, -1.9, 0.8, 0.03, 0.01, 0.02, 0.03, 0.04, 0.025),
-        (2804.06, 2958.73, 2.14, 2.14, 0.05, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03),
-        (2804.06, 2958.73, 2.14, -2.6, 20.0, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06),
+        (2804.06, 2958.73, 2.14, 2.14, 0.8, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03, 1.0),
+        (2850.3, 2890.1, 1.7, 2.6, 1.3, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06, 0.97),
+        (2805.0, 2950.0, -2.2, 2.0, -0.6, 0.03, -0.01, 0.02, 0.03, 0.0, 0.025, 1.03),
+        (2805.0, 2950.0, -2.2, -1.9, 0.8, 0.03, 0.01, 0.02, 0.03, 0.04, 0.025, 1.0),
+        (2804.06, 2958.73, 2.14, 2.14, 0.05, 0.03, 0.03, 0.03, 0.03, 0.03, 0.03, 0.99),
+        (2804.06, 2958.73, 2.14, -2.6, 20.0, 0.01, 0.05, 0.02, 0.04, 0.03, 0.06, 1.01),
     ])
     def test_triplet_jacobian_matches_central_differences(self, point):
         f = np.linspace(2780.0, 2980.0, 2001)
-        p = np.array(point)
-        assert_matches_reference(f, p)
-        _, jac = _triplet_model(f, p)
+        x, c = np.array(point[:5]), np.array(point[5:])
+        assert_matches_reference(f, x, c)
+        _, slopes = _triplet_model(f, x)
+        jac = slopes(c)
         h = 1e-5
-        for i in range(p.size):
-            e = np.zeros_like(p)
+        for i in range(x.size):
+            e = np.zeros_like(x)
             e[i] = h
-            fd = (_triplet_model(f, p + e)[0] - _triplet_model(f, p - e)[0]) / (2 * h)
+            fd = (_triplet_model(f, x + e)[0] - _triplet_model(f, x - e)[0]) @ c / (2 * h)
             assert np.linalg.norm(jac[:, i] - fd) <= 1e-6 * np.linalg.norm(jac[:, i])
 
     def test_fit_path_pinned(self, spin_params, monkeypatch):
@@ -767,18 +821,18 @@ class TestFitSpectrum:
         calls = []
         model = spin._triplet_model
 
-        def recorded(f, p):
-            calls.append((f, p.copy()))
-            return model(f, p)
+        def recorded(f, x):
+            calls.append((f, x.copy()))
+            return model(f, x)
 
         monkeypatch.setattr(spin, "_triplet_model", recorded)
         fit = fit_odmr_model(spec)
-        assert len(calls) == 9
+        assert len(calls) == 6
         assert {f.size for f, _ in calls} == {568}
-        assert (fit.pair.omega1, fit.pair.omega2) == (2803.07713966316, 2959.55122074699)
-        # the zero-depth start, the start with solved depths, the solution
-        for f, p in (calls[0], calls[1], calls[-1]):
-            assert_matches_reference(f, p)
+        assert (fit.pair.omega1, fit.pair.omega2) == (2803.077138311974, 2959.551238739791)
+        # the start and the solution
+        for f, x in (calls[0], calls[-1]):
+            assert_matches_reference(f, x, np.array([0.03] * 6 + [1.0]))
 
     @pytest.mark.parametrize("sweep", [WIDE_SWEEP, SweepSettings()],
                              ids=["wide", "default"])
@@ -885,16 +939,16 @@ class TestFitSpectrum:
         spec = broad_close_triplets()
         want = fit_odmr_model(spec)
         assert want.window_mhz == ((spec.frequencies[0], spec.frequencies[-1]),) * 2
-        monkeypatch.setattr(spin, "levenberg_marquardt", rewriting_solver(rewrite))
+        monkeypatch.setattr(spin, "variable_projection", rewriting_solver(rewrite))
         assert fit_odmr_model(spec) == want
 
     def test_groups_closer_than_three_linewidths_overlap(self, monkeypatch):
-        def broaden(x):
-            x = x.copy()
+        def broaden(result):
+            x = result.x.copy()
             x[4] = 0.4 * (x[1] - x[0])
-            return x
+            return dataclasses.replace(result, x=x)
 
-        monkeypatch.setattr(spin, "levenberg_marquardt", rewriting_solver(broaden))
+        monkeypatch.setattr(spin, "variable_projection", rewriting_solver(broaden))
         with pytest.raises(TripletsOverlap, match="closer than three linewidths"):
             fit_odmr_model(broad_close_triplets())
 

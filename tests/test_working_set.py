@@ -1,9 +1,10 @@
-"""Working set of the focal-field chain and the scan writers: the
+"""Working set of the focal-field chain and the scan files: the
 quadrature, the profile build and a map each need their output plus one
-block, and a scan write one block, not temporaries the size of their
-input. Peaks are traced allocations above the call's start, so they do
-not depend on the interpreter's own footprint; the bounds are ratios to
-the output and to one block, so that they hold across numpy versions."""
+block, a scan write one block and a scan read little beyond the image,
+not temporaries the size of their input. Peaks are traced allocations
+above the call's start, so they do not depend on the interpreter's own
+footprint; the bounds are ratios to the output and to one block, so
+that they hold across numpy versions."""
 
 import tracemalloc
 
@@ -12,7 +13,7 @@ import pytest
 
 import nvvortex.focal_field as focal_field
 import nvvortex.pattern as pattern
-from nvvortex.fileio import write_pgm, write_scan_image_csv
+from nvvortex.fileio import read_scan_image_csv, write_pgm, write_scan_image_csv
 from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.pattern import NVOrientation, RadialIntensityProfile, ScanGrid
 
@@ -100,3 +101,16 @@ def test_pgm_needs_one_block(tmp_path, traced_peak):
         write_pgm(image, tmp_path / "warm.pgm")
         peak, _ = traced_peak(lambda: write_pgm(image, tmp_path / "scan.pgm"))
         assert peak <= 3 * PIXEL_BLOCK_BYTES, image.grid
+
+
+def test_scan_read_needs_little_beyond_the_image(tmp_path, traced_peak):
+    # the reader parses rows from the open file, without the file's text
+    # or its list of lines (1.8 times the image when it held them)
+    grid = ScanGrid(1024, 1024, 20.0)
+    values = np.random.default_rng(3).poisson(300.0, (1024, 1024)).astype(float)
+    path = tmp_path / "scan.csv"
+    write_scan_image_csv(pattern.ScanImage(grid=grid, values=values), path)
+    read_scan_image_csv(path)  # warm
+    peak, image = traced_peak(lambda: read_scan_image_csv(path))
+    assert np.array_equal(image.values, values)
+    assert peak <= 1.25 * values.nbytes
