@@ -4,26 +4,22 @@
 Picks a ground-truth field, synthesizes a scan pattern and an ODMR
 spectrum for three NV centers along the fig-2 axes NV1-NV3 as they lie
 in the crystal, read from the bundled ``paper_fig2_orientations.json``,
-writes them to a temporary directory, runs ``nvvortex pipeline`` on it
-(orientation fit -> spectrum fit -> inversion -> cone intersection)
-and compares the reported field with the truth. Exits with the
-pipeline's status.
+runs them in memory through ``cli.measure``, the chain of ``nvvortex
+pipeline`` (orientation fit -> spectrum fit -> inversion -> cone
+intersection), and compares the reconstructed field with the truth.
+Exits 3, as the pipeline does, when no field is reconstructed.
 """
 
 import argparse
-import contextlib
-import io
+import functools
 import json
 import math
 import sys
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from nvvortex import cli
 from nvvortex.config import RunConfig
-from nvvortex.fileio import write_scan_image_csv, write_spectrum_csv
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
 from nvvortex.spin import add_contrast_noise, simulate_odmr_spectrum
 
@@ -37,37 +33,25 @@ def fig2_axes_deg() -> list[tuple[float, float]]:
             for k in ("NV1", "NV2", "NV3")]
 
 
-def synthesize(args, axes_deg, b_vec: np.ndarray, scans: Path, spectra: Path) -> None:
-    """One scan CSV and one spectrum CSV per NV axis, named NV1.csv ..."""
+def synthesize(args, i: int, orientation: NVOrientation, b_vec: np.ndarray):
+    """The scan and the spectrum of NV ``i`` along ``orientation``."""
     config = RunConfig()
     grid = ScanGrid(31, 31, 50.0)
-    for i, (theta_deg, phi_deg) in enumerate(axes_deg, start=1):
-        orientation = NVOrientation.from_degrees(theta_deg, phi_deg)
-        if args.poisson_peak > 0:
-            clean = simulate_pattern(orientation, grid, config.optics)
-            image = simulate_pattern(
-                orientation, grid, config.optics,
-                amplitude=args.poisson_peak / clean.values.max(),
-                background=0.005 * args.poisson_peak, noise_seed=args.seed + i,
-            )
-        else:
-            image = simulate_pattern(orientation, grid, config.optics)
-        spectrum = simulate_odmr_spectrum(
-            b_vec, orientation, config.spin, linewidth_mhz=0.8, contrast_depth=0.03
+    if args.poisson_peak > 0:
+        clean = simulate_pattern(orientation, grid, config.optics)
+        image = simulate_pattern(
+            orientation, grid, config.optics,
+            amplitude=args.poisson_peak / clean.values.max(),
+            background=0.005 * args.poisson_peak, noise_seed=args.seed + i,
         )
-        if args.contrast_noise > 0:
-            spectrum = add_contrast_noise(spectrum, args.contrast_noise,
-                                          args.seed + 100 + i)
-        write_scan_image_csv(image, scans / f"NV{i}.csv")
-        write_spectrum_csv(spectrum, spectra / f"NV{i}.csv")
-
-
-def run_pipeline(scans: Path, spectra: Path) -> tuple[int, dict]:
-    """``nvvortex pipeline`` in this process: its exit status and report."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(["pipeline", "--scans", str(scans), "--spectra", str(spectra)])
-    return code, json.loads(stdout.getvalue())
+    else:
+        image = simulate_pattern(orientation, grid, config.optics)
+    spectrum = simulate_odmr_spectrum(
+        b_vec, orientation, config.spin, linewidth_mhz=0.8, contrast_depth=0.03
+    )
+    if args.contrast_noise > 0:
+        spectrum = add_contrast_noise(spectrum, args.contrast_noise, args.seed + 100 + i)
+    return image, spectrum
 
 
 def main() -> int:
@@ -83,50 +67,50 @@ def main() -> int:
 
     axes_deg = fig2_axes_deg()
     b_dir = NVOrientation.from_degrees(args.b_theta_deg, args.b_phi_deg)
-    with tempfile.TemporaryDirectory() as tmp:
-        scans, spectra = Path(tmp, "scans"), Path(tmp, "spectra")
-        scans.mkdir()
-        spectra.mkdir()
-        synthesize(args, axes_deg, args.b_gauss * b_dir.unit_axis, scans, spectra)
-        code, report = run_pipeline(scans, spectra)
-    if code != cli.EXIT_OK:
-        print(json.dumps(report, indent=2, sort_keys=True), file=sys.stderr)
-        return code
+    b_vec = args.b_gauss * b_dir.unit_axis
+    result = cli.measure(
+        [(f"NV{i}", functools.partial(synthesize, args, i,
+                                      NVOrientation.from_degrees(*axis), b_vec))
+         for i, axis in enumerate(axes_deg, start=1)],
+        RunConfig(),
+    )
+    recon = result.reconstruction
+    if recon is None:
+        for stage, exc in {**result.errors, "reconstruction": result.failure}.items():
+            if exc is not None:
+                print(f"{stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return cli.EXIT_NUMERICAL
 
+    deg = math.degrees
     print(f"truth: |B| = {args.b_gauss:.3f} G along "
           f"(theta={args.b_theta_deg:.2f}, phi={args.b_phi_deg:.2f}) deg\n")
     for i, (theta_deg, phi_deg) in enumerate(axes_deg, start=1):
-        nv = report["per_nv"][f"NV{i}"]
+        nv = result.measurements[f"NV{i}"]
         axis = NVOrientation.from_degrees(theta_deg, phi_deg).unit_axis
-        alpha_true = math.degrees(
-            math.acos(float(np.clip(b_dir.unit_axis @ axis, -1, 1)))
-        )
-        alpha_fit = min(nv["alpha_candidates_deg"], key=lambda a: abs(a - alpha_true))
+        alpha_true = math.acos(float(np.clip(b_dir.unit_axis @ axis, -1, 1)))
+        alpha_fit = min(nv.estimate.alpha_candidates, key=lambda a: abs(a - alpha_true))
         print(
             f"NV{i}: axis ({theta_deg:7.2f}, {phi_deg:7.2f}) deg, "
-            f"fit ({nv['theta_deg']:7.3f}, {nv['phi_deg']:8.3f}) deg  "
-            f"B = {nv['b_gauss']:7.3f} G  "
-            f"alpha = {alpha_fit:8.3f} deg (true {alpha_true:8.3f})"
+            f"fit ({deg(nv.fit.theta):7.3f}, {deg(nv.fit.phi):8.3f}) deg  "
+            f"B = {nv.estimate.b:7.3f} G  "
+            f"alpha = {deg(alpha_fit):8.3f} deg (true {deg(alpha_true):8.3f})"
         )
 
-    recon = report["reconstruction"]
-    got = NVOrientation.from_degrees(recon["theta_b_deg"], recon["phi_b_deg"]).unit_axis
-    want = b_dir.unit_axis
-    err_deg = math.degrees(
+    got, want = recon.direction, b_dir.unit_axis
+    err_deg = deg(
         2 * math.asin(min(np.linalg.norm(got - want), np.linalg.norm(got + want)) / 2)
     )
     print(
-        f"\nreconstructed: theta_B = {recon['theta_b_deg']:.2f} deg, "
-        f"phi_B = {recon['phi_b_deg']:.2f} deg "
-        f"(mirror {recon['mirror_deg'][0]:.2f}, {recon['mirror_deg'][1]:.2f})"
+        f"\nreconstructed: theta_B = {deg(recon.theta_b):.2f} deg, "
+        f"phi_B = {deg(recon.phi_b):.2f} deg "
+        f"(mirror {deg(recon.mirror[0]):.2f}, {deg(recon.mirror[1]):.2f})"
     )
-    print(f"|B| = {recon['b_mean_gauss']:.3f} +/- {recon['b_std_gauss']:.3f} G")
-    if "triangle_spread_deg" in recon:
-        print(f"triangle spread = {recon['triangle_spread_deg']:.4f} deg")
-    if "direction_sigma_deg" in recon:
-        print(f"first-order direction sigma = {recon['direction_sigma_deg']:.4f} deg")
+    print(f"|B| = {recon.b_mean:.3f} +/- {recon.b_std:.3f} G")
+    if recon.triangle_spread is not None:
+        print(f"triangle spread = {deg(recon.triangle_spread):.4f} deg")
+    print(f"first-order direction sigma = {deg(recon.direction_sigma):.4f} deg")
     print(f"direction error vs truth (mod antipode) = {err_deg:.4f} deg")
-    return code
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":

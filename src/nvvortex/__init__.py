@@ -11,7 +11,9 @@ Submodules:
     config        - run configuration: one strictly validated JSON file
     errors        - exception types, grouped by CLI exit code
     fileio        - on-disk formats: scan and spectrum CSV, PGM, JSON
-    cli           - command-line front end (``nvvortex`` entry point)
+    cli           - command-line front end (``nvvortex`` entry point) and
+                    ``measure``, the chain with a typed result; not imported
+                    here, which would load argparse on ``import nvvortex``
 """
 
 __version__ = "0.1.0"

@@ -36,20 +36,19 @@ from .fileio import (
     write_spectrum_csv,
 )
 from .orient_fit import OrientationFit, fit_orientation, nearest_tetrahedral_axis
-from .pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
+from .pattern import NVOrientation, ScanGrid, simulate_pattern
 from .spin import (
     MAX_SWEEP_POINTS,
     MIN_SWEEP_POINTS,
     FieldEstimate,
     OdmrModelFit,
-    Spectrum,
     add_contrast_noise,
     field_estimate,
     fit_odmr_model,
     simulate_odmr_spectrum,
     SweepSettings,
 )
-from .vector_recon import ConeConstraint, solve_direction
+from .vector_recon import ConeConstraint, VectorFieldResult, solve_direction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,27 +105,53 @@ class NVMeasurement(NamedTuple):
     constraint: ConeConstraint
 
 
-def measure_nv(
-    image: ScanImage, spectrum: Spectrum, config: RunConfig, label: str
-) -> NVMeasurement:
-    """One NV through the measurement chain: the scan gives the axis,
-    the ODMR fit gives |B| and the cone angle, and together they make
-    the cone constraint that ``solve_direction`` intersects. The axis is
-    the member of its class {+-n, +-M n} that the fit reports and the cone
-    angle the first candidate; their ambiguities are left to the
-    reconstruction."""
-    fit = fit_orientation(image, config.optics)
-    model = fit_odmr_model(spectrum)
-    estimate = field_estimate(model.pair, config.spin)
-    constraint = ConeConstraint(
-        axis=NVOrientation(fit.theta, fit.phi),
-        alpha=estimate.alpha_candidates[0],
-        b=estimate.b,
-        alpha_sigma=estimate.alpha_sigma,
-        b_sigma=estimate.b_sigma,
-        label=label,
-    )
-    return NVMeasurement(fit, model, estimate, constraint)
+class ChainResult(NamedTuple):
+    """What ``measure`` returns: each NV's measurement or exception, keyed
+    by label in input order, and the reconstruction or its ``failure``."""
+
+    measurements: dict[str, NVMeasurement]
+    errors: dict[str, Exception]
+    reconstruction: VectorFieldResult | None
+    failure: Exception | None
+
+
+def measure(nvs, config: RunConfig) -> ChainResult:
+    """The measurement chain over ``nvs``, (label, load) pairs whose
+    ``load()`` returns the NV's (ScanImage, Spectrum). Each scan gives an
+    axis and each spectrum |B| and a cone angle; the cones of three or
+    more NVs are intersected into the field vector. The axis is the
+    member of {+-n, +-M n} that the fit reports and the cone angle the
+    first candidate, ambiguities left to the reconstruction. An NV whose
+    load or fit fails is listed in ``errors``; a repeated label raises
+    ValueError."""
+    measurements, errors = {}, {}
+    for label, load in nvs:
+        if label in measurements or label in errors:
+            raise ValueError(f"repeated NV label {label!r}")
+        try:
+            image, spectrum = load()
+            fit = fit_orientation(image, config.optics)
+            model = fit_odmr_model(spectrum)
+            estimate = field_estimate(model.pair, config.spin)
+            constraint = ConeConstraint(
+                axis=NVOrientation(fit.theta, fit.phi),
+                alpha=estimate.alpha_candidates[0],
+                b=estimate.b,
+                alpha_sigma=estimate.alpha_sigma,
+                b_sigma=estimate.b_sigma,
+                label=label,
+            )
+        except (NVVortexError, OSError) as exc:
+            errors[label] = exc
+            continue
+        measurements[label] = NVMeasurement(fit, model, estimate, constraint)
+    result = failure = None
+    if len(measurements) >= 3:
+        try:
+            result = solve_direction([nv.constraint for nv in measurements.values()])
+        except (NVVortexError, ValueError) as exc:
+            failure = exc
+    return ChainResult(measurements, errors, result, failure)
 
 
 def _axis_fields(fit: OrientationFit) -> dict:
@@ -307,8 +332,7 @@ def cmd_odmr(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _reconstruction_fields(constraints) -> dict:
-    result = solve_direction(constraints)
+def _reconstruction_fields(result: VectorFieldResult, constraints) -> dict:
     report = {
         "theta_b_deg": round(math.degrees(result.theta_b), 2),
         "phi_b_deg": round(math.degrees(result.phi_b), 2),
@@ -341,7 +365,7 @@ def cmd_reconstruct(args, config: RunConfig) -> int:
     )
     constraints = load_constraints_json(path)
     report = _base_report(config)
-    report.update(_reconstruction_fields(constraints))
+    report.update(_reconstruction_fields(solve_direction(constraints), constraints))
     _emit(report, args.out, "reconstruction.json")
     return EXIT_OK
 
@@ -356,48 +380,40 @@ def cmd_pipeline(args, config: RunConfig) -> int:
     if not scans or not spectra:
         raise ConfigError("scan and spectra directories must both contain CSV files")
 
-    errors: list[dict] = []
-    per_nv: dict[str, dict] = {}
-    constraints: list[ConeConstraint] = []
-    for stem in sorted(set(scans) & set(spectra)):
-        try:
-            nv = measure_nv(
-                read_scan_image_csv(scans[stem]),
-                read_spectrum_csv(spectra[stem]),
-                config,
-                stem,
-            )
-        except (NVVortexError, OSError) as exc:
-            errors.append({"nv": stem, "error": type(exc).__name__, "message": str(exc)})
-            continue
-        per_nv[stem] = {
-            **_axis_fields(nv.fit),
-            "pattern_residual": nv.fit.residual,
-            **_odmr_fields(nv.model, nv.estimate),
-        }
-        constraints.append(nv.constraint)
-    missing = sorted(set(scans) ^ set(spectra))
-    for stem in missing:
-        errors.append(
-            {"nv": stem, "error": "UnpairedFile", "message": "no matching scan/spectrum"}
-        )
+    def loader(stem):
+        return lambda: (read_scan_image_csv(scans[stem]),
+                        read_spectrum_csv(spectra[stem]))
+
+    paired = sorted(set(scans) & set(spectra))
+    result = measure([(stem, loader(stem)) for stem in paired], config)
+    errors = [{"nv": stem, "error": type(exc).__name__, "message": str(exc)}
+              for stem, exc in result.errors.items()]
+    errors += [
+        {"nv": stem, "error": "UnpairedFile", "message": "no matching scan/spectrum"}
+        for stem in sorted(set(scans) ^ set(spectra))
+    ]
 
     report = _base_report(config)
-    report["per_nv"] = per_nv
+    report["per_nv"] = {
+        stem: {**_axis_fields(nv.fit), "pattern_residual": nv.fit.residual,
+               **_odmr_fields(nv.model, nv.estimate)}
+        for stem, nv in result.measurements.items()
+    }
     report["errors"] = errors
     report["note"] = (
         "NV axes use the canonical representative (theta <= 90 deg, phi < 180 "
         "deg); the 180-degree azimuth ambiguity is not resolved by this pipeline."
     )
     report["reconstruction"] = None
-    failure = f"only {len(constraints)} valid NV(s); need 3 for reconstruction"
-    if len(constraints) >= 3:
-        try:
-            report["reconstruction"] = _reconstruction_fields(constraints)
-        except (NVVortexError, ValueError) as exc:
-            errors.append({"nv": None, "stage": "reconstruction",
-                           "error": type(exc).__name__, "message": str(exc)})
-            failure = f"reconstruction failed: {type(exc).__name__}: {exc}"
+    failure = f"only {len(result.measurements)} valid NV(s); need 3 for reconstruction"
+    if result.reconstruction is not None:
+        report["reconstruction"] = _reconstruction_fields(
+            result.reconstruction, [nv.constraint for nv in result.measurements.values()]
+        )
+    elif (exc := result.failure) is not None:
+        errors.append({"nv": None, "stage": "reconstruction",
+                       "error": type(exc).__name__, "message": str(exc)})
+        failure = f"reconstruction failed: {type(exc).__name__}: {exc}"
     _emit(report, args.out, "pipeline.json")
     if report["reconstruction"] is not None:
         return EXIT_OK

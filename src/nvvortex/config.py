@@ -104,6 +104,8 @@ def load_config(path=None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

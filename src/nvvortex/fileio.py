@@ -111,6 +111,8 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
@@ -136,18 +138,20 @@ def _read_table(
     raises FileFormatError naming ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(handle)))
-        head = list(itertools.islice(lines, 2 + preamble))
-        if len(head) < 2 + preamble:
-            raise FileFormatError(f"{path}: truncated table (need header + rows)")
-        if [c.strip() for c in head[0].split(",")] != header:
-            raise FileFormatError(
-                f"{path}: bad header {head[0].strip()!r}, expected {','.join(header)}"
-            )
         try:
+            head = list(itertools.islice(lines, 2 + preamble))
+            if len(head) < 2 + preamble:
+                raise FileFormatError(f"{path}: truncated table (need header + rows)")
+            if [c.strip() for c in head[0].split(",")] != header:
+                raise FileFormatError(
+                    f"{path}: bad header {head[0].strip()!r}, expected {','.join(header)}"
+                )
             body = np.loadtxt(
                 itertools.chain(head[1 + preamble:], lines),
                 delimiter=",", comments=None, ndmin=2,
             )
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except ValueError as exc:
             raise FileFormatError(f"{path}: data rows: {exc}") from exc
     return head[1:1 + preamble], body

@@ -13,7 +13,8 @@ from conftest import axis_angle_deg
 import nvvortex
 from nvvortex import cli, pattern, spin
 from nvvortex.cli import bundled_fixture_path, main
-from nvvortex.config import load_config
+from nvvortex.config import RunConfig, load_config
+from nvvortex.errors import TripletsOverlap
 from nvvortex.fileio import (
     read_spectrum_csv,
     write_json,
@@ -22,7 +23,15 @@ from nvvortex.fileio import (
 )
 from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
 from nvvortex.focal_field import OpticalConfig
-from nvvortex.spin import SpinParams, Spectrum, simulate_odmr_spectrum
+from nvvortex.orient_fit import fit_orientation
+from nvvortex.spin import (
+    SpinParams,
+    Spectrum,
+    field_estimate,
+    fit_odmr_model,
+    simulate_odmr_spectrum,
+)
+from nvvortex.vector_recon import ConeConstraint, solve_direction
 
 
 #: a 2x2 scan 1e7 nm apart: covering its diagonal would take a 2.7 GB
@@ -724,6 +733,27 @@ class TestPipeline:
         assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
         assert report["reconstruction"] is not None
 
+    def test_non_utf8_spectrum_lists_that_nv(self, tmp_path, capsys):
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        path = spectra / "nv4.csv"
+        path.write_bytes(path.read_bytes().replace(b"contrast", b"contr\xe9st"))
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv4" and entry["error"] == "FileFormatError"
+        assert entry["message"].startswith(f"{path}: not UTF-8 text")
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is not None
+
     def test_oversized_scan_lists_that_nv(self, tmp_path, capsys, bounded_quadrature):
         field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
         labels = [
@@ -910,6 +940,116 @@ class TestPipeline:
         assert len(report["reconstruction"]["constraints"]) == 3
 
 
+#: axes that are already the members the orientation fit reports, and a
+#: field inside all their reachable cones, as in TestPipeline
+MEASURE_FIELD = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+MEASURE_AXES_DEG = {"nv1": (70.16, 20.60), "nv2": (70.75, 80.51), "nv3": (70.69, 140.74)}
+
+
+@pytest.fixture(scope="module")
+def loaders():
+    """Per label of MEASURE_AXES_DEG, a load() of its noiseless scan and
+    spectrum, built in memory."""
+    out = {}
+    for label, (theta_deg, phi_deg) in MEASURE_AXES_DEG.items():
+        axis = NVOrientation.from_degrees(theta_deg, phi_deg)
+        image = simulate_pattern(axis, ScanGrid(31, 31, 50.0), OpticalConfig(),
+                                 amplitude=5000.0, background=100.0)
+        spectrum = simulate_odmr_spectrum(MEASURE_FIELD, axis, SpinParams())
+        out[label] = lambda data=(image, spectrum): data
+    return out
+
+
+class TestMeasure:
+    """``cli.measure``, the chain of ``nvvortex pipeline``, on scans and
+    spectra held in memory: no file is read and no report parsed."""
+
+    def test_constraints_are_the_layers_called_directly(self, loaders):
+        config = RunConfig()
+        result = cli.measure(loaders.items(), config)
+        assert list(result.measurements) == list(MEASURE_AXES_DEG)
+        assert result.errors == {} and result.failure is None
+        for label, load in loaders.items():
+            image, spectrum = load()
+            fit = fit_orientation(image, config.optics)
+            estimate = field_estimate(fit_odmr_model(spectrum).pair, config.spin)
+            assert result.measurements[label].constraint == ConeConstraint(
+                axis=NVOrientation(fit.theta, fit.phi),
+                alpha=estimate.alpha_candidates[0],
+                b=estimate.b,
+                alpha_sigma=estimate.alpha_sigma,
+                b_sigma=estimate.b_sigma,
+                label=label,
+            )
+        direct = solve_direction([nv.constraint for nv in result.measurements.values()])
+        recon = result.reconstruction
+        assert (recon.theta_b, recon.phi_b, recon.b_mean) == (
+            direct.theta_b, direct.phi_b, direct.b_mean)
+        want = MEASURE_FIELD / np.linalg.norm(MEASURE_FIELD)
+        chord = min(np.linalg.norm(recon.direction - want),
+                    np.linalg.norm(recon.direction + want))
+        assert chord < math.radians(0.05)
+
+    def test_failed_fit_is_that_nvs_error(self, loaders):
+        f = np.linspace(2780.0, 2980.0, 2001)
+        one_dip = Spectrum(f, 1.0 - 0.03 * spin._lorentz(f, 2870.0, 0.8))
+        image, _ = loaders["nv1"]()
+        result = cli.measure(
+            [*loaders.items(), ("one-dip", lambda: (image, one_dip))], RunConfig()
+        )
+        assert list(result.errors) == ["one-dip"]
+        assert isinstance(result.errors["one-dip"], TripletsOverlap)
+        assert list(result.measurements) == list(MEASURE_AXES_DEG)
+        assert result.reconstruction is not None and result.failure is None
+
+    def test_load_error_is_that_nvs_error(self, loaders):
+        def unreadable():
+            raise FileNotFoundError("no such scan")
+
+        nvs = list(loaders.items())
+        nvs.insert(1, ("gone", unreadable))
+        result = cli.measure(nvs, RunConfig())
+        assert list(result.errors) == ["gone"]
+        assert isinstance(result.errors["gone"], FileNotFoundError)
+        assert list(result.measurements) == list(MEASURE_AXES_DEG)
+        assert result.reconstruction is not None
+
+    def test_two_nvs_leave_the_reconstruction_unrun(self, loaders):
+        result = cli.measure(list(loaders.items())[:2], RunConfig())
+        assert list(result.measurements) == ["nv1", "nv2"]
+        assert result.reconstruction is None and result.failure is None
+
+    def test_thirteen_nvs_are_a_reconstruction_failure(self, loaders):
+        loads = list(loaders.values())
+        result = cli.measure([(f"nv{i}", loads[i % 3]) for i in range(13)], RunConfig())
+        assert len(result.measurements) == 13 and result.errors == {}
+        assert result.reconstruction is None
+        assert isinstance(result.failure, ValueError)
+        assert "got 13" in str(result.failure)
+
+    def test_labels_keep_their_input_order(self, loaders):
+        def broken():
+            raise OSError("unreadable")
+
+        nvs = [("c", loaders["nv1"]), ("x", broken), ("a", loaders["nv2"]),
+               ("w", broken), ("b", loaders["nv3"])]
+        result = cli.measure(nvs, RunConfig())
+        assert list(result.measurements) == ["c", "a", "b"]
+        assert list(result.errors) == ["x", "w"]
+        assert [nv.constraint.label for nv in result.measurements.values()] == [
+            "c", "a", "b"]
+
+    @pytest.mark.parametrize("first", ["measured", "failed"])
+    def test_repeated_label_is_refused(self, loaders, first):
+        def broken():
+            raise OSError("unreadable")
+
+        load = loaders["nv1"] if first == "measured" else broken
+        with pytest.raises(ValueError, match="repeated NV label 'a'"):
+            cli.measure([("a", load), ("b", loaders["nv2"]), ("a", loaders["nv3"])],
+                        RunConfig())
+
+
 _BAD_FLAG_CASES = [
     pytest.param(argv, flag, id=f"{argv[0]}{flag}") for argv, flag in [
         (["odmr", "--simulate", *SIMULATED_ODMR, "--linewidth-mhz", "inf"],
@@ -998,6 +1138,30 @@ def test_malformed_config_file_is_usage_error(tmp_path, capsys, text, message):
     assert message in payload["message"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["fit-orientation", "--image"], "scan.csv"),
+    (["odmr", "--spectrum"], "spectrum.csv"),
+    (["reconstruct", "--constraints"], "cones.json"),
+], ids=["fit-orientation", "odmr", "reconstruct"])
+def test_non_utf8_data_file_is_parse_error(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    path.write_bytes(b"caf\xe9\n")
+    code, payload = run_cli(capsys, *argv, str(path))
+    assert code == 4
+    assert payload["error"] == "FileFormatError"
+    assert payload["message"].startswith(f"{path}: not UTF-8 text")
+
+
+def test_non_utf8_config_is_usage_error_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"_note": "caf\xe9"}')
+    code, payload = run_cli(capsys, "reconstruct", "--fixture", "paper_fig4",
+                            "--config", str(cfg))
+    assert code == 2
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{cfg}: not UTF-8 text")
+
+
 def _run_python(*argv, cwd=None, stdout=subprocess.PIPE):
     """Run a child interpreter on this checkout with every warning an
     error, as the suite itself runs; its stderr, and by default its
@@ -1040,6 +1204,19 @@ def test_console_entry_point_runs():
     proc = _run_python("-m", "nvvortex.cli", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's library example runs as printed, outside the checkout,
+    # and prints what the README says it prints
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        section = handle.read().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+    printed = re.search(r"It prints `([^`]*)`", section).group(1)
+    proc = _run_python("-c", code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed + "\n"
 
 
 @pytest.mark.parametrize(

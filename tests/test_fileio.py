@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -411,3 +412,48 @@ class TestAtomicity:
         modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
                  for name in ("atomic.json", "plain.json")]
         assert modes[0] == modes[1] == 0o666 & ~umask
+
+
+def _latin1_byte_at(path, at: int) -> None:
+    """Overwrite byte ``at`` of ``path`` with 0xE9, the Latin-1 e-acute,
+    which no UTF-8 text holds before an ASCII byte."""
+    data = bytearray(path.read_bytes())
+    assert len(data) > at + 1
+    data[at] = 0xE9
+    path.write_bytes(bytes(data))
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is a FileFormatError that names it and
+    says so, wherever the bad byte lies: the table readers decode 16,384
+    characters at a time, and a byte past the first block was once
+    reported as a bad data row, at a position counted from its block."""
+
+    @pytest.mark.parametrize("at", [30, 20_000], ids=["first-block", "later-block"])
+    def test_scan_csv(self, writer_images, tmp_path, at):
+        path = tmp_path / "img.csv"
+        write_scan_image_csv(writer_images["noiseless"], path)
+        _latin1_byte_at(path, at)
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{path}: not UTF-8 text")):
+            read_scan_image_csv(path)
+
+    @pytest.mark.parametrize("at", [3, 20_000], ids=["header", "later-block"])
+    def test_spectrum_csv(self, tmp_path, at):
+        spec = simulate_odmr_spectrum(
+            59.5 * NVOrientation.from_degrees(8.59, 182.56).unit_axis,
+            NVOrientation.from_degrees(109.84, 20.60), SpinParams(),
+        )
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(spec, path)
+        _latin1_byte_at(path, at)
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{path}: not UTF-8 text")):
+            read_spectrum_csv(path)
+
+    def test_constraints_json(self, tmp_path):
+        path = tmp_path / "cones.json"
+        path.write_bytes(b'[{"label": "caf\xe9"}]')
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{path}: not UTF-8 text")):
+            load_constraints_json(path)

@@ -9,13 +9,16 @@ blind a per-layer span. These tests fail instead.
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import nvvortex
-from nvvortex import pattern
+from nvvortex import cli, pattern
+from nvvortex.fileio import write_scan_image_csv, write_spectrum_csv
 from nvvortex.focal_field import OpticalConfig
+from nvvortex.spin import SpinParams, simulate_odmr_spectrum
 
 MODULES = sorted(
     f"nvvortex.{info.name}" for info in pkgutil.iter_modules(nvvortex.__path__)
@@ -63,30 +66,63 @@ def test_hooked_name_exists_where_the_tracer_looks(module_name, path):
     assert attr in vars(owner)
 
 
+def _spy(seen: list, name: str, fn):
+    """``fn``, recording ``name`` in ``seen`` at every call."""
+    def wrapper(*args, **kwargs):
+        seen.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_synthesis_runs_through_the_wrapped_names(monkeypatch):
     # simulate_pattern must call the module-global intensity_map, and
     # intensity_map, on a cache miss, the profile build and the
     # quadrature, at call time
     pattern._cached_profile.cache_clear()
     seen = []
-
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            seen.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(pattern, "intensity_map", spy("map", pattern.intensity_map))
+    monkeypatch.setattr(
+        pattern, "intensity_map", _spy(seen, "map", pattern.intensity_map)
+    )
     monkeypatch.setattr(
         pattern, "azimuthal_field_profile",
-        spy("quadrature", pattern.azimuthal_field_profile),
+        _spy(seen, "quadrature", pattern.azimuthal_field_profile),
     )
     build = vars(pattern.RadialIntensityProfile)["build"].__func__
     monkeypatch.setattr(
-        pattern.RadialIntensityProfile, "build", classmethod(spy("build", build))
+        pattern.RadialIntensityProfile, "build", classmethod(_spy(seen, "build", build))
     )
     image = pattern.simulate_pattern(
         pattern.NVOrientation(1.0, 0.5), pattern.ScanGrid(5, 5, 50.0), OpticalConfig()
     )
     assert seen == ["map", "build", "quadrature"]
     assert np.all(np.isfinite(image.values))
+
+
+#: the layer calls of one pipeline run, all looked up in nvvortex.cli
+CHAIN_HOOKS = ["read_scan_image_csv", "read_spectrum_csv", "fit_orientation",
+               "fit_odmr_model", "field_estimate", "solve_direction"]
+
+
+def test_pipeline_runs_through_the_hooked_names(monkeypatch, tmp_path, capsys):
+    # cmd_pipeline's loaders and cli.measure must look each layer up in
+    # nvvortex.cli's globals at call time, where the tracer's wrappers sit
+    field = 59.5 * pattern.NVOrientation.from_degrees(8.59, 2.56).unit_axis
+    for sub in ("scans", "spectra"):
+        (tmp_path / sub).mkdir()
+    for label, theta_deg, phi_deg in [("nv1", 70.16, 20.60), ("nv2", 70.75, 80.51),
+                                      ("nv3", 70.69, 140.74)]:
+        axis = pattern.NVOrientation.from_degrees(theta_deg, phi_deg)
+        write_scan_image_csv(
+            pattern.simulate_pattern(axis, pattern.ScanGrid(31, 31, 50.0),
+                                     OpticalConfig()),
+            tmp_path / "scans" / f"{label}.csv",
+        )
+        write_spectrum_csv(simulate_odmr_spectrum(field, axis, SpinParams()),
+                           tmp_path / "spectra" / f"{label}.csv")
+    seen = []
+    for name in CHAIN_HOOKS:
+        monkeypatch.setattr(cli, name, _spy(seen, name, getattr(cli, name)))
+    code = cli.main(["pipeline", "--scans", str(tmp_path / "scans"),
+                     "--spectra", str(tmp_path / "spectra")])
+    assert code == 0, capsys.readouterr().err
+    assert Counter(seen) == {**dict.fromkeys(CHAIN_HOOKS, 3), "solve_direction": 1}
