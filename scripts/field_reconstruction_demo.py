@@ -12,7 +12,6 @@ Exits 3, as the pipeline does, when no field is reconstructed.
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from nvvortex import cli
 from nvvortex.config import RunConfig
+from nvvortex.fileio import read_json
 from nvvortex.pattern import NVOrientation, ScanGrid, simulate_pattern
 from nvvortex.spin import add_contrast_noise, simulate_odmr_spectrum
 
@@ -27,8 +27,8 @@ from nvvortex.spin import add_contrast_noise, simulate_odmr_spectrum
 def fig2_axes_deg() -> list[tuple[float, float]]:
     """(theta, phi) in degrees of NV1, NV2 and NV3 of the bundled fig-2
     orientations."""
-    with open(cli.bundled_fixture_path("paper_fig2_orientations")) as handle:
-        entries = {entry["label"]: entry for entry in json.load(handle)}
+    fixture = read_json(cli.bundled_fixture_path("paper_fig2_orientations"))
+    entries = {entry["label"]: entry for entry in fixture}
     return [(entries[k]["theta_deg"], entries[k]["phi_deg"])
             for k in ("NV1", "NV2", "NV3")]
 

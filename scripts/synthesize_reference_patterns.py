@@ -10,10 +10,10 @@ different patterns under azimuthal excitation.
 """
 
 import argparse
-import json
 import sys
 
 from nvvortex import cli
+from nvvortex.fileio import read_json
 
 
 def main() -> int:
@@ -26,8 +26,7 @@ def main() -> int:
     parser.add_argument("--noise-seed", type=int, default=None)
     args = parser.parse_args()
 
-    with open(cli.bundled_fixture_path("paper_fig2_orientations")) as handle:
-        entries = json.load(handle)
+    entries = read_json(cli.bundled_fixture_path("paper_fig2_orientations"))
 
     noise = [] if args.noise_seed is None else ["--noise-seed", str(args.noise_seed)]
     for entry in entries:

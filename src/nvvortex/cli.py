@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,12 +56,11 @@ EXIT_IO = 4
 
 
 def bundled_fixture_path(name: str) -> Path:
-    """Path of a fixture shipped inside the package (e.g. 'paper_fig4')."""
-    candidate = resources.files("nvvortex") / "fixtures" / f"{name}.json"
-    with resources.as_file(candidate) as path:
-        if not path.exists():
-            raise ConfigError(f"no bundled fixture named '{name}'")
-        return Path(path)
+    """The bundled fixture ``name``, a bare file stem such as 'paper_fig4'."""
+    path = Path(__file__).with_name("fixtures") / f"{name}.json"
+    if Path(name).name != name or not path.is_file():
+        raise ConfigError(f"no bundled fixture named '{name}'")
+    return path
 
 
 def _base_report(config: RunConfig) -> dict:

@@ -1,15 +1,16 @@
 """Run configuration: a single JSON file with strictly validated
-sections. Unknown keys are rejected by name; keys starting with '_'
-are ignored so configs can carry inline notes."""
+sections. ``fileio`` reads the file; this module validates what it
+reads. Unknown keys are rejected by name; keys starting with '_' are
+ignored so configs can carry inline notes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import ConfigError, NVVortexError
+from .errors import ConfigError, FileFormatError, NVVortexError
+from .fileio import is_json_number, read_json
 from .focal_field import OpticalConfig
 from .spin import SpinParams
 
@@ -54,16 +55,6 @@ class RunConfig:
     spin: SpinParams = field(default_factory=SpinParams)
 
 
-def is_json_number(value) -> bool:
-    """True for a parsed JSON int or float that is not a bool, NaN or
-    an infinity."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and not (isinstance(value, float) and not math.isfinite(value))
-    )
-
-
 def _build_section(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{where}' must be an object")
@@ -101,13 +92,10 @@ def load_config(path=None) -> RunConfig:
     """Defaults when ``path`` is None, otherwise the validated file."""
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        data = read_json(path)
+    except FileFormatError as exc:  # a bad config is a usage error
+        raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     kwargs = {}

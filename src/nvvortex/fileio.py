@@ -1,5 +1,8 @@
 """On-disk formats: scan-image CSV, PGM previews, spectrum CSV, JSON.
 
+The one reader of outside files, config and fixtures included: text is
+UTF-8 with an optional leading byte-order mark, as spreadsheets write it.
+
 All writers go through one atomic path, ``atomic_writer``: a temp file
 beside the target, renamed over it once the last byte is written, so a
 crashed run never leaves a half-written artifact, and the file ends up
@@ -27,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import is_json_number
 from .errors import FileFormatError
 from .pattern import NVOrientation, ScanGrid, ScanImage
 from .spin import Spectrum
@@ -46,6 +48,7 @@ __all__ = [
     "read_spectrum_csv",
     "load_constraints_json",
     "constraints_to_json",
+    "is_json_number",
 ]
 
 _IMAGE_HEADER = ["width", "height", "pitch_nm", "origin_x_nm", "origin_y_nm"]
@@ -107,9 +110,19 @@ def write_json(obj, path) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def is_json_number(value) -> bool:
+    """True for a parsed JSON int or float that is not a bool, NaN or
+    an infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and not (isinstance(value, float) and not math.isfinite(value))
+    )
+
+
 def read_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return json.load(handle)
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -136,7 +149,7 @@ def _read_table(
     open file, whose text is never held whole. Blank lines are skipped
     and cells may carry surrounding whitespace; every malformed input
     raises FileFormatError naming ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(handle)))
         try:
             head = list(itertools.islice(lines, 2 + preamble))

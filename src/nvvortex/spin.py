@@ -415,13 +415,12 @@ class OdmrModelFit:
     global linewidth, the dip centers (c - s, c, c + s) of each group and
     the off-resonance contrast ``baseline``. ``window_mhz`` is the part
     of the sweep the fit ran on, one (low, high) span in MHz per dip
-    group, clipped to the sweep; ``sse`` is taken over it and
-    ``iterations`` is summed over the fit's passes."""
+    group, clipped to the sweep; ``iterations`` is summed over the fit's
+    passes."""
 
     pair: TransitionPair
     linewidth_mhz: float
     dip_centers_mhz: tuple[float, ...]
-    sse: float
     iterations: int
     window_mhz: tuple[tuple[float, float], tuple[float, float]]
     baseline: float
@@ -558,10 +557,10 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
     0.2% of its depth. The first window takes the dip search's linewidth
     scale, max(4 df, 1 MHz); while the fitted linewidth asks for a wider
     one, the fit is repeated from its solution on the grown window, at
-    most the whole sweep. ``sse``, the center sigmas (from the solver's
-    covariance of all 12 parameters, s^2 = SSE / (n_w - 12)) and
-    ``iterations`` (summed over the passes) are taken over the n_w points
-    of the final window, which ``window_mhz`` reports.
+    most the whole sweep. The center sigmas (from the solver's covariance
+    of all 12 parameters, s^2 = SSE / (n_w - 12)) and ``iterations``
+    (summed over the passes) are taken over the n_w points of the final
+    window, which ``window_mhz`` reports.
 
     Raises FitFailed when no dips are found, the optimizer exhausts its
     budget in any pass, the model is rank-deficient, a center sigma is
@@ -632,7 +631,6 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
         pair=TransitionPair(float(c1), float(c2), sigmas[0], sigmas[1]),
         linewidth_mhz=float(width),
         dip_centers_mhz=tuple(float(c) for c in centers),
-        sse=float(result.residual @ result.residual),
         iterations=iterations,
         window_mhz=tuple(
             (max(lo, float(f[0])), min(hi, float(f[-1]))) for lo, hi in spans

@@ -549,6 +549,22 @@ class TestReconstruct:
         code, payload = run_cli(capsys, "reconstruct", "--fixture", "nonexistent")
         assert code == 2
 
+    @pytest.mark.parametrize("name", [
+        "outside-relative", "outside-absolute", "./paper_fig4", "sub/paper_fig4", "",
+    ])
+    def test_fixture_name_must_be_a_bare_stem(self, tmp_path, capsys, name):
+        # a JSON file outside the package, which a path-like name once reached
+        (tmp_path / "outside.json").write_text("[]")
+        fixtures = os.path.dirname(bundled_fixture_path("paper_fig4"))
+        name = {
+            "outside-relative": os.path.relpath(tmp_path / "outside", fixtures),
+            "outside-absolute": str(tmp_path / "outside"),
+        }.get(name, name)
+        code, payload = run_cli(capsys, "reconstruct", "--fixture", name)
+        assert code == 2
+        assert payload == {"error": "ConfigError",
+                           "message": f"no bundled fixture named '{name}'"}
+
 
 class TestPipeline:
     def _synthesize(self, tmp_path, labels_angles, field_vec):
@@ -1160,6 +1176,37 @@ def test_non_utf8_config_is_usage_error_naming_the_file(tmp_path, capsys):
     assert code == 2
     assert payload["error"] == "ConfigError"
     assert payload["message"].startswith(f"{cfg}: not UTF-8 text")
+
+
+def test_marked_spectrum_reads_as_unmarked(tmp_path, capsys, monkeypatch):
+    # spreadsheet exports often start a UTF-8 file with the mark EF BB BF;
+    # each run reads s.csv in its own directory, so the reports' source
+    # fields match too
+    spec = simulate_odmr_spectrum(
+        59.5 * NVOrientation.from_degrees(8.59, 182.56).unit_axis,
+        NVOrientation.from_degrees(109.84, 20.60), SpinParams(),
+    )
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    write_spectrum_csv(spec, plain / "s.csv")
+    (marked / "s.csv").write_bytes(b"\xef\xbb\xbf" + (plain / "s.csv").read_bytes())
+    reports = []
+    for directory in (plain, marked):
+        monkeypatch.chdir(directory)
+        reports.append(run_cli(capsys, "odmr", "--spectrum", "s.csv"))
+    assert reports[1] == reports[0] and reports[0][0] == 0
+
+
+def test_marked_config_reads_as_unmarked(tmp_path, capsys):
+    marked = tmp_path / "cfg.json"
+    example = bundled_fixture_path("example_config")
+    marked.write_bytes(b"\xef\xbb\xbf" + example.read_bytes())
+    reports = [
+        run_cli(capsys, "reconstruct", "--fixture", "paper_fig4", "--config", str(p))
+        for p in (example, marked)
+    ]
+    assert reports[1] == reports[0] and reports[0][0] == 0
 
 
 def _run_python(*argv, cwd=None, stdout=subprocess.PIPE):

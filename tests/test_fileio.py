@@ -457,3 +457,81 @@ class TestNotUtf8:
         with pytest.raises(FileFormatError,
                            match=re.escape(f"{path}: not UTF-8 text")):
             load_constraints_json(path)
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _with_bytes_at(src, dst, at: int, data: bytes = BOM) -> None:
+    """Write ``src``'s bytes to ``dst`` with ``data`` inserted before byte
+    ``at``."""
+    raw = src.read_bytes()
+    dst.write_bytes(raw[:at] + data + raw[at:])
+
+
+def _spectrum_file(tmp_path):
+    spec = simulate_odmr_spectrum(
+        59.5 * NVOrientation.from_degrees(8.59, 182.56).unit_axis,
+        NVOrientation.from_degrees(109.84, 20.60), SpinParams(),
+    )
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(spec, path)
+    return path
+
+
+class TestByteOrderMark:
+    """A UTF-8 file that starts with the byte-order mark EF BB BF, as
+    spreadsheet exports often write it, reads bit for bit as the same
+    file without it; a mark anywhere else is a FileFormatError."""
+
+    def test_scan_csv(self, writer_images, tmp_path):
+        path, marked = tmp_path / "img.csv", tmp_path / "marked.csv"
+        write_scan_image_csv(writer_images["poisson"], path)
+        _with_bytes_at(path, marked, 0)
+        plain, back = read_scan_image_csv(path), read_scan_image_csv(marked)
+        assert back.grid == plain.grid
+        assert np.array_equal(back.values.view(np.int64), plain.values.view(np.int64))
+
+    def test_spectrum_csv(self, tmp_path):
+        path, marked = _spectrum_file(tmp_path), tmp_path / "marked.csv"
+        _with_bytes_at(path, marked, 0)
+        plain, back = read_spectrum_csv(path), read_spectrum_csv(marked)
+        for a, b in [(plain.frequencies, back.frequencies),
+                     (plain.contrast, back.contrast)]:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_constraints_json(self, tmp_path):
+        path, marked = tmp_path / "cones.json", tmp_path / "marked.json"
+        path.write_text(json.dumps([{
+            "axis_theta_deg": 109.84, "axis_phi_deg": 20.6, "alpha_deg": 117.98,
+            "b_gauss": 59.5, "alpha_sigma_deg": 0.1, "label": "NV1",
+        }]))
+        _with_bytes_at(path, marked, 0)
+        assert load_constraints_json(marked) == load_constraints_json(path)
+
+    @pytest.mark.parametrize(
+        "at", [0, 1, 60, 100, 20_000],
+        ids=["second-mark", "header", "value-row", "data-row", "later-block"],
+    )
+    def test_scan_csv_mark_after_the_first_byte(self, writer_images, tmp_path, at):
+        path, marked = tmp_path / "img.csv", tmp_path / "marked.csv"
+        write_scan_image_csv(writer_images["noiseless"], path)
+        _with_bytes_at(path, marked, at, BOM if at else BOM + BOM)
+        with pytest.raises(FileFormatError, match=re.escape(str(marked))):
+            read_scan_image_csv(marked)
+
+    @pytest.mark.parametrize("at", [0, 1, 30], ids=["second-mark", "header", "data-row"])
+    def test_spectrum_csv_mark_after_the_first_byte(self, tmp_path, at):
+        path, marked = _spectrum_file(tmp_path), tmp_path / "marked.csv"
+        _with_bytes_at(path, marked, at, BOM if at else BOM + BOM)
+        with pytest.raises(FileFormatError, match=re.escape(str(marked))):
+            read_spectrum_csv(marked)
+
+    @pytest.mark.parametrize("at", [0, 1], ids=["second-mark", "inside"])
+    def test_json_mark_after_the_first_byte(self, tmp_path, at):
+        path, marked = tmp_path / "cones.json", tmp_path / "marked.json"
+        path.write_text("[]")
+        _with_bytes_at(path, marked, at, BOM if at else BOM + BOM)
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{marked}: not valid JSON")):
+            load_constraints_json(marked)
