@@ -120,7 +120,8 @@ def measure(nvs, config: RunConfig) -> ChainResult:
     more NVs are intersected into the field vector. The axis is the
     member of {+-n, +-M n} that the fit reports and the cone angle the
     first candidate, ambiguities left to the reconstruction. An NV whose
-    load or fit fails is listed in ``errors``; a repeated label raises
+    load or fit fails, or whose scan the configured optics cannot cover
+    (a ValueError), is listed in ``errors``; a repeated label raises
     ValueError."""
     measurements, errors = {}, {}
     for label, load in nvs:
@@ -139,7 +140,7 @@ def measure(nvs, config: RunConfig) -> ChainResult:
                 b_sigma=estimate.b_sigma,
                 label=label,
             )
-        except (NVVortexError, OSError) as exc:
+        except (NVVortexError, OSError, ValueError) as exc:
             errors[label] = exc
             continue
         measurements[label] = NVMeasurement(fit, model, estimate, constraint)

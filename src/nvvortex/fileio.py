@@ -8,7 +8,8 @@ beside the target, renamed over it once the last byte is written, so a
 crashed run never leaves a half-written artifact, and the file ends up
 with the mode a plain open() would give it under the current umask. The
 scan CSV and PGM writers stream into that temp file in the row blocks of
-``ScanGrid.row_blocks``, so a write needs one block beside the image,
+``ScanGrid.row_blocks``, and the spectrum CSV writer in blocks of
+_SPECTRUM_BLOCK rows, so a write needs one block beside its data,
 whatever its size. Numbers are written as their shortest round-trip
 ``repr``. Scan images are stored as a two-line header (field names,
 then values) followed by row-major intensity rows:
@@ -53,6 +54,8 @@ __all__ = [
 
 _IMAGE_HEADER = ["width", "height", "pitch_nm", "origin_x_nm", "origin_y_nm"]
 _SPECTRUM_HEADER = ["frequency_mhz", "contrast"]
+#: rows of a spectrum CSV formatted at a time
+_SPECTRUM_BLOCK = 4096
 
 _CONSTRAINT_NUMBERS = (
     "axis_theta_deg",
@@ -141,14 +144,15 @@ def _line_blocks(handle, chars: int = 1 << 14):
     yield [tail]
 
 
-def _read_table(
-    path, header: list[str], preamble: int
-) -> tuple[list[str], np.ndarray]:
-    """A CSV table: the row of column names ``header``, then ``preamble``
-    rows returned as text, then numeric rows parsed in one call from the
-    open file, whose text is never held whole. Blank lines are skipped
-    and cells may carry surrounding whitespace; every malformed input
-    raises FileFormatError naming ``path``."""
+def _read_table(path, header: list[str], read_preamble=None) -> tuple:
+    """A CSV table: the row of column names ``header``, then, when
+    ``read_preamble`` is given, one row of text that it reads before any
+    numeric row is parsed, then numeric rows parsed in one call from the
+    open file, whose text is never held whole. Returns what
+    ``read_preamble`` returned (or None) and the rows. Blank lines are
+    skipped and cells may carry surrounding whitespace; every malformed
+    input raises FileFormatError naming ``path``."""
+    preamble = 0 if read_preamble is None else 1
     with open(path, "r", encoding="utf-8-sig") as handle:
         lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(handle)))
         try:
@@ -159,6 +163,7 @@ def _read_table(
                 raise FileFormatError(
                     f"{path}: bad header {head[0].strip()!r}, expected {','.join(header)}"
                 )
+            meta = read_preamble(head[1]) if preamble else None
             body = np.loadtxt(
                 itertools.chain(head[1 + preamble:], lines),
                 delimiter=",", comments=None, ndmin=2,
@@ -167,7 +172,7 @@ def _read_table(
             raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except ValueError as exc:
             raise FileFormatError(f"{path}: data rows: {exc}") from exc
-    return head[1:1 + preamble], body
+    return meta, body
 
 
 # ---------------------------------------------------------------- scan images
@@ -202,9 +207,10 @@ def _csv_rows(block: np.ndarray) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def read_scan_image_csv(path) -> ScanImage:
-    (grid_row,), values = _read_table(path, _IMAGE_HEADER, 1)
-    fields = grid_row.split(",")
+def _scan_grid(path, row: str) -> ScanGrid:
+    """The grid of a scan CSV's header value row, refused by
+    FileFormatError before any of the rows it declares is parsed."""
+    fields = row.split(",")
     if len(fields) != 5:
         raise FileFormatError(f"{path}: header value row needs 5 fields")
     try:
@@ -213,14 +219,21 @@ def read_scan_image_csv(path) -> ScanImage:
         origin = (float(fields[3]), float(fields[4]))
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad header values: {exc}") from exc
-    if values.shape != (height, width):
+    try:
+        return ScanGrid(width_px=width, height_px=height, pitch_nm=pitch,
+                        origin_nm=origin)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def read_scan_image_csv(path) -> ScanImage:
+    grid, values = _read_table(path, _IMAGE_HEADER, lambda row: _scan_grid(path, row))
+    if values.shape != (grid.height_px, grid.width_px):
         raise FileFormatError(
-            f"{path}: expected {height} data rows of {width} values, found "
-            f"{values.shape[0]} rows of {values.shape[1]}"
+            f"{path}: expected {grid.height_px} data rows of {grid.width_px} values, "
+            f"found {values.shape[0]} rows of {values.shape[1]}"
         )
     try:
-        grid = ScanGrid(width_px=width, height_px=height, pitch_nm=pitch,
-                        origin_nm=origin)
         return ScanImage(grid=grid, values=values)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -267,16 +280,20 @@ def _pgm_rows(block: np.ndarray, lo: float, span: float, maxval: int) -> bytes:
 # ------------------------------------------------------------------- spectra
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    lines = [",".join(_SPECTRUM_HEADER)]
-    lines += (
-        f"{f!r},{c!r}"
-        for f, c in zip(spectrum.frequencies.tolist(), spectrum.contrast.tolist())
-    )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write ``spectrum`` as a frequency_mhz,contrast header and one row
+    per point, every value as its shortest round-trip ``repr``, formatted
+    and written _SPECTRUM_BLOCK rows at a time."""
+    f, c = spectrum.frequencies, spectrum.contrast
+    with atomic_writer(path) as handle:
+        handle.write(f"{','.join(_SPECTRUM_HEADER)}\n".encode())
+        for lo in range(0, f.size, _SPECTRUM_BLOCK):
+            rows = zip(f[lo:lo + _SPECTRUM_BLOCK].tolist(),
+                       c[lo:lo + _SPECTRUM_BLOCK].tolist())
+            handle.write("".join(f"{a!r},{b!r}\n" for a, b in rows).encode())
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    _, body = _read_table(path, _SPECTRUM_HEADER, 0)
+    _, body = _read_table(path, _SPECTRUM_HEADER)
     if body.shape[1] != 2:
         raise FileFormatError(
             f"{path}: data rows need 2 columns, found {body.shape[1]}"

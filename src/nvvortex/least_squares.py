@@ -11,13 +11,14 @@ updated by Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004,
 "Methods for non-linear least squares problems", section 3.2). A step
 is accepted only when it lowers the cost, so the returned point is
 never worse than the start. The budget and the tolerance are constants,
-identical for every caller.
+identical for every caller. The minimizer hands back the evaluation it
+accepted, so a fit holds at most two evaluations, however many it makes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,18 +45,20 @@ class LeastSquaresResult:
     x: np.ndarray
     iterations: int  # trial steps taken, accepted or not
     converged: bool  # False means the iteration budget ran out
+    evaluation: tuple = field(default=(), kw_only=True, repr=False)
 
 
-def _evaluate(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    r, jac = fun(x)
+def _evaluate(fun, x: np.ndarray) -> tuple[tuple, float]:
+    value = fun(x)
+    r, jac = value[:2]
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
         raise ObjectiveNotFinite(f"residual or Jacobian is not finite at x = {x!r}")
-    return r, jac, float(r @ r)
+    return value, float(r @ r)
 
 
 def levenberg_marquardt(fun, x0) -> LeastSquaresResult:
-    """Minimize ||r(x)||^2 from ``x0``, where ``fun(x)`` returns the
-    residual vector r and its Jacobian dr/dx.
+    """Minimize ||r(x)||^2 from ``x0``; ``fun(x)`` returns r, then dr/dx,
+    then anything else, and its value at the returned x is ``evaluation``.
 
     Converged when the proposed step is shorter than X_TOLERANCE *
     (|x| + X_TOLERANCE); a step that no damping can make useful ends
@@ -65,9 +68,10 @@ def levenberg_marquardt(fun, x0) -> LeastSquaresResult:
     residual or the Jacobian holds NaN or infinity.
     """
     x = np.array(x0, dtype=float).ravel()
-    r, jac, cost = _evaluate(fun, x)
+    value, cost = _evaluate(fun, x)
     mu, nu = INITIAL_DAMPING, 2.0
     for iteration in range(MAX_ITERATIONS):
+        r, jac = value[:2]
         a = jac.T @ jac
         g = jac.T @ r
         scale = a.diagonal().copy()
@@ -76,9 +80,9 @@ def levenberg_marquardt(fun, x0) -> LeastSquaresResult:
         damped.flat[:: x.size + 1] += mu * scale
         step = np.linalg.solve(damped, -g)
         if math.sqrt(step @ step) <= X_TOLERANCE * (math.sqrt(x @ x) + X_TOLERANCE):
-            return LeastSquaresResult(x, iteration, True)
+            return LeastSquaresResult(x, iteration, True, evaluation=value)
         trial = x + step
-        r_new, jac_new, cost_new = _evaluate(fun, trial)
+        new, cost_new = _evaluate(fun, trial)
         reduction = cost - cost_new
         if reduction > 0.0:
             # gain ratio of the actual to the predicted reduction; the
@@ -87,11 +91,12 @@ def levenberg_marquardt(fun, x0) -> LeastSquaresResult:
             rho = reduction / predicted if reduction < predicted else 1.0
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
-            x, r, jac, cost = trial, r_new, jac_new, cost_new
+            x, value, cost = trial, new, cost_new
         else:
             mu *= nu
             nu *= 2.0
-    return LeastSquaresResult(x, MAX_ITERATIONS, False)
+        del new  # a rejected trial's evaluation goes before the next is made
+    return LeastSquaresResult(x, MAX_ITERATIONS, False, evaluation=value)
 
 
 @dataclass
@@ -117,16 +122,16 @@ def _gram_inverse(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def _project(model, data: np.ndarray, x: np.ndarray) -> tuple:
-    """At ``x``: c = A^+ d, the leftover r = d - A c, Kaufman's Jacobian
-    of r, -(I - A A^+) d(A c)/dx, which leaves out only a part in the
-    span of A and so keeps J^T r exact, then A and d(A c)/dx. One
-    inverse of A^T A serves c and the projection."""
+    """At ``x``: the leftover r = d - A c with c = A^+ d, Kaufman's
+    Jacobian of r, -(I - A A^+) d(A c)/dx, which leaves out only a part
+    in the span of A and so keeps J^T r exact, then c, A and d(A c)/dx.
+    One inverse of A^T A serves c and the projection."""
     basis, slopes = model(x)
     inverse = _gram_inverse(basis, "the basis")
     coef = inverse @ (basis.T @ data)
     dmodel = slopes(coef)
     jac = basis @ (inverse @ (basis.T @ dmodel)) - dmodel
-    return coef, data - basis @ coef, jac, basis, dmodel
+    return data - basis @ coef, jac, coef, basis, dmodel
 
 
 def variable_projection(model, data, x0) -> SeparableResult:
@@ -141,14 +146,8 @@ def variable_projection(model, data, x0) -> SeparableResult:
     RankDeficient when A, or the full Jacobian at the solution, is, and
     ObjectiveNotFinite as ``levenberg_marquardt`` does."""
     data = np.asarray(data, dtype=float)
-    states = {}  # the solve at every x tried, by its bytes
-
-    def leftover(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        state = states[x.tobytes()] = _project(model, data, x)
-        return state[1], state[2]
-
-    result = levenberg_marquardt(leftover, x0)
-    coef, resid, _, basis, dmodel = states[result.x.tobytes()]
+    result = levenberg_marquardt(lambda x: _project(model, data, x), x0)
+    resid, _, coef, basis, dmodel = result.evaluation
     covariance = None
     if result.converged:
         full = np.hstack((dmodel, basis))

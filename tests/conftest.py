@@ -389,7 +389,7 @@ def levenberg_marquardt_reference(fun, x0) -> least_squares.LeastSquaresResult:
     x = np.array(x0, dtype=float).ravel()
 
     def evaluate(x):
-        r, jac = fun(x)
+        r, jac = fun(x)[:2]
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
             raise ObjectiveNotFinite(f"residual or Jacobian is not finite at x = {x!r}")
         return r, jac, float(r @ r)

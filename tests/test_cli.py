@@ -811,6 +811,39 @@ class TestPipeline:
         assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
         assert report["reconstruction"] is not None
 
+    def test_scan_the_optics_cannot_cover_lists_that_nv(self, tmp_path, capsys):
+        # three good NVs and a 2 x 1700 strip, whose 85 um diagonal needs
+        # 160 profile panels at 405 nm and NA 1.45, more than
+        # MAX_PROFILE_PANELS: the strip alone is refused
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        counts = np.random.default_rng(1).poisson(100.0, (1700, 2)).astype(float)
+        write_scan_image_csv(
+            ScanImage(ScanGrid(2, 1700, 50.0), counts), scans / "nv4.csv"
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"optics": {"wavelength_nm": 405.0, "numerical_aperture": 1.45}}
+        ))
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+            "--config", str(cfg),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv4" and entry["error"] == "ValueError"
+        assert entry["message"].startswith(
+            "profile of 160 panels exceeds MAX_PROFILE_PANELS=138"
+        )
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is not None
+
     def test_failed_reconstruction_keeps_per_nv_results(self, tmp_path, capsys):
         # three copies of one NV: every fit succeeds, the axes coincide
         field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis

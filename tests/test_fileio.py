@@ -20,7 +20,9 @@ from nvvortex.fileio import (
     write_scan_image_csv,
     write_spectrum_csv,
 )
-from nvvortex.pattern import NVOrientation, ScanGrid, ScanImage, simulate_pattern
+from nvvortex.pattern import (
+    MAX_PIXELS, NVOrientation, ScanGrid, ScanImage, simulate_pattern,
+)
 from nvvortex.spin import (
     SpinParams,
     Spectrum,
@@ -153,6 +155,21 @@ class TestScanImageCSV:
                         "1.0,2.0\n3.0,4.0\n")
         with pytest.raises(FileFormatError, match=message):
             read_scan_image_csv(path)
+
+    def test_oversized_grid_refused_before_any_row_is_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "img.csv"
+        path.write_text("width,height,pitch_nm,origin_x_nm,origin_y_nm\n"
+                        "2100,2100,50.0,0.0,0.0\n1.0,2.0\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a data row was parsed")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(FileFormatError) as err:
+            read_scan_image_csv(path)
+        assert str(err.value) == (
+            f"{path}: 2100x2100 exceeds MAX_PIXELS={MAX_PIXELS}"
+        )
 
     def test_ragged_row_rejected(self, sample_image, tmp_path):
         path = tmp_path / "img.csv"

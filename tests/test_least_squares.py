@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -78,6 +79,30 @@ class TestLevenbergMarquardt:
         r0, r1 = cubic(start)[0], cubic(result.x)[0]
         assert result.converged
         assert r1 @ r1 <= r0 @ r0
+
+    def test_hands_back_the_accepted_evaluation_and_no_other(self):
+        # what fun returns after r and J comes back untouched for the
+        # returned x; while fun runs, the accepted evaluation is the only
+        # other one alive, after a rejected trial too (accepted costs fall,
+        # so a trial that does not beat the lowest cost so far is rejected)
+        alive, most, costs = set(), [0], []
+
+        class Token:
+            pass
+
+        def fun(x):
+            most[0] = max(most[0], len(alive))
+            token = Token()
+            alive.add(id(token))
+            weakref.finalize(token, alive.discard, id(token))
+            r, jac = rosenbrock(x)
+            costs.append(r @ r)
+            return r, jac, token, x.copy()
+
+        result = levenberg_marquardt(fun, [-1.2, 1.0])
+        assert any(c >= min(costs[:i]) for i, c in enumerate(costs) if i)
+        assert most[0] == 1
+        assert result.evaluation[3].tobytes() == result.x.tobytes()
 
     def test_zero_jacobian_column_is_left_alone(self):
         def flat_in_x1(x):

@@ -219,11 +219,11 @@ class TestFitOrientation:
             return _pattern_model(center, xs, ys, profile)
 
         center = np.array([cx + 31.0, cy - 22.0])
-        _, leftover, jac, _, _ = least_squares._project(model, d, center)
+        leftover, jac, _, _, _ = least_squares._project(model, d, center)
         h = 1e-3
         central = np.column_stack([
-            (least_squares._project(model, d, center + e)[1]
-             - least_squares._project(model, d, center - e)[1]) / (2.0 * h)
+            (least_squares._project(model, d, center + e)[0]
+             - least_squares._project(model, d, center - e)[0]) / (2.0 * h)
             for e in h * np.eye(2)
         ])
         dx, dy = xs - center[0], ys - center[1]

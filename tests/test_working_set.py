@@ -1,7 +1,8 @@
-"""Working set of the focal-field chain and the scan files: the
+"""Working set of the focal-field chain, the fit and the files: the
 quadrature, the profile build and a map each need their output plus one
-block, a scan write one block and a scan read little beyond the image,
-not temporaries the size of their input. Peaks are traced allocations
+block, a fit the same whatever its number of trials, a scan or spectrum
+write one block and a scan read little beyond the image, not
+temporaries the size of their input. Peaks are traced allocations
 above the call's start, so they do not depend on the interpreter's own
 footprint; the bounds are ratios to the output and to one block, so
 that they hold across numpy versions."""
@@ -11,15 +12,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nvvortex.fileio as fileio
 import nvvortex.focal_field as focal_field
 import nvvortex.pattern as pattern
-from nvvortex.fileio import read_scan_image_csv, write_pgm, write_scan_image_csv
+from nvvortex.fileio import (
+    read_scan_image_csv, write_pgm, write_scan_image_csv, write_spectrum_csv,
+)
+from nvvortex.orient_fit import fit_orientation
 from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.pattern import NVOrientation, RadialIntensityProfile, ScanGrid
+from nvvortex.spin import Spectrum
 
 #: bytes of one float64 array the size of a block
 J1_BLOCK_BYTES = 8 * focal_field._J1_BLOCK
 PIXEL_BLOCK_BYTES = 8 * pattern._PIXEL_BLOCK
+SPECTRUM_BLOCK_BYTES = 8 * fileio._SPECTRUM_BLOCK
 #: bytes of one real panel block's Taylor values at its nodes
 PANEL_BLOCK_BYTES = (
     8 * pattern._PANEL_BLOCK * (pattern._NODES_PER_PANEL + 1) * (pattern._TAYLOR_DEGREE + 1)
@@ -77,6 +84,27 @@ def test_build_needs_its_table_plus_one_block(optics, traced_peak, z_nm):
     assert peak <= profile.taylor.nbytes + scale * 4 * PANEL_BLOCK_BYTES
 
 
+def test_fit_needs_the_same_working_set_whatever_its_trials(optics, traced_peak):
+    # the solver keeps only the evaluation it accepted: a background with
+    # no NV takes 26 evaluations and an NV1 scan 4, and both fits peak
+    # at about 27 times the image (216 and 45 times when every trial's
+    # solve was kept)
+    grid = ScanGrid(256, 256, 50.0)
+    nv = pattern.simulate_pattern(
+        NVOrientation.from_degrees(109.84, 20.60), grid, optics,
+        amplitude=1e4, background=100.0, noise_seed=1,
+    )
+    counts = np.random.default_rng(1).poisson(100.0, (256, 256)).astype(float)
+    background = pattern.ScanImage(grid, counts)
+    fit_orientation(nv, optics)  # warm: the profile cache
+    nv_peak, nv_fit = traced_peak(lambda: fit_orientation(nv, optics))
+    background_peak, background_fit = traced_peak(
+        lambda: fit_orientation(background, optics)
+    )
+    assert background_fit.center_iterations >= 5 * nv_fit.center_iterations
+    assert background_peak <= 1.25 * nv_peak
+
+
 def _poisson_scans():
     for n in (512, 1024):
         values = np.random.default_rng(3).poisson(100.0, (n, n)).astype(float)
@@ -101,6 +129,18 @@ def test_pgm_needs_one_block(tmp_path, traced_peak):
         write_pgm(image, tmp_path / "warm.pgm")
         peak, _ = traced_peak(lambda: write_pgm(image, tmp_path / "scan.pgm"))
         assert peak <= 3 * PIXEL_BLOCK_BYTES, image.grid
+
+
+def test_spectrum_csv_needs_one_block(tmp_path, traced_peak):
+    # a block's two lists of floats, their rows and its text and bytes,
+    # the same bound at both sizes (about 20 blocks of floats here);
+    # formatting the whole spectrum at once needs about 170 bytes a point
+    for n in (1 << 16, 1 << 18):
+        contrast = 1.0 - 0.01 * np.random.default_rng(3).random(n)
+        spectrum = Spectrum(np.linspace(2780.0, 2980.0, n), contrast)
+        write_spectrum_csv(spectrum, tmp_path / "warm.csv")
+        peak, _ = traced_peak(lambda: write_spectrum_csv(spectrum, tmp_path / "s.csv"))
+        assert peak <= 32 * SPECTRUM_BLOCK_BYTES, n
 
 
 def test_scan_read_needs_little_beyond_the_image(tmp_path, traced_peak):
