@@ -1,7 +1,9 @@
 """Run configuration: a single JSON file with strictly validated
-sections. ``fileio`` reads the file; this module validates what it
-reads. Unknown keys are rejected by name; keys starting with '_' are
-ignored so configs can carry inline notes."""
+sections, one per field of ``RunConfig``. ``fileio`` reads the file and
+refuses a key named twice in one object; this module validates what it
+reads. Every key it does not read, a section included, is refused by
+its dotted name; keys starting with '_' are ignored so configs can
+carry inline notes."""
 
 from __future__ import annotations
 
@@ -22,51 +24,28 @@ __all__ = [
 ]
 
 
-#: keys and sections that older configs may still carry, with the reason
-#: they went; a key's own entry takes precedence over its section's
-_REMOVED_KEYS = {
-    "fit": "no step of a run draws random numbers; simulated noise takes "
-           "its seed from the --noise-seed flag",
-    "fit.n_starts": "the orientation fit is one centre search with no random starts",
-    "fit.simplex": "both fits use a Levenberg-Marquardt solver with fixed tolerances",
-    "pattern": "the simulate-pattern flags set the scan raster and intensity scale",
-    "optics.quadrature_nodes": (
-        "the focal-field quadrature picks its own rule from the reach and "
-        "defocus of each evaluation"
-    ),
-    "optics.convergence_rtol": (
-        "it set the node-doubling self-check of the focal-field quadrature, "
-        "which the package no longer ships"
-    ),
-    "optics.pupil_amplitude": (
-        "it scaled the pattern by its square, which the fitted amplitude absorbs"
-    ),
-    **dict.fromkeys(
-        ("spin.a_par", "spin.a_perp", "spin.q", "spin.gamma_n"),
-        "the 14N hyperfine, quadrupole and nuclear-Zeeman constants are fixed "
-        "literature values of the spectrum simulator",
-    ),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     optics: OpticalConfig = field(default_factory=OpticalConfig)
     spin: SpinParams = field(default_factory=SpinParams)
 
 
-def _build_section(cls, data: dict, where: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section '{where}' must be an object")
-    known = {f.name for f in fields(cls)}
-    kwargs = {}
+def _entries(data: dict, known, prefix: str = ""):
+    """The (key, value) pairs of ``data`` but its '_' comments, each key
+    in ``known`` or refused by its dotted name ``prefix + key``."""
     for key, value in data.items():
         if key.startswith("_"):
             continue
-        if f"{where}.{key}" in _REMOVED_KEYS:
-            raise _removed(f"{where}.{key}")
         if key not in known:
-            raise ConfigError(f"unknown config key '{where}.{key}'")
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+        yield key, value
+
+
+def _build_section(cls, data: dict, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section '{where}' must be an object")
+    kwargs = {}
+    for key, value in _entries(data, {f.name for f in fields(cls)}, f"{where}."):
         if not is_json_number(value):
             raise ConfigError(
                 f"config key '{where}.{key}' must be a finite number, got {value!r}"
@@ -80,14 +59,6 @@ def _build_section(cls, data: dict, where: str):
         raise ConfigError(f"invalid config section '{where}': {exc}") from exc
 
 
-_SECTIONS = {"optics": OpticalConfig, "spin": SpinParams}
-
-
-def _removed(dotted: str) -> ConfigError:
-    reason = _REMOVED_KEYS.get(dotted) or _REMOVED_KEYS[dotted.split(".")[0]]
-    return ConfigError(f"config key '{dotted}' was removed: {reason}")
-
-
 def load_config(path=None) -> RunConfig:
     """Defaults when ``path`` is None, otherwise the validated file."""
     if path is None:
@@ -98,18 +69,10 @@ def load_config(path=None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    kwargs = {}
-    for key, value in data.items():
-        if key.startswith("_"):
-            continue
-        if key in _REMOVED_KEYS:  # a whole section: name its first key
-            keys = value if isinstance(value, dict) else {}
-            inner = [k for k in keys if not k.startswith("_")]
-            raise _removed(f"{key}.{inner[0]}" if inner else key)
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown config key '{key}'")
-        kwargs[key] = _build_section(_SECTIONS[key], value, key)
-    return RunConfig(**kwargs)
+    # each section's class is the default factory of its RunConfig field
+    sections = {f.name: f.default_factory for f in fields(RunConfig)}
+    return RunConfig(**{key: _build_section(sections[key], value, key)
+                        for key, value in _entries(data, sections)})
 
 
 def config_hash(config: RunConfig) -> str:

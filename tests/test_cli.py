@@ -11,7 +11,7 @@ import pytest
 
 from conftest import axis_angle_deg
 import nvvortex
-from nvvortex import cli, pattern, spin
+from nvvortex import cli, fileio, pattern, spin
 from nvvortex.cli import bundled_fixture_path, main
 from nvvortex.config import RunConfig, load_config
 from nvvortex.errors import TripletsOverlap
@@ -269,7 +269,7 @@ class TestSimulateAndFit:
         assert code == 2
         assert "wavelenght_nm" in payload["message"]
 
-    # optics.quadrature_nodes is a removed key: it is refused by name
+    # optics.quadrature_nodes is a removed key: it is refused as unknown
     # whatever its value, 64 included
     @pytest.mark.parametrize("section, key, value", [
         ("optics", "quadrature_nodes", 2.5),
@@ -301,22 +301,24 @@ class TestSimulateAndFit:
         assert payload["error"] == "ConfigError"
         assert re.search(rf"\b{key}\b", payload["message"])
         if key == "quadrature_nodes":
-            assert "'optics.quadrature_nodes' was removed" in payload["message"]
+            assert payload["message"] == "unknown config key 'optics.quadrature_nodes'"
 
     def test_removed_config_key_is_named(self, tmp_path, capsys):
+        # keys and sections that older versions accepted are refused like
+        # any other key the loader does not read: a section by its name
         cfg = tmp_path / "cfg.json"
-        for section, key, value in (
-            ("fit", "n_starts", 12),
-            ("fit", "simplex", {"max_iterations": 2000}),
-            ("fit", "seed", 0),
-            ("pattern", "width_px", 31),
-            ("optics", "convergence_rtol", 1e-9),
-            ("optics", "pupil_amplitude", 1.0),
-            ("optics", "quadrature_nodes", 64),
-            ("spin", "a_par", -2.14),
-            ("spin", "a_perp", -2.70),
-            ("spin", "q", -4.96),
-            ("spin", "gamma_n", 3.077e-4),
+        for section, key, value, name in (
+            ("fit", "n_starts", 12, "fit"),
+            ("fit", "simplex", {"max_iterations": 2000}, "fit"),
+            ("fit", "seed", 0, "fit"),
+            ("pattern", "width_px", 31, "pattern"),
+            ("optics", "convergence_rtol", 1e-9, "optics.convergence_rtol"),
+            ("optics", "pupil_amplitude", 1.0, "optics.pupil_amplitude"),
+            ("optics", "quadrature_nodes", 64, "optics.quadrature_nodes"),
+            ("spin", "a_par", -2.14, "spin.a_par"),
+            ("spin", "a_perp", -2.70, "spin.a_perp"),
+            ("spin", "q", -4.96, "spin.q"),
+            ("spin", "gamma_n", 3.077e-4, "spin.gamma_n"),
         ):
             cfg.write_text(json.dumps({section: {key: value}}))
             code, payload = run_cli(
@@ -324,7 +326,7 @@ class TestSimulateAndFit:
             )
             assert code == 2
             assert payload["error"] == "ConfigError"
-            assert f"'{section}.{key}' was removed" in payload["message"]
+            assert payload["message"] == f"unknown config key '{name}'"
 
     def test_removed_section_without_keys_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -333,7 +335,7 @@ class TestSimulateAndFit:
             capsys, "fit-orientation", "--image", "x.csv", "--config", str(cfg),
         )
         assert code == 2
-        assert "'pattern' was removed" in payload["message"]
+        assert payload["message"] == "unknown config key 'pattern'"
 
     def test_bundled_example_config_loads(self):
         path = os.path.join(os.path.dirname(nvvortex.__file__), "fixtures",
@@ -417,6 +419,18 @@ class TestOdmr:
         assert code == 3
         assert payload["error"] == "TripletsOverlap"
         assert "only one dip cluster" in payload["message"]
+
+    def test_spectrum_over_the_row_bound_is_parse_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the bound patched to 8 rows: the real one takes seconds to write and read
+        monkeypatch.setattr(fileio, "MAX_SWEEP_POINTS", 8)
+        f = np.linspace(2780.0, 2980.0, 9)
+        path = tmp_path / "s.csv"
+        write_spectrum_csv(spin.Spectrum(f, np.ones_like(f)), path)
+        code, payload = run_cli(capsys, "odmr", "--spectrum", str(path))
+        assert code == 4
+        assert payload["error"] == "FileFormatError"
+        assert payload["message"] == f"{path}: more than MAX_SWEEP_POINTS=8 data rows"
 
     def test_requires_exactly_one_source(self, capsys):
         code, payload = run_cli(capsys, "odmr")
@@ -844,6 +858,31 @@ class TestPipeline:
         assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
         assert report["reconstruction"] is not None
 
+    def test_spectrum_over_the_row_bound_lists_that_nv(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # the bound patched to the 2,001 points of the default sweep, and
+        # one row more in nv4's spectrum: that spectrum alone is refused
+        monkeypatch.setattr(fileio, "MAX_SWEEP_POINTS", 2001)
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        with open(spectra / "nv4.csv", "a") as handle:
+            handle.write("2980.1,1.0\n")
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        [entry] = report["errors"]
+        assert entry["nv"] == "nv4" and entry["error"] == "FileFormatError"
+        assert entry["message"].endswith("more than MAX_SWEEP_POINTS=2001 data rows")
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is not None
+
     def test_failed_reconstruction_keeps_per_nv_results(self, tmp_path, capsys):
         # three copies of one NV: every fit succeeds, the axes coincide
         field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
@@ -1176,7 +1215,11 @@ def test_bad_sources_are_usage_errors(tmp_path, capsys, monkeypatch, argv, messa
     ('{"optics": {', "not valid JSON"),
     ('[{"optics": {}}]', "top level must be an object"),
     ('{"optcs": {"wavelength_nm": 500}}', "unknown config key 'optcs'"),
-], ids=["section-not-object", "invalid-json", "top-level-not-object", "unknown-section"])
+    ('{"optics": {"wavelength_nm": 405.0}, "optics": {}}', "key 'optics' appears twice"),
+    ('{"optics": {"wavelength_nm": 405.0, "wavelength_nm": 532.0}}',
+     "key 'wavelength_nm' appears twice"),
+], ids=["section-not-object", "invalid-json", "top-level-not-object", "unknown-section",
+        "repeated-section", "repeated-key"])
 def test_malformed_config_file_is_usage_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -1199,6 +1242,16 @@ def test_non_utf8_data_file_is_parse_error(tmp_path, capsys, argv, name):
     assert code == 4
     assert payload["error"] == "FileFormatError"
     assert payload["message"].startswith(f"{path}: not UTF-8 text")
+
+
+def test_repeated_constraint_key_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "cones.json"
+    path.write_text('[{"axis_theta_deg": 1, "axis_phi_deg": 2, "alpha_deg": 50, '
+                    '"alpha_deg": 60, "b_gauss": 4}]')
+    code, payload = run_cli(capsys, "reconstruct", "--constraints", str(path))
+    assert code == 4
+    assert payload["error"] == "FileFormatError"
+    assert payload["message"] == f"{path}: key 'alpha_deg' appears twice"
 
 
 def test_non_utf8_config_is_usage_error_naming_the_file(tmp_path, capsys):

@@ -273,6 +273,29 @@ class TestSpectrumCSV:
         with pytest.raises(FileFormatError):
             read_spectrum_csv(path)
 
+    # the bound patched to 8 rows: the real one, MAX_SWEEP_POINTS = 2^20,
+    # takes seconds to write and read
+    @staticmethod
+    def _spectrum_rows(path, rows: int, tail: str = "") -> None:
+        path.write_text("frequency_mhz,contrast\n"
+                        + "".join(f"{2800.0 + i!r},1.0\n" for i in range(rows)) + tail)
+
+    def test_spectrum_at_the_row_bound_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "MAX_SWEEP_POINTS", 8)
+        path = tmp_path / "spec.csv"
+        self._spectrum_rows(path, 8)
+        assert read_spectrum_csv(path).frequencies.size == 8
+
+    def test_row_over_the_bound_refused_before_the_rest_is_parsed(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(fileio, "MAX_SWEEP_POINTS", 8)
+        path = tmp_path / "spec.csv"
+        self._spectrum_rows(path, 9, tail="not a row\n")  # never parsed
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum_csv(path)
+        assert str(err.value) == f"{path}: more than MAX_SWEEP_POINTS=8 data rows"
+
 
 class TestConstraints:
     def test_round_trip_via_json(self, tmp_path):
@@ -365,6 +388,15 @@ class TestConstraints:
         write_json({"constraints": []}, path)
         with pytest.raises(FileFormatError):
             load_constraints_json(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # json.load alone would keep the last alpha_deg, 60
+        path = tmp_path / "cones.json"
+        path.write_text('[{"axis_theta_deg": 1, "axis_phi_deg": 2, "alpha_deg": 50, '
+                        '"alpha_deg": 60, "b_gauss": 4}]')
+        with pytest.raises(FileFormatError) as err:
+            load_constraints_json(path)
+        assert str(err.value) == f"{path}: key 'alpha_deg' appears twice"
 
 
 class TestAtomicity:
