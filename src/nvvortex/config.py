@@ -20,7 +20,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "config_hash",
-    "is_json_number",
 ]
 
 

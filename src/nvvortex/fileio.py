@@ -38,8 +38,6 @@ from .vector_recon import ConeConstraint
 
 __all__ = [
     "atomic_writer",
-    "atomic_write_bytes",
-    "atomic_write_text",
     "write_json",
     "read_json",
     "write_scan_image_csv",
@@ -100,17 +98,9 @@ def atomic_writer(path):
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    with atomic_writer(path) as handle:
-        handle.write(data)
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_json(obj, path) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with atomic_writer(path) as handle:
+        handle.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def is_json_number(value) -> bool:
@@ -155,15 +145,15 @@ def _line_blocks(handle, chars: int = 1 << 14):
     yield [tail]
 
 
-def _read_table(path, header: list[str], read_preamble=None, max_rows=None) -> tuple:
+def _read_table(path, header: list[str], max_rows, read_preamble=None) -> tuple:
     """A CSV table: the row of column names ``header``, then, when
     ``read_preamble`` is given, one row of text that it reads before any
     numeric row is parsed, then numeric rows parsed in one call from the
-    open file, whose text is never held whole; at most ``max_rows`` of
-    them are parsed and the rows beyond are not. Returns what
-    ``read_preamble`` returned (or None) and the rows. Blank lines are
-    skipped and cells may carry surrounding whitespace; every malformed
-    input raises FileFormatError naming ``path``."""
+    open file, whose text is never held whole; at most ``max_rows(meta)``
+    of them are parsed, meta being what ``read_preamble`` returned (or
+    None), and the rows beyond are not. Returns meta and the rows. Blank
+    lines are skipped and cells may carry surrounding whitespace; every
+    malformed input raises FileFormatError naming ``path``."""
     preamble = 0 if read_preamble is None else 1
     with open(path, "r", encoding="utf-8-sig") as handle:
         lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(handle)))
@@ -179,7 +169,9 @@ def _read_table(path, header: list[str], read_preamble=None, max_rows=None) -> t
             # islice rather than loadtxt's max_rows, which slowed the read of
             # a 3,801-row spectrum by a fifth at max_rows = 2^20 + 1
             body = np.loadtxt(
-                itertools.islice(itertools.chain(head[1 + preamble:], lines), max_rows),
+                itertools.islice(
+                    itertools.chain(head[1 + preamble:], lines), max_rows(meta)
+                ),
                 delimiter=",", comments=None, ndmin=2,
             )
         except UnicodeDecodeError as exc:
@@ -241,7 +233,16 @@ def _scan_grid(path, row: str) -> ScanGrid:
 
 
 def read_scan_image_csv(path) -> ScanImage:
-    grid, values = _read_table(path, _IMAGE_HEADER, lambda row: _scan_grid(path, row))
+    """The scan in ``path``, refused by FileFormatError once it holds
+    more rows than its header declares, without parsing the rows beyond."""
+    grid, values = _read_table(
+        path, _IMAGE_HEADER, lambda grid: grid.height_px + 1,
+        lambda row: _scan_grid(path, row),
+    )
+    if values.shape[0] > grid.height_px:
+        raise FileFormatError(
+            f"{path}: more than the {grid.height_px} data rows the header declares"
+        )
     if values.shape != (grid.height_px, grid.width_px):
         raise FileFormatError(
             f"{path}: expected {grid.height_px} data rows of {grid.width_px} values, "
@@ -309,7 +310,7 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
 def read_spectrum_csv(path) -> Spectrum:
     """The spectrum in ``path``, refused by FileFormatError once it holds
     more than MAX_SWEEP_POINTS rows, without parsing the rows beyond."""
-    _, body = _read_table(path, _SPECTRUM_HEADER, max_rows=MAX_SWEEP_POINTS + 1)
+    _, body = _read_table(path, _SPECTRUM_HEADER, lambda _: MAX_SWEEP_POINTS + 1)
     if body.shape[0] > MAX_SWEEP_POINTS:
         raise FileFormatError(
             f"{path}: more than MAX_SWEEP_POINTS={MAX_SWEEP_POINTS} data rows"

@@ -3,7 +3,10 @@
 At a fixed centre the pattern is linear in the three basis images of
 ``pattern`` plus the background, so the fit is a separable problem for
 ``least_squares.variable_projection`` (``_pattern_model``), whose
-Levenberg-Marquardt search runs over the 2 centre coordinates alone. A
+Levenberg-Marquardt search runs over the 2 centre coordinates alone, in
+nm from the scan origin, from the intensity-weighted mean pixel
+position. The stage origin is added once to the centre found, so the
+same counts fit to the same bits wherever the stage put the scan. A
 pattern determines the axis n only up to the class {+-n, +-M n}, M =
 diag(1, 1, -1): the sign of n and its mirror in the x-y plane, which up
 to sign is the 180-degree azimuth partner. The fit reports the member
@@ -57,17 +60,6 @@ class OrientationFit:
         return self.phi + math.pi
 
 
-def _intensity_centroid(image: ScanImage) -> tuple[float, float]:
-    """Centroid of (values - min) in pixel coordinates; the grid centre
-    when the image is constant."""
-    d = image.values - image.values.min()
-    total = d.sum()
-    if total == 0.0:
-        return 0.5 * (image.grid.width_px - 1), 0.5 * (image.grid.height_px - 1)
-    ys, xs = np.mgrid[0 : image.grid.height_px, 0 : image.grid.width_px]
-    return float((xs * d).sum() / total), float((ys * d).sum() / total)
-
-
 def _pattern_model(
     center_nm: tuple[float, float],
     xs: np.ndarray,
@@ -105,8 +97,10 @@ def _pattern_model(
 
 def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     """Fit (theta, phi, center) to a scan image by variable projection:
-    one search over the centre, in pixels from the intensity centroid,
-    with (p, q, s, background) solved at every centre.
+    one search over the centre, in nm from the scan origin, started at
+    the mean pixel position weighted by d - min(d), with (p, q, s,
+    background) solved at every centre. Only ``center_nm`` depends on
+    the grid's origin, which is added to the centre found.
 
     The report is read from the solve at the returned centre; no second
     model is evaluated. The angles and the amplitude (the larger
@@ -128,21 +122,16 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
             "(p, q, s, background and the centre's x and y)"
         )
     profile = radial_profile_for_grid(grid, optics)
-    xs, ys = (a.ravel() for a in grid.pixel_positions())
     if np.all(d == d[0]):
         raise DegenerateTemplate("image is constant; misfit is undefined")
-    pitch = grid.pitch_nm
-    ox, oy = grid.origin_nm
-
-    def to_nm(p) -> tuple[float, float]:
-        return (ox + p[0] * pitch, oy + p[1] * pitch)
-
-    def model(p: np.ndarray):  # slopes per pixel
-        basis, slopes = _pattern_model(to_nm(p), xs, ys, profile)
-        return basis, lambda coef: pitch * slopes(coef)
-
+    # pixel positions in nm from the scan origin, row-major like d
+    ys, xs = grid.pitch_nm * np.indices((grid.height_px, grid.width_px)).reshape(2, -1)
+    weight = d - d.min()
+    start = ((xs * weight).sum() / weight.sum(), (ys * weight).sum() / weight.sum())
     try:
-        result = variable_projection(model, d, _intensity_centroid(image))
+        result = variable_projection(
+            lambda center: _pattern_model(center, xs, ys, profile), d, start
+        )
     except RankDeficient as exc:
         raise DegenerateTemplate(
             f"a scan of {grid.width_px} x {grid.height_px} pixels does not "
@@ -157,7 +146,7 @@ def fit_orientation(image: ScanImage, optics: OpticalConfig) -> OrientationFit:
     return OrientationFit(
         theta=theta,
         phi=phi,
-        center_nm=to_nm(result.x),
+        center_nm=(grid.origin_nm[0] + result.x[0], grid.origin_nm[1] + result.x[1]),
         amplitude=amplitude,
         background=float(coef[3]),
         residual=float(leftover @ leftover) / float(((d - d.mean()) ** 2).sum()),

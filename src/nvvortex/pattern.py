@@ -191,10 +191,6 @@ class ScanGrid:
         y = self.origin_nm[1] + self.pitch_nm * np.arange(self.height_px)
         return x, y
 
-    def pixel_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) physical coordinates, each height_px x width_px."""
-        return np.meshgrid(*self.pixel_axes())
-
     def row_blocks(self):
         """Row slices that cut the raster, in order, into blocks of whole
         rows of at most _PIXEL_BLOCK pixels, one row when a row is wider:

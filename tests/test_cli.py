@@ -803,6 +803,29 @@ class TestPipeline:
         assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
         assert report["reconstruction"] is not None
 
+    def test_scan_over_its_declared_height_lists_that_nv(self, tmp_path, capsys):
+        field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
+        labels = [
+            ("nv1", (70.16, 20.60)),
+            ("nv2", (70.75, 80.51)),
+            ("nv3", (70.69, 140.74)),
+            ("nv4", (70.16, 20.60)),
+        ]
+        scans, spectra = self._synthesize(tmp_path, labels, field)
+        path = scans / "nv4.csv"
+        with open(path, "a") as handle:
+            handle.write(",".join(["100.0"] * 31) + "\nnot a row\n")
+        code, report = run_cli(
+            capsys, "pipeline", "--scans", str(scans), "--spectra", str(spectra),
+        )
+        assert code == 0
+        assert report["errors"] == [{
+            "nv": "nv4", "error": "FileFormatError",
+            "message": f"{path}: more than the 31 data rows the header declares",
+        }]
+        assert sorted(report["per_nv"]) == ["nv1", "nv2", "nv3"]
+        assert report["reconstruction"] is not None
+
     def test_scan_too_small_to_fit_lists_that_nv(self, tmp_path, capsys):
         # three good NVs and one 2x2 ramp scan, which has fewer pixels
         # than the orientation fit has unknowns

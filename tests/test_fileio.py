@@ -171,6 +171,15 @@ class TestScanImageCSV:
             f"{path}: 2100x2100 exceeds MAX_PIXELS={MAX_PIXELS}"
         )
 
+    def test_row_over_the_height_refused_before_the_rest_is_parsed(self, tmp_path):
+        path = tmp_path / "img.csv"
+        path.write_text("width,height,pitch_nm,origin_x_nm,origin_y_nm\n"
+                        "2,2,50.0,0.0,0.0\n1.0,2.0\n3.0,4.0\n5.0,6.0\n"
+                        "not a row\n")  # never parsed
+        with pytest.raises(FileFormatError) as err:
+            read_scan_image_csv(path)
+        assert str(err.value) == f"{path}: more than the 2 data rows the header declares"
+
     def test_ragged_row_rejected(self, sample_image, tmp_path):
         path = tmp_path / "img.csv"
         write_scan_image_csv(sample_image, path)

@@ -162,7 +162,7 @@ class TestFitOrientation:
             background=50.0, noise_seed=0,
         )
         fit = fit_orientation(img, optics)
-        xs, ys = (a.ravel() for a in grid31.pixel_positions())
+        xs, ys = (a.ravel() for a in np.meshgrid(*grid31.pixel_axes()))
         basis, _ = _pattern_model(
             fit.center_nm, xs, ys, radial_profile_for_grid(grid31, optics)
         )
@@ -210,7 +210,7 @@ class TestFitOrientation:
             70.0, 60.0, grid31, optics, amplitude=1e4 / clean.values.max(),
             background=50.0, noise_seed=3,
         )
-        xs, ys = (a.ravel() for a in grid31.pixel_positions())
+        xs, ys = (a.ravel() for a in np.meshgrid(*grid31.pixel_axes()))
         d = img.values.ravel()
         profile = radial_profile_for_grid(grid31, optics)
         cx, cy = grid31.center_nm
@@ -318,6 +318,43 @@ class TestFitOrientation:
         monkeypatch.setattr(least_squares, "MAX_ITERATIONS", 1)
         with pytest.raises(NoConvergence):
             fit_orientation(img, optics)
+
+
+class TestTranslation:
+    """The same counts at any stage origin fit to the same bits; only the
+    centre moves, by the origin."""
+
+    ORIGINS = [(12345.6, -7890.1), (-9e4, 5e4), (0.1, 0.3)]
+
+    @pytest.mark.parametrize("pitch_nm", [20.0, 50.0, 75.0])
+    @pytest.mark.parametrize(
+        "theta_deg, phi_deg",
+        [(109.84, 20.60), (45.0, 60.0), (3.0, 10.0), (0.37, 153.68)],
+        ids=["NV1", "45-60", "3-10", "NV0"],
+    )
+    def test_same_counts_fit_the_same_at_any_origin(
+        self, optics, pitch_nm, theta_deg, phi_deg
+    ):
+        grid = ScanGrid(31, 31, pitch_nm)
+        cx, cy = grid.center_nm
+        center = (cx + 0.37 * pitch_nm, cy - 0.21 * pitch_nm)
+        orientation = NVOrientation.from_degrees(theta_deg, phi_deg)
+        clean = simulate_pattern(orientation, grid, optics, center_nm=center)
+        img = simulate_pattern(
+            orientation, grid, optics, amplitude=1e4 / clean.values.max(),
+            background=50.0, noise_seed=5, center_nm=center,
+        )
+        ref = fit_orientation(img, optics)
+        for origin in self.ORIGINS:
+            moved = ScanImage(ScanGrid(31, 31, pitch_nm, origin_nm=origin), img.values)
+            fit = fit_orientation(moved, optics)
+            assert (fit.theta, fit.phi, fit.amplitude, fit.background, fit.residual,
+                    fit.center_iterations) == (
+                ref.theta, ref.phi, ref.amplitude, ref.background, ref.residual,
+                ref.center_iterations,
+            ), origin
+            shifted = (fit.center_nm[0] - origin[0], fit.center_nm[1] - origin[1])
+            assert shifted == pytest.approx(ref.center_nm, rel=0.0, abs=1e-9), origin
 
 
 class TestCrystalLabeling:

@@ -372,7 +372,7 @@ def quadrature_map(orientation, grid, optics, center, z_nm=0.0, pixels=None,
     """Unit-amplitude pattern, flattened, with the quadrature run at each
     pixel's own radius; only at the flat indices ``pixels`` if given,
     and by the single rule of ``nodes`` nodes if given."""
-    xs, ys = grid.pixel_positions()
+    xs, ys = np.meshgrid(*grid.pixel_axes())
     dx, dy = (xs - center[0]).ravel(), (ys - center[1]).ravel()
     if pixels is not None:
         dx, dy = dx[pixels], dy[pixels]
@@ -503,7 +503,7 @@ class TestIntensityMap:
 def full_array_map(orientation, grid, optics, amplitude, background, center, z_nm):
     """intensity_map as one evaluation over the whole grid, in the
     expressions it used before it ran over row blocks."""
-    xs, ys = grid.pixel_positions()
+    xs, ys = np.meshgrid(*grid.pixel_axes())
     dx = xs - center[0]
     dy = ys - center[1]
     rho = np.hypot(dx, dy)

@@ -1,11 +1,12 @@
 """Symmetries of the measurement chain, ``cli.measure``, that hold today:
-the sign of an NV axis, the order of the NVs and the scale of the scan
-counts. The inputs are the fig-2 axes in their physical form and the
+the sign of an NV axis, the order of the NVs, the scale of the scan
+counts and the stage origin of the scans. The inputs are the fig-2 axes in their physical form and the
 fig-2 field on a sweep wide enough for NV0's lines, built in memory,
 noiseless and with Poisson and contrast noise. Turning or mirroring the
 scene is left out: the chain does not follow either while each fit
 reports its own member of the axis twin {+-n, +-M n}."""
 
+import dataclasses
 import itertools
 import math
 
@@ -137,3 +138,23 @@ def test_scale_of_the_counts_leaves_the_axes(fig2, noisy, scale, tolerance_deg):
         fit = other.measurements[label].fit
         assert math.degrees(abs(fit.theta - nv.fit.theta)) <= tolerance_deg, label
         assert math.degrees(abs(fit.phi - nv.fit.phi)) <= tolerance_deg, label
+
+
+@pytest.mark.parametrize("origin", [(12345.6, -7890.1), (-9e4, 5e4)])
+def test_origin_of_the_scans_moves_only_the_centres(fig2, origin):
+    inputs, result = fig2
+    grid = ScanGrid(GRID.width_px, GRID.height_px, GRID.pitch_nm, origin_nm=origin)
+    other = _measure({label: (ScanImage(grid, scan.values), spectrum)
+                      for label, (scan, spectrum) in inputs.items()})
+    assert other.errors == {}
+    for label, nv in result.measurements.items():
+        moved = other.measurements[label]
+        cx, cy = moved.fit.center_nm
+        assert (cx - origin[0], cy - origin[1]) == pytest.approx(
+            nv.fit.center_nm, rel=0.0, abs=1e-9
+        ), label
+        fit = dataclasses.replace(moved.fit, center_nm=nv.fit.center_nm)
+        assert moved._replace(fit=fit) == nv, label
+    for f in dataclasses.fields(result.reconstruction):
+        assert np.array_equal(getattr(other.reconstruction, f.name),
+                              getattr(result.reconstruction, f.name)), f.name
