@@ -52,8 +52,6 @@ def _build_section(cls, data: dict, where: str):
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError, NVVortexError) as exc:
         raise ConfigError(f"invalid config section '{where}': {exc}") from exc
 

@@ -2,6 +2,8 @@
 
 The one reader of outside files, config and fixtures included: text is
 UTF-8 with an optional leading byte-order mark, as spreadsheets write it.
+CSV readers parse the open file's own lines, any line ends accepted, in
+one ``np.loadtxt`` call, so the file's text is never held whole.
 
 All writers go through one atomic path, ``atomic_writer``: a temp file
 beside the target, renamed over it once the last byte is written, so a
@@ -134,29 +136,18 @@ def read_json(path):
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _line_blocks(handle, chars: int = 1 << 14):
-    """The lines of a text file without their ends, as one list per
-    ``chars`` characters read, so that no more of the file is held."""
-    tail = ""
-    while chunk := handle.read(chars):
-        lines = (tail + chunk).split("\n")
-        tail = lines.pop()  # the line the next block completes
-        yield lines
-    yield [tail]
-
-
 def _read_table(path, header: list[str], max_rows, read_preamble=None) -> tuple:
     """A CSV table: the row of column names ``header``, then, when
     ``read_preamble`` is given, one row of text that it reads before any
     numeric row is parsed, then numeric rows parsed in one call from the
-    open file, whose text is never held whole; at most ``max_rows(meta)``
-    of them are parsed, meta being what ``read_preamble`` returned (or
-    None), and the rows beyond are not. Returns meta and the rows. Blank
-    lines are skipped and cells may carry surrounding whitespace; every
-    malformed input raises FileFormatError naming ``path``."""
+    open file's lines, one at a time; at most ``max_rows(meta)`` of them
+    are parsed, meta being what ``read_preamble`` returned (or None), and
+    the rows beyond are not. Returns meta and the rows. Blank lines are
+    skipped and cells may carry surrounding whitespace; every malformed
+    input raises FileFormatError naming ``path``."""
     preamble = 0 if read_preamble is None else 1
     with open(path, "r", encoding="utf-8-sig") as handle:
-        lines = filter(str.strip, itertools.chain.from_iterable(_line_blocks(handle)))
+        lines = filter(str.strip, handle)
         try:
             head = list(itertools.islice(lines, 2 + preamble))
             if len(head) < 2 + preamble:
@@ -165,7 +156,7 @@ def _read_table(path, header: list[str], max_rows, read_preamble=None) -> tuple:
                 raise FileFormatError(
                     f"{path}: bad header {head[0].strip()!r}, expected {','.join(header)}"
                 )
-            meta = read_preamble(head[1]) if preamble else None
+            meta = read_preamble(head[1].rstrip("\n")) if preamble else None
             # islice rather than loadtxt's max_rows, which slowed the read of
             # a 3,801-row spectrum by a fifth at max_rows = 2^20 + 1
             body = np.loadtxt(

@@ -78,10 +78,10 @@ class OpticalConfig:
     quadrature_nodes = 64
 
     def __post_init__(self):
-        if not (0.0 < self.numerical_aperture < self.immersion_index):
+        na, n = self.numerical_aperture, self.immersion_index
+        if not (0.0 < na < n and na / n > 0.0):  # a subnormal NA / n rounds to 0
             raise InvalidOptics(
-                "need 0 < numerical_aperture < immersion_index, got "
-                f"{self.numerical_aperture} and {self.immersion_index}"
+                f"need 0 < numerical_aperture < immersion_index, got {na} and {n}"
             )
         if not self.wavelength_nm > 0.0:
             raise InvalidOptics(f"wavelength_nm must be > 0, got {self.wavelength_nm}")
@@ -89,10 +89,7 @@ class OpticalConfig:
 
 def max_aperture_angle(config: OpticalConfig) -> float:
     """Aperture half-angle arcsin(NA / n), in (0, pi/2)."""
-    ratio = config.numerical_aperture / config.immersion_index
-    if not (0.0 < ratio < 1.0):
-        raise InvalidOptics(f"NA/n must lie in (0, 1), got {ratio}")
-    return math.asin(ratio)
+    return math.asin(config.numerical_aperture / config.immersion_index)
 
 
 def wavenumber(config: OpticalConfig) -> float:

@@ -111,20 +111,17 @@ class TestScanImageCSV:
         assert back.grid == sample_image.grid
         assert np.array_equal(back.values, sample_image.values)
 
-    @pytest.mark.parametrize("chars", [1, 7, 64, 1 << 16])
-    @pytest.mark.parametrize("end", ["\n\n", ""])
-    def test_blank_lines_and_padding_at_any_read_size(self, tmp_path, monkeypatch,
-                                                      chars, end):
-        # the table is read a block of characters at a time: lines cut by
-        # a block edge, blank and whitespace-only lines, padded cells and a
-        # last line without its end read the same at any block size
+    @pytest.mark.parametrize("end", ["\n\n", ""],
+                             ids=["blank-tail", "no-final-newline"])
+    def test_blank_lines_and_padding(self, tmp_path, end):
+        # blank and whitespace-only lines, a CRLF line end, padded cells
+        # and a last line with or without its end read as the plain table
         path = tmp_path / "img.csv"
         path.write_text(
             "\n  width , height,pitch_nm,origin_x_nm,origin_y_nm\n\n"
             " 3,2,50.0,0.0,0.0 \n   \n"
             "1.5, 2.0 ,3.25\r\n\t\n 4.0,5.0,6.0e1" + end
         )
-        monkeypatch.setattr(fileio._line_blocks, "__defaults__", (chars,))
         image = read_scan_image_csv(path)
         assert image.grid == ScanGrid(3, 2, 50.0)
         assert np.array_equal(image.values, [[1.5, 2.0, 3.25], [4.0, 5.0, 60.0]])

@@ -56,6 +56,8 @@ class TestOpticalConfig:
             {"wavelength_nm": 0.0},
             {"wavelength_nm": -532.0},
             {"immersion_index": math.nan},
+            # NA / n rounds to 0: an aperture of no angle
+            {"numerical_aperture": 5e-324, "immersion_index": 2.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -21,6 +21,7 @@ from nvvortex.pattern import (
     NVOrientation,
     ScanGrid,
     ScanImage,
+    intensity_map,
     radial_profile_for_grid,
     simulate_pattern,
 )
@@ -355,6 +356,56 @@ class TestTranslation:
             ), origin
             shifted = (fit.center_nm[0] - origin[0], fit.center_nm[1] - origin[1])
             assert shifted == pytest.approx(ref.center_nm, rel=0.0, abs=1e-9), origin
+
+
+class TestCramerRaoBound:
+    """Over 100 Poisson scans the fitted axis reaches its Cramér–Rao
+    bound to within the unweighted fit's loss (Ober, Ram & Ward 2004,
+    Biophys. J. 86, 1185): the Fisher information of a Poisson scan is
+    J^T W J with W = 1/mu, J the derivatives of the mean counts mu over
+    (theta, phi, centre x, centre y, amplitude, background)."""
+
+    AMPLITUDE, BACKGROUND = 1e4, 100.0
+    #: central-difference steps of the six parameters
+    STEPS = np.array([1e-6, 1e-6, 1e-4, 1e-4, 1e-2, 1e-4])
+
+    def bound_deg(self, theta, phi, grid, optics):
+        """The great-circle sigma sqrt(C_tt + sin^2(theta) C_pp) of the
+        axis, C the inverse Fisher information at the truth."""
+
+        def mean(p):
+            return intensity_map(
+                NVOrientation(p[0], p[1]), grid, optics, p[4], p[5], (p[2], p[3])
+            ).ravel()
+
+        truth = np.array([theta, phi, *grid.center_nm, self.AMPLITUDE, self.BACKGROUND])
+        jac = np.column_stack([
+            (mean(truth + h * e) - mean(truth - h * e)) / (2.0 * h)
+            for h, e in zip(self.STEPS, np.eye(6))
+        ])
+        cov = np.linalg.inv(jac.T @ (jac / mean(truth)[:, None]))
+        return math.degrees(math.sqrt(cov[0, 0] + math.sin(theta) ** 2 * cov[1, 1]))
+
+    @pytest.mark.parametrize("width", [15, 21, 31])
+    @pytest.mark.parametrize(
+        "theta_deg, phi_deg", [(109.84, 20.60), (45.0, 60.0)], ids=["NV1", "45-60"]
+    )
+    def test_axis_rms_error_is_near_the_bound(self, optics, width, theta_deg, phi_deg):
+        # NV1 reads 1.16-1.18 and (45, 60) 1.06-1.07; subsets of 40 seeds
+        # range 1.05-1.31, so fewer seeds cannot resolve the ratio
+        grid = ScanGrid(width, width, 50.0)
+        orientation = NVOrientation.from_degrees(theta_deg, phi_deg)
+        errors = []
+        for seed in range(100):
+            img = simulate_pattern(orientation, grid, optics, self.AMPLITUDE,
+                                   self.BACKGROUND, noise_seed=seed)
+            fit = fit_orientation(img, optics)
+            # the distance to the nearest of +-n and +-M n
+            errors.append(axis_angle_deg(fit.theta, fit.phi, orientation.theta,
+                                         orientation.phi))
+        rms = math.sqrt(np.mean(np.square(errors)))
+        bound = self.bound_deg(orientation.theta, orientation.phi, grid, optics)
+        assert 0.9 <= rms / bound <= 1.3, (rms, bound)
 
 
 class TestCrystalLabeling:
