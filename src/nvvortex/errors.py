@@ -25,7 +25,8 @@ class InvalidOptics(NVVortexError):
 
 
 class DegenerateTemplate(NVVortexError):
-    """Fit template (or data) is constant; the linear system is singular."""
+    """The scan is constant, has no more pixels than the fit's 6 unknowns,
+    a rank-deficient basis (one row or column) or no positive amplitude."""
 
 
 class ObjectiveNotFinite(NVVortexError):

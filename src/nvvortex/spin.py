@@ -18,10 +18,11 @@ Both arccos branches are always propagated: one NV alone cannot pick
 between alpha and pi - alpha.
 
 The inversion reads D and gamma_e alone. The 14N hyperfine, quadrupole
-and nuclear-Zeeman constants are fixed literature values, not measured
-by this toolkit, that only the spectrum simulator reads. The spectrum
-fit is a separable problem for ``least_squares.variable_projection``:
-5 nonlinear parameters (two group centers, two spacings, the linewidth)
+and nuclear-Zeeman constants are fixed literature values that only the
+simulator reads: it puts six dips at the 9x9 Hamiltonian's strongest
+lines by transition strength, in ascending order. The spectrum fit is
+a separable problem for ``least_squares.variable_projection``: 5
+nonlinear parameters (two group centers, two spacings, the linewidth)
 and 7 linear ones (six depths and a fitted baseline).
 """
 
@@ -70,6 +71,8 @@ SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
 SY = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex) / (_SQRT2 * 1j)
 SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 _ID3 = np.eye(3, dtype=complex)
+_SX9, _SY9 = np.kron(SX, _ID3), np.kron(SY, _ID3)  # electron Sx, Sy in the 9x9 space
+_LOWER, _UPPER = np.triu_indices(9, 1)  # the 36 upward transitions between 9 states
 
 #: 14N constants of the simulator's 9x9 Hamiltonian (MHz; gamma_n in MHz/G)
 A_PAR_MHZ = -2.14
@@ -232,33 +235,18 @@ def lab_field_in_nv_frame(b_vec_lab, orientation: NVOrientation) -> tuple[float,
 def six_transition_frequencies(
     b_par: float, b_perp: float, params: SpinParams
 ) -> np.ndarray:
-    """The six mI-preserving ms=0 -> +-1 lines (MHz), from the 9x9
-    Hamiltonian, ordered (ms=-1; mI=+1,0,-1), then (ms=+1; mI=+1,0,-1).
-
-    Eigenstates are labeled by dominant basis character with greedy
-    conflict resolution, which is unambiguous away from level
-    anticrossings.
-    """
+    """The six strongest ms=0 -> +-1 lines (MHz) of the 9x9 Hamiltonian,
+    ascending. Transition i -> j between eigenstates weighs
+    |<j|Sx|i>|^2 + |<j|Sy|i>|^2 times |p0_i - p0_j|, the change in ms = 0
+    character that optical pumping turns into contrast (Doherty et al.
+    2013, Phys. Rep. 528, 1). Nuclear and ms = -1 <-> +1 transitions
+    weigh next to nothing, so no eigenstate is labelled."""
     evals, evecs = np.linalg.eigh(full_hamiltonian(b_par, b_perp, params))
-    weight = np.abs(evecs) ** 2  # weight[basis, state]
-    # greedy bijection: most confident states claim their best basis first
-    confidence = np.argsort(-weight.max(axis=0), kind="stable")
-    claimed: set[int] = set()
-    label_energy: dict[tuple[int, int], float] = {}
-    ms_of = (1, 1, 1, 0, 0, 0, -1, -1, -1)
-    mi_of = (1, 0, -1) * 3
-    for state in confidence:
-        for basis in np.argsort(-weight[:, state], kind="stable"):
-            b_idx = int(basis)
-            if b_idx not in claimed:
-                claimed.add(b_idx)
-                label_energy[(ms_of[b_idx], mi_of[b_idx])] = float(evals[state])
-                break
-    lines = []
-    for ms in (-1, +1):
-        for mi in (1, 0, -1):
-            lines.append(label_energy[(ms, mi)] - label_energy[(0, mi)])
-    return np.array(lines)
+    p0 = (np.abs(evecs[3:6]) ** 2).sum(axis=0)  # rows 3-5 = |ms=0, mI>
+    strength = sum(np.abs(evecs.conj().T @ s @ evecs) ** 2 for s in (_SX9, _SY9))
+    weight = strength[_LOWER, _UPPER] * np.abs(p0[_LOWER] - p0[_UPPER])
+    strongest = np.argsort(weight, kind="stable")[-6:]
+    return np.sort(evals[_UPPER[strongest]] - evals[_LOWER[strongest]])
 
 
 # ------------------------------------------------------------------ inversion
@@ -373,7 +361,8 @@ def simulate_odmr_spectrum(
     sweep: SweepSettings | None = None,
 ) -> Spectrum:
     """Pulsed-ODMR-style contrast trace: six equal-depth Lorentzian dips
-    at the mI-preserving transition lines of the full Hamiltonian."""
+    at ``six_transition_frequencies``, summed and reported as ``lines_mhz``
+    in ascending order."""
     if not linewidth_mhz > 0.0:
         raise ValueError("linewidth must be positive")
     if not 0.0 < contrast_depth < 1.0:

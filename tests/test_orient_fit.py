@@ -10,7 +10,7 @@ from conftest import (
     pattern_residual,
 )
 from nvvortex import least_squares, pattern
-from nvvortex.errors import DegenerateTemplate, NoConvergence
+from nvvortex.errors import DegenerateTemplate, NoConvergence, NVVortexError
 from nvvortex.orient_fit import (
     _pattern_model,
     fit_orientation,
@@ -308,6 +308,22 @@ class TestFitOrientation:
         err = axis_angle_deg(fit.theta, fit.phi, math.radians(70.0), math.radians(100.0))
         assert err <= 1e-5
         assert np.allclose(fit.center_nm, center, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 19: a scan with no NV is fitted, at theta = 90 deg "
+               "and a residual near 1, instead of refused",
+    )
+    def test_scan_with_no_nv_is_refused(self, grid31, optics):
+        accepted = []
+        for seed in range(3):
+            counts = np.random.default_rng(seed).poisson(100.0, (31, 31))
+            try:
+                fit = fit_orientation(ScanImage(grid31, counts.astype(float)), optics)
+            except NVVortexError:
+                continue
+            accepted.append((seed, math.degrees(fit.theta), fit.residual))
+        assert not accepted, accepted
 
     def test_exhausted_budget_raises(self, optics, monkeypatch):
         grid = ScanGrid(31, 31, 50.0)

@@ -509,6 +509,76 @@ class TestFullHamiltonian:
                 assert np.allclose(lines, ref, atol=1e-9)
 
 
+def transitions_by_strength(b, alpha_deg, params):
+    """Every upward transition of the 9x9 Hamiltonian as (weight, MHz),
+    strongest first, in a formulation of its own: scipy's eigh of the
+    general-vector builder at a transverse azimuth of 0.7 rad, and the strength
+    (|<j|S+|i>|^2 + |<j|S-|i>|^2) / 2 with S+ built in the (+1, 0, -1)
+    basis, times the difference of the two states' ms = 0 weights."""
+    from scipy.linalg import eigh as scipy_eigh
+
+    a = math.radians(alpha_deg)
+    b_perp = b * math.sin(a)
+    h = full_hamiltonian_reference(
+        [b_perp * math.cos(0.7), b_perp * math.sin(0.7), b * math.cos(a)], params
+    )
+    evals, evecs = scipy_eigh(h)
+    s_plus = np.kron(np.diag([math.sqrt(2.0)] * 2, 1), np.eye(3))
+    up = evecs.conj().T @ s_plus @ evecs  # [j, i] = <j|S+|i>
+    down = evecs.conj().T @ s_plus.T @ evecs
+    p0 = np.sum(np.abs(evecs[3:6]) ** 2, axis=0)
+    out = [
+        ((abs(up[j, i]) ** 2 + abs(down[j, i]) ** 2) / 2.0 * abs(p0[i] - p0[j]),
+         evals[j] - evals[i])
+        for i in range(9) for j in range(i + 1, 9)
+    ]
+    return sorted(out, reverse=True)
+
+
+class TestSixLines:
+    """The simulator's lines are the six strongest microwave transitions,
+    in ascending order; no eigenstate is labelled."""
+
+    def test_no_weak_line_at_ninety_degrees(self, spin_params):
+        # at 59.5 G and alpha = 90 deg two eigenstates share a dominant
+        # basis state; labelling them picked two lines of weight 0.042
+        # and left out two of 0.951 and 0.946
+        lines = six_transition_frequencies(0.0, 59.5, spin_params)
+        weights, freqs = np.array(transitions_by_strength(59.5, 90.0, spin_params)).T
+        nearest = [int(np.argmin(np.abs(freqs - line))) for line in lines]
+        assert np.max(np.abs(freqs[nearest] - lines)) <= 1e-6
+        assert np.all(weights[nearest] >= 0.5), weights[nearest]
+
+    @pytest.mark.parametrize("b, alpha_deg", [(100.0, 89.0), (200.0, 84.0),
+                                              (300.0, 85.0), (300.0, 89.0)])
+    def test_lines_are_the_six_strongest(self, spin_params, b, alpha_deg):
+        # a dominant-basis labelling is 27.6, 152, 265 and 229 MHz off here
+        a = math.radians(alpha_deg)
+        lines = six_transition_frequencies(b * math.cos(a), b * math.sin(a), spin_params)
+        ranked = transitions_by_strength(b, alpha_deg, spin_params)
+        assert ranked[5][0] - ranked[6][0] > 1e-4  # the sixth is resolved
+        expected = np.sort([f for _, f in ranked[:6]])
+        assert np.all(np.diff(lines) >= 0.0)
+        assert np.max(np.abs(lines - expected)) <= 1e-6
+
+    @pytest.mark.parametrize("axis, pair", [
+        ((0.37, 153.68), (2705.2990404855796, 3035.3185033904897)),
+        ((109.84, 20.60), (2803.0825538875283, 2959.5296157019475)),
+        ((109.25, 260.51), (2833.6379106581758, 2932.7810041324965)),
+        ((109.31, 140.74), (2846.534283288194, 2920.9978142670093)),
+    ], ids=["NV0", "NV1", "NV2", "NV3"])
+    def test_benchmark_mid_lines_are_frozen(self, spin_params, axis, pair):
+        # the fig-2 physical axes in 59.5 G at (8.59, 182.56) deg: the
+        # second and fifth lines are the mI = 0 pair that the benchmark
+        # takes as its truth, frozen bit for bit
+        field = 59.5 * NVOrientation.from_degrees(8.59, 182.56).unit_axis
+        spec = simulate_odmr_spectrum(
+            field, NVOrientation.from_degrees(*axis), spin_params
+        )
+        lines = spec.metadata["lines_mhz"]
+        assert (lines[1], lines[4]) == pair
+
+
 class TestLabToNVFrame:
     def test_parallel_field(self, spin_params):
         o = NVOrientation(0.3, 1.1)
