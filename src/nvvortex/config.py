@@ -2,8 +2,8 @@
 sections, one per field of ``RunConfig``. ``fileio`` reads the file and
 refuses a key named twice in one object; this module validates what it
 reads. Every key it does not read, a section included, is refused by
-its dotted name; keys starting with '_' are ignored so configs can
-carry inline notes."""
+its dotted name. Keys starting with '_' are comments, which
+``read_json`` drops, so configs can carry inline notes."""
 
 from __future__ import annotations
 
@@ -30,11 +30,9 @@ class RunConfig:
 
 
 def _entries(data: dict, known, prefix: str = ""):
-    """The (key, value) pairs of ``data`` but its '_' comments, each key
-    in ``known`` or refused by its dotted name ``prefix + key``."""
+    """The (key, value) pairs of ``data``, each key in ``known`` or
+    refused by its dotted name ``prefix + key``."""
     for key, value in data.items():
-        if key.startswith("_"):
-            continue
         if key not in known:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
         yield key, value

@@ -116,8 +116,9 @@ def is_json_number(value) -> bool:
 
 
 def read_json(path):
-    """The JSON value in ``path``. An object that names a key twice is
-    refused, where ``json`` would keep the last value."""
+    """The JSON value in ``path``, less every object key that starts
+    with '_', a comment. An object that names a key twice, a comment
+    included, is refused, where ``json`` would keep the last value."""
 
     def unique_keys(pairs):
         obj = {}
@@ -125,7 +126,7 @@ def read_json(path):
             if key in obj:
                 raise FileFormatError(f"{path}: key '{key}' appears twice")
             obj[key] = value
-        return obj
+        return {key: value for key, value in obj.items() if not key.startswith("_")}
 
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
@@ -322,7 +323,7 @@ def read_spectrum_csv(path) -> Spectrum:
 def load_constraints_json(path) -> list[ConeConstraint]:
     """Cone constraints from a JSON list of objects with axis angles in
     degrees, alpha in degrees, and B in gauss. Unknown keys are
-    rejected; keys starting with '_' are treated as comments."""
+    rejected; ``read_json`` drops the '_' comment keys."""
     data = read_json(path)
     if not isinstance(data, list):
         raise FileFormatError(f"{path}: expected a JSON list of constraints")
@@ -330,9 +331,7 @@ def load_constraints_json(path) -> list[ConeConstraint]:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise FileFormatError(f"{path}: entry {i} is not an object")
-        unknown = {
-            k for k in entry if k not in _CONSTRAINT_KEYS and not k.startswith("_")
-        }
+        unknown = set(entry) - _CONSTRAINT_KEYS
         if unknown:
             raise FileFormatError(
                 f"{path}: entry {i} has unknown keys: {sorted(unknown)}"

@@ -185,12 +185,6 @@ class ScanGrid:
             self.origin_nm[1] + 0.5 * (self.height_px - 1) * self.pitch_nm,
         )
 
-    def pixel_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) physical coordinates of the columns and of the rows."""
-        x = self.origin_nm[0] + self.pitch_nm * np.arange(self.width_px)
-        y = self.origin_nm[1] + self.pitch_nm * np.arange(self.height_px)
-        return x, y
-
     def row_blocks(self):
         """Row slices that cut the raster, in order, into blocks of whole
         rows of at most _PIXEL_BLOCK pixels, one row when a row is wider:
@@ -267,22 +261,9 @@ def _basis_images(
     return np.stack((w * dx * dx, w * dy * dy, w * dx * dy), axis=-1), w
 
 
-def _chebyshev_vander(u: np.ndarray) -> np.ndarray:
-    """T_j(u), j = 0 .. _PANEL_DEGREE, on a new last axis."""
-    vander = np.ones(u.shape + (_PANEL_DEGREE + 1,))
-    vander[..., 1] = u
-    for j in range(2, _PANEL_DEGREE + 1):
-        vander[..., j] = 2.0 * u * vander[..., j - 1] - vander[..., j - 2]
-    return vander
-
-
 #: first-kind Chebyshev points cos(pi (i + 1/2) / n) mapped onto [0, 1]
 _PANEL_NODES = 0.5 + 0.5 * np.cos(
     np.pi * (np.arange(_PANEL_DEGREE + 1) + 0.5) / (_PANEL_DEGREE + 1)
-)
-#: T_j at the table nodes of a panel, from its start to its end
-_NODE_VANDER = _chebyshev_vander(
-    np.arange(_NODES_PER_PANEL + 1) * (2.0 / _NODES_PER_PANEL) - 1.0
 )
 
 
@@ -368,6 +349,10 @@ class RadialIntensityProfile:
         if not np.any(samples.imag):
             samples = samples.real  # z = 0: keep the table real
         u = 2.0 * (r / width - start) - 1.0
+        chebvander = np.polynomial.chebyshev.chebvander
+        # T_j at the table nodes of a panel, from its start to its end
+        nodes = np.arange(_NODES_PER_PANEL + 1) * (2.0 / _NODES_PER_PANEL) - 1.0
+        node_vander = chebvander(nodes, _PANEL_DEGREE)
         # node i is node i mod n of panel i // n; the last panel also
         # holds the node at its end
         taylor = np.empty(
@@ -377,11 +362,11 @@ class RadialIntensityProfile:
             hi = min(lo + _PANEL_BLOCK, panels)
             # concatenated, series[p, j, m] are the T_j coefficients of
             # h^m E_phi^(m) / m! on panel p
-            vander = _chebyshev_vander(u[lo:hi])
+            vander = chebvander(u[lo:hi], _PANEL_DEGREE)
             series = [np.linalg.solve(vander, samples[lo:hi, :, None])]
             for m in range(1, _TAYLOR_DEGREE + 1):
                 series.append(_NODE_DERIVATIVE @ series[-1] / m)
-            at_nodes = _NODE_VANDER @ np.concatenate(series, axis=-1)
+            at_nodes = node_vander @ np.concatenate(series, axis=-1)
             taylor[:, lo * _NODES_PER_PANEL:hi * _NODES_PER_PANEL] = (
                 at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1).T
             )
@@ -451,7 +436,10 @@ def intensity_map(
     table, which reproduces the quadrature to about 4e-15 of the peak.
     The map is filled in the row blocks of ``grid.row_blocks()``, so no
     full-size temporary is made beside the output.
-    ``center_nm`` is the NV position (defaults to the grid center).
+    ``center_nm`` is the NV position (defaults to the grid center). The
+    pixels and the NV are placed in nm from the grid's origin, as the
+    orientation fit places them, so a default-centred map has the same
+    bits at any origin.
     Raises ValueError for an ``amplitude`` or ``background`` that is
     negative, NaN or infinite, naming it, and, from the quadrature, for
     a ``z_nm`` that is NaN or infinite or whose rule would need more
@@ -459,10 +447,13 @@ def intensity_map(
     """
     _check_finite_non_negative("amplitude", amplitude)
     _check_finite_non_negative("background", background)
-    cx, cy = center_nm if center_nm is not None else grid.center_nm
-    x, y = grid.pixel_axes()
-    dx = x - cx
-    dy = (y - cy)[:, None]
+    pitch = grid.pitch_nm
+    if center_nm is None:
+        cx, cy = 0.5 * (grid.width_px - 1) * pitch, 0.5 * (grid.height_px - 1) * pitch
+    else:
+        cx, cy = center_nm[0] - grid.origin_nm[0], center_nm[1] - grid.origin_nm[1]
+    dx = pitch * np.arange(grid.width_px) - cx
+    dy = (pitch * np.arange(grid.height_px) - cy)[:, None]
     # hypot is monotone in |dx| and |dy|: the farthest pixel is a corner
     reach = float(np.hypot(np.abs(dx).max(), np.abs(dy).max()))
     profile = _profile_covering(optics, reach, z_nm)

@@ -214,7 +214,11 @@ def transition_frequencies(b: float, alpha: float, params: SpinParams) -> Transi
 def full_hamiltonian(b_par: float, b_perp: float, params: SpinParams) -> np.ndarray:
     """9x9 electron (S=1) x nuclear (I=1) Hamiltonian, MHz: the electron
     Hamiltonian at the NV-frame field (b_par, b_perp) in gauss plus the
-    14N hyperfine, quadrupole, and nuclear Zeeman terms. Hermitian."""
+    14N hyperfine, quadrupole, and nuclear Zeeman terms. Hermitian.
+    Refuses, naming it, a field whose eigenvalue spread would overflow."""
+    if not math.isfinite(2.0 * (params.d + params.gamma_e * (abs(b_par) + b_perp))):
+        raise ValueError(f"the NV-frame field (b_par, b_perp) = ({b_par:.6g}, "
+                         f"{b_perp:.6g}) G overflows the spin Hamiltonian")
     h = np.kron(electron_hamiltonian(b_par, b_perp, params), _ID3)
     h += A_PERP_MHZ * (np.kron(SX, SX) + np.kron(SY, SY))
     h += A_PAR_MHZ * np.kron(SZ, SZ)
@@ -229,7 +233,11 @@ def lab_field_in_nv_frame(b_vec_lab, orientation: NVOrientation) -> tuple[float,
     b = np.asarray(b_vec_lab, dtype=float)
     axis = orientation.unit_axis
     b_par = float(b @ axis)
-    return b_par, float(np.linalg.norm(b - b_par * axis))
+    perp = b - b_par * axis
+    # norm keeps every simulated spectrum's bits; hypot past 1.3e154 G
+    with np.errstate(over="ignore"):
+        b_perp = float(np.linalg.norm(perp))
+    return b_par, b_perp if math.isfinite(b_perp) else math.hypot(*perp)
 
 
 def six_transition_frequencies(
@@ -349,7 +357,8 @@ def field_estimate(pair: TransitionPair, params: SpinParams) -> FieldEstimate:
 def _lorentz(f: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     """Unit-height Lorentzian; ``fwhm`` is the full width at half max."""
     h = 0.5 * fwhm
-    return (h * h) / ((f - center) ** 2 + h * h)
+    with np.errstate(over="ignore"):  # a line far off the sweep reads 0
+        return (h * h) / ((f - center) ** 2 + h * h)
 
 
 def simulate_odmr_spectrum(
@@ -428,10 +437,10 @@ def _median(a) -> float:
     return float((part[k - 1] + part[k]) / 2)
 
 
-def _dip_candidates(f: np.ndarray, y: np.ndarray, baseline: float) -> list[float]:
+def _dip_candidates(f: np.ndarray, y: np.ndarray, baseline: float, df=None) -> list:
     """Local minima of ``y`` deeper than 40% of the deepest dip below
-    ``baseline`` (the median contrast), clustered within a linewidth
-    scale; as sweep frequencies."""
+    ``baseline`` (the median contrast), clustered within 4 sweep steps
+    ``df`` (the median step of ``f`` if None), at least 1 MHz."""
     depth = baseline - float(y.min())
     noise = 1.4826 * _median(np.abs(y - baseline))
     if depth <= max(1e-12, 5.0 * noise):
@@ -443,7 +452,9 @@ def _dip_candidates(f: np.ndarray, y: np.ndarray, baseline: float) -> list[float
         raise FitFailed("no local minima below the detection threshold")
     # noise can split one dip into several shallow minima; cluster
     # anything closer than a linewidth-scale radius, keeping the deepest
-    radius = max(4.0 * float(f[1] - f[0]), 1.0)
+    if df is None:
+        df = _median(np.diff(f))
+    radius = max(4.0 * df, 1.0)
     merged: list[int] = []
     for i in idx:
         if merged and f[i] - f[merged[-1]] < radius:
@@ -544,12 +555,12 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
     from the group's lowest to its highest dip, detected or fitted, plus
     WINDOW_FWHM linewidths at each end, where a dip's Lorentzian is below
     0.2% of its depth. The first window takes the dip search's linewidth
-    scale, max(4 df, 1 MHz); while the fitted linewidth asks for a wider
-    one, the fit is repeated from its solution on the grown window, at
-    most the whole sweep. The center sigmas (from the solver's covariance
-    of all 12 parameters, s^2 = SSE / (n_w - 12)) and ``iterations``
-    (summed over the passes) are taken over the n_w points of the final
-    window, which ``window_mhz`` reports.
+    scale, max(4 df, 1 MHz) for the median sweep step df; while the
+    fitted linewidth asks for a wider one, the fit is repeated from its
+    solution on the grown window, at most the whole sweep. The center
+    sigmas (from the solver's covariance of all 12 parameters, s^2 =
+    SSE / (n_w - 12)) and ``iterations`` (summed over the passes) are
+    taken over the n_w points of the final window (``window_mhz``).
 
     Raises FitFailed when no dips are found, the optimizer exhausts its
     budget in any pass, the model is rank-deficient, a center sigma is
@@ -559,7 +570,8 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
     f = spectrum.frequencies
     y = spectrum.contrast
     baseline = _median(y)
-    groups = _split_groups(_dip_candidates(f, y, baseline))
+    df = _median(np.diff(f))  # the sweep step, robust to irregular points
+    groups = _split_groups(_dip_candidates(f, y, baseline, df))
 
     def centroid(group: list[float]) -> float:
         mask = (f >= group[0] - 4.0) & (f <= group[-1] + 4.0)
@@ -571,7 +583,6 @@ def fit_odmr_model(spectrum: Spectrum) -> OdmrModelFit:
             return 0.5 * (group[-1] - group[0])
         return 2.0
 
-    df = float(f[1] - f[0])
     x = np.array([centroid(groups[0]), centroid(groups[1]),
                   spacing_init(groups[0]), spacing_init(groups[1]), max(4.0 * df, 0.5)])
     spans = _window(groups, x, max(4.0 * df, 1.0))

@@ -225,11 +225,8 @@ def aggregate_magnitude(constraints: list[ConeConstraint]) -> tuple[float, float
         raise ValueError("need at least one constraint")
     values = np.array([c.b for c in constraints])
     sigmas = np.array([c.b_sigma for c in constraints])
-    if np.all(sigmas > 0.0):
-        weights = 1.0 / sigmas**2
-        mean = float((weights * values).sum() / weights.sum())
-    else:
-        mean = float(values.mean())
+    weights = 1.0 / sigmas**2 if np.all(sigmas > 0.0) else None
+    mean = float(np.average(values, weights=weights))
     std = float(values.std(ddof=1)) if values.size > 1 else 0.0
     return mean, std
 

@@ -400,6 +400,42 @@ class TestOdmr:
         assert code == 0
         assert abs(report["b_gauss"] - 59.5) < 0.1
 
+    @pytest.mark.parametrize("lead_mhz", [50.0, 5.0, 0.001])
+    def test_irregular_first_step_fits_as_the_plain_sweep(self, tmp_path, capsys,
+                                                          lead_mhz):
+        spec = spin.add_contrast_noise(simulate_odmr_spectrum(
+            59.5 * NVOrientation.from_degrees(8.59, 182.56).unit_axis,
+            NVOrientation.from_degrees(109.84, 20.60), SpinParams(),
+        ), 0.002, 3)
+        f, y = spec.frequencies, spec.contrast
+        plain, led = tmp_path / "plain.csv", tmp_path / "led.csv"
+        write_spectrum_csv(spec, plain)
+        write_spectrum_csv(Spectrum(np.insert(f, 0, f[0] - lead_mhz),
+                                    np.insert(y, 0, 1.0)), led)
+        _, want = run_cli(capsys, "odmr", "--spectrum", str(plain))
+        code, report = run_cli(capsys, "odmr", "--spectrum", str(led))
+        assert code == 0
+        for key in ("omega1_mhz", "omega2_mhz"):
+            assert report[key] == pytest.approx(want[key], abs=1e-9)
+
+    @pytest.mark.parametrize("b_gauss, b_direction, code, error, message", [
+        ("1e300", ("8.59", "182.56"), 3, "FitFailed", "no significant dips"),
+        ("1e308", ("109.84", "20.6"), 2, "ValueError",
+         "the NV-frame field (b_par, b_perp) = (1e+308, 0) G overflows"),
+    ], ids=["1e300-off-the-sweep", "1e308-along-the-axis"])
+    def test_huge_field_is_refused_without_warnings(self, capsys, b_gauss,
+                                                    b_direction, code, error, message):
+        # the suite turns every warning into an error; the lines of 1e300 G
+        # lie about 1e300 MHz off the sweep, and 1e308 G along the axis
+        # overflows the Hamiltonian
+        got, payload = run_cli(
+            capsys, "odmr", "--simulate", "--b-gauss", b_gauss,
+            "--b-theta-deg", b_direction[0], "--b-phi-deg", b_direction[1],
+            "--nv-theta-deg", "109.84", "--nv-phi-deg", "20.6",
+        )
+        assert (got, payload["error"]) == (code, error)
+        assert message in payload["message"]
+
     def test_zero_field_reports_numerical_error(self, capsys):
         code, payload = run_cli(
             capsys, "odmr", "--simulate",
@@ -677,7 +713,8 @@ class TestPipeline:
 
     def test_pipeline_leaves_numpy_ma_unimported(self, tmp_path):
         # np.median's NaN check imports numpy.ma on first use, which costs
-        # every fresh `nvvortex pipeline` process 10-13 ms
+        # every fresh `nvvortex pipeline` process 10-13 ms. numpy 1.x
+        # imports numpy.ma itself, so only nvvortex's own imports count
         field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis
         labels = [
             ("nv1", (70.16, 20.60)),
@@ -689,12 +726,35 @@ class TestPipeline:
         proc = _run_python(
             "-c",
             "import sys\n"
+            "import numpy\n"
+            "bare = 'numpy.ma' in sys.modules\n"
             "from nvvortex.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n",
+            "print(code, bare, 'numpy.ma' in sys.modules, file=sys.stderr)\n",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "0 False"
+        code, bare, loaded = proc.stderr.splitlines()[-1].split()
+        if bare == "True":
+            pytest.skip("a bare `import numpy` loads numpy.ma")
+        assert (code, loaded) == ("0", "False")
+
+    def test_cli_import_leaves_numpy_polynomial_unimported(self):
+        # the profile build looks chebvander up through np when it runs,
+        # so that no fresh process pays about 2.7 ms to import
+        # numpy.polynomial with the CLI; numpy 1.x imports it itself
+        proc = _run_python(
+            "-c",
+            "import sys\n"
+            "import numpy\n"
+            "bare = 'numpy.polynomial' in sys.modules\n"
+            "import nvvortex.cli\n"
+            "print(bare, 'numpy.polynomial' in sys.modules)\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        bare, loaded = proc.stdout.split()
+        if bare == "True":
+            pytest.skip("a bare `import numpy` loads numpy.polynomial")
+        assert loaded == "False"
 
     def test_closed_stdout_exits_io_without_traceback(self, tmp_path):
         field = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis

@@ -163,7 +163,7 @@ class TestFitOrientation:
             background=50.0, noise_seed=0,
         )
         fit = fit_orientation(img, optics)
-        xs, ys = (a.ravel() for a in np.meshgrid(*grid31.pixel_axes()))
+        ys, xs = grid31.pitch_nm * np.indices((31, 31)).reshape(2, -1)
         basis, _ = _pattern_model(
             fit.center_nm, xs, ys, radial_profile_for_grid(grid31, optics)
         )
@@ -211,7 +211,7 @@ class TestFitOrientation:
             70.0, 60.0, grid31, optics, amplitude=1e4 / clean.values.max(),
             background=50.0, noise_seed=3,
         )
-        xs, ys = (a.ravel() for a in np.meshgrid(*grid31.pixel_axes()))
+        ys, xs = grid31.pitch_nm * np.indices((31, 31)).reshape(2, -1)
         d = img.values.ravel()
         profile = radial_profile_for_grid(grid31, optics)
         cx, cy = grid31.center_nm

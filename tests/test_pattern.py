@@ -15,9 +15,9 @@ import nvvortex.pattern as pattern_module
 from nvvortex.focal_field import azimuthal_field_profile
 from nvvortex.pattern import (
     _NODE_DERIVATIVE,
-    _NODE_VANDER,
     _NODES_PER_PANEL,
     _PANEL_BLOCK,
+    _PANEL_DEGREE,
     _PANEL_NODES,
     _PIXEL_BLOCK,
     _TAYLOR_DEGREE,
@@ -31,7 +31,6 @@ from nvvortex.pattern import (
     ScanImage,
     _angles_from_coefficients,
     _basis_images,
-    _chebyshev_vander,
     _coefficients_from_angles,
     _nodes_per_nm,
     _profile_covering,
@@ -372,8 +371,9 @@ def quadrature_map(orientation, grid, optics, center, z_nm=0.0, pixels=None,
     """Unit-amplitude pattern, flattened, with the quadrature run at each
     pixel's own radius; only at the flat indices ``pixels`` if given,
     and by the single rule of ``nodes`` nodes if given."""
-    xs, ys = np.meshgrid(*grid.pixel_axes())
-    dx, dy = (xs - center[0]).ravel(), (ys - center[1]).ravel()
+    ys, xs = grid.pitch_nm * np.indices((grid.height_px, grid.width_px))
+    dx = (xs - (center[0] - grid.origin_nm[0])).ravel()
+    dy = (ys - (center[1] - grid.origin_nm[1])).ravel()
     if pixels is not None:
         dx, dy = dx[pixels], dy[pixels]
     rho = np.hypot(dx, dy)
@@ -503,9 +503,9 @@ class TestIntensityMap:
 def full_array_map(orientation, grid, optics, amplitude, background, center, z_nm):
     """intensity_map as one evaluation over the whole grid, in the
     expressions it used before it ran over row blocks."""
-    xs, ys = np.meshgrid(*grid.pixel_axes())
-    dx = xs - center[0]
-    dy = ys - center[1]
+    ys, xs = grid.pitch_nm * np.indices((grid.height_px, grid.width_px))
+    dx = xs - (center[0] - grid.origin_nm[0])
+    dy = ys - (center[1] - grid.origin_nm[1])
     rho = np.hypot(dx, dy)
     e2 = _profile_covering(optics, float(rho.max()), z_nm)(rho)
     basis, _ = _basis_images(dx, dy, e2)
@@ -524,10 +524,12 @@ def full_array_taylor(optics, panels, z_nm):
     if not np.any(samples.imag):
         samples = samples.real
     u = 2.0 * (r / width - start) - 1.0
-    series = [np.linalg.solve(_chebyshev_vander(u), samples[..., None])]
+    chebvander = np.polynomial.chebyshev.chebvander
+    series = [np.linalg.solve(chebvander(u, _PANEL_DEGREE), samples[..., None])]
     for m in range(1, _TAYLOR_DEGREE + 1):
         series.append(_NODE_DERIVATIVE @ series[-1] / m)
-    at_nodes = _NODE_VANDER @ np.concatenate(series, axis=-1)
+    nodes = np.arange(_NODES_PER_PANEL + 1) * (2.0 / _NODES_PER_PANEL) - 1.0
+    at_nodes = chebvander(nodes, _PANEL_DEGREE) @ np.concatenate(series, axis=-1)
     taylor = np.concatenate(
         (at_nodes[:, :-1].reshape(-1, _TAYLOR_DEGREE + 1), at_nodes[-1, -1:])
     ).T.copy()

@@ -450,6 +450,12 @@ class TestFullHamiltonian:
         h = full_hamiltonian(55.0, math.hypot(12.0, -7.0), spin_params)
         assert np.allclose(h, h.conj().T, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("b_par, b_perp", [(1e308, 0.0), (-1e308, 1e308),
+                                               (0.0, 7e307), (math.inf, 0.0)])
+    def test_refuses_a_field_that_overflows_by_name(self, spin_params, b_par, b_perp):
+        with pytest.raises(ValueError, match=r"\(b_par, b_perp\) = \(.*\) G overflows"):
+            full_hamiltonian(b_par, b_perp, spin_params)
+
     def test_trace_identity_independent_of_field(self, spin_params):
         expected = 6.0 * spin_params.d + 6.0 * spin.QUADRUPOLE_MHZ
         rng = np.random.default_rng(2)
@@ -596,7 +602,27 @@ class TestLabToNVFrame:
             assert np.linalg.norm(vec) == pytest.approx(np.linalg.norm(b), rel=1e-12)
 
 
+    def test_huge_field_keeps_a_finite_transverse_part(self):
+        # past 1.3e154 G the squares of the transverse part overflow
+        o = NVOrientation.from_degrees(109.84, 20.60)
+        b = 1e300 * NVOrientation.from_degrees(8.59, 182.56).unit_axis
+        b_par, b_perp = lab_field_in_nv_frame(b, o)
+        assert math.hypot(b_par, b_perp) == pytest.approx(1e300, rel=1e-12)
+
+
 class TestSimulateSpectrum:
+    def test_lines_far_off_the_sweep_leave_it_flat(self, spin_params):
+        # the lines lie about 1e300 MHz off the sweep; nothing overflows
+        # into a warning, and no dip is left to fit
+        spec = simulate_odmr_spectrum(
+            1e300 * NVOrientation.from_degrees(8.59, 182.56).unit_axis,
+            NVOrientation.from_degrees(109.84, 20.60), spin_params,
+        )
+        assert min(spec.metadata["lines_mhz"]) > 1e299
+        assert np.all(spec.contrast == 1.0)
+        with pytest.raises(FitFailed, match="no significant dips"):
+            fit_odmr_model(spec)
+
     def test_zero_field_dips_cluster_at_d(self, spin_params):
         spec = simulate_odmr_spectrum(
             [0.0, 0.0, 0.0], NVOrientation(0.4, 0.2), spin_params,
@@ -775,6 +801,19 @@ class TestFitSpectrum:
         pair = fit_odmr_model(Spectrum(f, y)).pair
         assert pair.omega1 == pytest.approx(c1, abs=1e-3)
         assert pair.omega2 == pytest.approx(c2, abs=1e-3)
+
+    @pytest.mark.parametrize("lead_mhz", [50.0, 5.0, 0.001])
+    def test_irregular_first_step_fits_as_the_plain_sweep(self, spin_params, lead_mhz):
+        # a reference point ahead of the sweep: read from the first two
+        # points, a 50 MHz step merged every dip into one cluster and a
+        # 5 MHz one seeded a window too wide for the fit
+        spec = add_contrast_noise(criterion7_spectrum(spin_params), 0.002, 3)
+        ref = fit_odmr_model(spec).pair
+        f, y = spec.frequencies, spec.contrast
+        pair = fit_odmr_model(Spectrum(np.insert(f, 0, f[0] - lead_mhz),
+                                       np.insert(y, 0, 1.0))).pair
+        assert pair.omega1 == pytest.approx(ref.omega1, abs=1e-9)
+        assert pair.omega2 == pytest.approx(ref.omega2, abs=1e-9)
 
     def test_full_physics_round_trip_noiseless(self, spin_params):
         spec = criterion7_spectrum(spin_params)
