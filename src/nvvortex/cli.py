@@ -93,7 +93,7 @@ def _emit(report: dict, out_dir: str | None, filename: str) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_json(report, out / filename)
-    print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    print(json.dumps(report, allow_nan=False, indent=2, sort_keys=True), flush=True)
 
 
 class NVMeasurement(NamedTuple):

@@ -101,8 +101,12 @@ def atomic_writer(path):
 
 
 def write_json(obj, path) -> None:
+    """Writes ``obj`` as strict JSON: a NaN or an infinity raises
+    ValueError and leaves ``path`` as it was."""
     with atomic_writer(path) as handle:
-        handle.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+        handle.write(
+            (json.dumps(obj, allow_nan=False, indent=2, sort_keys=True) + "\n").encode()
+        )
 
 
 def is_json_number(value) -> bool:

@@ -22,12 +22,11 @@ more than MAX_QUADRATURE_NODES nodes is refused before anything is
 evaluated. ``nodes=`` asks for the single rule of that many nodes, the
 reference the tests compare with.
 
-The quadrature runs over blocks of the leading axis of r, each of at
-most _J1_BLOCK = 16,384 J1 arguments (radii times nodes), so a call
-needs its output plus one block's temporaries, about 1.4 MB, however
-many rows r has. The blocks leave the trailing axes of r whole, and
-with one BLAS thread every result has the bits of one evaluation over
-the whole of r.
+Each radius is summed over the nodes on its own, so its E_phi has the
+same bits whatever else r holds, in whatever order or shape, and
+whatever the BLAS. The radii run in blocks of at most _J1_BLOCK =
+16,384 J1 arguments (radii times nodes), so a call needs its output
+plus one block's temporaries, about 1.4 MB, however large r is.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ MAX_QUADRATURE_NODES = 1024
 #: the reach in x = k sin(alpha) max r + k |z| that each sub-interval
 #: of the automatic rule covers (module docstring)
 _INTERVAL_REACH = 140.0
-#: J1 arguments per block of the quadrature: r is cut along its leading
-#: axis into blocks of at most this many radii times nodes (one row of
-#: r when that alone holds more; the last block may take one row more)
+#: J1 arguments per block of the quadrature: the radii of r, flattened,
+#: run in blocks of at most this many radii times nodes (one radius when
+#: its nodes alone are more)
 _J1_BLOCK = 16_384
 
 
@@ -113,9 +112,9 @@ def azimuthal_field_profile(
 ) -> np.ndarray:
     """E_phi at radial offsets ``r`` (array-like, nm) and defocus ``z`` (nm).
 
-    Vectorized over r, and run over blocks of its leading axis, with
-    the rule its reach asks for, or the single rule of ``nodes`` nodes
-    when given (module docstring). Real and imaginary parts are
+    Vectorized over r, each radius summed on its own, with the rule its
+    reach asks for, or the single rule of ``nodes`` nodes when given
+    (module docstring). Real and imaginary parts are
     accumulated separately so the z = 0 result is exactly real and
     E(r, -z) == conj(E(r, z)) holds to machine precision. Raises
     ValueError for a radius that is negative, NaN or infinite, a
@@ -144,27 +143,14 @@ def azimuthal_field_profile(
     ct = np.cos(theta)
     base = 2.0 * np.sqrt(ct) * st * weights
     phase = k * z * ct
-    cos_weights = base * np.cos(phase)
-    sin_weights = base * np.sin(phase)
-
-    def field(block: np.ndarray) -> np.ndarray:
-        bess = j1(k * block[..., None] * st)
-        re = bess @ cos_weights
-        im = bess @ sin_weights
-        return re + 1j * im
-
-    if rr.ndim == 0:
-        return field(rr)
-    out = np.empty(rr.shape, dtype=complex)
-    n = len(rr)
-    # the largest power of two of rows within _J1_BLOCK arguments, at
-    # least 1: every block of a 1-D r then starts on a row group of the
-    # BLAS matrix-vector kernel, so its sums round as one call over r
-    # does. A lone last row would go through numpy's dot instead: it
-    # joins the block before it
-    fit = _J1_BLOCK // max(1, st.size * math.prod(rr.shape[1:]))
-    step = 1 << max(0, fit.bit_length() - 1)
-    for lo in range(0, max(1, n - 1), step):
-        hi = lo + step if lo + step < n - 1 else n
-        out[lo:hi] = field(rr[lo:hi])
-    return out
+    # the cosine and sine weights as two rows: einsum sums each radius's
+    # row of J1 values on its own, without BLAS
+    parts = base * np.stack([np.cos(phase), np.sin(phase)])
+    flat = rr.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, _J1_BLOCK // st.size)
+    for lo in range(0, flat.size, step):
+        bess = j1(k * flat[lo:lo + step, None] * st)
+        re, im = np.einsum("rn,cn->cr", bess, parts)
+        out[lo:lo + step] = re + 1j * im
+    return out.reshape(rr.shape)

@@ -49,7 +49,11 @@ DEFAULT_RESIDUAL_GATE = 1e-2
 
 @dataclass(frozen=True)
 class ConeConstraint:
-    """One NV's contribution: axis, cone angle (rad), magnitude (G)."""
+    """One NV's contribution: axis, cone angle (rad), magnitude (G).
+
+    A sigma is 0, for none, or a positive number whose inverse variance
+    1/sigma^2 is finite and positive; any other sigma, too small or too
+    large for its square, raises ValueError naming the field."""
 
     axis: NVOrientation
     alpha: float
@@ -70,6 +74,14 @@ class ConeConstraint:
             raise ValueError(f"field magnitude must be >= 0, got {self.b}")
         if self.alpha_sigma < 0.0 or self.b_sigma < 0.0:
             raise ValueError("sigmas must be >= 0")
+        for name in ("alpha_sigma", "b_sigma"):
+            sigma = getattr(self, name)
+            variance = sigma * sigma
+            if sigma > 0.0 and not (variance > 0.0 and 0.0 < 1.0 / variance < math.inf):
+                raise ValueError(
+                    f"{name} must have a finite positive inverse variance "
+                    f"1/{name}^2, got {name} = {sigma}"
+                )
 
 
 @dataclass

@@ -1111,6 +1111,99 @@ class TestPipeline:
         assert len(report["reconstruction"]["constraints"]) == 3
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """``text`` parsed as JSON that holds no NaN or infinity, which the
+    json module writes and reads by default."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+class TestStrictJson:
+    def test_every_report_is_strict_json(self, tmp_path, capsys):
+        field = ["--b-gauss", "59.5", "--b-theta-deg", "8.59", "--b-phi-deg", "182.56"]
+        scan = str(tmp_path / "sim" / "pattern.csv")
+        runs = [
+            ["simulate-pattern", "--theta-deg", "109.84", "--phi-deg", "20.60",
+             "--noise-seed", "1", "--out", str(tmp_path / "sim")],
+            ["fit-orientation", "--image", scan, "--out", str(tmp_path / "fit")],
+            ["fit-orientation", "--image", scan, "--crystal", "111",
+             "--crystal-azimuth-deg", "20.60", "--out", str(tmp_path / "crystal")],
+            ["odmr", "--simulate", *field, "--nv-theta-deg", "109.84",
+             "--nv-phi-deg", "20.60", "--out", str(tmp_path / "odmr")],
+            ["odmr", "--spectrum", str(tmp_path / "odmr" / "spectrum.csv"),
+             "--out", str(tmp_path / "spectrum")],
+            ["reconstruct", "--fixture", "paper_fig4", "--out", str(tmp_path / "fig4")],
+        ]
+        # the fig-2 axes NV1-NV3 in that field, for a 3-NV pipeline
+        nvs = [("NV1", "109.84", "20.60"), ("NV2", "109.25", "260.51"),
+               ("NV3", "109.31", "140.74")]
+        for label, theta, phi in nvs:
+            runs += [
+                ["simulate-pattern", "--theta-deg", theta, "--phi-deg", phi,
+                 "--prefix", label, "--out", str(tmp_path / "scans")],
+                ["odmr", "--simulate", *field, "--nv-theta-deg", theta,
+                 "--nv-phi-deg", phi, "--out", str(tmp_path / f"odmr-{label}")],
+            ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+            strict_json(capsys.readouterr().out)
+        (tmp_path / "spectra").mkdir()
+        for label, _, _ in nvs:
+            (tmp_path / f"odmr-{label}" / "spectrum.csv").rename(
+                tmp_path / "spectra" / f"{label}.csv"
+            )
+        assert main([
+            "pipeline", "--scans", str(tmp_path / "scans"),
+            "--spectra", str(tmp_path / "spectra"), "--out", str(tmp_path / "pipeline"),
+        ]) == 0
+        strict_json(capsys.readouterr().out)
+        written = sorted(tmp_path.rglob("*.json"))
+        assert {path.parent.name for path in written} == {
+            "sim", "fit", "crystal", "odmr", "spectrum", "fig4", "scans",
+            "odmr-NV1", "odmr-NV2", "odmr-NV3", "pipeline",
+        }
+        for path in written:
+            strict_json(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "key, value, code, error, message",
+        [
+            # 1/sigma^2 is 0, or sigma^2 is 0 or subnormal and 1/sigma^2
+            # overflows: the constraint is refused by name
+            ("b_sigma_gauss", 1e200, 4, "FileFormatError", "entry 0: b_sigma"),
+            ("b_sigma_gauss", 1e-200, 4, "FileFormatError", "entry 0: b_sigma"),
+            ("b_sigma_gauss", 1e-155, 4, "FileFormatError", "entry 0: b_sigma"),
+            ("alpha_sigma_deg", 1e300, 4, "FileFormatError", "entry 0: alpha_sigma"),
+            # finite constraints whose mean |B| overflows: the report is
+            # refused, not printed with Infinity. numpy warns of the
+            # overflow on the way
+            pytest.param(
+                "b_gauss", 1e308, 2, "ValueError", "not JSON compliant",
+                marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+            ),
+        ],
+    )
+    def test_reconstruction_past_the_double_range_is_refused(
+        self, tmp_path, capsys, key, value, code, error, message
+    ):
+        with open(bundled_fixture_path("paper_fig4")) as handle:
+            entries = json.load(handle)
+        for entry in entries:
+            entry[key] = value
+        path = tmp_path / "cones.json"
+        path.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        argv = ["reconstruct", "--constraints", str(path), "--out", str(out)]
+        assert main(argv) == code
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["error"] == error
+        assert message in payload["message"]
+        assert not out.exists() or not any(out.iterdir())
+
+
 #: axes that are already the members the orientation fit reports, and a
 #: field inside all their reachable cones, as in TestPipeline
 MEASURE_FIELD = 59.5 * NVOrientation.from_degrees(8.59, 2.56).unit_axis

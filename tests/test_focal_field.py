@@ -169,7 +169,7 @@ class TestAzimuthalField:
         azimuthal_field(500.0, 500.0, optics, check=True)
 
     def test_profile_matches_scalar_calls(self, optics):
-        # batched and scalar paths may differ by a BLAS reduction ulp
+        # TestBlocks holds the exact per-radius property
         rs = np.array([0.0, 50.0, 144.0, 980.0])
         prof = azimuthal_field_profile(rs, 77.0, optics)
         for i, r in enumerate(rs):
@@ -180,8 +180,8 @@ class TestAzimuthalField:
 
 def full_array_profile(r, z, config, nodes=64, intervals=1):
     """azimuthal_field_profile as one evaluation over the whole of r,
-    in the expressions it used before it ran over blocks of r, with
-    ``nodes`` nodes on each of ``intervals`` sub-intervals."""
+    in the expressions of its blocks, with ``nodes`` nodes on each of
+    ``intervals`` sub-intervals."""
     theta, weights = _aperture_rule(nodes, max_aperture_angle(config), intervals)
     st_ = np.sin(theta)
     ct = np.cos(theta)
@@ -189,14 +189,17 @@ def full_array_profile(r, z, config, nodes=64, intervals=1):
     base = 2.0 * np.sqrt(ct) * st_ * weights
     bess = j1(k * np.asarray(r, dtype=float)[..., None] * st_)
     phase = k * z * ct
-    re = bess @ (base * np.cos(phase))
-    im = bess @ (base * np.sin(phase))
+    parts = base * np.stack([np.cos(phase), np.sin(phase)])
+    re, im = np.einsum("...n,cn->c...", bess, parts)
     return re + 1j * im
 
 
 class TestBlocks:
-    """The quadrature runs over blocks of r's leading axis; every result
-    must be the bits of one evaluation over the whole of r."""
+    """The quadrature sums each radius over the nodes on its own and
+    runs the radii in blocks: every result must be the bits of one
+    evaluation over the whole of r, and a radius's E_phi must not
+    depend on the other radii of the call, their order, the shape of r
+    or the block size."""
 
     @pytest.mark.parametrize("z", [0.0, 300.0])
     def test_scalar_radius(self, optics, z):
@@ -207,10 +210,8 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 18, 47, 48, 49, 130])
     @pytest.mark.parametrize("nodes", [64, 100])
     def test_1d_radii_across_block_edges(self, optics, monkeypatch, n, nodes):
-        # room for 18 radii a block, of which a power of two, 16, are
-        # taken: small enough that the whole-r reference stays one
-        # single-threaded BLAS call. A lone last radius joins the block
-        # before it
+        # room for 18 radii a block: n runs from part of one block to
+        # several, with a full, a partial and a lone last block
         monkeypatch.setattr(focal_field_module, "_J1_BLOCK", 18 * nodes)
         r = np.random.default_rng(n).uniform(0.0, 9000.0, n)
         for z in (0.0, 300.0):
@@ -219,8 +220,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("shape", [(40, 25), (41, 25), (9, 2, 25), (0, 25)])
     def test_nd_radii_with_the_module_block(self, optics, shape):
-        # 25 radii a row at 64 nodes, one sub-interval within 8,000 nm:
-        # 8 rows a block
+        # 256 radii a block at 64 nodes, one sub-interval within
+        # 8,000 nm: the blocks cut across rows of 25 radii
         assert focal_field_module._J1_BLOCK // (25 * 64) == 10
         r = np.random.default_rng(7).uniform(0.0, 8000.0, shape)
         for z in (0.0, 300.0):
@@ -231,12 +232,43 @@ class TestBlocks:
     @pytest.mark.parametrize("shape", [(40, 25), (41, 25), (9, 2, 25)])
     def test_nd_radii_with_a_composite_rule(self, optics, shape):
         # out to 20,000 nm the rule takes three sub-intervals, 192 nodes:
-        # 2 rows of 25 radii a block
+        # 85 radii a block, cutting across rows of 25 radii
         r = np.random.default_rng(7).uniform(0.0, 20_000.0, shape)
         r.flat[0] = 20_000.0
         for z in (0.0, 300.0):
             got = azimuthal_field_profile(r, z, optics)
             assert np.array_equal(got, full_array_profile(r, z, optics, intervals=3))
+
+    @pytest.mark.parametrize(
+        "nodes, z, r_range",
+        [
+            (64, 0.0, (0.0, 9000.0)),
+            (64, 300.0, (0.0, 9000.0)),
+            (192, 0.0, (0.0, 9000.0)),
+            # the automatic rule: three sub-intervals for every radius
+            # alone and for all of them, 192 nodes
+            (None, 0.0, (17_000.0, 25_000.0)),
+        ],
+    )
+    def test_each_radius_is_summed_on_its_own(
+        self, optics, monkeypatch, nodes, z, r_range
+    ):
+        r = np.random.default_rng(150).uniform(*r_range, 150)
+        want = azimuthal_field_profile(r, z, optics, nodes=nodes)
+
+        def profile(radii):
+            return azimuthal_field_profile(radii, z, optics, nodes=nodes)
+
+        for i in range(r.size):
+            assert np.array_equal(profile(r[i : i + 1]), want[i : i + 1]), i
+            assert np.array_equal(profile(r[i]), want[i]), i
+        assert np.array_equal(profile(r[::-1])[::-1], want)
+        for shape in [(10, 15), (5, 6, 5)]:
+            assert np.array_equal(profile(r.reshape(shape)).ravel(), want), shape
+        # one radius a block, 7 radii and a part of one, and all of r
+        for block in [1, 7 * 192 + 5, 10**6]:
+            monkeypatch.setattr(focal_field_module, "_J1_BLOCK", block)
+            assert np.array_equal(profile(r), want), block
 
 
 def composite_reference(r, z, config):

@@ -104,6 +104,18 @@ class TestConstraintType:
         with pytest.raises(ValueError):
             ConeConstraint(axis=NVOrientation(0.1, 0.1), alpha=1.0, b=-5.0)
 
+    @pytest.mark.parametrize("name", ["alpha_sigma", "b_sigma"])
+    def test_sigma_needs_a_finite_positive_inverse_variance(self, name):
+        cone = dict(axis=NVOrientation(0.1, 0.1), alpha=1.0, b=10.0)
+        # 1/sigma^2 is 1e308 at 1e-154 (sigma^2 is subnormal) and
+        # 1e-308 at 1e154
+        for sigma in (0.0, 1e-154, 1e154):
+            ConeConstraint(**cone, **{name: sigma})
+        # sigma^2 rounds to 0, 1/sigma^2 overflows, sigma^2 overflows
+        for sigma in (1e-200, 1e-155, 1e155, 1e200):
+            with pytest.raises(ValueError, match=f"^{name} must have"):
+                ConeConstraint(**cone, **{name: sigma})
+
 
 class TestSolveDirection:
     def test_orthogonal_axes_trivial_solution(self):

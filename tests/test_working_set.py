@@ -66,8 +66,8 @@ def test_noisy_map_needs_its_two_maps_plus_one_block(optics, traced_peak):
 
 def test_quadrature_needs_its_output_plus_one_block(optics, traced_peak):
     # 2,048 radii out to 18,000 nm, where the rule takes 64 nodes on
-    # each of 3 sub-intervals: 3 * 2^17 J1 arguments in 32 blocks of 64
-    # radii (a full-size evaluation needs about 200 blocks' worth)
+    # each of 3 sub-intervals: 3 * 2^17 J1 arguments in 25 blocks of at
+    # most 85 radii (a full-size evaluation needs about 200 blocks' worth)
     r = np.linspace(0.0, 18_000.0, 2048)
     peak, field = traced_peak(lambda: azimuthal_field_profile(r, 0.0, optics))
     assert peak <= 2 * field.nbytes + 16 * J1_BLOCK_BYTES
